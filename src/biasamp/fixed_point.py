@@ -2,10 +2,12 @@
 
 Every deterministic equivalent in this package is driven by a handful of
 scalar constants defined as the unique positive solution of coupled
-fixed-point equations over normalized spectral traces.  The nonlinear
-stages are solved by damped Picard iteration; once those constants are
-known, the remaining unknowns satisfy small affine systems which are
-solved exactly.
+fixed-point equations over normalized spectral traces.  Every nonlinear
+equation has the form x_i (1 + t_i(x)) - 1 = 0 with t_i a nonnegative
+trace, and each stage is solved by a safeguarded Newton iteration with an
+analytic Jacobian (each entry is one more normalized trace); once those
+constants are known, the remaining unknowns satisfy small affine systems
+which are solved exactly.
 
 Solvers report the achieved residual and iteration count, and raise
 ``FixedPointError`` (carrying the best residual) instead of returning a
@@ -27,15 +29,16 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Knobs for the damped Picard iterations.
+    """Knobs for the Newton solves of the nonlinear stages.
 
-    lambda_floor substitutes for a requested penalty of exactly zero in
-    solvers that have no dedicated unregularized path.
+    A solve stops once the max defect of its equations falls below tol;
+    max_iter caps its iterations (the slowest preset grid point takes
+    about 150).  lambda_floor substitutes for a requested penalty of exactly
+    zero in solvers that have no dedicated unregularized path.
     """
 
     tol: float = 1e-12
-    max_iter: int = 200_000
-    damping: float = 0.5
+    max_iter: int = 1000
     lambda_floor: float = 1e-8
 
     def __post_init__(self):
@@ -43,8 +46,6 @@ class SolverSettings:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
         if self.lambda_floor <= 0:
             raise ValueError(f"lambda_floor must be positive, got {self.lambda_floor}")
 
@@ -72,22 +73,60 @@ def _effective_lambda(lam: float, settings: SolverSettings) -> float:
     return lam
 
 
-def _picard(step, x0: np.ndarray, settings: SolverSettings,
-            what: str) -> tuple[np.ndarray, float, int]:
-    """Damped fixed-point iteration x <- (1-eta) x + eta F(x).
+#: A converged root is polished while its relative Newton step, the
+#: forward-error estimate, exceeds this ...
+_POLISH_RTOL = 1e-13
+#: ... for at most this many full steps.
+_POLISH_STEPS = 2
+#: Step halvings tried before a damped Picard step is taken instead.  Shorter
+#: steps crawl: on a stiff diatomic point they tripled the step count.
+_MAX_HALVINGS = 10
 
-    ``step`` maps x to (F(x), residual) where residual is the max relative
-    defect of the defining equations at x.
+
+def _newton(fun, x0: np.ndarray, settings: SolverSettings,
+            what: str) -> tuple[np.ndarray, float, int]:
+    """Safeguarded Newton iteration for F(x) = 0 over positive x.
+
+    ``fun`` maps x to (F, residual, J): the defects F_i = x_i (1 + t_i(x)) - 1,
+    their max magnitude, and the Jacobian dF/dx.  A Newton step is halved
+    until it keeps x positive and lowers the residual; if no halving does,
+    the damped Picard step x <- (x + x / (F + 1)) / 2 is taken instead.
+    Once the residual is below tol, at most _POLISH_STEPS full steps polish
+    the root while the relative step max|J^-1 F| / x exceeds _POLISH_RTOL.
+    Returns (x, residual, iterations).
     """
-    x = np.asarray(x0, dtype=float)
-    eta = settings.damping
-    best = np.inf
+    x = np.array(x0, dtype=float)
+    f, res, jac = fun(x)
+    best = res
+    polished = 0
     for it in range(1, settings.max_iter + 1):
-        fx, res = step(x)
-        best = min(best, res)
+        try:
+            step = np.linalg.solve(jac, f)
+        except np.linalg.LinAlgError:
+            step = np.full_like(x, np.nan)
         if res < settings.tol:
-            return x, res, it
-        x = (1.0 - eta) * x + eta * fx
+            trial = x - step
+            if (polished == _POLISH_STEPS or not np.all(trial > 0)
+                    or not np.max(np.abs(step) / x) > _POLISH_RTOL):
+                return x, res, it
+            ft, rt, jt = fun(trial)
+            if not rt < settings.tol:
+                return x, res, it
+            polished += 1
+        else:
+            t = 1.0
+            for _ in range(_MAX_HALVINGS):
+                trial = x - t * step
+                if np.all(trial > 0):
+                    ft, rt, jt = fun(trial)
+                    if rt < res:
+                        break
+                t *= 0.5
+            else:
+                trial = 0.5 * (x + x / (f + 1.0))
+                ft, rt, jt = fun(trial)
+        x, f, res, jac = trial, ft, rt, jt
+        best = min(best, res)
     raise FixedPointError(
         f"{what}: no convergence after {settings.max_iter} iterations "
         f"(best residual {best:.3e})", residual=best, iters=settings.max_iter)
@@ -127,29 +166,32 @@ def solve_rp_joint_nonlinear(spectrum: JointSpectrum, regime: ScalingRegime,
     The defining equations are
         1/tau = 1 + tr_bar(L K^-1),   1/e_s = 1 + psi tau tr_bar(Sigma_s K^-1),
     with L = p1 e1 Sigma1 + p2 e2 Sigma2 and K = gamma tau L + lam I.
+    Since K - gamma tau L = lam I, the derivatives of tr_bar(L K^-1) and of
+    tau tr_bar(Sigma_s K^-1) in tau reduce to lam-weighted traces of K^-2.
     Returns (e1, e2, tau, residual, iters).
     """
     lam = _effective_lambda(lam, settings)
-    s1, s2 = spectrum.sigma1, spectrum.sigma2
-    p1, p2 = regime.p1, regime.p2
-    psi, gamma = regime.psi, regime.gamma
+    sig = np.stack([spectrum.sigma1, spectrum.sigma2])
+    p = np.array([regime.p1, regime.p2])
+    psi, gamma, d = regime.psi, regime.gamma, spectrum.d
 
-    def step(x):
-        e1, e2, tau = x
-        ell = p1 * e1 * s1 + p2 * e2 * s2
-        k = gamma * tau * ell + lam
-        tr_l = float(np.mean(ell / k))
-        tr_1 = float(np.mean(s1 / k))
-        tr_2 = float(np.mean(s2 / k))
-        new = np.array([1.0 / (1.0 + psi * tau * tr_1),
-                        1.0 / (1.0 + psi * tau * tr_2),
-                        1.0 / (1.0 + tr_l)])
-        res = max(abs(e1 * (1.0 + psi * tau * tr_1) - 1.0),
-                  abs(e2 * (1.0 + psi * tau * tr_2) - 1.0),
-                  abs(tau * (1.0 + tr_l) - 1.0))
-        return new, res
+    def fun(x):
+        e, tau = x[:2], x[2]
+        pe = p * e
+        inv_k = 1.0 / (gamma * tau * (pe @ sig) + lam)
+        inv_k2 = inv_k * inv_k
+        tr = sig @ inv_k / d
+        q = sig @ inv_k2 / d
+        tt = (sig * inv_k2) @ sig.T / d
+        f = np.append(e * (1.0 + psi * tau * tr) - 1.0, tau * (1.0 + pe @ tr) - 1.0)
+        jac = np.empty((3, 3))
+        jac[:2, :2] = np.diag(1.0 + psi * tau * tr) - gamma * psi * tau ** 2 * np.outer(e, p) * tt
+        jac[:2, 2] = psi * lam * e * q
+        jac[2, :2] = lam * tau * p * q
+        jac[2, 2] = 1.0 + lam * (pe @ q)
+        return f, float(np.max(np.abs(f))), jac
 
-    x, res, iters = _picard(step, np.ones(3), settings, "rp-joint (e, tau) stage")
+    x, res, iters = _newton(fun, np.ones(3), settings, "rp-joint (e, tau) stage")
     return float(x[0]), float(x[1]), float(x[2]), res, iters
 
 
@@ -247,23 +289,26 @@ def solve_rp_separate(spectrum: JointSpectrum, regime: ScalingRegime, s: int,
     (e_s, tau_s) solve
         e = 1 / (1 + psi_s tau tr_bar(Sigma_s K^-1)),
         tau = 1 / (1 + e tr_bar(Sigma_s K^-1)),
-    with K = gamma tau e Sigma_s + lam I, then (u_s, rho_s) solve an exact
-    2x2 affine system (assembled in rho' = rho / (gamma tau^2)).
+    with K = gamma tau e Sigma_s + lam I.  Both traces depend on (e, tau) only
+    through the product e tau, and since K - gamma tau e Sigma_s = lam I every
+    Jacobian entry is a multiple of lam tr_bar(Sigma_s K^-2).  Then
+    (u_s, rho_s) solve an exact 2x2 affine system (assembled in
+    rho' = rho / (gamma tau^2)).
     """
     lam = _effective_lambda(lam_s, settings)
     sig = spectrum.sigma(s)
     psi_s, gamma = regime.psi_s(s), regime.gamma
 
-    def step(x):
+    def fun(x):
         e, tau = x
-        k = gamma * tau * e * sig + lam
-        tr = float(np.mean(sig / k))
-        new = np.array([1.0 / (1.0 + psi_s * tau * tr), 1.0 / (1.0 + e * tr)])
-        res = max(abs(e * (1.0 + psi_s * tau * tr) - 1.0),
-                  abs(tau * (1.0 + e * tr) - 1.0))
-        return new, res
+        inv_k = 1.0 / (gamma * tau * e * sig + lam)
+        tr = float(np.mean(sig * inv_k))
+        lq = lam * float(np.mean(sig * inv_k * inv_k))
+        f = np.array([e * (1.0 + psi_s * tau * tr) - 1.0, tau * (1.0 + e * tr) - 1.0])
+        jac = np.array([[1.0 + psi_s * tau * lq, psi_s * e * lq], [tau * lq, 1.0 + e * lq]])
+        return f, float(np.max(np.abs(f))), jac
 
-    x, res, iters = _picard(step, np.ones(2), settings,
+    x, res, iters = _newton(fun, np.ones(2), settings,
                             f"rp-separate (e, tau) stage, group {s}")
     e, tau = float(x[0]), float(x[1])
 
@@ -314,20 +359,19 @@ def solve_classical_joint_nonlinear(spectrum: JointSpectrum, regime: ScalingRegi
                                     ) -> tuple[float, float, float, int]:
     """Solve 1/e_s = 1 + phi tr_bar(Sigma_s K^-1), K = p1 e1 Sigma1 + p2 e2 Sigma2 + lam I."""
     lam = _effective_lambda(lam, settings)
-    s1, s2 = spectrum.sigma1, spectrum.sigma2
-    p1, p2, phi = regime.p1, regime.p2, regime.phi
+    sig = np.stack([spectrum.sigma1, spectrum.sigma2])
+    p = np.array([regime.p1, regime.p2])
+    phi, d = regime.phi, spectrum.d
 
-    def step(x):
-        e1, e2 = x
-        k = p1 * e1 * s1 + p2 * e2 * s2 + lam
-        tr_1 = float(np.mean(s1 / k))
-        tr_2 = float(np.mean(s2 / k))
-        new = np.array([1.0 / (1.0 + phi * tr_1), 1.0 / (1.0 + phi * tr_2)])
-        res = max(abs(e1 * (1.0 + phi * tr_1) - 1.0),
-                  abs(e2 * (1.0 + phi * tr_2) - 1.0))
-        return new, res
+    def fun(x):
+        inv_k = 1.0 / ((p * x) @ sig + lam)
+        tr = sig @ inv_k / d
+        tt = (sig * inv_k * inv_k) @ sig.T / d
+        f = x * (1.0 + phi * tr) - 1.0
+        jac = np.diag(1.0 + phi * tr) - phi * np.outer(x, p) * tt
+        return f, float(np.max(np.abs(f))), jac
 
-    x, res, iters = _picard(step, np.ones(2), settings, "classical-joint e stage")
+    x, res, iters = _newton(fun, np.ones(2), settings, "classical-joint e stage")
     return float(x[0]), float(x[1]), res, iters
 
 
@@ -490,17 +534,16 @@ def solve_mp(gamma: float, lam: float,
     """Solve 1/m = lam + 1/(1 + gamma m), the white sample-covariance resolvent.
 
     m equals the limiting normalized trace of (S + lam I)^-1 for a Wishart
-    matrix S with aspect ratio gamma; used as a self-test of the iteration
+    matrix S with aspect ratio gamma; used as a self-test of the Newton
     machinery against a case with a closed form.
     """
     if gamma <= 0 or lam <= 0:
         raise ValueError("need gamma > 0 and lam > 0")
 
-    def step(x):
+    def fun(x):
         m = x[0]
-        new = 1.0 / (lam + 1.0 / (1.0 + gamma * m))
-        res = abs(m * (lam + 1.0 / (1.0 + gamma * m)) - 1.0)
-        return np.array([new]), res
+        f = m * (lam + 1.0 / (1.0 + gamma * m)) - 1.0
+        return np.array([f]), abs(f), np.array([[lam + 1.0 / (1.0 + gamma * m) ** 2]])
 
-    x, _, _ = _picard(step, np.ones(1), settings, "white-covariance resolvent")
+    x, _, _ = _newton(fun, np.ones(1), settings, "white-covariance resolvent")
     return float(x[0])

@@ -211,10 +211,16 @@ def rp_joint_risks(spectrum: JointSpectrum, regime: ScalingRegime, lam: float,
 def rp_separate_risk(spectrum: JointSpectrum, regime: ScalingRegime, lam_s: float,
                      sigma_s_sq: float, s: int,
                      settings: fp.SolverSettings = fp.DEFAULT_SETTINGS,
+                     constants: fp.RPSeparateConstants | None = None,
                      ) -> RiskDecomposition:
-    """Test risk of a random-projection model trained on group s alone."""
+    """Test risk of a random-projection model trained on group s alone.
+
+    ``constants`` optionally reuses a previous ``solve_rp_separate`` result
+    for the same group and penalty.
+    """
     lam = lam_s if lam_s > 0 else settings.lambda_floor
-    c = fp.solve_rp_separate(spectrum, regime, s, lam, settings)
+    c = constants if constants is not None else fp.solve_rp_separate(
+        spectrum, regime, s, lam, settings)
     sig = spectrum.sigma(s)
     gamma, phi_s = regime.gamma, regime.phi_s(s)
     kay = gamma * c.tau * c.e * sig + lam
@@ -399,7 +405,9 @@ def power_law_limits(c: float, phi: float, sigma1_sq: float,
 class TheorySummary:
     """The four deterministic-equivalent risks, gap metrics and diagnostics.
 
-    residual and iters report the joint nonlinear solve.
+    residual is the largest residual and iters the total iteration count
+    over the nonlinear solves: the joint one, plus for random projections
+    the two separate-model ones.
     """
 
     r1_joint: RiskDecomposition
@@ -423,8 +431,14 @@ def theory_risks(spectrum: JointSpectrum, regime: ScalingRegime, family: str,
         r1j, r2j = (rp_joint_risk(spectrum, regime, lam_joint, sigma_sqs, s,
                                   settings, nonlinear=(e1, e2, tau))
                     for s in (1, 2))
-        r1s = rp_separate_risk(spectrum, regime, lam_sep[0], sigma_sqs[0], 1, settings)
-        r2s = rp_separate_risk(spectrum, regime, lam_sep[1], sigma_sqs[1], 2, settings)
+        lam_sep = [lam_s if lam_s > 0 else settings.lambda_floor for lam_s in lam_sep]
+        seps = [fp.solve_rp_separate(spectrum, regime, s, lam_s, settings)
+                for s, lam_s in zip((1, 2), lam_sep)]
+        r1s, r2s = (rp_separate_risk(spectrum, regime, lam_s, sigma_s_sq, s, settings,
+                                     constants=c)
+                    for s, lam_s, sigma_s_sq, c in zip((1, 2), lam_sep, sigma_sqs, seps))
+        res = max(res, *(c.residual for c in seps))
+        iters += sum(c.iters for c in seps)
     elif family == FAMILY_CLASSICAL:
         lam_joint = lam_joint if lam_joint > 0 else settings.lambda_floor
         e1, e2, res, iters = fp.solve_classical_joint_nonlinear(

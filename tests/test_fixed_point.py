@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from biasamp import fixed_point as fp
-from biasamp.spectra import JointSpectrum, ScalingRegime, dof, make_isotropic
+from biasamp.spectra import (JointSpectrum, ScalingRegime, dof, make_diatomic,
+                             make_isotropic)
 
 
 def anisotropic_spectrum(seed=3, d=50):
@@ -72,6 +73,32 @@ def rp_residuals(spectrum, regime, lam, e1, e2, tau, u1, u2, rho, b):
         u2 - psi * e2 ** 2 * np.mean(s2 * (gamma * tau ** 2 * dee + rho) / k ** 2),
     ]
     return max(abs(r) for r in res)
+
+
+def rp_joint_defect(spectrum, regime, lam):
+    """Defects of the three nonlinear equations of the joint system."""
+    s1, s2 = spectrum.sigma1, spectrum.sigma2
+    p1, p2, psi, gamma = regime.p1, regime.p2, regime.psi, regime.gamma
+
+    def defect(x):
+        e1, e2, tau = x
+        ell = p1 * e1 * s1 + p2 * e2 * s2
+        k = gamma * tau * ell + lam
+        return np.array([e1 * (1.0 + psi * tau * np.mean(s1 / k)) - 1.0,
+                         e2 * (1.0 + psi * tau * np.mean(s2 / k)) - 1.0,
+                         tau * (1.0 + np.mean(ell / k)) - 1.0])
+    return defect
+
+
+def polished(defect, x, steps=4):
+    """x after extra Newton steps on defect, with a central-difference Jacobian."""
+    x = np.array(x, dtype=float)
+    for _ in range(steps):
+        h = 1e-6 * x
+        jac = np.column_stack([(defect(x + dx) - defect(x - dx)) / (2.0 * dx[j])
+                               for j, dx in enumerate(np.diag(h))])
+        x = x - np.linalg.solve(jac, defect(x))
+    return x
 
 
 class TestRPJoint:
@@ -297,17 +324,43 @@ class TestSolverBehaviour:
         kappa = fp.solve_kappa(spec.sigma1, phi, lam)
         assert kappa > 0
 
-    def test_damping_invariance(self):
+    def test_newton_root_matches_picard_iteration(self):
         spec = anisotropic_spectrum(seed=29)
         reg = ScalingRegime.from_rates(0.4, 0.7, 1.1)
-        tol = 1e-12
-        sols = []
-        for damping in (0.3, 1.0):
-            st_ = fp.SolverSettings(tol=tol, damping=damping)
-            c = fp.solve_rp_joint(spec, reg, 1e-4, b=spec.sigma2, settings=st_)
-            sols.append((c.e1, c.e2, c.tau, c.u1, c.u2, c.rho))
-        for a, b in zip(*sols):
-            assert a == pytest.approx(b, abs=10 * tol, rel=10 * tol)
+        lam = 1e-4
+        e1, e2, tau, _, _ = fp.solve_rp_joint_nonlinear(spec, reg, lam)
+        s1, s2 = spec.sigma1, spec.sigma2
+        p1, p2, psi, gamma = reg.p1, reg.p2, reg.psi, reg.gamma
+        x = np.ones(3)
+        for _ in range(2000):
+            ell = p1 * x[0] * s1 + p2 * x[1] * s2
+            k = gamma * x[2] * ell + lam
+            traces = np.array([psi * x[2] * np.mean(s1 / k),
+                               psi * x[2] * np.mean(s2 / k), np.mean(ell / k)])
+            x = 0.5 * (x + 1.0 / (1.0 + traces))
+        np.testing.assert_allclose([e1, e2, tau], x, rtol=1e-12)
+
+    def test_gamma_one_corner(self):
+        # Phase-diagram corner phi = psi = 0.01 (gamma = 1) at lam = 1e-6, where
+        # the contraction rate of the fixed-point map is close to one.
+        lam = 1e-6
+        spec = make_isotropic(100, 2.0, 1.0, 2.0, 1.0)
+        reg = ScalingRegime(p1=0.5, phi=0.01, gamma=1.0, n=10_000, d=100, m=100)
+        e1, e2, tau, res, iters = fp.solve_rp_joint_nonlinear(spec, reg, lam)
+        assert res < 1e-12 and iters <= 50
+        x = np.array([e1, e2, tau])
+        np.testing.assert_allclose(x, polished(rp_joint_defect(spec, reg, lam), x),
+                                   rtol=1e-9, atol=0)
+
+    def test_stiff_minority_point_converges(self):
+        # diatomic_minority grid point 17 (phi = 1, psi = 0.5, p1 = 0.9): near a
+        # residual of 0.22 no halving of the Newton step lowers the residual,
+        # and the damped Picard fallback step carries the iteration on.
+        spec = make_diatomic(400, 0.5, 2.0, 2.0, 0.2, 1.0, 0.0)
+        reg = ScalingRegime(p1=0.9, phi=1.0, gamma=0.5, n=400, d=400, m=200)
+        e1, e2, tau, res, _ = fp.solve_rp_joint_nonlinear(spec, reg, 1e-6)
+        assert res < 1e-12
+        assert 0 < e1 <= 1 and 0 < e2 <= 1 and 0 < tau <= 1
 
     def test_nonconvergence_reports_residual(self):
         spec = anisotropic_spectrum()

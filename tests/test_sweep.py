@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from biasamp import fixed_point as fp
 from biasamp import risk
 from biasamp.cli import main as cli_main
 from biasamp.spectra import ScalingRegime
@@ -76,6 +77,17 @@ class TestRunSweep:
                                (row["lambda"], row["lambda"]))
         assert row["theory_r1_joint"] == th.r1_joint.total
         assert row["theory_odd"] == th.gaps.odd
+
+    def test_solver_diagnostics_cover_all_nonlinear_solves(self):
+        cfg = tiny_config(replicates=0)
+        row = run_sweep(cfg).rows[1].values
+        spec = cfg.build_spectrum(row["d"])
+        reg = ScalingRegime.from_counts(row["n"], row["d"], row["m"], cfg.p1)
+        *_, res, iters = fp.solve_rp_joint_nonlinear(spec, reg, row["lambda"])
+        seps = [fp.solve_rp_separate(spec, reg, s, row["lambda"]) for s in (1, 2)]
+        assert all(c.iters > 0 for c in seps)
+        assert row["solver_iters"] == iters + sum(c.iters for c in seps)
+        assert row["solver_residual"] == max(res, *(c.residual for c in seps))
 
     def test_workers_do_not_change_results(self):
         cfg = tiny_config()
