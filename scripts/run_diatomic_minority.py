@@ -8,6 +8,7 @@ model trained on the minority group alone, across model sizes.
 """
 
 import argparse
+from dataclasses import replace
 from pathlib import Path
 
 from biasamp.svg import emit_svg
@@ -21,17 +22,15 @@ def main():
     ap.add_argument("--out-dir", default=None)
     ap.add_argument("--replicates", type=int, default=None)
     ap.add_argument("--seed", type=int, default=None)
-    ap.add_argument("--workers", type=int, default=2)
     args = ap.parse_args()
     out = Path(args.out_dir) if args.out_dir else default_out_dir()
 
     config = SweepConfig.load(CONFIG)
-    from dataclasses import replace
     if args.replicates is not None:
         config = replace(config, replicates=args.replicates)
     if args.seed is not None:
         config = replace(config, base_seed=args.seed)
-    result = run_sweep(config, workers=args.workers)
+    result = run_sweep(config)
     csv_path = emit_csv(result, out / "diatomic_minority.csv")
     print(f"wrote {csv_path}")
 

@@ -7,6 +7,7 @@ replicates per point and emits, per feature rate, overlay plots of theory
 """
 
 import argparse
+from dataclasses import replace
 from pathlib import Path
 
 from biasamp.svg import emit_svg
@@ -20,19 +21,16 @@ def main():
     ap.add_argument("--out-dir", default=None)
     ap.add_argument("--replicates", type=int, default=None)
     ap.add_argument("--seed", type=int, default=None)
-    ap.add_argument("--workers", type=int, default=2)
     args = ap.parse_args()
     out = Path(args.out_dir) if args.out_dir else default_out_dir()
 
     config = SweepConfig.load(CONFIG)
     if args.replicates is not None:
-        from dataclasses import replace
         config = replace(config, replicates=args.replicates)
     if args.seed is not None:
-        from dataclasses import replace
         config = replace(config, base_seed=args.seed)
 
-    result = run_sweep(config, workers=args.workers)
+    result = run_sweep(config)
     csv_path = emit_csv(result, out / "isotropic_sweep.csv")
     print(f"wrote {csv_path}")
 

@@ -18,12 +18,11 @@ CONFIG = Path(__file__).resolve().parent.parent / "configs" / "phase_diagram.jso
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out-dir", default=None)
-    ap.add_argument("--workers", type=int, default=4)
     args = ap.parse_args()
     out = Path(args.out_dir) if args.out_dir else default_out_dir()
 
     config = SweepConfig.load(CONFIG)
-    result = run_sweep(config, workers=args.workers)
+    result = run_sweep(config)
     csv_path = emit_csv(result, out / "phase_diagram.csv")
     print(f"wrote {csv_path}")
 

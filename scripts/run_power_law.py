@@ -20,12 +20,11 @@ CONFIG = (Path(__file__).resolve().parent.parent / "configs"
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out-dir", default=None)
-    ap.add_argument("--workers", type=int, default=2)
     args = ap.parse_args()
     out = Path(args.out_dir) if args.out_dir else default_out_dir()
 
     config = SweepConfig.load(CONFIG)
-    result = run_sweep(config, workers=args.workers)
+    result = run_sweep(config)
     csv_path = emit_csv(result, out / "power_law_noise_ratio.csv")
     print(f"wrote {csv_path}")
 

@@ -31,7 +31,7 @@ def _cmd_sweep(args) -> int:
     if overrides:
         config = replace(config, **overrides)
 
-    result = run_sweep(config, workers=args.workers)
+    result = run_sweep(config)
     out_dir = Path(args.out_dir) if args.out_dir else default_out_dir()
     csv_path = Path(config.out_csv) if config.out_csv else out_dir / "sweep.csv"
     if not csv_path.is_absolute():
@@ -53,8 +53,9 @@ def _cmd_sweep(args) -> int:
 
     for row in result.flagged:
         print(f"flagged point {row.index}: {';'.join(row.flags)}", file=sys.stderr)
-    # only convergence failures are errors; an undefined ratio is a value
-    hard = [row for row in result.rows if "solver-failure" in row.flags]
+    # only failures are errors; an undefined ratio is a value
+    hard = [row for row in result.rows
+            if any(flag.endswith("-failure") for flag in row.flags)]
     if hard and not args.allow_flags:
         return 1
     return 0
@@ -200,8 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip Monte Carlo regardless of the config")
     p.add_argument("--allow-flags", action="store_true",
                    help="exit 0 even if grid points were flagged")
-    p.add_argument("--workers", type=int, default=1,
-                   help="concurrent grid-point workers")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("validate", help="run a named validation suite")

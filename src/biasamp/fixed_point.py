@@ -153,8 +153,6 @@ class RPJointConstants:
     rho: float
     rho_prime: float
     b: np.ndarray
-    residual: float
-    iters: int
 
 
 def solve_rp_joint_nonlinear(spectrum: JointSpectrum, regime: ScalingRegime,
@@ -199,7 +197,7 @@ def solve_rp_joint_linear(spectrum: JointSpectrum, regime: ScalingRegime,
                           lam: float, e1: float, e2: float, tau: float,
                           b: np.ndarray,
                           settings: SolverSettings = DEFAULT_SETTINGS,
-                          ) -> tuple[float, float, float, float]:
+                          ) -> RPJointConstants:
     """Solve the affine stage for (u1, u2, rho) given (e1, e2, tau) and target b.
 
     The defining equations,
@@ -208,7 +206,7 @@ def solve_rp_joint_linear(spectrum: JointSpectrum, regime: ScalingRegime,
         D = p1 u1 Sigma1 + p2 u2 Sigma2 + b,
     are affine in (u1, u2, rho).  They are assembled in the rescaled unknown
     rho' = rho / (gamma tau^2), which stays well conditioned as the penalty
-    and tau vanish together.  Returns (u1, u2, rho, rho_prime).
+    and tau vanish together.
     """
     lam = _effective_lambda(lam, settings)
     b = np.asarray(b, dtype=float)
@@ -247,19 +245,8 @@ def solve_rp_joint_linear(spectrum: JointSpectrum, regime: ScalingRegime,
         raise FixedPointError(
             "rp-joint affine stage is singular (near a phase boundary)") from exc
     rho = gamma * tau ** 2 * rho_prime
-    return float(u1), float(u2), float(rho), float(rho_prime)
-
-
-def solve_rp_joint(spectrum: JointSpectrum, regime: ScalingRegime, lam: float,
-                   b: np.ndarray,
-                   settings: SolverSettings = DEFAULT_SETTINGS) -> RPJointConstants:
-    """Both stages of the joint random-projection system for target spectrum b."""
-    e1, e2, tau, res, iters = solve_rp_joint_nonlinear(spectrum, regime, lam, settings)
-    u1, u2, rho, rho_prime = solve_rp_joint_linear(
-        spectrum, regime, lam, e1, e2, tau, b, settings)
-    return RPJointConstants(e1=e1, e2=e2, tau=tau, u1=u1, u2=u2, rho=rho,
-                            rho_prime=rho_prime, b=np.asarray(b, dtype=float),
-                            residual=res, iters=iters)
+    return RPJointConstants(e1=e1, e2=e2, tau=tau, u1=float(u1), u2=float(u2),
+                            rho=float(rho), rho_prime=float(rho_prime), b=b)
 
 
 # ---------------------------------------------------------------------------
@@ -338,21 +325,6 @@ def solve_rp_separate(spectrum: JointSpectrum, regime: ScalingRegime, s: int,
 # Classical ridge, single model trained on the group mixture.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClassicalJointConstants:
-    """Constants of the joint classical-ridge equivalent.
-
-    u maps each evaluation group s to the pair (u1, u2) solved with that
-    group's covariance as the affine-stage target.
-    """
-
-    e1: float
-    e2: float
-    u: dict[int, tuple[float, float]]
-    residual: float
-    iters: int
-
-
 def solve_classical_joint_nonlinear(spectrum: JointSpectrum, regime: ScalingRegime,
                                     lam: float,
                                     settings: SolverSettings = DEFAULT_SETTINGS,
@@ -405,16 +377,6 @@ def solve_classical_joint_linear(spectrum: JointSpectrum, regime: ScalingRegime,
         raise FixedPointError(
             "classical-joint affine stage is singular (near a phase boundary)") from exc
     return float(u1), float(u2)
-
-
-def solve_classical_joint(spectrum: JointSpectrum, regime: ScalingRegime, lam: float,
-                          settings: SolverSettings = DEFAULT_SETTINGS,
-                          ) -> ClassicalJointConstants:
-    """Both stages of the classical-ridge joint system, for both target groups."""
-    e1, e2, res, iters = solve_classical_joint_nonlinear(spectrum, regime, lam, settings)
-    u = {s: solve_classical_joint_linear(spectrum, regime, lam, e1, e2, s, settings)
-         for s in (1, 2)}
-    return ClassicalJointConstants(e1=e1, e2=e2, u=u, residual=res, iters=iters)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Each risk formula is a normalized-trace expression in the fixed-point
 constants; with all population matrices sharing an eigenbasis, every trace
-collapses to an average over eigenvalue arrays (see ``spectra.tr_func``).
+collapses to an average over eigenvalue arrays.
 
 Conventions used throughout:
   * group index s is 1 or 2, and s' = 3 - s;
@@ -106,12 +106,12 @@ def _as_spectral(a, d: int) -> np.ndarray:
     return arr
 
 
-def h_joint(k: int, j: int, a, b, constants: fp.RPJointConstants,
+def h_joint(k: int, j: int, a, constants: fp.RPJointConstants,
             spectrum: JointSpectrum, regime: ScalingRegime, lam: float) -> float:
     """Auxiliary trace functionals h_j^(1..4) of the joint equivalent.
 
-    ``a`` is the left spectral weight; ``b`` must be the same target the
-    affine stage of ``constants`` was solved with (k >= 2 only).
+    ``a`` is the left spectral weight; k >= 2 uses the target spectrum b the
+    affine stage of ``constants`` was solved with.
     """
     if j not in (1, 2):
         raise ValueError(f"group index must be 1 or 2, got {j}")
@@ -129,10 +129,7 @@ def h_joint(k: int, j: int, a, b, constants: fp.RPJointConstants,
     if k == 1:
         return p_j * gamma * e[j] * tau * float(np.mean(a * sig_j / kay))
 
-    b = _as_spectral(b, d)
-    if not np.array_equal(b, constants.b):
-        raise ValueError("target spectrum b differs from the one the constants "
-                         "were solved with")
+    b = constants.b
     inv_k2 = 1.0 / kay ** 2
     if k == 2:
         core = (gamma * e[j] * tau ** 2 * b
@@ -164,20 +161,16 @@ def rp_joint_risk(spectrum: JointSpectrum, regime: ScalingRegime, lam: float,
     ``nonlinear`` optionally reuses a previously solved (e1, e2, tau) triple,
     since that stage does not depend on the evaluation group.
     """
-    lam = lam if lam > 0 else settings.lambda_floor
+    lam = fp._effective_lambda(lam, settings)
     sig_s = spectrum.sigma(s)
     if nonlinear is None:
-        e1, e2, tau, res, iters = fp.solve_rp_joint_nonlinear(
-            spectrum, regime, lam, settings)
+        e1, e2, tau, _, _ = fp.solve_rp_joint_nonlinear(spectrum, regime, lam, settings)
     else:
         e1, e2, tau = nonlinear
-    u1, u2, rho, rho_prime = fp.solve_rp_joint_linear(
-        spectrum, regime, lam, e1, e2, tau, sig_s, settings)
-    consts = fp.RPJointConstants(e1=e1, e2=e2, tau=tau, u1=u1, u2=u2, rho=rho,
-                                 rho_prime=rho_prime, b=sig_s, residual=0.0, iters=0)
+    consts = fp.solve_rp_joint_linear(spectrum, regime, lam, e1, e2, tau, sig_s, settings)
 
     def h(k, j, a):
-        return h_joint(k, j, a, sig_s, consts, spectrum, regime, lam)
+        return h_joint(k, j, a, consts, spectrum, regime, lam)
 
     variance = sum(sigma_sqs[j - 1] * regime.phi * h(2, j, 1.0) for j in (1, 2))
 
@@ -191,17 +184,6 @@ def rp_joint_risk(spectrum: JointSpectrum, regime: ScalingRegime, lam: float,
                        - h(1, 1, spectrum.delta * spectrum.sigma2))
     return RiskDecomposition(bias=bias, variance=variance, group=s,
                              mode=MODE_JOINT, family=FAMILY_RP)
-
-
-def rp_joint_risks(spectrum: JointSpectrum, regime: ScalingRegime, lam: float,
-                   sigma_sqs: tuple[float, float],
-                   settings: fp.SolverSettings = fp.DEFAULT_SETTINGS,
-                   ) -> tuple[RiskDecomposition, RiskDecomposition]:
-    """Joint-model risks for both groups, sharing the nonlinear solve."""
-    lam = lam if lam > 0 else settings.lambda_floor
-    e1, e2, tau, _, _ = fp.solve_rp_joint_nonlinear(spectrum, regime, lam, settings)
-    return tuple(rp_joint_risk(spectrum, regime, lam, sigma_sqs, s, settings,
-                               nonlinear=(e1, e2, tau)) for s in (1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +200,7 @@ def rp_separate_risk(spectrum: JointSpectrum, regime: ScalingRegime, lam_s: floa
     ``constants`` optionally reuses a previous ``solve_rp_separate`` result
     for the same group and penalty.
     """
-    lam = lam_s if lam_s > 0 else settings.lambda_floor
+    lam = fp._effective_lambda(lam_s, settings)
     c = constants if constants is not None else fp.solve_rp_separate(
         spectrum, regime, s, lam, settings)
     sig = spectrum.sigma(s)
@@ -289,7 +271,7 @@ def classical_joint_risk(spectrum: JointSpectrum, regime: ScalingRegime, lam: fl
                          nonlinear: tuple[float, float] | None = None,
                          ) -> RiskDecomposition:
     """Test risk of the single classical ridge model on group s."""
-    lam = lam if lam > 0 else settings.lambda_floor
+    lam = fp._effective_lambda(lam, settings)
     if nonlinear is None:
         e1, e2, _, _ = fp.solve_classical_joint_nonlinear(spectrum, regime, lam, settings)
     else:
@@ -334,17 +316,6 @@ def classical_joint_risk(spectrum: JointSpectrum, regime: ScalingRegime, lam: fl
         bias += 2.0 * b2
     return RiskDecomposition(bias=bias, variance=variance, group=s,
                              mode=MODE_JOINT, family=FAMILY_CLASSICAL)
-
-
-def classical_joint_risks(spectrum: JointSpectrum, regime: ScalingRegime, lam: float,
-                          sigma_sqs: tuple[float, float],
-                          settings: fp.SolverSettings = fp.DEFAULT_SETTINGS,
-                          ) -> tuple[RiskDecomposition, RiskDecomposition]:
-    """Joint classical risks for both groups, sharing the nonlinear solve."""
-    lam = lam if lam > 0 else settings.lambda_floor
-    e1, e2, _, _ = fp.solve_classical_joint_nonlinear(spectrum, regime, lam, settings)
-    return tuple(classical_joint_risk(spectrum, regime, lam, sigma_sqs, s, settings,
-                                      nonlinear=(e1, e2)) for s in (1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -424,14 +395,14 @@ def theory_risks(spectrum: JointSpectrum, regime: ScalingRegime, family: str,
                  lam_sep: tuple[float, float],
                  settings: fp.SolverSettings = fp.DEFAULT_SETTINGS) -> TheorySummary:
     """Joint and separate per-group risks for one model family."""
+    lam_joint = fp._effective_lambda(lam_joint, settings)
     if family == FAMILY_RP:
-        lam_joint = lam_joint if lam_joint > 0 else settings.lambda_floor
         e1, e2, tau, res, iters = fp.solve_rp_joint_nonlinear(
             spectrum, regime, lam_joint, settings)
         r1j, r2j = (rp_joint_risk(spectrum, regime, lam_joint, sigma_sqs, s,
                                   settings, nonlinear=(e1, e2, tau))
                     for s in (1, 2))
-        lam_sep = [lam_s if lam_s > 0 else settings.lambda_floor for lam_s in lam_sep]
+        lam_sep = [fp._effective_lambda(lam_s, settings) for lam_s in lam_sep]
         seps = [fp.solve_rp_separate(spectrum, regime, s, lam_s, settings)
                 for s, lam_s in zip((1, 2), lam_sep)]
         r1s, r2s = (rp_separate_risk(spectrum, regime, lam_s, sigma_s_sq, s, settings,
@@ -440,7 +411,6 @@ def theory_risks(spectrum: JointSpectrum, regime: ScalingRegime, family: str,
         res = max(res, *(c.residual for c in seps))
         iters += sum(c.iters for c in seps)
     elif family == FAMILY_CLASSICAL:
-        lam_joint = lam_joint if lam_joint > 0 else settings.lambda_floor
         e1, e2, res, iters = fp.solve_classical_joint_nonlinear(
             spectrum, regime, lam_joint, settings)
         r1j, r2j = (classical_joint_risk(spectrum, regime, lam_joint, sigma_sqs, s,

@@ -12,7 +12,7 @@ execution order and identical across reruns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -63,12 +63,9 @@ class Dataset:
 
 def sample_dataset(spectrum: JointSpectrum, n: int, p1: float,
                    sigma_sqs: tuple[float, float], base_seed: int,
-                   replicate: int = 0, weights_replicate: int | None = None,
-                   ) -> Dataset:
+                   replicate: int = 0) -> Dataset:
     """Draw groups, weights, features and noisy labels for one replicate.
 
-    ``weights_replicate`` lets nested protocols hold the ground-truth
-    weights fixed across an inner loop while resampling everything else.
     A draw leaving either group empty is retried once from a dedicated
     stream, then rejected.
     """
@@ -86,8 +83,7 @@ def sample_dataset(spectrum: JointSpectrum, n: int, p1: float,
             raise DegenerateGroupsError(
                 f"replicate {replicate}: a group stayed empty after one reseed")
 
-    wrep = replicate if weights_replicate is None else weights_replicate
-    rng_w = stream(base_seed, wrep, "weights")
+    rng_w = stream(base_seed, replicate, "weights")
     w1 = rng_w.standard_normal(d) * np.sqrt(spectrum.theta / d)
     w2 = w1 + rng_w.standard_normal(d) * np.sqrt(spectrum.delta / d)
 
@@ -181,14 +177,6 @@ def exact_risk(model: FittedModel, spectrum: JointSpectrum, s: int,
     return float(np.sum(spectrum.sigma(s) * diff ** 2))
 
 
-def sampled_risk(model: FittedModel, spectrum: JointSpectrum, s: int,
-                 w_star: np.ndarray, n_test: int, rng: Generator) -> float:
-    """Test risk estimated from fresh samples; kept for protocol parity."""
-    x = rng.standard_normal((n_test, spectrum.d)) * np.sqrt(spectrum.sigma(s))
-    err = x @ (model.w_hat - w_star)
-    return float(np.mean(err ** 2))
-
-
 # ---------------------------------------------------------------------------
 # Monte-Carlo replication.
 # ---------------------------------------------------------------------------
@@ -232,17 +220,11 @@ class MonteCarloReport:
     def __getitem__(self, key: str) -> SummaryStat:
         return self.quantities[key]
 
-    def stderr(self, key: str) -> float:
-        st = self.quantities[key]
-        return st.std / np.sqrt(st.count) if st.count > 0 else float("nan")
 
-
-def run_replicate(config: SimConfig, base_seed: int, replicate: int,
-                  weights_replicate: int | None = None) -> dict[str, float]:
+def run_replicate(config: SimConfig, base_seed: int, replicate: int) -> dict[str, float]:
     """Fit the joint and both separate models on one fresh draw; exact risks."""
     data = sample_dataset(config.spectrum, config.n, config.p1,
-                          (config.sigma1_sq, config.sigma2_sq), base_seed,
-                          replicate, weights_replicate)
+                          (config.sigma1_sq, config.sigma2_sq), base_seed, replicate)
     if config.family == "random-projection":
         proj = stream(base_seed, replicate, "projection").standard_normal(
             (data.d, config.m)) / np.sqrt(data.d)
@@ -272,52 +254,29 @@ QUANTITIES = ("r1_joint", "r2_joint", "r1_sep", "r2_sep",
               "odd", "edd", "add", "odd_signed", "edd_signed")
 
 
-def monte_carlo(config: SimConfig, replicates: int, base_seed: int,
-                nested: bool = False) -> MonteCarloReport:
+def monte_carlo(config: SimConfig, replicates: int, base_seed: int) -> MonteCarloReport:
     """Aggregate independent replicates into means and standard deviations.
 
-    With ``nested=True`` the replicate count must be a perfect square
-    k * k: ground-truth weights are resampled only across the k outer
-    blocks while data, noise and projections are fresh in every inner run.
-    The reported std is then the spread of the k inner-block means, i.e.
-    the spread of the risk estimator itself.
+    A failed replicate raises ``RuntimeError`` naming it; a draw that leaves
+    a group empty raises its subclass ``DegenerateGroupsError``.
     """
     if replicates < 2:
         raise ValueError(f"need at least two replicates, got {replicates}")
     rows: list[dict[str, float]] = []
-    def guarded(rep, weights_rep=None):
+    for rep in range(replicates):
         try:
-            return run_replicate(config, base_seed, rep, weights_rep)
+            rows.append(run_replicate(config, base_seed, rep))
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise RuntimeError(f"replicate {rep} failed: {exc}") from exc
-
-    if nested:
-        k = int(round(np.sqrt(replicates)))
-        if k * k != replicates:
-            raise ValueError(f"nested mode needs a square replicate count, got {replicates}")
-        for outer in range(k):
-            for inner in range(k):
-                rep = outer * k + inner
-                rows.append(guarded(rep, weights_rep=outer * k))
-    else:
-        for rep in range(replicates):
-            rows.append(guarded(rep))
 
     quantities: dict[str, SummaryStat] = {}
     for key in QUANTITIES:
         values = np.array([row[key] for row in rows])
         finite = values[np.isfinite(values)]
-        if nested and key != "add":
-            k = int(round(np.sqrt(replicates)))
-            block_means = values.reshape(k, k).mean(axis=1)
-            quantities[key] = SummaryStat(mean=float(np.mean(block_means)),
-                                          std=float(np.std(block_means, ddof=1)),
-                                          count=replicates)
-        else:
-            quantities[key] = SummaryStat(
-                mean=float(np.mean(finite)) if finite.size else float("nan"),
-                std=float(np.std(finite, ddof=1)) if finite.size > 1 else float("nan"),
-                count=int(finite.size))
-    ledger = {"base_seed": base_seed, "replicates": replicates, "nested": nested,
+        quantities[key] = SummaryStat(
+            mean=float(np.mean(finite)) if finite.size else float("nan"),
+            std=float(np.std(finite, ddof=1)) if finite.size > 1 else float("nan"),
+            count=int(finite.size))
+    ledger = {"base_seed": base_seed, "replicates": replicates,
               "rng": "philox keyed by (base_seed, replicate * n_purposes + purpose)"}
     return MonteCarloReport(quantities=quantities, seed_ledger=ledger)

@@ -9,7 +9,7 @@ package ever forms a dense d x d matrix on the theory path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,26 +114,6 @@ def make_power_law(d: int, beta1: float, beta2: float, alpha: float,
                          k ** -alpha)
 
 
-def tr_func(f, *arrays: np.ndarray) -> float:
-    """Normalized trace of an entrywise function of commuting matrices.
-
-    Because all population matrices share an eigenbasis, the normalized
-    trace of any rational matrix expression is the plain average of the
-    expression applied entrywise to the eigenvalue arrays.
-    """
-    if not arrays:
-        raise ValueError("need at least one eigenvalue array")
-    n = len(arrays[0])
-    if any(len(a) != n for a in arrays):
-        raise ValueError("eigenvalue arrays must share a length")
-    values = np.asarray(f(*arrays), dtype=float)
-    if values.shape != (n,):
-        raise ValueError(f"f must map entrywise, got output shape {values.shape}")
-    if not np.all(np.isfinite(values)):
-        raise FloatingPointError("singular resolvent: f produced non-finite entries")
-    return float(np.mean(values))
-
-
 def dof(eigs: np.ndarray, a: int, b: int, t: float) -> float:
     """Generalized degrees of freedom: normalized trace of E^a (E + t I)^-b.
 
@@ -154,11 +134,6 @@ def dof(eigs: np.ndarray, a: int, b: int, t: float) -> float:
         out[pos] = eigs[pos] ** (a - b)
         return float(np.mean(out))
     return float(np.mean(eigs ** a / (eigs + t) ** b))
-
-
-def df_bar(eigs: np.ndarray, m: int, t: float) -> float:
-    """m-th order degrees of freedom: dof with equal powers."""
-    return dof(eigs, m, m, t)
 
 
 @dataclass(frozen=True)
@@ -215,24 +190,3 @@ class ScalingRegime:
     def psi_s(self, s: int) -> float:
         return self.psi / self.p(s)
 
-
-@dataclass(frozen=True)
-class NoiseAndPenalty:
-    """Label-noise variances and ridge penalties for the four model variants."""
-
-    sigma1_sq: float
-    sigma2_sq: float
-    lambda_joint: float
-    lambda1: float
-    lambda2: float
-
-    def __post_init__(self):
-        for name in ("sigma1_sq", "sigma2_sq", "lambda_joint", "lambda1", "lambda2"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-
-    def sigma_sq(self, s: int) -> float:
-        return self.sigma1_sq if s == 1 else self.sigma2_sq
-
-    def lambda_s(self, s: int) -> float:
-        return self.lambda1 if s == 1 else self.lambda2

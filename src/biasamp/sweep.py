@@ -12,8 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -73,10 +72,23 @@ class SweepConfig:
             raise ValueError(f"unknown spectrum {self.spectrum!r}; choose from {SPECTRA}")
         if self.n < 2:
             raise ValueError(f"n must be at least 2, got {self.n}")
+        if not 0.0 < self.p1 < 1.0:
+            raise ValueError(f"p1 must lie in (0, 1), got {self.p1}")
+        for name in ("lam", "sigma1_sq", "sigma2_sq"):
+            v = getattr(self, name)
+            if v is not None and not (math.isfinite(v) and v >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {v}")
         for name in ("phi_grid", "psi_grid", "lambda_grid", "c_grid"):
             v = getattr(self, name)
-            if v is not None:
-                object.__setattr__(self, name, tuple(float(x) for x in v))
+            if v is None:
+                continue
+            v = tuple(float(x) for x in v)
+            object.__setattr__(self, name, v)
+            rates = name in ("phi_grid", "psi_grid")
+            bad = [x for x in v if not (math.isfinite(x) and (x > 0 if rates else x >= 0))]
+            if bad:
+                raise ValueError(f"{name} entries must be finite and "
+                                 f"{'positive' if rates else 'nonnegative'}, got {bad[0]}")
         if not self.phi_grid:
             raise ValueError("phi_grid must be nonempty")
         if self.family == risk.FAMILY_RP and not self.psi_grid:
@@ -92,8 +104,9 @@ class SweepConfig:
         if self.spectrum == "power-law" and (self.beta1 is None or self.beta2 is None
                                              or self.alpha is None):
             raise ValueError("power-law spectrum needs beta1, beta2 and alpha")
-        if self.replicates < 0:
-            raise ValueError("replicates must be nonnegative")
+        if self.replicates < 0 or self.replicates == 1:
+            raise ValueError(f"replicates must be 0 (theory only) or at least 2, "
+                             f"got {self.replicates}")
         if self.theory_d is not None:
             # Isotropic theory is dimension-free, so a token dimension may
             # stand in for huge rounded sizes in theory-only sweeps.
@@ -250,6 +263,8 @@ def evaluate_point(config: SweepConfig, index: int, point: dict) -> SweepRow:
     for k, v in theory.items():
         values[f"theory_{k}"] = v
 
+    for k in EMPIRICAL_KEYS:
+        values[f"emp_{k}_mean"] = values[f"emp_{k}_std"] = ""
     if config.replicates > 0 and "solver-failure" not in flags:
         sim = SimConfig(spectrum=spectrum, n=n, p1=config.p1,
                         sigma1_sq=sig_sqs[0], sigma2_sq=sig_sqs[1],
@@ -257,16 +272,15 @@ def evaluate_point(config: SweepConfig, index: int, point: dict) -> SweepRow:
                         m=m)
         # Replicate streams are keyed by (base_seed, grid index) so row results
         # do not depend on evaluation order.
-        report = monte_carlo(sim, config.replicates,
-                             base_seed=config.base_seed * 1_000_003 + index)
-        for k in EMPIRICAL_KEYS:
-            st = report[k]
-            values[f"emp_{k}_mean"] = st.mean
-            values[f"emp_{k}_std"] = st.std
-    else:
-        for k in EMPIRICAL_KEYS:
-            values[f"emp_{k}_mean"] = ""
-            values[f"emp_{k}_std"] = ""
+        try:
+            report = monte_carlo(sim, config.replicates,
+                                 base_seed=config.base_seed * 1_000_003 + index)
+        except RuntimeError:  # a failed replicate, or DegenerateGroupsError
+            flags.append("mc-failure")
+        else:
+            for k in EMPIRICAL_KEYS:
+                values[f"emp_{k}_mean"] = report[k].mean
+                values[f"emp_{k}_std"] = report[k].std
 
     values["solver_residual"] = residual
     values["solver_iters"] = iters
@@ -274,16 +288,9 @@ def evaluate_point(config: SweepConfig, index: int, point: dict) -> SweepRow:
     return SweepRow(index=index, values=values, flags=flags)
 
 
-def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
-    """Evaluate every grid point; rows come back ordered by grid index."""
-    points = _grid(config)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda ip: evaluate_point(config, ip[0], ip[1]),
-                                 enumerate(points)))
-    else:
-        rows = [evaluate_point(config, i, p) for i, p in enumerate(points)]
-    rows.sort(key=lambda r: r.index)
+def run_sweep(config: SweepConfig) -> SweepResult:
+    """Evaluate every grid point, in grid-index order."""
+    rows = [evaluate_point(config, i, p) for i, p in enumerate(_grid(config))]
     return SweepResult(config=config, rows=rows)
 
 

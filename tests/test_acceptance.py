@@ -131,7 +131,8 @@ def test_criterion_4_shared_covariance_linear_stage():
         gamma = rng.uniform(0.3, 3.0)
         lam = 10 ** rng.uniform(-6, 0.5)
         reg = ScalingRegime.from_rates(0.5, phi, phi * gamma)
-        c = fp.solve_rp_joint(spec, reg, lam, b=sig)
+        e1, e2, tau, _, _ = fp.solve_rp_joint_nonlinear(spec, reg, lam)
+        c = fp.solve_rp_joint_linear(spec, reg, lam, e1, e2, tau, sig)
         theta = lam / (gamma * c.tau * c.e1)
         i12, i22 = dof(sig, 1, 2, theta), dof(sig, 2, 2, theta)
         z = i22 * (gamma - i22) + theta ** 2 * i12 ** 2
@@ -218,12 +219,13 @@ def test_criterion_6_theory_vs_simulation_two_noise():
         d = round(phi * n)
         spec = make_isotropic(d, 0.5, 1.0, 2.0, 1.0)
         reg = ScalingRegime.from_counts(n, d, d, 0.5)
-        r1, r2 = risk.classical_joint_risks(spec, reg, lam, (1.0, 1e-5))
+        th = risk.theory_risks(spec, reg, risk.FAMILY_CLASSICAL, (1.0, 1e-5),
+                               lam, (lam, lam))
         cfg = sim.SimConfig(spectrum=spec, n=n, p1=0.5, sigma1_sq=1.0,
                             sigma2_sq=1e-5, family=risk.FAMILY_CLASSICAL,
                             lam_joint=lam, lam1=lam, lam2=lam)
         rep = sim.monte_carlo(cfg, reps, base_seed=seed + 31 + round(10 * phi))
-        for key, dec in (("r1_joint", r1), ("r2_joint", r2)):
+        for key, dec in (("r1_joint", th.r1_joint), ("r2_joint", th.r2_joint)):
             st = rep[key]
             se = st.std / math.sqrt(st.count)
             z = (st.mean - dec.total) / se if se > 0 else 0.0

@@ -21,6 +21,19 @@ def shared_spectrum(seed=5, d=40):
     return JointSpectrum(d, sig, sig.copy(), np.ones(d), np.zeros(d))
 
 
+def rp_joint(spec, reg, lam, b):
+    """Nonlinear, then affine stage of the joint random-projection system."""
+    e1, e2, tau, _, _ = fp.solve_rp_joint_nonlinear(spec, reg, lam)
+    return fp.solve_rp_joint_linear(spec, reg, lam, e1, e2, tau, b)
+
+
+def classical_joint(spec, reg, lam):
+    """(e1, e2) and, per target group s, the affine solution (u1, u2)."""
+    e1, e2, _, _ = fp.solve_classical_joint_nonlinear(spec, reg, lam)
+    u = {s: fp.solve_classical_joint_linear(spec, reg, lam, e1, e2, s) for s in (1, 2)}
+    return e1, e2, u
+
+
 class TestWhiteResolvent:
     def test_golden_ratio_point(self):
         assert fp.solve_mp(1.0, 1.0) == pytest.approx((math.sqrt(5) - 1) / 2, abs=1e-10)
@@ -123,7 +136,7 @@ class TestRPJoint:
         spec = JointSpectrum(spec.d, 2.0 * np.ones(spec.d), np.ones(spec.d),
                              spec.theta, spec.delta)
         reg = ScalingRegime.from_rates(0.5, 0.25, 1.0)  # gamma = 4
-        c = fp.solve_rp_joint(spec, reg, 1e-6, b=spec.sigma1)
+        c = rp_joint(spec, reg, 1e-6, spec.sigma1)
         res = rp_residuals(spec, reg, 1e-6, c.e1, c.e2, c.tau, c.u1, c.u2,
                            c.rho, spec.sigma1)
         assert res < 1e-10
@@ -132,16 +145,15 @@ class TestRPJoint:
         spec = anisotropic_spectrum()
         reg = ScalingRegime.from_rates(0.5, 0.5, 1.0)
         e1, e2, tau, _, _ = fp.solve_rp_joint_nonlinear(spec, reg, 0.01)
-        u1, u2, rho, _ = fp.solve_rp_joint_linear(spec, reg, 0.01, e1, e2, tau,
-                                                  np.zeros(spec.d))
-        assert (u1, u2, rho) == (0.0, 0.0, 0.0)
+        c = fp.solve_rp_joint_linear(spec, reg, 0.01, e1, e2, tau, np.zeros(spec.d))
+        assert (c.u1, c.u2, c.rho) == (0.0, 0.0, 0.0)
 
     def test_affine_stage_matches_picard_iteration(self):
         spec = anisotropic_spectrum(seed=21)
         reg = ScalingRegime.from_rates(0.35, 0.6, 0.9)
         lam = 0.05
         b = spec.sigma2
-        c = fp.solve_rp_joint(spec, reg, lam, b=b)
+        c = rp_joint(spec, reg, lam, b)
         s1, s2 = spec.sigma1, spec.sigma2
         p1, p2, psi, gamma = reg.p1, reg.p2, reg.psi, reg.gamma
         ell = p1 * c.e1 * s1 + p2 * c.e2 * s2
@@ -167,7 +179,7 @@ class TestRPJoint:
             gamma = rng.uniform(0.3, 3.0)
             lam = 10 ** rng.uniform(-6, 0.5)
             reg = ScalingRegime.from_rates(0.5, phi, phi * gamma)
-            c = fp.solve_rp_joint(spec, reg, lam, b=sig)
+            c = rp_joint(spec, reg, lam, sig)
             theta = lam / (gamma * c.tau * c.e1)
             i12 = dof(sig, 1, 2, theta)
             i22 = dof(sig, 2, 2, theta)
@@ -231,7 +243,7 @@ class TestRPSeparate:
         phi_1, psi_1 = 0.6, 1.2
         p1 = 0.999
         reg = ScalingRegime.from_rates(p1, phi_1 * p1, psi_1 * p1)
-        joint = fp.solve_rp_joint(spec, reg, lam, b=spec.sigma1)
+        joint = rp_joint(spec, reg, lam, spec.sigma1)
         sep = fp.solve_rp_separate(spec, reg, 1, lam)
         assert joint.e1 == pytest.approx(sep.e, rel=0.01)
         assert joint.tau == pytest.approx(sep.tau, rel=0.01)
@@ -246,35 +258,35 @@ class TestClassicalJoint:
         phi = 0.5
         reg = ScalingRegime(p1=p1, phi=phi, gamma=1.0)
         lam = 0.05
-        c = fp.solve_classical_joint(spec, reg, lam)
+        _, _, u = classical_joint(spec, reg, lam)
         phi_2 = phi / (1 - p1)
         kappa_2 = fp.solve_kappa(spec.sigma2, phi_2, lam)
         df2 = dof(spec.sigma2, 2, 2, kappa_2)
         expected = phi_2 * df2 / (1.0 - phi_2 * df2)
-        assert c.u[2][1] == pytest.approx(expected, rel=2e-3)
+        assert u[2][1] == pytest.approx(expected, rel=2e-3)
 
     def test_large_penalty(self):
         spec = anisotropic_spectrum()
         reg = ScalingRegime(p1=0.5, phi=0.8, gamma=1.0)
-        c = fp.solve_classical_joint(spec, reg, 1e9)
-        assert c.e1 == pytest.approx(1.0, abs=1e-6)
-        assert c.e2 == pytest.approx(1.0, abs=1e-6)
+        e1, e2, u = classical_joint(spec, reg, 1e9)
+        assert e1 == pytest.approx(1.0, abs=1e-6)
+        assert e2 == pytest.approx(1.0, abs=1e-6)
         for s in (1, 2):
-            assert abs(c.u[s][0]) < 1e-6 and abs(c.u[s][1]) < 1e-6
+            assert abs(u[s][0]) < 1e-6 and abs(u[s][1]) < 1e-6
 
     def test_plugback_residual(self):
         spec = anisotropic_spectrum(seed=23)
         reg = ScalingRegime(p1=0.3, phi=1.2, gamma=1.0)
         lam = 0.02
-        c = fp.solve_classical_joint(spec, reg, lam)
+        e1, e2, u = classical_joint(spec, reg, lam)
         s1, s2 = spec.sigma1, spec.sigma2
-        k = reg.p1 * c.e1 * s1 + reg.p2 * c.e2 * s2 + lam
+        k = reg.p1 * e1 * s1 + reg.p2 * e2 * s2 + lam
         for s in (1, 2):
-            u1, u2 = c.u[s]
+            u1, u2 = u[s]
             target = spec.sigma(s)
             dee = reg.p1 * u1 * s1 + reg.p2 * u2 * s2 + target
-            r1 = u1 - reg.phi * c.e1 ** 2 * float(np.mean(s1 * dee / k ** 2))
-            r2 = u2 - reg.phi * c.e2 ** 2 * float(np.mean(s2 * dee / k ** 2))
+            r1 = u1 - reg.phi * e1 ** 2 * float(np.mean(s1 * dee / k ** 2))
+            r2 = u2 - reg.phi * e2 ** 2 * float(np.mean(s2 * dee / k ** 2))
             assert max(abs(r1), abs(r2)) < 1e-10
 
 
@@ -318,7 +330,7 @@ class TestSolverBehaviour:
         spec = JointSpectrum(d, rng.uniform(0.05, 3.0, d), rng.uniform(0.05, 3.0, d),
                              np.ones(d), np.zeros(d))
         reg = ScalingRegime.from_rates(p1, phi, phi * gamma)
-        c = fp.solve_rp_joint(spec, reg, lam, b=spec.sigma1)
+        c = rp_joint(spec, reg, lam, spec.sigma1)
         assert 0 < c.e1 <= 1 and 0 < c.e2 <= 1 and 0 < c.tau <= 1
         assert c.u1 >= -1e-12 and c.u2 >= -1e-12 and c.rho >= -1e-12
         kappa = fp.solve_kappa(spec.sigma1, phi, lam)

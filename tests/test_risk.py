@@ -17,48 +17,48 @@ def random_spectrum(seed, d=40, with_delta=True):
                          rng.uniform(0.3, 2.0, d), delta)
 
 
+def joint_constants(spec, reg, lam, b):
+    """Nonlinear, then affine stage of the joint random-projection system."""
+    e1, e2, tau, _, _ = fp.solve_rp_joint_nonlinear(spec, reg, lam)
+    return fp.solve_rp_joint_linear(spec, reg, lam, e1, e2, tau, b)
+
+
 class TestHFunctionals:
     def setup_method(self):
         self.spec = random_spectrum(2)
         self.reg = ScalingRegime.from_rates(0.5, 0.5, 0.75)
         self.lam = 0.01
-        self.consts = fp.solve_rp_joint(self.spec, self.reg, self.lam,
-                                        b=self.spec.sigma1)
+        self.consts = joint_constants(self.spec, self.reg, self.lam, self.spec.sigma1)
 
     def test_zero_left_argument(self):
         zero = np.zeros(self.spec.d)
         for k in (1, 2, 3, 4):
-            assert risk.h_joint(k, 1, zero, self.spec.sigma1, self.consts,
-                                self.spec, self.reg, self.lam) == 0.0
+            assert risk.h_joint(k, 1, zero, self.consts, self.spec, self.reg,
+                                self.lam) == 0.0
 
     def test_first_functional_vanishes_at_large_penalty(self):
         lam = 1e9
-        consts = fp.solve_rp_joint(self.spec, self.reg, lam, b=self.spec.sigma1)
-        val = risk.h_joint(1, 1, np.ones(self.spec.d), None, consts, self.spec,
-                           self.reg, lam)
+        consts = joint_constants(self.spec, self.reg, lam, self.spec.sigma1)
+        val = risk.h_joint(1, 1, np.ones(self.spec.d), consts, self.spec, self.reg, lam)
         assert abs(val) < 1e-8
 
     def test_group_symmetry(self):
         spec = make_isotropic(8, 1.3, 1.3, 1.0, 0.0)
         reg = ScalingRegime.from_rates(0.5, 0.4, 0.8)
-        consts = fp.solve_rp_joint(spec, reg, 0.05, b=spec.sigma1)
+        consts = joint_constants(spec, reg, 0.05, spec.sigma1)
         ones = np.ones(8)
         for k in (1, 2, 3, 4):
-            h1 = risk.h_joint(k, 1, ones, spec.sigma1, consts, spec, reg, 0.05)
-            h2 = risk.h_joint(k, 2, ones, spec.sigma1, consts, spec, reg, 0.05)
+            h1 = risk.h_joint(k, 1, ones, consts, spec, reg, 0.05)
+            h2 = risk.h_joint(k, 2, ones, consts, spec, reg, 0.05)
             assert h1 == pytest.approx(h2, rel=1e-12, abs=1e-15)
-
-    def test_mismatched_target_rejected(self):
-        with pytest.raises(ValueError, match="target spectrum"):
-            risk.h_joint(2, 1, np.ones(self.spec.d), self.spec.sigma2,
-                         self.consts, self.spec, self.reg, self.lam)
 
 
 class TestRPJointRisk:
     def test_fully_symmetric_groups_have_equal_risks(self):
         spec = make_isotropic(6, 1.0, 1.0, 1.5, 0.0)
         reg = ScalingRegime.from_rates(0.5, 0.5, 0.75)
-        r1, r2 = risk.rp_joint_risks(spec, reg, 1e-6, (1.0, 1.0))
+        th = risk.theory_risks(spec, reg, risk.FAMILY_RP, (1.0, 1.0), 1e-6, (1e-6, 1e-6))
+        r1, r2 = th.r1_joint, th.r2_joint
         assert r1.bias == pytest.approx(r2.bias, abs=1e-13)
         assert r1.variance == pytest.approx(r2.variance, abs=1e-13)
 
@@ -258,6 +258,15 @@ class TestInvariants:
             assert th.r2_joint.total == pytest.approx(tw.r1_joint.total, rel=1e-9)
             assert th.r1_sep.total == pytest.approx(tw.r2_sep.total, rel=1e-9)
             assert th.r2_sep.total == pytest.approx(tw.r1_sep.total, rel=1e-9)
+
+    @pytest.mark.parametrize("family", [risk.FAMILY_RP, risk.FAMILY_CLASSICAL])
+    @pytest.mark.parametrize("lam_joint,lam_sep", [(-1.0, (1e-3, 1e-3)),
+                                                   (1e-3, (1e-3, -1.0))])
+    def test_negative_penalty_rejected(self, family, lam_joint, lam_sep):
+        spec = random_spectrum(7, d=8)
+        reg = ScalingRegime.from_rates(0.5, 0.5, 0.75)
+        with pytest.raises(ValueError):
+            risk.theory_risks(spec, reg, family, (1.0, 1.0), lam_joint, lam_sep)
 
     def test_clamp_rejects_large_negative(self):
         with pytest.raises(ValueError):

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biasamp.spectra import (JointSpectrum, ScalingRegime, df_bar, diatomic_core_size,
-                             dof, make_diatomic, make_isotropic, make_power_law,
-                             tr_func)
+from biasamp.spectra import (JointSpectrum, ScalingRegime, diatomic_core_size, dof,
+                             make_diatomic, make_isotropic, make_power_law)
 
 
 class TestBuilders:
@@ -103,39 +102,6 @@ class TestSpectrumType:
         assert np.allclose(spec.theta_s(2), 2.5)
 
 
-class TestTrFunc:
-    def test_isotropic_resolvent(self):
-        assert tr_func(lambda lam: lam / (lam + 1.0), np.array([1.0, 1.0])) == 0.5
-
-    def test_mean_of_eigenvalues(self):
-        assert tr_func(lambda lam: lam, np.array([2.0, 0.0])) == 1.0
-
-    def test_hand_summed_quadratic(self):
-        expected = (1.0 / 4 + 4.0 / 9 + 9.0 / 16) / 3.0
-        got = tr_func(lambda lam: lam ** 2 / (lam + 1.0) ** 2, np.array([1.0, 2.0, 3.0]))
-        assert got == pytest.approx(expected, rel=1e-15)
-
-    def test_singular_map_raises(self):
-        with np.errstate(divide="ignore"), pytest.raises(FloatingPointError):
-            tr_func(lambda lam: 1.0 / lam, np.array([1.0, 0.0]))
-
-    @given(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=30),
-           st.floats(-3, 3), st.floats(-3, 3))
-    @settings(max_examples=50, deadline=None)
-    def test_linear_in_f(self, eigs, a, b):
-        arr = np.array(eigs)
-        lhs = tr_func(lambda lam: a * lam + b * lam ** 2, arr)
-        rhs = a * tr_func(lambda lam: lam, arr) + b * tr_func(lambda lam: lam ** 2, arr)
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-
-    def test_permutation_invariance(self):
-        rng = np.random.default_rng(0)
-        a, b = rng.uniform(0, 2, 11), rng.uniform(0, 2, 11)
-        perm = rng.permutation(11)
-        f = lambda x, y: x * y / (x + y + 1.0)
-        assert tr_func(f, a, b) == pytest.approx(tr_func(f, a[perm], b[perm]), rel=1e-14)
-
-
 class TestDof:
     def test_isotropic_first_order(self):
         for t in (0.0, 0.5, 2.0):
@@ -162,24 +128,9 @@ class TestDof:
     def test_df_bounded_and_nonincreasing(self, eigs, m):
         arr = np.array(eigs)
         grid = [1e-3, 1e-2, 0.1, 1.0, 10.0]
-        vals = [df_bar(arr, m, t) for t in grid]
+        vals = [dof(arr, m, m, t) for t in grid]
         assert all(0.0 <= v <= 1.0 + 1e-12 for v in vals)
         assert all(vals[i] >= vals[i + 1] - 1e-12 for i in range(len(vals) - 1))
-
-
-class TestNoiseAndPenalty:
-    def test_accessors(self):
-        from biasamp.spectra import NoiseAndPenalty
-        np_ = NoiseAndPenalty(sigma1_sq=1.0, sigma2_sq=0.5, lambda_joint=1e-6,
-                              lambda1=1e-4, lambda2=1e-3)
-        assert np_.sigma_sq(1) == 1.0 and np_.sigma_sq(2) == 0.5
-        assert np_.lambda_s(1) == 1e-4 and np_.lambda_s(2) == 1e-3
-
-    def test_rejects_negative(self):
-        from biasamp.spectra import NoiseAndPenalty
-        with pytest.raises(ValueError):
-            NoiseAndPenalty(sigma1_sq=-1.0, sigma2_sq=0.5, lambda_joint=0.0,
-                            lambda1=0.0, lambda2=0.0)
 
 
 class TestScalingRegime:

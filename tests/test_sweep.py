@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,14 @@ from biasamp.spectra import ScalingRegime
 from biasamp.svg import render_plot
 from biasamp.sweep import (CSV_COLUMNS, SweepConfig, SweepResult, emit_csv,
                            run_sweep)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: With p1 = 0.97 and n = 20, replicate 4 of this sweep leaves a group empty on
+#: both of its draws, so Monte Carlo fails at its only grid point.
+DEGENERATE_MC = dict(scenario="custom", family="classical", spectrum="isotropic",
+                     n=20, phi_grid=(0.5,), p1=0.97, replicates=30)
 
 
 def tiny_config(**overrides):
@@ -56,6 +66,36 @@ class TestConfig:
         with pytest.raises(ValueError, match="power-law"):
             tiny_config(spectrum="power-law")
 
+    @pytest.mark.parametrize("key,overrides", [
+        ("lam", dict(lam=-1.0)),
+        ("lambda_grid", dict(lambda_grid=(1e-3, -1.0))),
+        ("c_grid", dict(c_grid=(0.5, -1.0), sigma2_sq=None)),
+        ("sigma1_sq", dict(sigma1_sq=-1.0)),
+        ("sigma2_sq", dict(sigma2_sq=-1.0)),
+        ("phi_grid", dict(phi_grid=(-1.0,))),
+        ("phi_grid", dict(phi_grid=(0.0,))),
+        ("phi_grid", dict(phi_grid=(math.inf,))),
+        ("psi_grid", dict(psi_grid=(0.5, math.nan))),
+        ("p1", dict(p1=1.5)),
+        ("p1", dict(p1=0.0)),
+        ("replicates", dict(replicates=1)),
+    ])
+    def test_bad_values_rejected_naming_the_key(self, key, overrides):
+        with pytest.raises(ValueError, match=rf"^{key} "):
+            tiny_config(**overrides)
+
+    def test_presets_and_scripts_load(self):
+        presets = sorted((ROOT / "configs").glob("*.json"))
+        scripts = sorted((ROOT / "scripts").glob("run_*.py"))
+        assert len(presets) == len(scripts) == 5
+        for path in presets:
+            SweepConfig.load(path)
+        for path in scripts:
+            spec = importlib.util.spec_from_file_location(path.stem, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            assert module.CONFIG in presets
+
 
 class TestRunSweep:
     def test_rows_follow_grid_order_and_sizes(self):
@@ -89,12 +129,11 @@ class TestRunSweep:
         assert row["solver_iters"] == iters + sum(c.iters for c in seps)
         assert row["solver_residual"] == max(res, *(c.residual for c in seps))
 
-    def test_workers_do_not_change_results(self):
-        cfg = tiny_config()
-        serial = run_sweep(cfg, workers=1)
-        parallel = run_sweep(cfg, workers=4)
-        for a, b in zip(serial.rows, parallel.rows):
-            assert a.values == b.values
+    def test_failed_monte_carlo_point_is_flagged(self):
+        row = run_sweep(SweepConfig(**DEGENERATE_MC)).rows[0]
+        assert row.flags == ["mc-failure"]
+        assert math.isfinite(row.values["theory_r1_joint"])
+        assert all(row.values[c] == "" for c in CSV_COLUMNS if c.startswith("emp_"))
 
     def test_noise_ratio_axis_sets_group_two_noise(self):
         cfg = tiny_config(c_grid=(0.5,), sigma2_sq=None, replicates=0,
@@ -215,6 +254,14 @@ class TestCLI:
         a = (tmp_path / "r1" / "sweep.csv").read_bytes()
         b = (tmp_path / "r2" / "sweep.csv").read_bytes()
         assert a == b
+
+    def test_failure_flags_set_exit_status(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(SweepConfig(**DEGENERATE_MC).to_json())
+        assert cli_main(["sweep", str(cfg_path), "--out-dir", str(tmp_path)]) == 1
+        assert (tmp_path / "sweep.csv").exists()
+        assert cli_main(["sweep", str(cfg_path), "--out-dir", str(tmp_path),
+                         "--allow-flags"]) == 0
 
     def test_theory_only_flag_blanks_empirics(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
