@@ -171,16 +171,16 @@ def solve_rp_joint_nonlinear(spectrum: JointSpectrum, regime: ScalingRegime,
     lam = _effective_lambda(lam, settings)
     sig = np.stack([spectrum.sigma1, spectrum.sigma2])
     p = np.array([regime.p1, regime.p2])
-    psi, gamma, d = regime.psi, regime.gamma, spectrum.d
+    psi, gamma, w = regime.psi, regime.gamma, spectrum.weights
 
     def fun(x):
         e, tau = x[:2], x[2]
         pe = p * e
         inv_k = 1.0 / (gamma * tau * (pe @ sig) + lam)
         inv_k2 = inv_k * inv_k
-        tr = sig @ inv_k / d
-        q = sig @ inv_k2 / d
-        tt = (sig * inv_k2) @ sig.T / d
+        tr = sig @ (w * inv_k)
+        q = sig @ (w * inv_k2)
+        tt = (sig * (w * inv_k2)) @ sig.T
         f = np.append(e * (1.0 + psi * tau * tr) - 1.0, tau * (1.0 + pe @ tr) - 1.0)
         jac = np.empty((3, 3))
         jac[:2, :2] = np.diag(1.0 + psi * tau * tr) - gamma * psi * tau ** 2 * np.outer(e, p) * tt
@@ -210,8 +210,8 @@ def solve_rp_joint_linear(spectrum: JointSpectrum, regime: ScalingRegime,
     """
     lam = _effective_lambda(lam, settings)
     b = np.asarray(b, dtype=float)
-    if b.shape != (spectrum.d,) or np.any(b < 0):
-        raise ValueError("target spectrum b must be a nonnegative array of length d")
+    if b.shape != spectrum.counts.shape or np.any(b < 0):
+        raise ValueError("target spectrum b must be nonnegative, one entry per atom")
     s1, s2 = spectrum.sigma1, spectrum.sigma2
     p1, p2 = regime.p1, regime.p2
     psi, gamma = regime.psi, regime.gamma
@@ -221,12 +221,12 @@ def solve_rp_joint_linear(spectrum: JointSpectrum, regime: ScalingRegime,
     inv_k2 = 1.0 / k ** 2
 
     def tr2(a, c):
-        return float(np.mean(a * c * inv_k2))
+        return spectrum.tr(a * c * inv_k2)
 
     t11, t12, t22 = tr2(s1, s1), tr2(s1, s2), tr2(s2, s2)
-    t1, t2 = float(np.mean(s1 * inv_k2)), float(np.mean(s2 * inv_k2))
-    tb1, tb2, tb = tr2(b, s1), tr2(b, s2), float(np.mean(b * inv_k2))
-    tll = float(np.mean(ell * ell * inv_k2))
+    t1, t2 = spectrum.tr(s1 * inv_k2), spectrum.tr(s2 * inv_k2)
+    tb1, tb2, tb = tr2(b, s1), tr2(b, s2), spectrum.tr(b * inv_k2)
+    tll = spectrum.tr(ell * ell * inv_k2)
 
     gt2 = gamma * tau ** 2
     c1 = psi * e1 ** 2
@@ -289,8 +289,8 @@ def solve_rp_separate(spectrum: JointSpectrum, regime: ScalingRegime, s: int,
     def fun(x):
         e, tau = x
         inv_k = 1.0 / (gamma * tau * e * sig + lam)
-        tr = float(np.mean(sig * inv_k))
-        lq = lam * float(np.mean(sig * inv_k * inv_k))
+        tr = spectrum.tr(sig * inv_k)
+        lq = lam * spectrum.tr(sig * inv_k * inv_k)
         f = np.array([e * (1.0 + psi_s * tau * tr) - 1.0, tau * (1.0 + e * tr) - 1.0])
         jac = np.array([[1.0 + psi_s * tau * lq, psi_s * e * lq], [tau * lq, 1.0 + e * lq]])
         return f, float(np.max(np.abs(f))), jac
@@ -301,8 +301,8 @@ def solve_rp_separate(spectrum: JointSpectrum, regime: ScalingRegime, s: int,
 
     k = gamma * tau * e * sig + lam
     inv_k2 = 1.0 / k ** 2
-    s2k = float(np.mean(sig * sig * inv_k2))
-    s1k = float(np.mean(sig * inv_k2))
+    s2k = spectrum.tr(sig * sig * inv_k2)
+    s1k = spectrum.tr(sig * inv_k2)
     gt2 = gamma * tau ** 2
     ce = psi_s * e ** 2
     # Unknowns (u, rho'); rho = gamma tau^2 rho'.
@@ -333,12 +333,12 @@ def solve_classical_joint_nonlinear(spectrum: JointSpectrum, regime: ScalingRegi
     lam = _effective_lambda(lam, settings)
     sig = np.stack([spectrum.sigma1, spectrum.sigma2])
     p = np.array([regime.p1, regime.p2])
-    phi, d = regime.phi, spectrum.d
+    phi, w = regime.phi, spectrum.weights
 
     def fun(x):
         inv_k = 1.0 / ((p * x) @ sig + lam)
-        tr = sig @ inv_k / d
-        tt = (sig * inv_k * inv_k) @ sig.T / d
+        tr = sig @ (w * inv_k)
+        tt = (sig * (w * inv_k * inv_k)) @ sig.T
         f = x * (1.0 + phi * tr) - 1.0
         jac = np.diag(1.0 + phi * tr) - phi * np.outer(x, p) * tt
         return f, float(np.max(np.abs(f))), jac
@@ -359,11 +359,11 @@ def solve_classical_joint_linear(spectrum: JointSpectrum, regime: ScalingRegime,
     inv_k2 = 1.0 / k ** 2
     sig_s = spectrum.sigma(s)
 
-    t11 = float(np.mean(s1 * s1 * inv_k2))
-    t12 = float(np.mean(s1 * s2 * inv_k2))
-    t22 = float(np.mean(s2 * s2 * inv_k2))
-    ts1 = float(np.mean(sig_s * s1 * inv_k2))
-    ts2 = float(np.mean(sig_s * s2 * inv_k2))
+    t11 = spectrum.tr(s1 * s1 * inv_k2)
+    t12 = spectrum.tr(s1 * s2 * inv_k2)
+    t22 = spectrum.tr(s2 * s2 * inv_k2)
+    ts1 = spectrum.tr(sig_s * s1 * inv_k2)
+    ts2 = spectrum.tr(sig_s * s2 * inv_k2)
 
     c1, c2 = phi * e1 ** 2, phi * e2 ** 2
     mat = np.array([
@@ -383,7 +383,7 @@ def solve_classical_joint_linear(spectrum: JointSpectrum, regime: ScalingRegime,
 # Classical ridge, separate model per group.
 # ---------------------------------------------------------------------------
 
-def solve_kappa(eigs: np.ndarray, phi_s: float, lam_s: float,
+def solve_kappa(eigs: np.ndarray, weights: np.ndarray, phi_s: float, lam_s: float,
                 settings: SolverSettings = DEFAULT_SETTINGS) -> float:
     """Root of kappa - lam = kappa phi df_bar_1(kappa), the effective shift.
 
@@ -395,17 +395,17 @@ def solve_kappa(eigs: np.ndarray, phi_s: float, lam_s: float,
     eigs = np.asarray(eigs, dtype=float)
     if lam_s < 0 or phi_s <= 0:
         raise ValueError("need lam_s >= 0 and phi_s > 0")
-    frac_pos = float(np.mean(eigs > 0))
+    frac_pos = float(np.sum(weights[eigs > 0]))
     if lam_s == 0.0:
         if phi_s * frac_pos <= 1.0:
             return 0.0
         # Interpolating regime: df_bar_1(kappa) = 1 / phi_s has a positive root.
         lo, hi = 0.0, phi_s * float(np.max(eigs)) + 1.0
-        return float(brentq(lambda k: dof(eigs, 1, 1, k) - 1.0 / phi_s, lo, hi,
+        return float(brentq(lambda k: dof(eigs, weights, 1, 1, k) - 1.0 / phi_s, lo, hi,
                             xtol=1e-300, rtol=8.9e-16, maxiter=200))
 
     def g(kappa):
-        return kappa - lam_s - kappa * phi_s * dof(eigs, 1, 1, kappa)
+        return kappa - lam_s - kappa * phi_s * dof(eigs, weights, 1, 1, kappa)
 
     hi = lam_s + phi_s * float(np.max(eigs)) + 1.0
     if g(hi) < 0:
@@ -447,9 +447,9 @@ def classify_unregularized_regime(psi_s: float, gamma: float) -> str:
     return REGIME_UNDERPARAM_LOW_GAMMA
 
 
-def solve_theta0(eigs: np.ndarray, phi_s: float, psi_s: float, gamma: float,
-                 settings: SolverSettings = DEFAULT_SETTINGS, group: int = 1,
-                 ) -> UnregularizedRPConstants:
+def solve_theta0(eigs: np.ndarray, weights: np.ndarray, phi_s: float, psi_s: float,
+                 gamma: float, settings: SolverSettings = DEFAULT_SETTINGS,
+                 group: int = 1) -> UnregularizedRPConstants:
     """Zero-penalty spectral shift theta0 with eta0 = I_{1,1}(theta0).
 
     The target value of eta0 depends on the parameterization regime:
@@ -465,7 +465,7 @@ def solve_theta0(eigs: np.ndarray, phi_s: float, psi_s: float, gamma: float,
         target = 1.0
     else:
         target = 1.0 / phi_s
-    cap = dof(eigs, 1, 1, 0.0)
+    cap = dof(eigs, weights, 1, 1, 0.0)
     if target > cap:
         raise FixedPointError(
             f"no root: target degrees of freedom {target:.6g} exceeds the "
@@ -474,13 +474,13 @@ def solve_theta0(eigs: np.ndarray, phi_s: float, psi_s: float, gamma: float,
         theta0 = 0.0
     else:
         hi = 1.0
-        while dof(eigs, 1, 1, hi) > target:
+        while dof(eigs, weights, 1, 1, hi) > target:
             hi *= 2.0
             if hi > 1e18:
                 raise FixedPointError("no root bracketed for the zero-penalty shift")
-        theta0 = float(brentq(lambda t: dof(eigs, 1, 1, t) - target, 0.0, hi,
+        theta0 = float(brentq(lambda t: dof(eigs, weights, 1, 1, t) - target, 0.0, hi,
                               xtol=1e-300, rtol=8.9e-16, maxiter=200))
-    eta0 = dof(eigs, 1, 1, theta0)
+    eta0 = dof(eigs, weights, 1, 1, theta0)
     e0 = max(1.0 - phi_s * eta0, 0.0)
     tau0 = max(1.0 - eta0 / gamma, 0.0)
     return UnregularizedRPConstants(group=group, regime_tag=tag, theta0=theta0,

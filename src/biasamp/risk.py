@@ -2,7 +2,7 @@
 
 Each risk formula is a normalized-trace expression in the fixed-point
 constants; with all population matrices sharing an eigenbasis, every trace
-collapses to an average over eigenvalue arrays.
+collapses to a weighted sum over the spectrum's atoms (``JointSpectrum.tr``).
 
 Conventions used throughout:
   * group index s is 1 or 2, and s' = 3 - s;
@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import fixed_point as fp
 from .spectra import JointSpectrum, ScalingRegime, dof
@@ -97,26 +95,15 @@ def metrics(r1_joint, r2_joint, r1_sep, r2_sep) -> BiasAmpMetrics:
 # Random projections, joint model.
 # ---------------------------------------------------------------------------
 
-def _as_spectral(a, d: int) -> np.ndarray:
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim == 0:
-        return np.full(d, float(arr))
-    if arr.shape != (d,):
-        raise ValueError(f"spectral argument must be scalar or length-{d}")
-    return arr
-
-
 def h_joint(k: int, j: int, a, constants: fp.RPJointConstants,
             spectrum: JointSpectrum, regime: ScalingRegime, lam: float) -> float:
     """Auxiliary trace functionals h_j^(1..4) of the joint equivalent.
 
-    ``a`` is the left spectral weight; k >= 2 uses the target spectrum b the
-    affine stage of ``constants`` was solved with.
+    ``a`` is the left spectral weight, atom values or a scalar; k >= 2 uses
+    the target spectrum b the affine stage of ``constants`` was solved with.
     """
     if j not in (1, 2):
         raise ValueError(f"group index must be 1 or 2, got {j}")
-    d = spectrum.d
-    a = _as_spectral(a, d)
     jp = 3 - j
     p_j, p_jp = regime.p(j), regime.p(jp)
     sig_j, sig_jp = spectrum.sigma(j), spectrum.sigma(jp)
@@ -127,7 +114,7 @@ def h_joint(k: int, j: int, a, constants: fp.RPJointConstants,
     ell = regime.p1 * e[1] * spectrum.sigma1 + regime.p2 * e[2] * spectrum.sigma2
     kay = gamma * tau * ell + lam
     if k == 1:
-        return p_j * gamma * e[j] * tau * float(np.mean(a * sig_j / kay))
+        return p_j * gamma * e[j] * tau * spectrum.tr(a * sig_j / kay)
 
     b = constants.b
     inv_k2 = 1.0 / kay ** 2
@@ -135,19 +122,19 @@ def h_joint(k: int, j: int, a, constants: fp.RPJointConstants,
         core = (gamma * e[j] * tau ** 2 * b
                 + p_jp * gamma * tau ** 2 * sig_jp * (e[j] * u[jp] - e[jp] * u[j])
                 + e[j] * rho - lam * u[j] * tau)
-        return p_j * gamma * float(np.mean(a * sig_j * core * inv_k2))
+        return p_j * gamma * spectrum.tr(a * sig_j * core * inv_k2)
     if k == 3:
         core = (gamma * e[j] ** 2 * p_j * sig_j
                 * (p_jp * gamma * tau ** 2 * u[jp] * sig_jp + gamma * tau ** 2 * b + rho)
                 + u[j] * (p_jp * gamma * e[jp] * tau * sig_jp + lam) ** 2)
-        return p_j * float(np.mean(a * sig_j * core * inv_k2))
+        return p_j * spectrum.tr(a * sig_j * core * inv_k2)
     if k == 4:
         core = (gamma * tau ** 2 * (e[j] * e[jp] * b
                                     - p_j * e[j] ** 2 * u[jp] * sig_j
                                     - p_jp * e[jp] ** 2 * u[j] * sig_jp)
                 - lam * tau * (e[j] * u[jp] + e[jp] * u[j])
                 + e[j] * e[jp] * rho)
-        return p_j * gamma * p_jp * float(np.mean(sig_j * sig_jp * a * core * inv_k2))
+        return p_j * gamma * p_jp * spectrum.tr(sig_j * sig_jp * a * core * inv_k2)
     raise ValueError(f"functional index must be 1..4, got {k}")
 
 
@@ -175,7 +162,7 @@ def rp_joint_risk(spectrum: JointSpectrum, regime: ScalingRegime, lam: float,
     variance = sum(sigma_sqs[j - 1] * regime.phi * h(2, j, 1.0) for j in (1, 2))
 
     theta_s = spectrum.theta_s(s)
-    bias = float(np.mean(theta_s * sig_s))
+    bias = spectrum.tr(theta_s * sig_s)
     bias += h(3, 1, theta_s) + h(3, 2, theta_s) + 2.0 * h(4, 1, theta_s)
     bias -= 2.0 * h(1, 1, theta_s * sig_s) + 2.0 * h(1, 2, theta_s * sig_s)
     bias += h(3, 3 - s, spectrum.delta)
@@ -208,18 +195,18 @@ def rp_separate_risk(spectrum: JointSpectrum, regime: ScalingRegime, lam_s: floa
     kay = gamma * c.tau * c.e * sig + lam
     inv_k2 = 1.0 / kay ** 2
 
-    h2 = gamma * float(np.mean(
+    h2 = gamma * spectrum.tr(
         sig * (gamma * c.e * c.tau ** 2 * sig + c.e * c.rho - lam * c.u * c.tau)
-        * inv_k2))
+        * inv_k2)
     variance = sigma_s_sq * phi_s * h2
 
     theta_s = spectrum.theta_s(s)
-    h3 = float(np.mean(
+    h3 = spectrum.tr(
         theta_s * sig
         * (gamma * c.e ** 2 * sig * (gamma * c.tau ** 2 * sig + c.rho) + lam ** 2 * c.u)
-        * inv_k2))
-    h1 = gamma * c.e * c.tau * float(np.mean(theta_s * sig * sig / kay))
-    bias = float(np.mean(theta_s * sig)) + h3 - 2.0 * h1
+        * inv_k2)
+    h1 = gamma * c.e * c.tau * spectrum.tr(theta_s * sig * sig / kay)
+    bias = spectrum.tr(theta_s * sig) + h3 - 2.0 * h1
     return RiskDecomposition(bias=bias, variance=variance, group=s,
                              mode=MODE_SEPARATE, family=FAMILY_RP)
 
@@ -237,17 +224,17 @@ def rp_separate_risk_unregularized(spectrum: JointSpectrum, regime: ScalingRegim
     sig = spectrum.sigma(s)
     theta_s = spectrum.theta_s(s)
     phi_s, psi_s, gamma = regime.phi_s(s), regime.psi_s(s), regime.gamma
-    c = fp.solve_theta0(sig, phi_s, psi_s, gamma, settings, group=s)
+    c = fp.solve_theta0(sig, spectrum.weights, phi_s, psi_s, gamma, settings, group=s)
     t0 = c.theta0
 
     if c.regime_tag == fp.REGIME_UNDERPARAM_LOW_GAMMA:
         variance = sigma_s_sq * psi_s / (1.0 - psi_s)
-        bias = t0 * float(np.mean(theta_s * sig / (sig + t0))) / (1.0 - psi_s)
+        bias = t0 * spectrum.tr(theta_s * sig / (sig + t0)) / (1.0 - psi_s)
     elif c.regime_tag == fp.REGIME_INTERPOLATING:
         variance = sigma_s_sq * phi_s / (1.0 - phi_s)
         bias = 0.0
     else:  # overparameterized
-        i22 = dof(sig, 2, 2, t0)
+        i22 = dof(sig, spectrum.weights, 2, 2, t0)
         denom = 1.0 - phi_s * i22
         edge = psi_s - 1.0
         if edge == 0.0 or denom == 0.0:
@@ -255,8 +242,8 @@ def rp_separate_risk_unregularized(spectrum: JointSpectrum, regime: ScalingRegim
             bias = math.inf
         else:
             variance = (sigma_s_sq * phi_s * i22 / denom + sigma_s_sq / edge)
-            bias = (t0 ** 2 * float(np.mean(theta_s * sig / (sig + t0) ** 2)) / denom
-                    + t0 * float(np.mean(theta_s * sig / (sig + t0))) / edge)
+            bias = (t0 ** 2 * spectrum.tr(theta_s * sig / (sig + t0) ** 2) / denom
+                    + t0 * spectrum.tr(theta_s * sig / (sig + t0)) / edge)
     return RiskDecomposition(bias=bias, variance=variance, group=s,
                              mode=MODE_SEPARATE, family=FAMILY_RP)
 
@@ -294,25 +281,25 @@ def classical_joint_risk(spectrum: JointSpectrum, regime: ScalingRegime, lam: fl
         core = (e[k] * sig_s - lam * u[k]
                 + p[kp] * sig[kp] * (e[k] * u[kp] - e[kp] * u[k]))
         variance += (p[k] * sigma_sqs[k - 1] * phi
-                     * float(np.mean(sig[k] * core * inv_k2)))
+                     * spectrum.tr(sig[k] * core * inv_k2))
 
     sp = 3 - s
     delta = spectrum.delta
     # Weight-shift contribution from the other group's share of the design.
-    b1 = p[sp] * float(np.mean(
+    b1 = p[sp] * spectrum.tr(
         delta * sig[sp]
         * (p[sp] * (1.0 + p[s] * u[s]) * e[sp] ** 2 * sig[sp] * sig_s
-           + u[sp] * (p[s] * e[s] * sig_s + lam) ** 2) * inv_k2))
+           + u[sp] * (p[s] * e[s] * sig_s + lam) ** 2) * inv_k2)
     # Shrinkage contribution through the weight covariance of group s.
-    b3 = lam ** 2 * float(np.mean(
-        spectrum.theta_s(s) * (p1 * u1 * s1 + p2 * u2 * s2 + sig_s) * inv_k2))
+    b3 = lam ** 2 * spectrum.tr(
+        spectrum.theta_s(s) * (p1 * u1 * s1 + p2 * u2 * s2 + sig_s) * inv_k2)
     bias = b1 + b3
     if s == 2:
         # Cross term between the weight shift and the shrinkage; linear in the
         # shift spectrum, so it vanishes when the groups share their weights.
-        b2 = p1 * lam * float(np.mean(
+        b2 = p1 * lam * spectrum.tr(
             delta * s1 * ((1.0 + p2 * u2) * e1 * s2 - u1 * (p2 * e2 * s2 + lam))
-            * inv_k2))
+            * inv_k2)
         bias += 2.0 * b2
     return RiskDecomposition(bias=bias, variance=variance, group=s,
                              mode=MODE_JOINT, family=FAMILY_CLASSICAL)
@@ -327,9 +314,9 @@ def classical_separate_risk(spectrum: JointSpectrum, phi_s: float, lam_s: float,
                             settings: fp.SolverSettings = fp.DEFAULT_SETTINGS,
                             ) -> RiskDecomposition:
     """Test risk of a classical ridge model trained on group s alone."""
-    sig = spectrum.sigma(s)
-    kappa = fp.solve_kappa(sig, phi_s, lam_s, settings)
-    df2 = dof(sig, 2, 2, kappa)
+    sig, w = spectrum.sigma(s), spectrum.weights
+    kappa = fp.solve_kappa(sig, w, phi_s, lam_s, settings)
+    df2 = dof(sig, w, 2, 2, kappa)
     denom = 1.0 - phi_s * df2
     if denom <= 0:
         variance = math.inf
@@ -340,7 +327,7 @@ def classical_separate_risk(spectrum: JointSpectrum, phi_s: float, lam_s: float,
             bias = 0.0
         else:
             theta_s = spectrum.theta_s(s)
-            bias = kappa ** 2 * float(np.mean(theta_s * sig / (sig + kappa) ** 2)) / denom
+            bias = kappa ** 2 * spectrum.tr(theta_s * sig / (sig + kappa) ** 2) / denom
     return RiskDecomposition(bias=bias, variance=variance, group=s,
                              mode=MODE_SEPARATE, family=FAMILY_CLASSICAL)
 

@@ -3,7 +3,7 @@
 Data is sampled directly in the shared eigenbasis, where every population
 covariance is diagonal; this loses no generality for any reported quantity
 and makes per-group test risks exact quadratic forms instead of sampled
-estimates.
+estimates.  Only this module expands a spectrum's atoms to coordinates.
 
 Randomness is counter-based: every stream is a Philox generator keyed by
 (base seed, replicate index, purpose), so results are independent of
@@ -74,6 +74,8 @@ def sample_dataset(spectrum: JointSpectrum, n: int, p1: float,
     if not 0.0 < p1 < 1.0:
         raise ValueError(f"p1 must lie in (0, 1), got {p1}")
     d = spectrum.d
+    theta, delta, sigma1, sigma2 = (np.repeat(a, spectrum.counts) for a in (
+        spectrum.theta, spectrum.delta, spectrum.sigma1, spectrum.sigma2))
 
     groups = 1 + (stream(base_seed, replicate, "group").random(n) >= p1).astype(int)
     if len(np.unique(groups)) < 2:
@@ -84,12 +86,11 @@ def sample_dataset(spectrum: JointSpectrum, n: int, p1: float,
                 f"replicate {replicate}: a group stayed empty after one reseed")
 
     rng_w = stream(base_seed, replicate, "weights")
-    w1 = rng_w.standard_normal(d) * np.sqrt(spectrum.theta / d)
-    w2 = w1 + rng_w.standard_normal(d) * np.sqrt(spectrum.delta / d)
+    w1 = rng_w.standard_normal(d) * np.sqrt(theta / d)
+    w2 = w1 + rng_w.standard_normal(d) * np.sqrt(delta / d)
 
     z = stream(base_seed, replicate, "features").standard_normal((n, d))
-    scale = np.where((groups == 1)[:, None], np.sqrt(spectrum.sigma1),
-                     np.sqrt(spectrum.sigma2))
+    scale = np.where((groups == 1)[:, None], np.sqrt(sigma1), np.sqrt(sigma2))
     x = z * scale
 
     w_rows = np.where((groups == 1)[:, None], w1, w2)
@@ -174,7 +175,7 @@ def exact_risk(model: FittedModel, spectrum: JointSpectrum, s: int,
     diff = model.w_hat - w_star
     if diff.shape != (spectrum.d,):
         raise ValueError("model and spectrum dimensions differ")
-    return float(np.sum(spectrum.sigma(s) * diff ** 2))
+    return float(np.sum(np.repeat(spectrum.sigma(s), spectrum.counts) * diff ** 2))
 
 
 # ---------------------------------------------------------------------------

@@ -1,46 +1,62 @@
 """Shared-eigenbasis representation of the population covariances.
 
 All four population matrices (the two group feature covariances, the
-ground-truth weight covariance and the weight-shift covariance) commute,
-so every matrix expression the theory needs reduces to arithmetic on the
-joint eigenvalue arrays followed by a normalized trace.  Nothing in this
-package ever forms a dense d x d matrix on the theory path.
+ground-truth weight covariance and the weight-shift covariance) commute, so a
+spectrum is a list of atoms: joint eigenvalue tuples (sigma1, sigma2, theta,
+delta) with integer multiplicities summing to d.  Every normalized trace is a
+sum over atoms weighted by counts / d (``JointSpectrum.tr``).  Isotropic
+spectra are one atom and diatomic (two-block) spectra two, so their theory
+costs the same at any d; a power-law spectrum is d atoms.  Only the simulator
+expands atoms, with ``np.repeat(atoms, counts)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class JointSpectrum:
-    """Eigenvalues of the four population matrices in their common basis.
+    """Atoms of the four population matrices in their common basis.
 
+    counts: multiplicity of each atom; d = counts.sum().
     sigma1, sigma2: group feature covariances (may contain zeros).
     theta: covariance of the shared ground-truth weights (scaled by 1/d).
     delta: covariance of the group-2 weight shift (scaled by 1/d).
+    weights: counts / d, the trace weight of each atom.
     """
 
-    d: int
+    counts: np.ndarray
     sigma1: np.ndarray
     sigma2: np.ndarray
     theta: np.ndarray
     delta: np.ndarray
+    d: int = field(init=False)
+    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"dimension must be positive, got {self.d}")
+        counts = np.asarray(self.counts)
+        if (counts.ndim != 1 or counts.size == 0 or counts.dtype.kind not in "iu"
+                or np.any(counts < 1)):
+            raise ValueError(f"counts must be a nonempty list of positive integers: {counts}")
+        object.__setattr__(self, "counts", counts)
         for name in ("sigma1", "sigma2", "theta", "delta"):
             arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (self.d,):
-                raise ValueError(f"{name} must have shape ({self.d},), got {arr.shape}")
+            if arr.shape != counts.shape:
+                raise ValueError(f"{name} must have one entry per atom, got {arr.shape}")
             if not np.all(np.isfinite(arr)) or np.any(arr < 0):
                 raise ValueError(f"{name} entries must be finite and nonnegative")
             object.__setattr__(self, name, arr)
         if not np.any(self.sigma1 > 0) or not np.any(self.sigma2 > 0):
             raise ValueError("each group covariance needs at least one positive eigenvalue")
+        object.__setattr__(self, "d", int(counts.sum()))
+        object.__setattr__(self, "weights", counts / self.d)
+
+    def tr(self, values) -> float:
+        """Normalized trace of the diagonal matrix with these atom values."""
+        return float(self.weights @ values)
 
     def sigma(self, s: int) -> np.ndarray:
         """Feature-covariance eigenvalues of group s in {1, 2}."""
@@ -61,11 +77,8 @@ class JointSpectrum:
 
 def make_isotropic(d: int, a1: float, a2: float, theta_scale: float,
                    delta_scale: float) -> JointSpectrum:
-    """Isotropic setup: every matrix is a multiple of the identity."""
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got {d}")
-    ones = np.ones(d)
-    return JointSpectrum(d, a1 * ones, a2 * ones, theta_scale * ones, delta_scale * ones)
+    """Isotropic setup: every matrix is a multiple of the identity (one atom)."""
+    return JointSpectrum(np.array([d]), [a1], [a2], [theta_scale], [delta_scale])
 
 
 def diatomic_core_size(d: int, pi_frac: float) -> int:
@@ -83,57 +96,50 @@ def make_diatomic(d: int, pi_frac: float, a1: float, a2: float, b2: float,
                   theta_scale: float, delta_scale: float) -> JointSpectrum:
     """Two-block setup: shared core features plus group-2-only extraneous ones.
 
-    Group 1 carries a1 on the core block and 0 on the extraneous block;
-    group 2 carries a2 and b2 respectively.  The core size is the nearest
-    integer to pi_frac * d, and the simulator inherits the identical split
-    because it samples straight from these eigenvalue arrays.
+    Two atoms: the core block carries a1 for group 1 and a2 for group 2,
+    the extraneous block 0 and b2.  The core size is the nearest integer to
+    pi_frac * d, and the simulator inherits the identical split because it
+    expands these atoms.
     """
     core = diatomic_core_size(d, pi_frac)
-    sigma1 = np.concatenate([np.full(core, float(a1)), np.zeros(d - core)])
-    sigma2 = np.concatenate([np.full(core, float(a2)), np.full(d - core, float(b2))])
-    return JointSpectrum(d, sigma1, sigma2, theta_scale * np.ones(d),
-                         delta_scale * np.ones(d))
+    return JointSpectrum(np.array([core, d - core]), [a1, 0.0], [a2, b2],
+                         [theta_scale] * 2, [delta_scale] * 2)
 
 
 def make_power_law(d: int, beta1: float, beta2: float, alpha: float,
                    theta_scale: float) -> JointSpectrum:
-    """Power-law spectra sigma_s[k] = (k+1)^-beta_s, delta[k] = (k+1)^-alpha.
+    """Power-law spectra sigma_s[k] = k^-beta_s, delta[k] = k^-alpha, k = 1..d.
 
-    The exponent index is 1-based (k = 1..d).  Group 1 must decay faster
-    than group 2 (beta1 > beta2 > 0) so its signal concentrates in fewer
+    Every coordinate is its own atom.  Group 1 must decay faster than
+    group 2 (beta1 > beta2 > 0) so its signal concentrates in fewer
     directions.
     """
     if not beta1 > beta2 > 0:
         raise ValueError(f"need beta1 > beta2 > 0, got beta1={beta1}, beta2={beta2}")
     if alpha <= 0:
         raise ValueError(f"need alpha > 0, got {alpha}")
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got {d}")
     k = np.arange(1, d + 1, dtype=float)
-    return JointSpectrum(d, k ** -beta1, k ** -beta2, theta_scale * np.ones(d),
-                         k ** -alpha)
+    return JointSpectrum(np.ones(d, dtype=int), k ** -beta1, k ** -beta2,
+                         theta_scale * np.ones(d), k ** -alpha)
 
 
-def dof(eigs: np.ndarray, a: int, b: int, t: float) -> float:
+def dof(eigs: np.ndarray, weights: np.ndarray, a: int, b: int, t: float) -> float:
     """Generalized degrees of freedom: normalized trace of E^a (E + t I)^-b.
 
-    Zero eigenvalues contribute zero (the t -> 0+ limit), except that
-    t = 0 with b > a would diverge on them and is rejected.
+    ``weights`` are the atom weights counts / d of ``eigs``.  Zero
+    eigenvalues contribute zero (the t -> 0+ limit), except that t = 0 with
+    b > a would diverge on them and is rejected.
     """
     if a < 1 or b < 1:
         raise ValueError(f"powers must be >= 1, got a={a}, b={b}")
     if t < 0:
         raise ValueError(f"shift must be nonnegative, got {t}")
     eigs = np.asarray(eigs, dtype=float)
-    if t == 0.0:
-        if b > a and np.any(eigs == 0.0):
-            raise ZeroDivisionError(
-                "singular resolvent: t = 0 with b > a on a spectrum containing zeros")
-        pos = eigs > 0
-        out = np.zeros_like(eigs)
-        out[pos] = eigs[pos] ** (a - b)
-        return float(np.mean(out))
-    return float(np.mean(eigs ** a / (eigs + t) ** b))
+    if t == 0.0 and b > a and np.any(eigs == 0.0):
+        raise ZeroDivisionError(
+            "singular resolvent: t = 0 with b > a on a spectrum containing zeros")
+    pos = eigs > 0
+    return float(weights[pos] @ (eigs[pos] ** a / (eigs[pos] + t) ** b))
 
 
 @dataclass(frozen=True)

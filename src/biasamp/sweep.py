@@ -25,7 +25,12 @@ from .spectra import (JointSpectrum, ScalingRegime, make_diatomic, make_isotropi
 
 SCENARIOS = ("phase-diagram", "isotropic-sweep", "regularization-path",
              "diatomic-minority", "power-law-noise-ratio", "custom")
-SPECTRA = ("isotropic", "diatomic", "power-law")
+#: Config keys each spectrum is built from, in its make_* function's argument order.
+SPECTRUM_KEYS = {
+    "isotropic": ("a1", "a2", "theta_scale", "delta_scale"),
+    "diatomic": ("pi_frac", "a1", "a2", "b2", "theta_scale", "delta_scale"),
+    "power-law": ("beta1", "beta2", "alpha", "theta_scale"),
+}
 FAMILIES = (risk.FAMILY_RP, risk.FAMILY_CLASSICAL)
 
 OUT_DIR_ENV = "BIASAMP_OUT_DIR"
@@ -59,7 +64,6 @@ class SweepConfig:
     beta1: float | None = None
     beta2: float | None = None
     alpha: float | None = None
-    theory_d: int | None = None
     out_csv: str | None = None
     out_svg: str | None = None
 
@@ -68,8 +72,9 @@ class SweepConfig:
             raise ValueError(f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
-        if self.spectrum not in SPECTRA:
-            raise ValueError(f"unknown spectrum {self.spectrum!r}; choose from {SPECTRA}")
+        if self.spectrum not in SPECTRUM_KEYS:
+            raise ValueError(f"unknown spectrum {self.spectrum!r}; "
+                             f"choose from {tuple(SPECTRUM_KEYS)}")
         if self.n < 2:
             raise ValueError(f"n must be at least 2, got {self.n}")
         if not 0.0 < self.p1 < 1.0:
@@ -99,25 +104,23 @@ class SweepConfig:
             raise ValueError("set either c_grid (sigma2_sq derived) or sigma2_sq, not both")
         if self.c_grid is None and self.sigma2_sq is None:
             raise ValueError("sigma2_sq is required when c_grid is absent")
-        if self.spectrum == "diatomic" and (self.pi_frac is None or self.b2 is None):
-            raise ValueError("diatomic spectrum needs pi_frac and b2")
-        if self.spectrum == "power-law" and (self.beta1 is None or self.beta2 is None
-                                             or self.alpha is None):
-            raise ValueError("power-law spectrum needs beta1, beta2 and alpha")
+        missing = [k for k in SPECTRUM_KEYS[self.spectrum] if getattr(self, k) is None]
+        if missing:
+            raise ValueError(f"{self.spectrum} spectrum needs {', '.join(missing)}")
         if self.replicates < 0 or self.replicates == 1:
             raise ValueError(f"replicates must be 0 (theory only) or at least 2, "
                              f"got {self.replicates}")
-        if self.theory_d is not None:
-            # Isotropic theory is dimension-free, so a token dimension may
-            # stand in for huge rounded sizes in theory-only sweeps.
-            if self.spectrum != "isotropic":
-                raise ValueError("theory_d is only meaningful for the isotropic "
-                                 "spectrum (other spectra change with d)")
-            if self.replicates != 0:
-                raise ValueError("theory_d requires replicates = 0 (the simulator "
-                                 "needs the true dimension)")
-            if self.theory_d < 1:
-                raise ValueError("theory_d must be positive")
+        name = "lambda_grid" if self.lambda_grid else "lam"
+        if self.replicates > 0 and 0.0 in (self.lambda_grid or (self.lam,)):
+            raise ValueError(f"{name} must be positive when replicates > 0 (the "
+                             f"simulated ridge fits need a penalty), got 0")
+        for d in sorted({_size(phi, self.n) for phi in self.phi_grid}):
+            try:
+                self.build_spectrum(d)
+            except ValueError as exc:
+                keys = ", ".join(SPECTRUM_KEYS[self.spectrum])
+                raise ValueError(f"{self.spectrum} spectrum ({keys}) is invalid "
+                                 f"at d = {d}: {exc}") from exc
 
     def to_json(self) -> str:
         doc = {}
@@ -144,14 +147,9 @@ class SweepConfig:
         return cls.from_json(Path(path).read_text())
 
     def build_spectrum(self, d: int) -> JointSpectrum:
-        if self.spectrum == "isotropic":
-            return make_isotropic(d, self.a1, self.a2, self.theta_scale,
-                                  self.delta_scale)
-        if self.spectrum == "diatomic":
-            return make_diatomic(d, self.pi_frac, self.a1, self.a2, self.b2,
-                                 self.theta_scale, self.delta_scale)
-        return make_power_law(d, self.beta1, self.beta2, self.alpha,
-                              self.theta_scale)
+        make = {"isotropic": make_isotropic, "diatomic": make_diatomic,
+                "power-law": make_power_law}[self.spectrum]
+        return make(d, *(getattr(self, k) for k in SPECTRUM_KEYS[self.spectrum]))
 
 
 THEORY_KEYS = ("r1_joint", "r2_joint", "r1_sep", "r2_sep",
@@ -212,20 +210,26 @@ def _nan_summary():
     return {"mean": float("nan"), "std": float("nan")}
 
 
-def evaluate_point(config: SweepConfig, index: int, point: dict) -> SweepRow:
-    """Theory plus optional Monte Carlo at one grid coordinate."""
+def _size(rate: float, n: int) -> int:
+    """Finite size (d or m) of a rate at n samples."""
+    return max(1, round(rate * n))
+
+
+def evaluate_point(config: SweepConfig, index: int, point: dict,
+                   theory_lam: float) -> SweepRow:
+    """Theory plus optional Monte Carlo at one grid coordinate.
+
+    ``theory_lam`` is the point's penalty, already floored for the solvers.
+    """
     n = config.n
-    d = max(1, round(point["phi"] * n))
-    if config.family == risk.FAMILY_RP:
-        m = max(1, round(point["psi"] * n))
-    else:
-        m = None
+    d = _size(point["phi"], n)
+    m = _size(point["psi"], n) if config.family == risk.FAMILY_RP else None
     lam = point["lam"]
     c = point["c"]
     sigma2_sq = config.sigma1_sq * c if c is not None else config.sigma2_sq
     sig_sqs = (config.sigma1_sq, sigma2_sq)
 
-    spectrum = config.build_spectrum(config.theory_d if config.theory_d else d)
+    spectrum = config.build_spectrum(d)
     phi = d / n
     gamma = (m / d) if m is not None else 1.0
     psi = phi * gamma
@@ -243,8 +247,8 @@ def evaluate_point(config: SweepConfig, index: int, point: dict) -> SweepRow:
     }
 
     try:
-        th = risk.theory_risks(spectrum, regime, config.family, sig_sqs, lam,
-                               (lam, lam))
+        th = risk.theory_risks(spectrum, regime, config.family, sig_sqs, theory_lam,
+                               (theory_lam, theory_lam))
         theory = {
             "r1_joint": th.r1_joint.total, "r2_joint": th.r2_joint.total,
             "r1_sep": th.r1_sep.total, "r2_sep": th.r2_sep.total,
@@ -289,8 +293,14 @@ def evaluate_point(config: SweepConfig, index: int, point: dict) -> SweepRow:
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
-    """Evaluate every grid point, in grid-index order."""
-    rows = [evaluate_point(config, i, p) for i, p in enumerate(_grid(config))]
+    """Evaluate every grid point, in grid-index order.
+
+    Each distinct penalty is floored once here, so a zero penalty warns once.
+    """
+    grid = _grid(config)
+    floored = {lam: fp._effective_lambda(lam, fp.DEFAULT_SETTINGS)
+               for lam in {p["lam"] for p in grid}}
+    rows = [evaluate_point(config, i, p, floored[p["lam"]]) for i, p in enumerate(grid)]
     return SweepResult(config=config, rows=rows)
 
 

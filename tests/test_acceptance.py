@@ -93,8 +93,9 @@ def test_criterion_3_joint_to_separate_limit():
     worst = 0.0
     for _ in range(10):
         d = 24
-        spec = JointSpectrum(d, rng.uniform(0.2, 2.5, d), rng.uniform(0.1, 2.0, d),
-                             rng.uniform(0.3, 2.0, d), rng.uniform(0.0, 1.0, d))
+        spec = JointSpectrum(np.ones(d, int), rng.uniform(0.2, 2.5, d),
+                             rng.uniform(0.1, 2.0, d), rng.uniform(0.3, 2.0, d),
+                             rng.uniform(0.0, 1.0, d))
         phi_1 = rng.uniform(0.3, 1.5)
         psi_1 = rng.uniform(0.3, 2.5)
         lam = 10 ** rng.uniform(-4, -0.5)
@@ -126,7 +127,7 @@ def test_criterion_4_shared_covariance_linear_stage():
     for _ in range(20):
         d = rng.integers(10, 60)
         sig = rng.uniform(0.1, 3.0, d)
-        spec = JointSpectrum(int(d), sig, sig.copy(), np.ones(d), np.zeros(d))
+        spec = JointSpectrum(np.ones(d, int), sig, sig.copy(), np.ones(d), np.zeros(d))
         phi = rng.uniform(0.15, 2.0)
         gamma = rng.uniform(0.3, 3.0)
         lam = 10 ** rng.uniform(-6, 0.5)
@@ -134,7 +135,8 @@ def test_criterion_4_shared_covariance_linear_stage():
         e1, e2, tau, _, _ = fp.solve_rp_joint_nonlinear(spec, reg, lam)
         c = fp.solve_rp_joint_linear(spec, reg, lam, e1, e2, tau, sig)
         theta = lam / (gamma * c.tau * c.e1)
-        i12, i22 = dof(sig, 1, 2, theta), dof(sig, 2, 2, theta)
+        w = spec.weights
+        i12, i22 = dof(sig, w, 1, 2, theta), dof(sig, w, 2, 2, theta)
         z = i22 * (gamma - i22) + theta ** 2 * i12 ** 2
         den = gamma - phi * z - i22
         u_cf, rp_cf = phi * z / den, theta ** 2 * i12 / den

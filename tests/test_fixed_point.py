@@ -11,14 +11,20 @@ from biasamp.spectra import (JointSpectrum, ScalingRegime, dof, make_diatomic,
 
 def anisotropic_spectrum(seed=3, d=50):
     rng = np.random.default_rng(seed)
-    return JointSpectrum(d, rng.uniform(0.3, 3.0, d), rng.uniform(0.1, 2.0, d),
-                         rng.uniform(0.5, 2.0, d), rng.uniform(0.0, 1.0, d))
+    return JointSpectrum(np.ones(d, int), rng.uniform(0.3, 3.0, d),
+                         rng.uniform(0.1, 2.0, d), rng.uniform(0.5, 2.0, d),
+                         rng.uniform(0.0, 1.0, d))
 
 
 def shared_spectrum(seed=5, d=40):
     rng = np.random.default_rng(seed)
     sig = rng.uniform(0.2, 3.0, d)
-    return JointSpectrum(d, sig, sig.copy(), np.ones(d), np.zeros(d))
+    return JointSpectrum(np.ones(d, int), sig, sig.copy(), np.ones(d), np.zeros(d))
+
+
+def uniform(n):
+    """Atom weights of n coordinates with multiplicity one."""
+    return np.full(n, 1.0 / n)
 
 
 def rp_joint(spec, reg, lam, b):
@@ -50,23 +56,23 @@ class TestWhiteResolvent:
 class TestKappa:
     def test_isotropic_quadratic_oracle(self):
         # kappa - lam = kappa phi / (1 + kappa) reduces to a quadratic.
-        kappa = fp.solve_kappa(np.ones(7), 0.5, 0.1)
+        kappa = fp.solve_kappa(np.ones(7), uniform(7), 0.5, 0.1)
         assert kappa == pytest.approx((-0.4 + math.sqrt(0.56)) / 2, rel=1e-12)
         assert kappa == pytest.approx(0.17417, abs=5e-6)
 
     def test_unregularized_underparameterized_is_zero(self):
-        assert fp.solve_kappa(np.ones(5), 0.7, 0.0) == 0.0
+        assert fp.solve_kappa(np.ones(5), uniform(5), 0.7, 0.0) == 0.0
 
     def test_residual_plugback(self):
-        eigs = anisotropic_spectrum().sigma1
-        kappa = fp.solve_kappa(eigs, 0.25, 0.5)
-        assert abs(kappa - 0.5 - kappa * 0.25 * dof(eigs, 1, 1, kappa)) < 1e-12
+        eigs, w = anisotropic_spectrum().sigma1, uniform(50)
+        kappa = fp.solve_kappa(eigs, w, 0.25, 0.5)
+        assert abs(kappa - 0.5 - kappa * 0.25 * dof(eigs, w, 1, 1, kappa)) < 1e-12
 
     def test_unregularized_overparameterized_root(self):
-        eigs = anisotropic_spectrum().sigma1
-        kappa = fp.solve_kappa(eigs, 2.0, 0.0)
+        eigs, w = anisotropic_spectrum().sigma1, uniform(50)
+        kappa = fp.solve_kappa(eigs, w, 2.0, 0.0)
         assert kappa > 0
-        assert dof(eigs, 1, 1, kappa) == pytest.approx(0.5, rel=1e-12)
+        assert dof(eigs, w, 1, 1, kappa) == pytest.approx(0.5, rel=1e-12)
 
 
 def rp_residuals(spectrum, regime, lam, e1, e2, tau, u1, u2, rho, b):
@@ -133,7 +139,7 @@ class TestRPJoint:
 
     def test_full_system_plugback_residual(self):
         spec = anisotropic_spectrum(seed=9)
-        spec = JointSpectrum(spec.d, 2.0 * np.ones(spec.d), np.ones(spec.d),
+        spec = JointSpectrum(np.ones(spec.d, int), 2.0 * np.ones(spec.d), np.ones(spec.d),
                              spec.theta, spec.delta)
         reg = ScalingRegime.from_rates(0.5, 0.25, 1.0)  # gamma = 4
         c = rp_joint(spec, reg, 1e-6, spec.sigma1)
@@ -181,8 +187,8 @@ class TestRPJoint:
             reg = ScalingRegime.from_rates(0.5, phi, phi * gamma)
             c = rp_joint(spec, reg, lam, sig)
             theta = lam / (gamma * c.tau * c.e1)
-            i12 = dof(sig, 1, 2, theta)
-            i22 = dof(sig, 2, 2, theta)
+            i12 = dof(sig, spec.weights, 1, 2, theta)
+            i22 = dof(sig, spec.weights, 2, 2, theta)
             z = i22 * (gamma - i22) + theta ** 2 * i12 ** 2
             den = gamma - phi * z - i22
             assert c.u1 == pytest.approx(c.u2, rel=1e-9)
@@ -260,8 +266,8 @@ class TestClassicalJoint:
         lam = 0.05
         _, _, u = classical_joint(spec, reg, lam)
         phi_2 = phi / (1 - p1)
-        kappa_2 = fp.solve_kappa(spec.sigma2, phi_2, lam)
-        df2 = dof(spec.sigma2, 2, 2, kappa_2)
+        kappa_2 = fp.solve_kappa(spec.sigma2, spec.weights, phi_2, lam)
+        df2 = dof(spec.sigma2, spec.weights, 2, 2, kappa_2)
         expected = phi_2 * df2 / (1.0 - phi_2 * df2)
         assert u[2][1] == pytest.approx(expected, rel=2e-3)
 
@@ -293,7 +299,7 @@ class TestClassicalJoint:
 class TestTheta0:
     def test_interpolating_regime(self):
         spec = make_isotropic(4, 1.0, 1.0, 1.0, 0.0)
-        c = fp.solve_theta0(spec.sigma1, phi_s=0.25, psi_s=0.5, gamma=2.0)
+        c = fp.solve_theta0(spec.sigma1, spec.weights, phi_s=0.25, psi_s=0.5, gamma=2.0)
         assert c.regime_tag == fp.REGIME_INTERPOLATING
         assert c.theta0 == 0.0
         assert c.eta0 == pytest.approx(1.0)
@@ -302,21 +308,21 @@ class TestTheta0:
 
     def test_low_gamma_regime(self):
         spec = make_isotropic(4, 1.0, 1.0, 1.0, 0.0)
-        c = fp.solve_theta0(spec.sigma1, phi_s=1.0, psi_s=0.5, gamma=0.5)
+        c = fp.solve_theta0(spec.sigma1, spec.weights, phi_s=1.0, psi_s=0.5, gamma=0.5)
         assert c.regime_tag == fp.REGIME_UNDERPARAM_LOW_GAMMA
         assert c.eta0 == pytest.approx(0.5, rel=1e-12)
         assert c.theta0 == pytest.approx(1.0, rel=1e-10)
 
     def test_overparam_regime(self):
         spec = make_isotropic(4, 1.0, 1.0, 1.0, 0.0)
-        c = fp.solve_theta0(spec.sigma1, phi_s=2.0, psi_s=2.0, gamma=1.0)
+        c = fp.solve_theta0(spec.sigma1, spec.weights, phi_s=2.0, psi_s=2.0, gamma=1.0)
         assert c.regime_tag == fp.REGIME_OVERPARAM
         assert c.theta0 == pytest.approx(1.0, rel=1e-10)  # 1/(1+t) = 1/2
 
     def test_unreachable_target_errors(self):
         eigs = np.array([1.0, 1.0, 0.0, 0.0])  # half the mass at zero
         with pytest.raises(fp.FixedPointError):
-            fp.solve_theta0(eigs, phi_s=0.5, psi_s=0.5, gamma=2.0)  # target 1 > 0.5
+            fp.solve_theta0(eigs, uniform(4), phi_s=0.5, psi_s=0.5, gamma=2.0)  # 1 > 0.5
 
 
 class TestSolverBehaviour:
@@ -327,13 +333,13 @@ class TestSolverBehaviour:
     def test_positivity(self, seed, lam, phi, gamma, p1):
         rng = np.random.default_rng(seed)
         d = 12
-        spec = JointSpectrum(d, rng.uniform(0.05, 3.0, d), rng.uniform(0.05, 3.0, d),
-                             np.ones(d), np.zeros(d))
+        spec = JointSpectrum(np.ones(d, int), rng.uniform(0.05, 3.0, d),
+                             rng.uniform(0.05, 3.0, d), np.ones(d), np.zeros(d))
         reg = ScalingRegime.from_rates(p1, phi, phi * gamma)
         c = rp_joint(spec, reg, lam, spec.sigma1)
         assert 0 < c.e1 <= 1 and 0 < c.e2 <= 1 and 0 < c.tau <= 1
         assert c.u1 >= -1e-12 and c.u2 >= -1e-12 and c.rho >= -1e-12
-        kappa = fp.solve_kappa(spec.sigma1, phi, lam)
+        kappa = fp.solve_kappa(spec.sigma1, spec.weights, phi, lam)
         assert kappa > 0
 
     def test_newton_root_matches_picard_iteration(self):

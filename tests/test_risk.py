@@ -13,8 +13,8 @@ from biasamp.spectra import (JointSpectrum, ScalingRegime, make_diatomic,
 def random_spectrum(seed, d=40, with_delta=True):
     rng = np.random.default_rng(seed)
     delta = rng.uniform(0.0, 1.0, d) if with_delta else np.zeros(d)
-    return JointSpectrum(d, rng.uniform(0.2, 2.5, d), rng.uniform(0.1, 2.0, d),
-                         rng.uniform(0.3, 2.0, d), delta)
+    return JointSpectrum(np.ones(d, int), rng.uniform(0.2, 2.5, d),
+                         rng.uniform(0.1, 2.0, d), rng.uniform(0.3, 2.0, d), delta)
 
 
 def joint_constants(spec, reg, lam, b):
@@ -46,10 +46,9 @@ class TestHFunctionals:
         spec = make_isotropic(8, 1.3, 1.3, 1.0, 0.0)
         reg = ScalingRegime.from_rates(0.5, 0.4, 0.8)
         consts = joint_constants(spec, reg, 0.05, spec.sigma1)
-        ones = np.ones(8)
         for k in (1, 2, 3, 4):
-            h1 = risk.h_joint(k, 1, ones, consts, spec, reg, 0.05)
-            h2 = risk.h_joint(k, 2, ones, consts, spec, reg, 0.05)
+            h1 = risk.h_joint(k, 1, 1.0, consts, spec, reg, 0.05)
+            h2 = risk.h_joint(k, 2, 1.0, consts, spec, reg, 0.05)
             assert h1 == pytest.approx(h2, rel=1e-12, abs=1e-15)
 
 
@@ -142,8 +141,8 @@ class TestClassicalJointRisk:
         dec = risk.classical_joint_risk(spec, reg, lam, (1.0, 1.0), 2)
         from biasamp.spectra import dof
         phi_2 = phi / (1 - p1)
-        kappa = fp.solve_kappa(spec.sigma2, phi_2, lam)
-        df2 = dof(spec.sigma2, 2, 2, kappa)
+        kappa = fp.solve_kappa(spec.sigma2, spec.weights, phi_2, lam)
+        df2 = dof(spec.sigma2, spec.weights, 2, 2, kappa)
         expected = phi_2 * df2 / (1.0 - phi_2 * df2)
         assert dec.variance == pytest.approx(expected, rel=5e-3)
 
@@ -170,6 +169,41 @@ class TestClassicalSeparateRisk:
         assert dec.variance == pytest.approx(0.0, abs=1e-8)
         assert dec.bias == pytest.approx(float(np.mean(spec.theta_s(2) * spec.sigma2)),
                                          rel=1e-6)
+
+
+class TestDimensionFree:
+    """Traces weigh atoms by counts / d, so only block proportions matter."""
+
+    @pytest.mark.parametrize("family,psi", [(risk.FAMILY_RP, 0.6),
+                                            (risk.FAMILY_CLASSICAL, 0.4)])
+    @pytest.mark.parametrize("small,large", [
+        (make_diatomic(2, 0.5, 2.0, 1.5, 0.2, 1.0, 0.5),
+         make_diatomic(2000, 0.5, 2.0, 1.5, 0.2, 1.0, 0.5)),
+        (make_isotropic(1, 2.0, 1.0, 2.0, 1.0),
+         make_isotropic(10 ** 6, 2.0, 1.0, 2.0, 1.0)),
+    ])
+    def test_risks_identical_at_any_dimension(self, small, large, family, psi):
+        reg = ScalingRegime.from_rates(0.7, 0.4, psi)
+        args = (family, (1.0, 0.25), 1e-4, (1e-4, 1e-4))
+        assert (risk.theory_risks(small, reg, *args)
+                == risk.theory_risks(large, reg, *args))
+
+    @pytest.mark.parametrize("family", [risk.FAMILY_RP, risk.FAMILY_CLASSICAL])
+    def test_atoms_match_their_expansion(self, family):
+        atoms = JointSpectrum(np.array([3, 5, 4]), [0.4, 1.2, 2.0], [1.5, 0.3, 0.8],
+                              [1.0, 0.5, 1.5], [0.5, 0.2, 0.0])
+        flat = JointSpectrum(np.ones(12, int), *(np.repeat(a, atoms.counts) for a in (
+            atoms.sigma1, atoms.sigma2, atoms.theta, atoms.delta)))
+        reg = ScalingRegime.from_rates(0.6, 0.5, 0.75)
+        args = (family, (1.0, 0.25), 1e-3, (1e-3, 1e-3))
+        a, b = risk.theory_risks(atoms, reg, *args), risk.theory_risks(flat, reg, *args)
+        for name in ("r1_joint", "r2_joint", "r1_sep", "r2_sep"):
+            assert getattr(a, name).total == pytest.approx(getattr(b, name).total,
+                                                           rel=1e-12)
+        for s in (1, 2):
+            assert (risk.rp_separate_risk_unregularized(atoms, reg, 1.0, s).total
+                    == pytest.approx(risk.rp_separate_risk_unregularized(
+                        flat, reg, 1.0, s).total, rel=1e-12))
 
 
 class TestPowerLawLimits:
@@ -243,8 +277,8 @@ class TestInvariants:
         d = 12
         s1, s2 = rng.uniform(0.2, 2.0, d), rng.uniform(0.2, 2.0, d)
         theta = rng.uniform(0.3, 1.5, d)
-        spec = JointSpectrum(d, s1, s2, theta, np.zeros(d))
-        swapped = JointSpectrum(d, s2, s1, theta, np.zeros(d))
+        spec = JointSpectrum(np.ones(d, int), s1, s2, theta, np.zeros(d))
+        swapped = JointSpectrum(np.ones(d, int), s2, s1, theta, np.zeros(d))
         p1 = 0.35
         reg = ScalingRegime.from_rates(p1, phi, phi * gamma)
         reg_sw = ScalingRegime.from_rates(1 - p1, phi, phi * gamma)

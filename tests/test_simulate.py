@@ -7,8 +7,20 @@ from biasamp.spectra import JointSpectrum, make_isotropic
 
 def small_spectrum(d=12, seed=0, delta_scale=0.5):
     rng = np.random.default_rng(seed)
-    return JointSpectrum(d, rng.uniform(0.3, 2.0, d), rng.uniform(0.3, 2.0, d),
-                         rng.uniform(0.5, 1.5, d), delta_scale * np.ones(d))
+    return JointSpectrum(np.ones(d, int), rng.uniform(0.3, 2.0, d),
+                         rng.uniform(0.3, 2.0, d), rng.uniform(0.5, 1.5, d),
+                         delta_scale * np.ones(d))
+
+
+def atom_spectrum():
+    """Three atoms of multiplicities 3, 5 and 4 (d = 12)."""
+    return JointSpectrum(np.array([3, 5, 4]), [0.4, 1.2, 2.0], [1.5, 0.3, 0.8],
+                         [1.0, 0.5, 1.5], [0.5, 0.5, 0.0])
+
+
+def expand(spec, atoms):
+    """Per-coordinate values of an atom array."""
+    return np.repeat(atoms, spec.counts)
 
 
 class TestSampling:
@@ -44,6 +56,15 @@ class TestSampling:
         data = sim.sample_dataset(spec, 41, 0.3, (1.0, 1.0), base_seed=3)
         assert data.n1 + data.n2 == 41
         assert data.n1 == int(np.sum(data.groups == 1))
+
+    def test_atoms_sample_like_their_expansion(self):
+        spec = atom_spectrum()
+        flat = JointSpectrum(np.ones(spec.d, int), *(expand(spec, a) for a in (
+            spec.sigma1, spec.sigma2, spec.theta, spec.delta)))
+        a = sim.sample_dataset(spec, 40, 0.5, (1.0, 0.5), base_seed=9, replicate=2)
+        b = sim.sample_dataset(flat, 40, 0.5, (1.0, 0.5), base_seed=9, replicate=2)
+        for name in ("groups", "x", "y", "w1", "w2"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_degenerate_draw_raises_after_one_retry(self):
         spec = small_spectrum()
@@ -124,32 +145,33 @@ class TestRisks:
         assert sim.exact_risk(model, spec, 1, np.zeros(spec.d)) == 0.0
 
     def test_null_model_risk_is_weighted_norm(self):
-        spec = small_spectrum()
+        spec = atom_spectrum()
         w_star = np.arange(1.0, spec.d + 1.0)
         model = sim.FittedModel(w_hat=np.zeros(spec.d), family="classical",
                                 trained_on="both", lam=1.0)
         assert sim.exact_risk(model, spec, 2, w_star) == pytest.approx(
-            float(np.sum(spec.sigma2 * w_star ** 2)))
+            float(np.sum(expand(spec, spec.sigma2) * w_star ** 2)))
 
     def test_exact_risk_equals_naive_loop(self):
-        spec = small_spectrum()
+        spec = atom_spectrum()
+        sigma1 = expand(spec, spec.sigma1)
         rng = np.random.default_rng(3)
         w_hat, w_star = rng.standard_normal(spec.d), rng.standard_normal(spec.d)
         model = sim.FittedModel(w_hat=w_hat, family="classical",
                                 trained_on="both", lam=1.0)
-        naive = sum(spec.sigma1[k] * (w_hat[k] - w_star[k]) ** 2
+        naive = sum(sigma1[k] * (w_hat[k] - w_star[k]) ** 2
                     for k in range(spec.d))
         assert sim.exact_risk(model, spec, 1, w_star) == pytest.approx(naive, rel=1e-15)
 
     def test_sampled_estimate_agrees_with_exact(self):
-        spec = small_spectrum()
+        spec = atom_spectrum()
         rng = np.random.default_rng(4)
         w_hat, w_star = rng.standard_normal(spec.d), rng.standard_normal(spec.d)
         model = sim.FittedModel(w_hat=w_hat, family="classical",
                                 trained_on="both", lam=1.0)
         exact = sim.exact_risk(model, spec, 1, w_star)
         n_test = 1_000_000
-        x = rng.standard_normal((n_test, spec.d)) * np.sqrt(spec.sigma1)
+        x = rng.standard_normal((n_test, spec.d)) * np.sqrt(expand(spec, spec.sigma1))
         est = float(np.mean((x @ (w_hat - w_star)) ** 2))
         # squared errors of Gaussians have variance 2 * (per-term risk)^2
         se = exact * np.sqrt(2.0 / n_test) * 3.0
@@ -172,7 +194,7 @@ class TestMonteCarlo:
             assert a[key] == b[key]
 
     def test_noiseless_shared_problem_has_tiny_risks(self):
-        spec = JointSpectrum(4, np.ones(4), np.ones(4), np.ones(4), np.zeros(4))
+        spec = make_isotropic(4, 1.0, 1.0, 1.0, 0.0)
         cfg = self.config(spectrum=spec, sigma1_sq=0.0, sigma2_sq=0.0,
                           lam_joint=1e-10, lam1=1e-10, lam2=1e-10, n=200)
         rep = sim.monte_carlo(cfg, replicates=3, base_seed=0)

@@ -6,22 +6,36 @@ from biasamp.spectra import (JointSpectrum, ScalingRegime, diatomic_core_size, d
                              make_diatomic, make_isotropic, make_power_law)
 
 
+def expanded(spec):
+    """Per-coordinate (sigma1, sigma2, theta, delta), as the simulator expands them."""
+    return tuple(np.repeat(a, spec.counts)
+                 for a in (spec.sigma1, spec.sigma2, spec.theta, spec.delta))
+
+
+def uniform(n):
+    """Atom weights of n coordinates with multiplicity one."""
+    return np.full(n, 1.0 / n)
+
+
 class TestBuilders:
     def test_isotropic_values(self):
         spec = make_isotropic(4, 2.0, 1.0, 2.0, 1.0)
-        assert np.array_equal(spec.sigma1, [2, 2, 2, 2])
-        assert np.array_equal(spec.sigma2, [1, 1, 1, 1])
-        assert np.array_equal(spec.theta, [2, 2, 2, 2])
-        assert np.array_equal(spec.delta, [1, 1, 1, 1])
+        assert np.array_equal(spec.counts, [4]) and spec.d == 4
+        assert np.array_equal(spec.weights, [1.0])
+        s1, s2, th, de = expanded(spec)
+        assert np.array_equal(s1, np.full(4, 2.0))
+        assert np.array_equal(s2, np.full(4, 1.0))
+        assert np.array_equal(th, np.full(4, 2.0))
+        assert np.array_equal(de, np.full(4, 1.0))
 
     def test_isotropic_identical_groups(self):
         spec = make_isotropic(3, 1.0, 1.0, 1.0, 0.0)
         assert np.array_equal(spec.sigma1, spec.sigma2)
-        assert np.array_equal(spec.delta, np.zeros(3))
+        assert np.array_equal(expanded(spec)[3], np.zeros(3))
 
     def test_isotropic_fractional_scale(self):
         spec = make_isotropic(2, 0.5, 1.0, 2.0, 1.0)
-        assert np.array_equal(spec.sigma1, [0.5, 0.5])
+        assert np.array_equal(expanded(spec)[0], np.full(2, 0.5))
 
     def test_isotropic_rejects_bad_dim(self):
         with pytest.raises(ValueError):
@@ -29,26 +43,40 @@ class TestBuilders:
 
     def test_diatomic_blocks(self):
         spec = make_diatomic(4, 0.5, 2.0, 2.0, 0.2, 1.0, 0.0)
-        assert np.array_equal(spec.sigma1, [2, 2, 0, 0])
-        assert np.array_equal(spec.sigma2, [2, 2, 0.2, 0.2])
-        assert np.array_equal(spec.theta, np.ones(4))
-        assert np.array_equal(spec.delta, np.zeros(4))
+        assert np.array_equal(spec.counts, [2, 2]) and spec.d == 4
+        s1, s2, th, de = expanded(spec)
+        assert np.array_equal(s1, np.concatenate([np.full(2, 2.0), np.zeros(2)]))
+        assert np.array_equal(s2, np.concatenate([np.full(2, 2.0), np.full(2, 0.2)]))
+        assert np.array_equal(th, np.ones(4))
+        assert np.array_equal(de, np.zeros(4))
 
     def test_diatomic_minimal(self):
         spec = make_diatomic(2, 0.5, 1.0, 1.0, 1.0, 1.0, 0.0)
-        assert np.array_equal(spec.sigma1, [1, 0])
-        assert np.array_equal(spec.sigma2, [1, 1])
+        s1, s2, _, _ = expanded(spec)
+        assert np.array_equal(s1, [1.0, 0.0])
+        assert np.array_equal(s2, [1.0, 1.0])
 
     def test_diatomic_rounding(self):
         assert diatomic_core_size(10, 0.3) == 3
         spec = make_diatomic(10, 0.3, 1.0, 1.0, 0.5, 1.0, 0.0)
-        assert int(np.sum(spec.sigma1 > 0)) == 3
+        assert np.array_equal(spec.counts, [3, 7])
+        assert np.array_equal(spec.weights, [0.3, 0.7])
 
     def test_diatomic_degenerate_blocks(self):
         with pytest.raises(ValueError):
             make_diatomic(3, 0.01, 1.0, 1.0, 0.5, 1.0, 0.0)
         with pytest.raises(ValueError):
             make_diatomic(3, 0.99, 1.0, 1.0, 0.5, 1.0, 0.0)
+
+    def test_power_law_is_one_atom_per_coordinate(self):
+        spec = make_power_law(5, 2.0, 1.0, 0.7, 1.5)
+        assert np.array_equal(spec.counts, np.ones(5, int))
+        k = np.arange(1.0, 6.0)
+        s1, s2, th, de = expanded(spec)
+        assert np.array_equal(s1, k ** -2.0)
+        assert np.array_equal(s2, k ** -1.0)
+        assert np.array_equal(th, np.full(5, 1.5))
+        assert np.array_equal(de, k ** -0.7)
 
     def test_power_law_values(self):
         spec = make_power_law(3, 2.0, 1.0, 1.0, 1.0)
@@ -69,7 +97,8 @@ class TestBuilders:
     @settings(max_examples=50, deadline=None)
     def test_isotropic_invariants_hold(self, d, a1, a2, th, de):
         spec = make_isotropic(d, a1, a2, th, de)
-        for arr in (spec.sigma1, spec.sigma2, spec.theta, spec.delta):
+        assert spec.counts.shape == (1,)
+        for arr in expanded(spec):
             assert arr.shape == (d,)
             assert np.all(arr >= 0)
 
@@ -79,22 +108,44 @@ class TestBuilders:
     def test_diatomic_invariants_hold(self, d, pi_frac, a1, b2):
         spec = make_diatomic(d, pi_frac, a1, a1, b2, 1.0, 0.0)
         core = diatomic_core_size(d, pi_frac)
-        assert int(np.sum(spec.sigma1 > 0)) == core
-        assert np.all(spec.sigma2 > 0)
+        assert np.array_equal(spec.counts, [core, d - core])
+        s1, s2, _, _ = expanded(spec)
+        assert int(np.sum(s1 > 0)) == core
+        assert np.all(s2 > 0)
 
 
 class TestSpectrumType:
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
-            JointSpectrum(2, np.array([1.0, -0.1]), np.ones(2), np.ones(2), np.zeros(2))
+            JointSpectrum(np.ones(2, int), np.array([1.0, -0.1]), np.ones(2), np.ones(2),
+                          np.zeros(2))
 
     def test_rejects_all_zero_group(self):
         with pytest.raises(ValueError):
-            JointSpectrum(2, np.zeros(2), np.ones(2), np.ones(2), np.zeros(2))
+            JointSpectrum(np.ones(2, int), np.zeros(2), np.ones(2), np.ones(2),
+                          np.zeros(2))
 
     def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            JointSpectrum(3, np.ones(2), np.ones(3), np.ones(3), np.zeros(3))
+        with pytest.raises(ValueError, match="sigma1"):
+            JointSpectrum(np.ones(3, int), np.ones(2), np.ones(3), np.ones(3),
+                          np.zeros(3))
+        with pytest.raises(ValueError, match="delta"):
+            JointSpectrum(np.array([2, 5]), np.ones(2), np.ones(2), np.ones(2),
+                          np.zeros(7))
+
+    @pytest.mark.parametrize("counts", [[0, 3], [2, -1], [1.5, 2.0], [1.0, 2.0], [],
+                                        [[1, 2]], [True, True]])
+    def test_rejects_bad_counts(self, counts):
+        n = max(len(counts), 1)
+        with pytest.raises(ValueError, match="counts"):
+            JointSpectrum(np.array(counts), np.ones(n), np.ones(n), np.ones(n),
+                          np.zeros(n))
+
+    def test_dimension_and_weights_follow_counts(self):
+        spec = JointSpectrum(np.array([1, 3]), [1.0, 2.0], [1.0, 1.0], [1.0, 1.0],
+                             [0.0, 0.0])
+        assert spec.d == 4
+        assert np.array_equal(spec.weights, [0.25, 0.75])
 
     def test_group_two_weight_covariance_adds_shift(self):
         spec = make_isotropic(3, 1.0, 1.0, 2.0, 0.5)
@@ -105,22 +156,29 @@ class TestSpectrumType:
 class TestDof:
     def test_isotropic_first_order(self):
         for t in (0.0, 0.5, 2.0):
-            assert dof(np.ones(5), 1, 1, t) == pytest.approx(1.0 / (1.0 + t))
+            assert dof(np.ones(5), uniform(5), 1, 1, t) == pytest.approx(1.0 / (1.0 + t))
+            assert dof(np.ones(1), np.ones(1), 1, 1, t) == pytest.approx(1.0 / (1.0 + t))
 
     def test_full_rank_at_zero_shift(self):
         rng = np.random.default_rng(1)
         eigs = rng.uniform(0.1, 3.0, 20)
-        assert dof(eigs, 1, 1, 0.0) == pytest.approx(1.0)
+        assert dof(eigs, uniform(20), 1, 1, 0.0) == pytest.approx(1.0)
 
     def test_hand_summed_second_order(self):
-        assert dof(np.array([1.0, 4.0]), 2, 2, 1.0) == pytest.approx(0.445)
+        assert dof(np.array([1.0, 4.0]), uniform(2), 2, 2, 1.0) == pytest.approx(0.445)
+
+    def test_weighted_atoms_match_repeated_coordinates(self):
+        eigs, counts = np.array([1.0, 4.0, 0.5]), np.array([3, 1, 4])
+        weighted = dof(eigs, counts / 8, 2, 2, 1.0)
+        flat = dof(np.repeat(eigs, counts), uniform(8), 2, 2, 1.0)
+        assert weighted == pytest.approx(flat, rel=1e-14)
 
     def test_zero_eigs_rejected_when_divergent(self):
         with pytest.raises(ZeroDivisionError):
-            dof(np.array([1.0, 0.0]), 1, 2, 0.0)
+            dof(np.array([1.0, 0.0]), uniform(2), 1, 2, 0.0)
 
     def test_zero_eigs_contribute_zero(self):
-        assert dof(np.array([2.0, 0.0]), 1, 1, 0.0) == pytest.approx(0.5)
+        assert dof(np.array([2.0, 0.0]), uniform(2), 1, 1, 0.0) == pytest.approx(0.5)
 
     @given(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=30),
            st.integers(1, 3))
@@ -128,7 +186,7 @@ class TestDof:
     def test_df_bounded_and_nonincreasing(self, eigs, m):
         arr = np.array(eigs)
         grid = [1e-3, 1e-2, 0.1, 1.0, 10.0]
-        vals = [dof(arr, m, m, t) for t in grid]
+        vals = [dof(arr, uniform(arr.size), m, m, t) for t in grid]
         assert all(0.0 <= v <= 1.0 + 1e-12 for v in vals)
         assert all(vals[i] >= vals[i + 1] - 1e-12 for i in range(len(vals) - 1))
 

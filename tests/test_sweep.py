@@ -79,9 +79,25 @@ class TestConfig:
         ("p1", dict(p1=1.5)),
         ("p1", dict(p1=0.0)),
         ("replicates", dict(replicates=1)),
+        ("lam", dict(lam=0.0)),
+        ("lambda_grid", dict(lambda_grid=(1e-3, 0.0))),
     ])
     def test_bad_values_rejected_naming_the_key(self, key, overrides):
         with pytest.raises(ValueError, match=rf"^{key} "):
+            tiny_config(**overrides)
+
+    def test_zero_penalty_allowed_in_theory_only_sweeps(self):
+        assert tiny_config(lam=0.0, replicates=0).lam == 0.0
+        assert tiny_config(lambda_grid=(0.0, 1e-3), replicates=0).lambda_grid[0] == 0.0
+
+    @pytest.mark.parametrize("key,overrides", [
+        ("a1", dict(a1=-1.0)),
+        ("theta_scale", dict(theta_scale=-1.0)),
+        # round(0.1 * 2) = 0: the core block of the d = 2 point is empty
+        ("pi_frac", dict(spectrum="diatomic", pi_frac=0.1, b2=0.2, phi_grid=(0.05,))),
+    ])
+    def test_bad_spectrum_parameters_rejected_at_load(self, key, overrides):
+        with pytest.raises(ValueError, match=rf"spectrum \(.*\b{key}\b.*\) is invalid"):
             tiny_config(**overrides)
 
     def test_presets_and_scripts_load(self):
@@ -89,7 +105,8 @@ class TestConfig:
         scripts = sorted((ROOT / "scripts").glob("run_*.py"))
         assert len(presets) == len(scripts) == 5
         for path in presets:
-            SweepConfig.load(path)
+            # canonical form: no stale or defaulted-away key can linger
+            assert SweepConfig.load(path).to_json() == path.read_text()
         for path in scripts:
             spec = importlib.util.spec_from_file_location(path.stem, path)
             module = importlib.util.module_from_spec(spec)
@@ -141,22 +158,13 @@ class TestRunSweep:
         res = run_sweep(cfg)
         assert res.rows[0].values["c"] == 0.5
 
-    def test_theory_token_dimension_matches_full_theory(self):
-        # isotropic theory values are dimension-free, so the token dimension
-        # changes nothing beyond float summation order
-        full = run_sweep(tiny_config(replicates=0))
-        token = run_sweep(tiny_config(replicates=0, theory_d=4))
-        for a, b in zip(full.rows, token.rows):
-            assert a.values["d"] == b.values["d"]
-            assert a.values["theory_r1_joint"] == pytest.approx(
-                b.values["theory_r1_joint"], rel=1e-12)
-
-    def test_theory_token_dimension_validation(self):
-        with pytest.raises(ValueError, match="isotropic"):
-            tiny_config(spectrum="power-law", beta1=2.0, beta2=1.0, alpha=1.0,
-                        replicates=0, theory_d=4)
-        with pytest.raises(ValueError, match="replicates"):
-            tiny_config(replicates=2, theory_d=4)
+    def test_zero_penalty_floored_once_per_sweep(self, caplog):
+        cfg = tiny_config(replicates=0, lam=0.0, psi_grid=(0.5, 1.0, 2.0))
+        with caplog.at_level("WARNING", logger="biasamp.fixed_point"):
+            res = run_sweep(cfg)
+        assert sum("floored" in rec.message for rec in caplog.records) == 1
+        assert [r.values["lambda"] for r in res.rows] == [0.0] * 3
+        assert not any(r.flags for r in res.rows)
 
     def test_realized_rates_recorded_alongside_requested(self):
         cfg = tiny_config(n=30, phi_grid=(0.33,), psi_grid=(0.52,), replicates=0)
