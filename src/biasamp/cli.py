@@ -15,12 +15,11 @@ from . import fixed_point as fp
 from . import risk
 from .simulate import SimConfig, monte_carlo
 from .spectra import ScalingRegime, make_isotropic
-from .svg import render_plot, emit_svg
-from .sweep import SweepConfig, default_out_dir, emit_csv, run_sweep
+from .svg import emit_svg, plottable, render_plot
+from .sweep import FIGURES, SweepConfig, SweepResult, default_out_dir, emit_csv, run_sweep
 
 
 def _cmd_sweep(args) -> int:
-    config = SweepConfig.load(args.config)
     overrides = {}
     if args.seed is not None:
         overrides["base_seed"] = args.seed
@@ -28,8 +27,13 @@ def _cmd_sweep(args) -> int:
         overrides["replicates"] = args.replicates
     if args.theory_only:
         overrides["replicates"] = 0
-    if overrides:
-        config = replace(config, **overrides)
+    try:
+        config = SweepConfig.load(args.config)
+        if overrides:
+            config = replace(config, **overrides)
+    except (OSError, ValueError, TypeError) as exc:
+        print(f"biasamp sweep: {exc}", file=sys.stderr)
+        return 2
 
     result = run_sweep(config)
     out_dir = Path(args.out_dir) if args.out_dir else default_out_dir()
@@ -39,17 +43,14 @@ def _cmd_sweep(args) -> int:
     emit_csv(result, csv_path)
     print(f"wrote {csv_path} ({len(result.rows)} rows)")
 
-    if config.out_svg:
-        svg_path = Path(config.out_svg)
-        if not svg_path.is_absolute():
-            svg_path = out_dir / svg_path
-        x = "psi" if config.family == risk.FAMILY_RP and config.psi_grid and \
-            len(config.psi_grid) > 1 else "phi"
-        ys = ["theory_odd", "theory_edd"]
-        if config.replicates > 0:
-            ys += ["emp_odd_mean", "emp_edd_mean"]
-        emit_svg(result, svg_path, x, ys, logx=True, title=config.scenario)
-        print(f"wrote {svg_path}")
+    phi = config.phi_grid[0]  # the power-law closed forms need phi < 1/2
+    if config.scenario == "power-law-noise-ratio" and config.c_grid and phi < 0.5:
+        print(f"closed-form limits at phi={phi} "
+              "(valid as d grows and the penalty vanishes):")
+        for c in config.c_grid:
+            odd, edd, add = risk.power_law_limits(c, phi, config.sigma1_sq)
+            print(f"  c={c}: odd={odd:.4f} edd={edd:.4f} add={add:.4f}")
+    _draw_figures(result, csv_path)
 
     for row in result.flagged:
         print(f"flagged point {row.index}: {';'.join(row.flags)}", file=sys.stderr)
@@ -59,6 +60,38 @@ def _cmd_sweep(args) -> int:
     if hard and not args.allow_flags:
         return 1
     return 0
+
+
+def _draw_figures(result: SweepResult, csv_path: Path) -> None:
+    """Write the scenario's figures (``FIGURES``) next to the CSV.
+
+    A series with no plottable point is left out, and a figure with no
+    series left is not written.
+    """
+    config = result.config
+    fig = FIGURES[config.scenario]
+    x = fig.x or ("psi" if config.family == risk.FAMILY_RP and len(config.psi_grid) > 1
+                  else "phi")
+    slices = [("", "", result.rows)]  # (file-name suffix, title suffix, rows)
+    grid = getattr(config, f"{fig.slice_by}_grid") if fig.slice_by else None
+    if grid:
+        at = [min(grid, key=lambda v: abs(v - t)) for t in fig.near] if fig.near else grid
+        slices = [(f"_{fig.slice_by}{v}", f" at {fig.slice_by}={v}",
+                   [r for r in result.rows if r.values[f"{fig.slice_by}_requested"] == v])
+                  for v in dict.fromkeys(at)]
+    for suffix, where, rows in slices:
+        part = SweepResult(config=config, rows=rows)
+        xs = part.column(x)
+        for group in fig.groups:
+            ys = [y for k in group for y in (f"theory_{k}", f"emp_{k}_mean")
+                  if any(plottable(xv, yv, True, fig.logy)
+                         for xv, yv in zip(xs, part.column(y)))]
+            if not ys:
+                continue
+            path = csv_path.with_name(f"{csv_path.stem}_{'_'.join(group)}{suffix}.svg")
+            emit_svg(part, path, x, ys, logx=True, logy=fig.logy,
+                     title=f"{config.scenario}: {', '.join(group)} vs {x}{where}")
+            print(f"wrote {path}")
 
 
 def _check(name: str, passed: bool, detail: str) -> bool:

@@ -76,6 +76,12 @@ class BiasAmpMetrics:
     signed_odd: float
     signed_edd: float
 
+    def columns(self) -> dict[str, float]:
+        """The five gap quantities under their sweep names; an undefined ratio is NaN."""
+        return {"odd": self.odd, "edd": self.edd,
+                "add": math.nan if self.add is None else self.add,
+                "odd_signed": self.signed_odd, "edd_signed": self.signed_edd}
+
 
 def metrics(r1_joint, r2_joint, r1_sep, r2_sep) -> BiasAmpMetrics:
     """Gap metrics from the four per-group risks (decompositions or totals)."""

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
+from .risk import metrics
 from .spectra import JointSpectrum
 
 PURPOSES = ("group", "weights", "features", "noise", "projection", "group-retry")
@@ -243,12 +244,7 @@ def run_replicate(config: SimConfig, base_seed: int, replicate: int) -> dict[str
         "r1_sep": exact_risk(sep1, config.spectrum, 1, data.w1),
         "r2_sep": exact_risk(sep2, config.spectrum, 2, data.w2),
     }
-    out["odd_signed"] = out["r2_joint"] - out["r1_joint"]
-    out["edd_signed"] = out["r2_sep"] - out["r1_sep"]
-    out["odd"] = abs(out["odd_signed"])
-    out["edd"] = abs(out["edd_signed"])
-    out["add"] = out["odd"] / out["edd"] if out["edd"] > 1e-12 else float("nan")
-    return out
+    return {**out, **metrics(**out).columns()}
 
 
 QUANTITIES = ("r1_joint", "r2_joint", "r1_sep", "r2_sep",

@@ -78,6 +78,12 @@ class _Axis:
         return _nice_ticks(self.lo, self.hi)
 
 
+def plottable(xv: float, yv: float, logx: bool, logy: bool) -> bool:
+    """Whether a point can be drawn: finite, and positive on a log axis."""
+    return (math.isfinite(xv) and math.isfinite(yv)
+            and not (logx and xv <= 0) and not (logy and yv <= 0))
+
+
 def render_plot(columns: dict[str, list[float]], x: str, ys: list[str], path,
                 logx: bool = False, logy: bool = False, title: str = "") -> Path:
     """Write a line plot of the named y columns against the x column."""
@@ -92,24 +98,18 @@ def render_plot(columns: dict[str, list[float]], x: str, ys: list[str], path,
     xs = columns[x]
     series = []
     for name in ys:
-        pts = [(xv, yv) for xv, yv in zip(xs, columns[name])
-               if math.isfinite(xv) and math.isfinite(yv)
-               and not (logx and xv <= 0) and not (logy and yv <= 0)]
+        # (x, y, std) triples, sorted together so error bars stay on their points
+        emp = name.startswith("emp_") and name.endswith("_mean")
+        sds = columns.get(name[:-5] + "_std" if emp else None, [math.nan] * len(xs))
+        pts = sorted((xv, yv, sd) for xv, yv, sd in zip(xs, columns[name], sds)
+                     if plottable(xv, yv, logx, logy))
         if not pts:
             raise ValueError(f"series {name!r} has no plottable points")
-        std_col = None
-        if name.startswith("emp_") and name.endswith("_mean"):
-            cand = name[:-5] + "_std"
-            if cand in columns:
-                std_col = [s for (xv, yv), s in zip(zip(xs, columns[name]),
-                                                    columns[cand])
-                           if math.isfinite(xv) and math.isfinite(yv)
-                           and not (logx and xv <= 0) and not (logy and yv <= 0)]
-        series.append((name, sorted(pts), std_col))
+        series.append((name, pts))
 
     ref_line = any("add" in name for name in ys)
-    all_x = [p[0] for _, pts, _ in series for p in pts]
-    all_y = [p[1] for _, pts, _ in series for p in pts]
+    all_x = [p[0] for _, pts in series for p in pts]
+    all_y = [p[1] for _, pts in series for p in pts]
     if ref_line:
         all_y.append(1.0)
     ax_x = _Axis(min(all_x), max(all_x), logx, MARGIN_L, WIDTH - MARGIN_R)
@@ -152,19 +152,19 @@ def render_plot(columns: dict[str, list[float]], x: str, ys: list[str], path,
                          f'x2="{WIDTH-MARGIN_R}" y2="{py:.1f}" stroke="black" '
                          f'stroke-dasharray="4,4" stroke-width="1"/>')
 
-    for i, (name, pts, stds) in enumerate(series):
+    for i, (name, pts) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
         dashed = name.startswith("theory_")
         coords = []
-        for xv, yv in pts:
+        for xv, yv, _ in pts:
             px, py = ax_x.to_px(xv), ax_y.to_px(yv)
             if px is not None and py is not None:
                 coords.append(f"{px:.2f},{py:.2f}")
         dash = ' stroke-dasharray="7,4" opacity="0.75"' if dashed else ""
         parts.append(f'<polyline points="{" ".join(coords)}" fill="none" '
                      f'stroke="{color}" stroke-width="1.6"{dash}/>')
-        if stds is not None and not dashed:
-            for (xv, yv), sd in zip(pts, stds):
+        if not dashed:
+            for xv, yv, sd in pts:
                 if not math.isfinite(sd):
                     continue
                 px = ax_x.to_px(xv)

@@ -12,19 +12,43 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import fixed_point as fp
 from . import risk
-from .simulate import SimConfig, monte_carlo
+from .simulate import QUANTITIES, SimConfig, monte_carlo
 from .spectra import (JointSpectrum, ScalingRegime, make_diatomic, make_isotropic,
                       make_power_law)
 
-SCENARIOS = ("phase-diagram", "isotropic-sweep", "regularization-path",
-             "diatomic-minority", "power-law-noise-ratio", "custom")
+
+@dataclass(frozen=True)
+class Figures:
+    """The SVG figures ``biasamp sweep`` draws for one scenario.
+
+    Each metric group is one figure per slice, with a log x axis; a metric
+    ``k`` plots ``theory_k`` and ``emp_k_mean``.
+    """
+
+    x: str | None  # None: psi for a random-projection sweep over several psi, else phi
+    groups: tuple[tuple[str, ...], ...]
+    slice_by: str | None = None  # "phi" or "psi": one slice per value of its grid
+    near: tuple[float, ...] = ()  # if set, slice only at the grid values nearest these
+    logy: bool = False
+
+
+_GAPS = (("odd",), ("edd",), ("add",))
+#: Figures per scenario; the config's ``scenario`` must be one of these keys.
+FIGURES = {
+    "phase-diagram": Figures("psi", _GAPS, "phi", near=(0.75, 2.0), logy=True),
+    "isotropic-sweep": Figures("psi", _GAPS, "phi"),
+    "regularization-path": Figures("lambda", (("add",),), "psi"),
+    "diatomic-minority": Figures("psi", (("r2_joint", "r2_sep"),), "phi"),
+    "power-law-noise-ratio": Figures("c", _GAPS),
+    "custom": Figures(None, (("odd", "edd"),)),
+}
 #: Config keys each spectrum is built from, in its make_* function's argument order.
 SPECTRUM_KEYS = {
     "isotropic": ("a1", "a2", "theta_scale", "delta_scale"),
@@ -65,11 +89,11 @@ class SweepConfig:
     beta2: float | None = None
     alpha: float | None = None
     out_csv: str | None = None
-    out_svg: str | None = None
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise ValueError(f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}")
+        if self.scenario not in FIGURES:
+            raise ValueError(f"unknown scenario {self.scenario!r}; "
+                             f"choose from {tuple(FIGURES)}")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
         if self.spectrum not in SPECTRUM_KEYS:
@@ -140,6 +164,9 @@ class SweepConfig:
         unknown = sorted(set(doc) - known)
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in doc]
+        if missing:
+            raise ValueError(f"missing config keys: {missing}")
         return cls(**doc)
 
     @classmethod
@@ -152,16 +179,12 @@ class SweepConfig:
         return make(d, *(getattr(self, k) for k in SPECTRUM_KEYS[self.spectrum]))
 
 
-THEORY_KEYS = ("r1_joint", "r2_joint", "r1_sep", "r2_sep",
-               "odd", "edd", "add", "odd_signed", "edd_signed")
-EMPIRICAL_KEYS = THEORY_KEYS
-
 CSV_COLUMNS = (
     ["scenario", "phi", "psi", "gamma", "lambda", "c",
      "phi_requested", "psi_requested", "n", "d", "m", "replicates"]
-    + [f"theory_{k}" for k in THEORY_KEYS]
-    + [f"emp_{k}_mean" for k in EMPIRICAL_KEYS]
-    + [f"emp_{k}_std" for k in EMPIRICAL_KEYS]
+    + [f"theory_{k}" for k in QUANTITIES]
+    + [f"emp_{k}_mean" for k in QUANTITIES]
+    + [f"emp_{k}_std" for k in QUANTITIES]
     + ["solver_residual", "solver_iters", "flags"]
 )
 
@@ -252,22 +275,20 @@ def evaluate_point(config: SweepConfig, index: int, point: dict,
         theory = {
             "r1_joint": th.r1_joint.total, "r2_joint": th.r2_joint.total,
             "r1_sep": th.r1_sep.total, "r2_sep": th.r2_sep.total,
-            "odd": th.gaps.odd, "edd": th.gaps.edd,
-            "add": th.gaps.add if th.gaps.add is not None else float("nan"),
-            "odd_signed": th.gaps.signed_odd, "edd_signed": th.gaps.signed_edd,
+            **th.gaps.columns(),
         }
         if th.gaps.add is None:
             flags.append("add-undefined")
         residual, iters = th.residual, th.iters
     except fp.FixedPointError as exc:
-        theory = {k: float("nan") for k in THEORY_KEYS}
+        theory = {k: float("nan") for k in QUANTITIES}
         residual = exc.residual if exc.residual is not None else float("nan")
         iters = exc.iters if exc.iters is not None else 0
         flags.append("solver-failure")
     for k, v in theory.items():
         values[f"theory_{k}"] = v
 
-    for k in EMPIRICAL_KEYS:
+    for k in QUANTITIES:
         values[f"emp_{k}_mean"] = values[f"emp_{k}_std"] = ""
     if config.replicates > 0 and "solver-failure" not in flags:
         sim = SimConfig(spectrum=spectrum, n=n, p1=config.p1,
@@ -282,7 +303,7 @@ def evaluate_point(config: SweepConfig, index: int, point: dict,
         except RuntimeError:  # a failed replicate, or DegenerateGroupsError
             flags.append("mc-failure")
         else:
-            for k in EMPIRICAL_KEYS:
+            for k in QUANTITIES:
                 values[f"emp_{k}_mean"] = report[k].mean
                 values[f"emp_{k}_std"] = report[k].std
 

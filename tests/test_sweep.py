@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -12,7 +11,7 @@ from biasamp import risk
 from biasamp.cli import main as cli_main
 from biasamp.spectra import ScalingRegime
 from biasamp.svg import render_plot
-from biasamp.sweep import (CSV_COLUMNS, SweepConfig, SweepResult, emit_csv,
+from biasamp.sweep import (CSV_COLUMNS, FIGURES, SweepConfig, SweepResult, emit_csv,
                            run_sweep)
 
 
@@ -22,6 +21,20 @@ ROOT = Path(__file__).resolve().parents[1]
 #: both of its draws, so Monte Carlo fails at its only grid point.
 DEGENERATE_MC = dict(scenario="custom", family="classical", spectrum="isotropic",
                      n=20, phi_grid=(0.5,), p1=0.97, replicates=30)
+
+#: Per scenario, a tiny theory-only config's overrides and the figures it draws.
+SCENARIO_FIGURES = {
+    "phase-diagram": (dict(phi_grid=(0.7, 2.1)),
+                      [f"{k}_phi{v}" for k in ("odd", "edd", "add") for v in (0.7, 2.1)]),
+    "isotropic-sweep": (dict(phi_grid=(0.5, 1.0)),
+                        [f"{k}_phi{v}" for k in ("odd", "edd", "add") for v in (0.5, 1.0)]),
+    "regularization-path": (dict(lambda_grid=(1e-3, 1e-2)), ["add_psi0.5", "add_psi1.0"]),
+    "diatomic-minority": (dict(phi_grid=(0.5, 1.0)),
+                          ["r2_joint_r2_sep_phi0.5", "r2_joint_r2_sep_phi1.0"]),
+    "power-law-noise-ratio": (dict(phi_grid=(0.25,), c_grid=(0.5, 2.0), sigma2_sq=None),
+                              ["odd", "edd", "add"]),
+    "custom": ({}, ["odd_edd"]),
+}
 
 
 def tiny_config(**overrides):
@@ -100,18 +113,20 @@ class TestConfig:
         with pytest.raises(ValueError, match=rf"spectrum \(.*\b{key}\b.*\) is invalid"):
             tiny_config(**overrides)
 
-    def test_presets_and_scripts_load(self):
+    def test_presets_load_with_figure_entries(self):
         presets = sorted((ROOT / "configs").glob("*.json"))
-        scripts = sorted((ROOT / "scripts").glob("run_*.py"))
-        assert len(presets) == len(scripts) == 5
+        assert len(presets) == 5
         for path in presets:
+            config = SweepConfig.load(path)
             # canonical form: no stale or defaulted-away key can linger
-            assert SweepConfig.load(path).to_json() == path.read_text()
-        for path in scripts:
-            spec = importlib.util.spec_from_file_location(path.stem, path)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            assert module.CONFIG in presets
+            assert config.to_json() == path.read_text()
+            assert config.scenario in FIGURES
+
+    def test_missing_required_keys_named(self):
+        doc = json.loads(tiny_config().to_json())
+        del doc["scenario"], doc["n"]
+        with pytest.raises(ValueError, match=r"missing config keys: \['scenario', 'n'\]"):
+            SweepConfig.from_json(json.dumps(doc))
 
 
 class TestRunSweep:
@@ -244,6 +259,18 @@ class TestSVG:
         with pytest.raises(KeyError):
             render_plot(self.columns(), "psi", ["nope"], tmp_path / "p.svg")
 
+    def test_error_bars_follow_their_points_when_x_is_unsorted(self, tmp_path):
+        cols = {"psi": [2.0, 1.0], "emp_add_mean": [1.0, 2.0],
+                "emp_add_std": [0.1, math.nan]}
+        root = ET.parse(render_plot(cols, "psi", ["emp_add_mean"], tmp_path / "p.svg")).getroot()
+        line = next(el for el in root.iter() if el.tag.endswith("polyline"))
+        points = [tuple(map(float, p.split(","))) for p in line.get("points").split()]
+        bars = [el for el in root.iter() if el.tag.endswith("}line")
+                and el.get("stroke") == line.get("stroke") and el.get("x1") == el.get("x2")]
+        assert len(bars) == 1
+        # the one finite std belongs to psi = 2.0, the right-hand point
+        assert float(bars[0].get("x1")) == pytest.approx(max(p[0] for p in points))
+
     def test_empty_series_errors(self, tmp_path):
         cols = self.columns()
         cols["theory_add"] = [math.nan] * 4
@@ -266,10 +293,42 @@ class TestCLI:
     def test_failure_flags_set_exit_status(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(SweepConfig(**DEGENERATE_MC).to_json())
+        # every point is flagged mc-failure: exit 1 on the flag, not on a plot error
         assert cli_main(["sweep", str(cfg_path), "--out-dir", str(tmp_path)]) == 1
         assert (tmp_path / "sweep.csv").exists()
+        text = (tmp_path / "sweep_odd_edd.svg").read_text()
+        assert "theory_odd" in text and "emp_" not in text
         assert cli_main(["sweep", str(cfg_path), "--out-dir", str(tmp_path),
                          "--allow-flags"]) == 0
+
+    @pytest.mark.parametrize("scenario", list(FIGURES))
+    def test_scenario_chooses_the_figures(self, tmp_path, capsys, scenario):
+        overrides, names = SCENARIO_FIGURES[scenario]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(tiny_config(scenario=scenario, **overrides).to_json())
+        assert cli_main(["sweep", str(cfg_path), "--out-dir", str(tmp_path),
+                         "--theory-only"]) == 0
+        assert {p.name for p in tmp_path.glob("*.svg")} == {f"sweep_{n}.svg" for n in names}
+        out = capsys.readouterr().out
+        assert ("closed-form limits" in out) == (scenario == "power-law-noise-ratio")
+
+    @pytest.mark.parametrize("doc", [
+        None,  # no config file
+        dict(lam=0.0, replicates=2),  # rejected value
+        dict(scenario=None),  # missing required key (a None value is dropped below)
+        dict(n="20"),  # wrong type
+    ], ids=["no-file", "bad-value", "missing-key", "wrong-type"])
+    def test_bad_config_is_one_line_and_exit_2(self, tmp_path, capsys, doc):
+        cfg_path = tmp_path / "cfg.json"
+        if doc is not None:
+            full = json.loads(tiny_config().to_json())
+            full.update(doc)
+            cfg_path.write_text(json.dumps({k: v for k, v in full.items() if v is not None}))
+        assert cli_main(["sweep", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("biasamp sweep: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_theory_only_flag_blanks_empirics(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
