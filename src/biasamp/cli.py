@@ -209,8 +209,18 @@ def _cmd_plot(args) -> int:
             return 1
         columns[name] = [float(r[name]) if r[name] not in ("", None) else float("nan")
                          for r in rows]
+    # as in _draw_figures: a series with no plottable point is left out
+    ys = [y for y in args.y
+          if any(plottable(xv, yv, args.logx, args.logy)
+                 for xv, yv in zip(columns[args.x], columns[y]))]
+    if not ys:
+        print(f"biasamp plot: no plottable points in {', '.join(args.y)}", file=sys.stderr)
+        return 2
+    for y in args.y:
+        if y not in ys:
+            print(f"biasamp plot: left out {y} (no plottable points)", file=sys.stderr)
     out = Path(args.out) if args.out else default_out_dir() / "plot.svg"
-    render_plot(columns, args.x, args.y, out, logx=args.logx, logy=args.logy,
+    render_plot(columns, args.x, ys, out, logx=args.logx, logy=args.logy,
                 title=args.title)
     print(f"wrote {out}")
     return 0

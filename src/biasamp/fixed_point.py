@@ -1,4 +1,4 @@
-"""Solvers for the scalar fixed-point systems behind the risk formulas.
+"""Solvers for the fixed-point systems behind the risk formulas, batched.
 
 Every deterministic equivalent in this package is driven by a handful of
 scalar constants defined as the unique positive solution of coupled
@@ -9,9 +9,20 @@ analytic Jacobian (each entry is one more normalized trace); once those
 constants are known, the remaining unknowns satisfy small affine systems
 which are solved exactly.
 
-Solvers report the achieved residual and iteration count, and raise
-``FixedPointError`` (carrying the best residual) instead of returning a
-silent bad answer.
+Every stage solves a batch of P systems at once.  Its per-row inputs (the
+rates of ``ScalingRegime``, the penalty, earlier constants) are scalars or
+arrays of shape (P,), and the spectrum's weights are (atoms,) or, for a
+stack of spectra over the same atoms, (P, atoms); traces are weighted sums
+over the last axis.  Results take the batch shape: floats for an unbatched
+call, (P,) arrays otherwise.  ``_newton`` iterates x of shape (P, q), one
+row per system, and the affine stages make one stacked ``np.linalg.solve``.
+Rows never interact, so a row's result does not depend on the batch it is
+solved in.
+
+Solvers report the achieved residual and iteration count per row.  A row
+that does not converge, or whose affine system is singular, comes back as
+NaN in a batched call; an unbatched call raises ``FixedPointError``
+(carrying the best residual) instead of returning a silent bad answer.
 """
 
 from __future__ import annotations
@@ -63,14 +74,69 @@ class FixedPointError(RuntimeError):
         self.iters = iters
 
 
-def _effective_lambda(lam: float, settings: SolverSettings) -> float:
-    if lam < 0:
+def _effective_lambda(lam, settings: SolverSettings):
+    """The penalty (a scalar or per-row array) with zeros floored to lambda_floor."""
+    arr = np.asarray(lam, dtype=float)
+    if np.any(arr < 0):
         raise ValueError(f"ridge penalty must be nonnegative, got {lam}")
-    if lam == 0.0:
+    if np.any(arr == 0.0):
         logger.warning("penalty 0 floored to %.1e for the regularized solver",
                        settings.lambda_floor)
-        return settings.lambda_floor
+        return np.where(arr == 0.0, settings.lambda_floor, arr)[()]
     return lam
+
+
+def _batch(spectrum: JointSpectrum, *per_row):
+    """Batch shape of a call, and its weights (P, atoms) and per-row values (P, 1)."""
+    shape = np.broadcast_shapes(spectrum.weights.shape[:-1], *map(np.shape, per_row))
+    rows = int(np.prod(shape))
+    weights = np.broadcast_to(spectrum.weights, shape + spectrum.sigma1.shape)
+    return shape, [weights.reshape(rows, -1)] + [
+        np.broadcast_to(np.asarray(v, dtype=float), shape).reshape(rows, 1)
+        for v in per_row]
+
+
+def _unbatch(shape: tuple, *values):
+    """Per-row results (P,) or (P, 1) in the call's batch shape; floats if unbatched."""
+    out = tuple(np.reshape(v, shape)[()] for v in values)
+    return out if len(out) > 1 else out[0]
+
+
+def _raise_unbatched(shape: tuple, failed: np.ndarray, message: str,
+                     residual=None, iters=None) -> None:
+    """An unbatched call raises for its failed row; a batched call keeps its NaN."""
+    if shape == () and failed.any():
+        raise FixedPointError(message, residual=residual, iters=iters)
+
+
+def _trace(weights: np.ndarray):
+    """Normalized trace over the atom axis, keeping it: (P, atoms) -> (P, 1)."""
+    return lambda values: (weights * values).sum(axis=-1, keepdims=True)
+
+
+def _traces(weighted: np.ndarray, atoms: np.ndarray):
+    """Sums of weighted (P, atoms) against each row of atoms (n, atoms): n (P, 1) columns."""
+    return (weighted[:, None, :] * atoms).sum(axis=-1).T[:, :, None]
+
+
+def _solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Stacked solve of mat x = rhs for (P, q, q) and (P, q); NaN rows where singular."""
+    try:
+        return np.linalg.solve(mat, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full_like(rhs, np.nan)
+        for i in range(len(rhs)):
+            try:
+                out[i] = np.linalg.solve(mat[i], rhs[i])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _matrix(rows) -> np.ndarray:
+    """(P, q, q) matrices from q rows of q (P, 1) entries."""
+    return np.concatenate([entry for row in rows for entry in row], axis=1).reshape(
+        -1, len(rows), len(rows))
 
 
 #: A converged root is polished while its relative Newton step, the
@@ -83,53 +149,78 @@ _POLISH_STEPS = 2
 _MAX_HALVINGS = 10
 
 
-def _newton(fun, x0: np.ndarray, settings: SolverSettings,
-            what: str) -> tuple[np.ndarray, float, int]:
-    """Safeguarded Newton iteration for F(x) = 0 over positive x.
+def _newton(fun, x0: np.ndarray, params: list, settings: SolverSettings, what: str,
+            shape: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Safeguarded Newton iteration for F(x) = 0 over positive x, P rows at once.
 
-    ``fun`` maps x to (F, residual, J): the defects F_i = x_i (1 + t_i(x)) - 1,
-    their max magnitude, and the Jacobian dF/dx.  A Newton step is halved
-    until it keeps x positive and lowers the residual; if no halving does,
-    the damped Picard step x <- (x + x / (F + 1)) / 2 is taken instead.
+    ``x0`` is (P, q) and ``params`` holds the per-row arrays (P, ...) of the
+    P systems.  ``fun(x, *params)`` maps N points x (N, q), with the params
+    of their rows, to (F, residual, J) of shapes (N, q), (N,) and (N, q, q):
+    the defects F_i = x_i (1 + t_i(x)) - 1, their max magnitude per row, and
+    the Jacobians dF/dx.  Each row takes its own path: a Newton step is
+    halved until it keeps x positive and lowers the residual; if no halving
+    does, the damped Picard step x <- (x + x / (F + 1)) / 2 is taken instead.
     Once the residual is below tol, at most _POLISH_STEPS full steps polish
     the root while the relative step max|J^-1 F| / x exceeds _POLISH_RTOL.
-    Returns (x, residual, iterations).
+    Only unfinished rows are carried and evaluated, and all halvings of a
+    step in one call; the first that succeeds is taken, as a loop over
+    halvings would.
+    Returns (x, residual, iterations) per row; a row that does not converge
+    in max_iter iterations is NaN in x, with its best residual and max_iter
+    iterations, or raises FixedPointError if the call is unbatched
+    (``shape`` is ()).
     """
     x = np.array(x0, dtype=float)
-    f, res, jac = fun(x)
-    best = res
-    polished = 0
-    for it in range(1, settings.max_iter + 1):
-        try:
-            step = np.linalg.solve(jac, f)
-        except np.linalg.LinAlgError:
-            step = np.full_like(x, np.nan)
-        if res < settings.tol:
+    tol = settings.tol
+    halvings = 0.5 ** np.arange(1, _MAX_HALVINGS)[:, None]  # exact powers of two
+    out_x, out_res = np.full_like(x, np.nan), np.empty(len(x))
+    iters = np.full(len(x), settings.max_iter)
+    # state of the unfinished rows only; rows maps it back to the batch
+    rows, args = np.arange(len(x)), list(params)
+    with np.errstate(all="ignore"):  # trial points off the positive orthant
+        f, res, jac = fun(x, *args)
+        best, polished = res.copy(), np.zeros(len(x), dtype=int)
+        for it in range(1, settings.max_iter + 1):
+            step = _solve(jac, f)
             trial = x - step
-            if (polished == _POLISH_STEPS or not np.all(trial > 0)
-                    or not np.max(np.abs(step) / x) > _POLISH_RTOL):
-                return x, res, it
-            ft, rt, jt = fun(trial)
-            if not rt < settings.tol:
-                return x, res, it
-            polished += 1
-        else:
-            t = 1.0
-            for _ in range(_MAX_HALVINGS):
-                trial = x - t * step
-                if np.all(trial > 0):
-                    ft, rt, jt = fun(trial)
-                    if rt < res:
-                        break
-                t *= 0.5
-            else:
-                trial = 0.5 * (x + x / (f + 1.0))
-                ft, rt, jt = fun(trial)
-        x, f, res, jac = trial, ft, rt, jt
-        best = min(best, res)
-    raise FixedPointError(
-        f"{what}: no convergence after {settings.max_iter} iterations "
-        f"(best residual {best:.3e})", residual=best, iters=settings.max_iter)
+            positive = (trial > 0).all(axis=1)
+            converged = res < tol
+            done = converged & ((polished == _POLISH_STEPS) | ~positive
+                                | ~((np.abs(step) / x).max(axis=1) > _POLISH_RTOL))
+            ft, rt, jt = fun(trial, *args)
+            polish = converged & ~done & (rt < tol)
+            done |= converged & ~polish
+            pending = np.flatnonzero(~converged & ~(positive & (rt < res)))
+            if pending.size:
+                half = (x[pending, None] - halvings * step[pending, None]).reshape(-1, x.shape[1])
+                owner = np.repeat(pending, len(halvings))
+                fh, rh, jh = fun(half, *(a[owner] for a in args))
+                ok = ((half > 0).all(axis=1) & (rh < res[owner])).reshape(len(pending), -1)
+                found = ok.any(axis=1)
+                take = np.flatnonzero(found) * len(halvings) + ok.argmax(axis=1)[found]
+                at = pending[found]
+                trial[at], ft[at], rt[at], jt[at] = half[take], fh[take], rh[take], jh[take]
+                at = pending[~found]
+                if at.size:
+                    picard = 0.5 * (x[at] + x[at] / (f[at] + 1.0))
+                    fp_, rp_, jp_ = fun(picard, *(a[at] for a in args))
+                    trial[at], ft[at], rt[at], jt[at] = picard, fp_, rp_, jp_
+            polished = polished + polish
+            if done.any():  # finished rows keep x; drop them from the state
+                out_x[rows[done]], out_res[rows[done]], iters[rows[done]] = x[done], res[done], it
+                keep = ~done
+                rows, args = rows[keep], [a[keep] for a in args]
+                trial, ft, rt, jt = trial[keep], ft[keep], rt[keep], jt[keep]
+                best, polished = best[keep], polished[keep]
+                if not rows.size:
+                    break
+            x, f, res, jac = trial, ft, rt, jt
+            best = np.fmin(best, res)
+    out_res[rows] = best
+    _raise_unbatched(shape, np.isnan(out_x[:, 0]), f"{what}: no convergence after {settings.max_iter} "
+                     f"iterations (best residual {out_res[0]:.3e})",
+                     residual=out_res[0], iters=settings.max_iter)
+    return out_x, out_res, iters
 
 
 # ---------------------------------------------------------------------------
@@ -138,27 +229,25 @@ def _newton(fun, x0: np.ndarray, settings: SolverSettings,
 
 @dataclass(frozen=True)
 class RPJointConstants:
-    """Constants of the joint random-projection equivalent.
+    """Constants of the joint random-projection equivalent, in the batch shape.
 
     (e1, e2, tau) solve the nonlinear stage; (u1, u2, rho) solve the affine
-    stage for the recorded target spectrum b.  rho_prime = rho / (gamma tau^2)
-    is the numerically natural scaling of rho.
+    stage for the recorded target spectrum b (atom values).  rho_prime =
+    rho / (gamma tau^2) is the numerically natural scaling of rho.
     """
 
-    e1: float
-    e2: float
-    tau: float
-    u1: float
-    u2: float
-    rho: float
-    rho_prime: float
+    e1: float | np.ndarray
+    e2: float | np.ndarray
+    tau: float | np.ndarray
+    u1: float | np.ndarray
+    u2: float | np.ndarray
+    rho: float | np.ndarray
+    rho_prime: float | np.ndarray
     b: np.ndarray
 
 
 def solve_rp_joint_nonlinear(spectrum: JointSpectrum, regime: ScalingRegime,
-                             lam: float,
-                             settings: SolverSettings = DEFAULT_SETTINGS,
-                             ) -> tuple[float, float, float, float, int]:
+                             lam, settings: SolverSettings = DEFAULT_SETTINGS):
     """Solve for (e1, e2, tau) of the joint random-projection system.
 
     The defining equations are
@@ -169,33 +258,38 @@ def solve_rp_joint_nonlinear(spectrum: JointSpectrum, regime: ScalingRegime,
     Returns (e1, e2, tau, residual, iters).
     """
     lam = _effective_lambda(lam, settings)
-    sig = np.stack([spectrum.sigma1, spectrum.sigma2])
-    p = np.array([regime.p1, regime.p2])
-    psi, gamma, w = regime.psi, regime.gamma, spectrum.weights
+    shape, params = _batch(spectrum, regime.psi, regime.gamma, lam)
+    s1, s2 = spectrum.sigma1, spectrum.sigma2
+    p1, p2 = regime.p1, regime.p2
+    # atom values traced against K^-1, and against K^-2 for the Jacobian
+    by_k = np.stack([s1, s2])
+    by_k2 = np.stack([s1, s2, s1 * s1, s1 * s2, s2 * s2])
 
-    def fun(x):
-        e, tau = x[:2], x[2]
-        pe = p * e
-        inv_k = 1.0 / (gamma * tau * (pe @ sig) + lam)
-        inv_k2 = inv_k * inv_k
-        tr = sig @ (w * inv_k)
-        q = sig @ (w * inv_k2)
-        tt = (sig * (w * inv_k2)) @ sig.T
-        f = np.append(e * (1.0 + psi * tau * tr) - 1.0, tau * (1.0 + pe @ tr) - 1.0)
-        jac = np.empty((3, 3))
-        jac[:2, :2] = np.diag(1.0 + psi * tau * tr) - gamma * psi * tau ** 2 * np.outer(e, p) * tt
-        jac[:2, 2] = psi * lam * e * q
-        jac[2, :2] = lam * tau * p * q
-        jac[2, 2] = 1.0 + lam * (pe @ q)
-        return f, float(np.max(np.abs(f))), jac
+    def fun(x, w, psi, gamma, lam):
+        e1, e2, tau = x[:, :1], x[:, 1:2], x[:, 2:]
+        inv_k = 1.0 / (gamma * tau * (p1 * e1 * s1 + p2 * e2 * s2) + lam)
+        wk = w * inv_k
+        tr1, tr2 = _traces(wk, by_k)
+        q1, q2, t11, t12, t22 = _traces(wk * inv_k, by_k2)
+        d1, d2 = 1.0 + psi * tau * tr1, 1.0 + psi * tau * tr2
+        f = np.concatenate([e1 * d1 - 1.0, e2 * d2 - 1.0,
+                            tau * (1.0 + (p1 * e1 * tr1 + p2 * e2 * tr2)) - 1.0], axis=1)
+        g = gamma * psi * tau ** 2
+        jac = _matrix([
+            [d1 - g * (e1 * p1) * t11, -g * (e1 * p2) * t12, psi * lam * e1 * q1],
+            [-g * (e2 * p1) * t12, d2 - g * (e2 * p2) * t22, psi * lam * e2 * q2],
+            [lam * tau * p1 * q1, lam * tau * p2 * q2,
+             1.0 + lam * (p1 * e1 * q1 + p2 * e2 * q2)],
+        ])
+        return f, np.abs(f).max(axis=1), jac
 
-    x, res, iters = _newton(fun, np.ones(3), settings, "rp-joint (e, tau) stage")
-    return float(x[0]), float(x[1]), float(x[2]), res, iters
+    x, res, iters = _newton(fun, np.ones((len(params[0]), 3)), params, settings,
+                            "rp-joint (e, tau) stage", shape)
+    return _unbatch(shape, x[:, 0], x[:, 1], x[:, 2], res, iters)
 
 
 def solve_rp_joint_linear(spectrum: JointSpectrum, regime: ScalingRegime,
-                          lam: float, e1: float, e2: float, tau: float,
-                          b: np.ndarray,
+                          lam, e1, e2, tau, b: np.ndarray,
                           settings: SolverSettings = DEFAULT_SETTINGS,
                           ) -> RPJointConstants:
     """Solve the affine stage for (u1, u2, rho) given (e1, e2, tau) and target b.
@@ -210,43 +304,41 @@ def solve_rp_joint_linear(spectrum: JointSpectrum, regime: ScalingRegime,
     """
     lam = _effective_lambda(lam, settings)
     b = np.asarray(b, dtype=float)
-    if b.shape != spectrum.counts.shape or np.any(b < 0):
+    if b.shape != spectrum.sigma1.shape or np.any(b < 0):
         raise ValueError("target spectrum b must be nonnegative, one entry per atom")
-    s1, s2 = spectrum.sigma1, spectrum.sigma2
+    shape, (w, psi, gamma, lam, e1, e2, tau) = _batch(
+        spectrum, regime.psi, regime.gamma, lam, e1, e2, tau)
+    s1, s2, tr = spectrum.sigma1, spectrum.sigma2, _trace(w)
     p1, p2 = regime.p1, regime.p2
-    psi, gamma = regime.psi, regime.gamma
 
     ell = p1 * e1 * s1 + p2 * e2 * s2
     k = gamma * tau * ell + lam
     inv_k2 = 1.0 / k ** 2
 
     def tr2(a, c):
-        return spectrum.tr(a * c * inv_k2)
+        return tr(a * c * inv_k2)
 
     t11, t12, t22 = tr2(s1, s1), tr2(s1, s2), tr2(s2, s2)
-    t1, t2 = spectrum.tr(s1 * inv_k2), spectrum.tr(s2 * inv_k2)
-    tb1, tb2, tb = tr2(b, s1), tr2(b, s2), spectrum.tr(b * inv_k2)
-    tll = spectrum.tr(ell * ell * inv_k2)
+    t1, t2 = tr(s1 * inv_k2), tr(s2 * inv_k2)
+    tb1, tb2, tb = tr2(b, s1), tr2(b, s2), tr(b * inv_k2)
+    tll = tr(ell * ell * inv_k2)
 
     gt2 = gamma * tau ** 2
     c1 = psi * e1 ** 2
     c2 = psi * e2 ** 2
+    lg = lam ** 2 / gamma
     # Unknowns (u1, u2, rho'); rho = gamma tau^2 rho'.
-    mat = np.array([
+    mat = _matrix([
         [1.0 - c1 * gt2 * p1 * t11, -c1 * gt2 * p2 * t12, -c1 * gt2 * t1],
         [-c2 * gt2 * p1 * t12, 1.0 - c2 * gt2 * p2 * t22, -c2 * gt2 * t2],
-        [-(lam ** 2 / gamma) * p1 * t1, -(lam ** 2 / gamma) * p2 * t2,
-         1.0 - gamma * tau ** 2 * tll],
+        [-lg * p1 * t1, -lg * p2 * t2, 1.0 - gamma * tau ** 2 * tll],
     ])
-    rhs = np.array([c1 * gt2 * tb1, c2 * gt2 * tb2, (lam ** 2 / gamma) * tb])
-    try:
-        u1, u2, rho_prime = np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise FixedPointError(
-            "rp-joint affine stage is singular (near a phase boundary)") from exc
-    rho = gamma * tau ** 2 * rho_prime
-    return RPJointConstants(e1=e1, e2=e2, tau=tau, u1=float(u1), u2=float(u2),
-                            rho=float(rho), rho_prime=float(rho_prime), b=b)
+    rhs = np.hstack([c1 * gt2 * tb1, c2 * gt2 * tb2, lg * tb])
+    u1, u2, rho_prime = _solve(mat, rhs).T
+    _raise_unbatched(shape, np.isnan(u1),
+                     "rp-joint affine stage is singular (near a phase boundary)")
+    rho = gt2[:, 0] * rho_prime
+    return RPJointConstants(*_unbatch(shape, e1, e2, tau, u1, u2, rho, rho_prime), b=b)
 
 
 # ---------------------------------------------------------------------------
@@ -258,18 +350,17 @@ class RPSeparateConstants:
     """Single-group constants of the separate random-projection equivalent."""
 
     group: int
-    e: float
-    tau: float
-    u: float
-    rho: float
-    rho_prime: float
-    residual: float
-    iters: int
+    e: float | np.ndarray
+    tau: float | np.ndarray
+    u: float | np.ndarray
+    rho: float | np.ndarray
+    rho_prime: float | np.ndarray
+    residual: float | np.ndarray
+    iters: int | np.ndarray
 
 
 def solve_rp_separate(spectrum: JointSpectrum, regime: ScalingRegime, s: int,
-                      lam_s: float,
-                      settings: SolverSettings = DEFAULT_SETTINGS,
+                      lam_s, settings: SolverSettings = DEFAULT_SETTINGS,
                       ) -> RPSeparateConstants:
     """Constants for a random-projection model trained on group s alone.
 
@@ -283,42 +374,42 @@ def solve_rp_separate(spectrum: JointSpectrum, regime: ScalingRegime, s: int,
     rho' = rho / (gamma tau^2)).
     """
     lam = _effective_lambda(lam_s, settings)
+    shape, params = _batch(spectrum, regime.psi_s(s), regime.gamma, lam)
     sig = spectrum.sigma(s)
-    psi_s, gamma = regime.psi_s(s), regime.gamma
 
-    def fun(x):
-        e, tau = x
+    def fun(x, w, psi_s, gamma, lam):
+        e, tau = x[:, :1], x[:, 1:]
         inv_k = 1.0 / (gamma * tau * e * sig + lam)
-        tr = spectrum.tr(sig * inv_k)
-        lq = lam * spectrum.tr(sig * inv_k * inv_k)
-        f = np.array([e * (1.0 + psi_s * tau * tr) - 1.0, tau * (1.0 + e * tr) - 1.0])
-        jac = np.array([[1.0 + psi_s * tau * lq, psi_s * e * lq], [tau * lq, 1.0 + e * lq]])
-        return f, float(np.max(np.abs(f))), jac
+        wk = w * (sig * inv_k)
+        t = wk.sum(axis=1, keepdims=True)
+        lq = lam * (wk * inv_k).sum(axis=1, keepdims=True)
+        f = np.concatenate([e * (1.0 + psi_s * tau * t) - 1.0, tau * (1.0 + e * t) - 1.0],
+                           axis=1)
+        jac = _matrix([[1.0 + psi_s * tau * lq, psi_s * e * lq],
+                       [tau * lq, 1.0 + e * lq]])
+        return f, np.abs(f).max(axis=1), jac
 
-    x, res, iters = _newton(fun, np.ones(2), settings,
-                            f"rp-separate (e, tau) stage, group {s}")
-    e, tau = float(x[0]), float(x[1])
+    x, res, iters = _newton(fun, np.ones((len(params[0]), 2)), params, settings,
+                            f"rp-separate (e, tau) stage, group {s}", shape)
+    e, tau = x[:, :1], x[:, 1:]
+    w, psi_s, gamma, lam = params
+    tr = _trace(w)
 
     k = gamma * tau * e * sig + lam
     inv_k2 = 1.0 / k ** 2
-    s2k = spectrum.tr(sig * sig * inv_k2)
-    s1k = spectrum.tr(sig * inv_k2)
+    s2k = tr(sig * sig * inv_k2)
+    s1k = tr(sig * inv_k2)
     gt2 = gamma * tau ** 2
     ce = psi_s * e ** 2
+    lg = lam ** 2 / gamma
     # Unknowns (u, rho'); rho = gamma tau^2 rho'.
-    mat = np.array([
-        [1.0 - ce * gt2 * s2k, -ce * gt2 * s1k],
-        [-(lam ** 2 / gamma) * s1k, 1.0 - gamma * (tau * e) ** 2 * s2k],
-    ])
-    rhs = np.array([ce * gt2 * s2k, (lam ** 2 / gamma) * s1k])
-    try:
-        u, rho_prime = np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise FixedPointError(
-            f"rp-separate affine stage is singular for group {s}") from exc
-    rho = gamma * tau ** 2 * rho_prime
-    return RPSeparateConstants(group=s, e=e, tau=tau, u=float(u), rho=float(rho),
-                               rho_prime=float(rho_prime), residual=res, iters=iters)
+    mat = _matrix([[1.0 - ce * gt2 * s2k, -ce * gt2 * s1k],
+                   [-lg * s1k, 1.0 - gamma * (tau * e) ** 2 * s2k]])
+    rhs = np.hstack([ce * gt2 * s2k, lg * s1k])
+    u, rho_prime = _solve(mat, rhs).T
+    _raise_unbatched(shape, np.isnan(u), f"rp-separate affine stage is singular for group {s}")
+    rho = gt2[:, 0] * rho_prime
+    return RPSeparateConstants(s, *_unbatch(shape, e, tau, u, rho, rho_prime, res, iters))
 
 
 # ---------------------------------------------------------------------------
@@ -326,57 +417,60 @@ def solve_rp_separate(spectrum: JointSpectrum, regime: ScalingRegime, s: int,
 # ---------------------------------------------------------------------------
 
 def solve_classical_joint_nonlinear(spectrum: JointSpectrum, regime: ScalingRegime,
-                                    lam: float,
-                                    settings: SolverSettings = DEFAULT_SETTINGS,
-                                    ) -> tuple[float, float, float, int]:
-    """Solve 1/e_s = 1 + phi tr_bar(Sigma_s K^-1), K = p1 e1 Sigma1 + p2 e2 Sigma2 + lam I."""
+                                    lam, settings: SolverSettings = DEFAULT_SETTINGS):
+    """Solve 1/e_s = 1 + phi tr_bar(Sigma_s K^-1), K = p1 e1 Sigma1 + p2 e2 Sigma2 + lam I.
+
+    Returns (e1, e2, residual, iters).
+    """
     lam = _effective_lambda(lam, settings)
-    sig = np.stack([spectrum.sigma1, spectrum.sigma2])
-    p = np.array([regime.p1, regime.p2])
-    phi, w = regime.phi, spectrum.weights
+    shape, params = _batch(spectrum, regime.phi, lam)
+    s1, s2 = spectrum.sigma1, spectrum.sigma2
+    p1, p2 = regime.p1, regime.p2
+    by_k = np.stack([s1, s2])
+    by_k2 = np.stack([s1 * s1, s1 * s2, s2 * s2])
 
-    def fun(x):
-        inv_k = 1.0 / ((p * x) @ sig + lam)
-        tr = sig @ (w * inv_k)
-        tt = (sig * (w * inv_k * inv_k)) @ sig.T
-        f = x * (1.0 + phi * tr) - 1.0
-        jac = np.diag(1.0 + phi * tr) - phi * np.outer(x, p) * tt
-        return f, float(np.max(np.abs(f))), jac
+    def fun(x, w, phi, lam):
+        e1, e2 = x[:, :1], x[:, 1:]
+        inv_k = 1.0 / (p1 * e1 * s1 + p2 * e2 * s2 + lam)
+        wk = w * inv_k
+        tr1, tr2 = _traces(wk, by_k)
+        t11, t12, t22 = _traces(wk * inv_k, by_k2)
+        d1, d2 = 1.0 + phi * tr1, 1.0 + phi * tr2
+        f = np.concatenate([e1 * d1 - 1.0, e2 * d2 - 1.0], axis=1)
+        jac = _matrix([[d1 - phi * (e1 * p1) * t11, -phi * (e1 * p2) * t12],
+                       [-phi * (e2 * p1) * t12, d2 - phi * (e2 * p2) * t22]])
+        return f, np.abs(f).max(axis=1), jac
 
-    x, res, iters = _newton(fun, np.ones(2), settings, "classical-joint e stage")
-    return float(x[0]), float(x[1]), res, iters
+    x, res, iters = _newton(fun, np.ones((len(params[0]), 2)), params, settings,
+                            "classical-joint e stage", shape)
+    return _unbatch(shape, x[:, 0], x[:, 1], res, iters)
 
 
 def solve_classical_joint_linear(spectrum: JointSpectrum, regime: ScalingRegime,
-                                 lam: float, e1: float, e2: float, s: int,
-                                 settings: SolverSettings = DEFAULT_SETTINGS,
-                                 ) -> tuple[float, float]:
+                                 lam, e1, e2, s: int,
+                                 settings: SolverSettings = DEFAULT_SETTINGS):
     """Exact 2x2 solve for (u1, u2) targeting evaluation group s."""
     lam = _effective_lambda(lam, settings)
-    s1, s2 = spectrum.sigma1, spectrum.sigma2
-    p1, p2, phi = regime.p1, regime.p2, regime.phi
+    shape, (w, phi, lam, e1, e2) = _batch(spectrum, regime.phi, lam, e1, e2)
+    s1, s2, tr = spectrum.sigma1, spectrum.sigma2, _trace(w)
+    p1, p2 = regime.p1, regime.p2
     k = p1 * e1 * s1 + p2 * e2 * s2 + lam
     inv_k2 = 1.0 / k ** 2
     sig_s = spectrum.sigma(s)
 
-    t11 = spectrum.tr(s1 * s1 * inv_k2)
-    t12 = spectrum.tr(s1 * s2 * inv_k2)
-    t22 = spectrum.tr(s2 * s2 * inv_k2)
-    ts1 = spectrum.tr(sig_s * s1 * inv_k2)
-    ts2 = spectrum.tr(sig_s * s2 * inv_k2)
+    t11 = tr(s1 * s1 * inv_k2)
+    t12 = tr(s1 * s2 * inv_k2)
+    t22 = tr(s2 * s2 * inv_k2)
+    ts1 = tr(sig_s * s1 * inv_k2)
+    ts2 = tr(sig_s * s2 * inv_k2)
 
     c1, c2 = phi * e1 ** 2, phi * e2 ** 2
-    mat = np.array([
-        [1.0 - c1 * p1 * t11, -c1 * p2 * t12],
-        [-c2 * p1 * t12, 1.0 - c2 * p2 * t22],
-    ])
-    rhs = np.array([c1 * ts1, c2 * ts2])
-    try:
-        u1, u2 = np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise FixedPointError(
-            "classical-joint affine stage is singular (near a phase boundary)") from exc
-    return float(u1), float(u2)
+    mat = _matrix([[1.0 - c1 * p1 * t11, -c1 * p2 * t12],
+                   [-c2 * p1 * t12, 1.0 - c2 * p2 * t22]])
+    u1, u2 = _solve(mat, np.hstack([c1 * ts1, c2 * ts2])).T
+    _raise_unbatched(shape, np.isnan(u1),
+                     "classical-joint affine stage is singular (near a phase boundary)")
+    return _unbatch(shape, u1, u2)
 
 
 # ---------------------------------------------------------------------------
@@ -503,9 +597,8 @@ def solve_mp(gamma: float, lam: float,
         raise ValueError("need gamma > 0 and lam > 0")
 
     def fun(x):
-        m = x[0]
-        f = m * (lam + 1.0 / (1.0 + gamma * m)) - 1.0
-        return np.array([f]), abs(f), np.array([[lam + 1.0 / (1.0 + gamma * m) ** 2]])
+        f = x * (lam + 1.0 / (1.0 + gamma * x)) - 1.0
+        return f, np.abs(f[:, 0]), (lam + 1.0 / (1.0 + gamma * x) ** 2)[:, :, None]
 
-    x, _, _ = _newton(fun, np.ones(1), settings, "white-covariance resolvent")
-    return float(x[0])
+    x, _, _ = _newton(fun, np.ones((1, 1)), [], settings, "white-covariance resolvent", ())
+    return float(x[0, 0])

@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import fixed_point as fp
 from .spectra import JointSpectrum, ScalingRegime, dof
 
@@ -30,32 +32,45 @@ EDD_SINGULAR = 1e-12
 _CLAMP_SLACK = 1e-10
 
 
-def _clamp_nonneg(value: float, scale: float, what: str) -> float:
-    if value >= 0.0 or math.isnan(value):
-        return value
-    if value >= -_CLAMP_SLACK * scale:
-        return 0.0
-    raise ValueError(f"{what} is negative beyond numerical slack: {value}")
+def _col(value):
+    """A per-row value (scalar or (P,)) as a column against the atom axis."""
+    return np.asarray(value)[..., None]
+
+
+def _clamp_nonneg(value, scale, what: str):
+    """value with negatives inside numerical slack rounded up to 0.
+
+    A value negative beyond the slack raises ValueError when unbatched and
+    marks its row NaN (failed) in a batch.
+    """
+    value = np.asarray(value, dtype=float)
+    beyond = value < -_CLAMP_SLACK * scale
+    if value.ndim == 0 and beyond:
+        raise ValueError(f"{what} is negative beyond numerical slack: {value}")
+    return np.where(beyond, np.nan, np.where(value < 0.0, 0.0, value))[()]
 
 
 @dataclass(frozen=True)
 class RiskDecomposition:
-    """Bias/variance split of one group's test risk under one training mode."""
+    """Bias/variance split of one group's test risk under one training mode.
 
-    bias: float
-    variance: float
+    bias and variance are floats, or (P,) arrays for a batch of grid points.
+    """
+
+    bias: float | np.ndarray
+    variance: float | np.ndarray
     group: int
     mode: str
     family: str
 
     def __post_init__(self):
-        scale = max(1.0, abs(self.bias) + abs(self.variance))
+        scale = np.maximum(1.0, np.abs(self.bias) + np.abs(self.variance))
         object.__setattr__(self, "bias", _clamp_nonneg(self.bias, scale, "bias"))
         object.__setattr__(self, "variance",
                            _clamp_nonneg(self.variance, scale, "variance"))
 
     @property
-    def total(self) -> float:
+    def total(self):
         return self.bias + self.variance
 
 
@@ -65,18 +80,19 @@ class BiasAmpMetrics:
 
     odd: risk gap of the single model trained on both groups.
     edd: risk gap of the per-group models.
-    add: odd / edd, or None when the separate gap is numerically zero.
+    add: odd / edd, or None when the separate gap is numerically zero (NaN
+    in a batch).
     Signed gaps (group 2 minus group 1) are kept alongside the absolute
     values because absolute-value estimators are biased near zero.
     """
 
-    odd: float
-    edd: float
-    add: float | None
-    signed_odd: float
-    signed_edd: float
+    odd: float | np.ndarray
+    edd: float | np.ndarray
+    add: float | np.ndarray | None
+    signed_odd: float | np.ndarray
+    signed_edd: float | np.ndarray
 
-    def columns(self) -> dict[str, float]:
+    def columns(self) -> dict:
         """The five gap quantities under their sweep names; an undefined ratio is NaN."""
         return {"odd": self.odd, "edd": self.edd,
                 "add": math.nan if self.add is None else self.add,
@@ -84,17 +100,26 @@ class BiasAmpMetrics:
 
 
 def metrics(r1_joint, r2_joint, r1_sep, r2_sep) -> BiasAmpMetrics:
-    """Gap metrics from the four per-group risks (decompositions or totals)."""
-    vals = [r.total if isinstance(r, RiskDecomposition) else float(r)
+    """Gap metrics from the four per-group risks (decompositions or totals).
+
+    The risks may be (P,) arrays.  A non-finite risk raises ValueError when
+    unbatched and gives its row NaN gaps in a batch.
+    """
+    vals = [np.asarray(r.total if isinstance(r, RiskDecomposition) else r, dtype=float)
             for r in (r1_joint, r2_joint, r1_sep, r2_sep)]
-    if not all(math.isfinite(v) for v in vals):
-        raise ValueError(f"risks must be finite, got {vals}")
+    finite = np.all(np.isfinite(vals), axis=0)
+    if finite.ndim == 0 and not finite:
+        raise ValueError(f"risks must be finite, got {[float(v) for v in vals]}")
+    vals = [np.where(finite, v, np.nan) for v in vals]
     signed_odd = vals[1] - vals[0]
     signed_edd = vals[3] - vals[2]
-    odd, edd = abs(signed_odd), abs(signed_edd)
-    add = odd / edd if edd > EDD_SINGULAR else None
-    return BiasAmpMetrics(odd=odd, edd=edd, add=add,
-                          signed_odd=signed_odd, signed_edd=signed_edd)
+    odd, edd = np.abs(signed_odd), np.abs(signed_edd)
+    defined = edd > EDD_SINGULAR
+    add = np.divide(odd, edd, out=np.full(odd.shape, np.nan), where=defined)
+    if add.ndim == 0:
+        add = float(add) if defined else None
+    return BiasAmpMetrics(odd=odd[()], edd=edd[()], add=add,
+                          signed_odd=signed_odd[()], signed_edd=signed_edd[()])
 
 
 # ---------------------------------------------------------------------------
@@ -102,11 +127,13 @@ def metrics(r1_joint, r2_joint, r1_sep, r2_sep) -> BiasAmpMetrics:
 # ---------------------------------------------------------------------------
 
 def h_joint(k: int, j: int, a, constants: fp.RPJointConstants,
-            spectrum: JointSpectrum, regime: ScalingRegime, lam: float) -> float:
+            spectrum: JointSpectrum, regime: ScalingRegime, lam):
     """Auxiliary trace functionals h_j^(1..4) of the joint equivalent.
 
     ``a`` is the left spectral weight, atom values or a scalar; k >= 2 uses
     the target spectrum b the affine stage of ``constants`` was solved with.
+    Constants, rates and the penalty may be per-row arrays, giving one value
+    per row.
     """
     if j not in (1, 2):
         raise ValueError(f"group index must be 1 or 2, got {j}")
@@ -116,38 +143,40 @@ def h_joint(k: int, j: int, a, constants: fp.RPJointConstants,
     e = {1: constants.e1, 2: constants.e2}
     u = {1: constants.u1, 2: constants.u2}
     tau, rho, gamma = constants.tau, constants.rho, regime.gamma
+    c = _col
 
-    ell = regime.p1 * e[1] * spectrum.sigma1 + regime.p2 * e[2] * spectrum.sigma2
-    kay = gamma * tau * ell + lam
+    ell = c(regime.p1 * e[1]) * spectrum.sigma1 + c(regime.p2 * e[2]) * spectrum.sigma2
+    kay = c(gamma * tau) * ell + c(lam)
     if k == 1:
         return p_j * gamma * e[j] * tau * spectrum.tr(a * sig_j / kay)
 
     b = constants.b
     inv_k2 = 1.0 / kay ** 2
     if k == 2:
-        core = (gamma * e[j] * tau ** 2 * b
-                + p_jp * gamma * tau ** 2 * sig_jp * (e[j] * u[jp] - e[jp] * u[j])
-                + e[j] * rho - lam * u[j] * tau)
+        core = (c(gamma * e[j] * tau ** 2) * b
+                + c(p_jp * gamma * tau ** 2) * sig_jp * c(e[j] * u[jp] - e[jp] * u[j])
+                + c(e[j] * rho) - c(lam * u[j] * tau))
         return p_j * gamma * spectrum.tr(a * sig_j * core * inv_k2)
     if k == 3:
-        core = (gamma * e[j] ** 2 * p_j * sig_j
-                * (p_jp * gamma * tau ** 2 * u[jp] * sig_jp + gamma * tau ** 2 * b + rho)
-                + u[j] * (p_jp * gamma * e[jp] * tau * sig_jp + lam) ** 2)
+        core = (c(gamma * e[j] ** 2 * p_j) * sig_j
+                * (c(p_jp * gamma * tau ** 2 * u[jp]) * sig_jp + c(gamma * tau ** 2) * b
+                   + c(rho))
+                + c(u[j]) * (c(p_jp * gamma * e[jp] * tau) * sig_jp + c(lam)) ** 2)
         return p_j * spectrum.tr(a * sig_j * core * inv_k2)
     if k == 4:
-        core = (gamma * tau ** 2 * (e[j] * e[jp] * b
-                                    - p_j * e[j] ** 2 * u[jp] * sig_j
-                                    - p_jp * e[jp] ** 2 * u[j] * sig_jp)
-                - lam * tau * (e[j] * u[jp] + e[jp] * u[j])
-                + e[j] * e[jp] * rho)
+        core = (c(gamma * tau ** 2) * (c(e[j] * e[jp]) * b
+                                       - c(p_j * e[j] ** 2 * u[jp]) * sig_j
+                                       - c(p_jp * e[jp] ** 2 * u[j]) * sig_jp)
+                - c(lam * tau * (e[j] * u[jp] + e[jp] * u[j]))
+                + c(e[j] * e[jp] * rho))
         return p_j * gamma * p_jp * spectrum.tr(sig_j * sig_jp * a * core * inv_k2)
     raise ValueError(f"functional index must be 1..4, got {k}")
 
 
-def rp_joint_risk(spectrum: JointSpectrum, regime: ScalingRegime, lam: float,
-                  sigma_sqs: tuple[float, float], s: int,
+def rp_joint_risk(spectrum: JointSpectrum, regime: ScalingRegime, lam,
+                  sigma_sqs: tuple, s: int,
                   settings: fp.SolverSettings = fp.DEFAULT_SETTINGS,
-                  nonlinear: tuple[float, float, float] | None = None,
+                  nonlinear: tuple | None = None,
                   ) -> RiskDecomposition:
     """Test risk of the single random-projection model on group s.
 
@@ -183,8 +212,8 @@ def rp_joint_risk(spectrum: JointSpectrum, regime: ScalingRegime, lam: float,
 # Random projections, separate model per group.
 # ---------------------------------------------------------------------------
 
-def rp_separate_risk(spectrum: JointSpectrum, regime: ScalingRegime, lam_s: float,
-                     sigma_s_sq: float, s: int,
+def rp_separate_risk(spectrum: JointSpectrum, regime: ScalingRegime, lam_s,
+                     sigma_s_sq, s: int,
                      settings: fp.SolverSettings = fp.DEFAULT_SETTINGS,
                      constants: fp.RPSeparateConstants | None = None,
                      ) -> RiskDecomposition:
@@ -198,18 +227,20 @@ def rp_separate_risk(spectrum: JointSpectrum, regime: ScalingRegime, lam_s: floa
         spectrum, regime, s, lam, settings)
     sig = spectrum.sigma(s)
     gamma, phi_s = regime.gamma, regime.phi_s(s)
-    kay = gamma * c.tau * c.e * sig + lam
+    kay = _col(gamma * c.tau * c.e) * sig + _col(lam)
     inv_k2 = 1.0 / kay ** 2
 
     h2 = gamma * spectrum.tr(
-        sig * (gamma * c.e * c.tau ** 2 * sig + c.e * c.rho - lam * c.u * c.tau)
+        sig * (_col(gamma * c.e * c.tau ** 2) * sig + _col(c.e * c.rho)
+               - _col(lam * c.u * c.tau))
         * inv_k2)
     variance = sigma_s_sq * phi_s * h2
 
     theta_s = spectrum.theta_s(s)
     h3 = spectrum.tr(
         theta_s * sig
-        * (gamma * c.e ** 2 * sig * (gamma * c.tau ** 2 * sig + c.rho) + lam ** 2 * c.u)
+        * (_col(gamma * c.e ** 2) * sig * (_col(gamma * c.tau ** 2) * sig + _col(c.rho))
+           + _col(lam ** 2 * c.u))
         * inv_k2)
     h1 = gamma * c.e * c.tau * spectrum.tr(theta_s * sig * sig / kay)
     bias = spectrum.tr(theta_s * sig) + h3 - 2.0 * h1
@@ -258,10 +289,10 @@ def rp_separate_risk_unregularized(spectrum: JointSpectrum, regime: ScalingRegim
 # Classical ridge, joint model.
 # ---------------------------------------------------------------------------
 
-def classical_joint_risk(spectrum: JointSpectrum, regime: ScalingRegime, lam: float,
-                         sigma_sqs: tuple[float, float], s: int,
+def classical_joint_risk(spectrum: JointSpectrum, regime: ScalingRegime, lam,
+                         sigma_sqs: tuple, s: int,
                          settings: fp.SolverSettings = fp.DEFAULT_SETTINGS,
-                         nonlinear: tuple[float, float] | None = None,
+                         nonlinear: tuple | None = None,
                          ) -> RiskDecomposition:
     """Test risk of the single classical ridge model on group s."""
     lam = fp._effective_lambda(lam, settings)
@@ -278,14 +309,15 @@ def classical_joint_risk(spectrum: JointSpectrum, regime: ScalingRegime, lam: fl
     u = {1: u1, 2: u2}
     p = {1: p1, 2: p2}
     sig_s = sig[s]
-    kay = p1 * e1 * s1 + p2 * e2 * s2 + lam
+    c = _col
+    kay = c(p1 * e1) * s1 + c(p2 * e2) * s2 + c(lam)
     inv_k2 = 1.0 / kay ** 2
 
     variance = 0.0
     for k in (1, 2):
         kp = 3 - k
-        core = (e[k] * sig_s - lam * u[k]
-                + p[kp] * sig[kp] * (e[k] * u[kp] - e[kp] * u[k]))
+        core = (c(e[k]) * sig_s - c(lam * u[k])
+                + p[kp] * sig[kp] * c(e[k] * u[kp] - e[kp] * u[k]))
         variance += (p[k] * sigma_sqs[k - 1] * phi
                      * spectrum.tr(sig[k] * core * inv_k2))
 
@@ -294,17 +326,17 @@ def classical_joint_risk(spectrum: JointSpectrum, regime: ScalingRegime, lam: fl
     # Weight-shift contribution from the other group's share of the design.
     b1 = p[sp] * spectrum.tr(
         delta * sig[sp]
-        * (p[sp] * (1.0 + p[s] * u[s]) * e[sp] ** 2 * sig[sp] * sig_s
-           + u[sp] * (p[s] * e[s] * sig_s + lam) ** 2) * inv_k2)
+        * (c(p[sp] * (1.0 + p[s] * u[s]) * e[sp] ** 2) * sig[sp] * sig_s
+           + c(u[sp]) * (c(p[s] * e[s]) * sig_s + c(lam)) ** 2) * inv_k2)
     # Shrinkage contribution through the weight covariance of group s.
     b3 = lam ** 2 * spectrum.tr(
-        spectrum.theta_s(s) * (p1 * u1 * s1 + p2 * u2 * s2 + sig_s) * inv_k2)
+        spectrum.theta_s(s) * (c(p1 * u1) * s1 + c(p2 * u2) * s2 + sig_s) * inv_k2)
     bias = b1 + b3
     if s == 2:
         # Cross term between the weight shift and the shrinkage; linear in the
         # shift spectrum, so it vanishes when the groups share their weights.
         b2 = p1 * lam * spectrum.tr(
-            delta * s1 * ((1.0 + p2 * u2) * e1 * s2 - u1 * (p2 * e2 * s2 + lam))
+            delta * s1 * (c((1.0 + p2 * u2) * e1) * s2 - c(u1) * (c(p2 * e2) * s2 + c(lam)))
             * inv_k2)
         bias += 2.0 * b2
     return RiskDecomposition(bias=bias, variance=variance, group=s,
@@ -315,26 +347,39 @@ def classical_joint_risk(spectrum: JointSpectrum, regime: ScalingRegime, lam: fl
 # Classical ridge, separate model per group.
 # ---------------------------------------------------------------------------
 
-def classical_separate_risk(spectrum: JointSpectrum, phi_s: float, lam_s: float,
-                            sigma_s_sq: float, s: int,
+def classical_separate_risk(spectrum: JointSpectrum, phi_s, lam_s, sigma_s_sq, s: int,
                             settings: fp.SolverSettings = fp.DEFAULT_SETTINGS,
                             ) -> RiskDecomposition:
-    """Test risk of a classical ridge model trained on group s alone."""
-    sig, w = spectrum.sigma(s), spectrum.weights
-    kappa = fp.solve_kappa(sig, w, phi_s, lam_s, settings)
-    df2 = dof(sig, w, 2, 2, kappa)
+    """Test risk of a classical ridge model trained on group s alone.
+
+    The effective shift is bracketed row by row; a batch row whose shift has
+    no root is NaN.
+    """
+    sig = spectrum.sigma(s)
+    shape = np.broadcast_shapes(spectrum.weights.shape[:-1], np.shape(phi_s),
+                                np.shape(lam_s))
+    weights = np.broadcast_to(spectrum.weights, shape + sig.shape).reshape(-1, sig.size)
+    phis = np.broadcast_to(phi_s, shape).ravel()
+    lams = np.broadcast_to(lam_s, shape).ravel()
+    kappa = np.empty(len(weights))
+    df2 = np.empty(len(weights))
+    for i, w in enumerate(weights):
+        try:
+            kappa[i] = fp.solve_kappa(sig, w, phis[i], lams[i], settings)
+        except fp.FixedPointError:
+            if shape == ():
+                raise
+            kappa[i] = math.nan
+        df2[i] = dof(sig, w, 2, 2, kappa[i])
+    kappa, df2 = kappa.reshape(shape), df2.reshape(shape)
     denom = 1.0 - phi_s * df2
-    if denom <= 0:
-        variance = math.inf
-        bias = math.inf
-    else:
-        variance = sigma_s_sq * phi_s * df2 / denom
-        if kappa == 0.0:
-            bias = 0.0
-        else:
-            theta_s = spectrum.theta_s(s)
-            bias = kappa ** 2 * spectrum.tr(theta_s * sig / (sig + kappa) ** 2) / denom
-    return RiskDecomposition(bias=bias, variance=variance, group=s,
+    theta_s = spectrum.theta_s(s)
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows that end up inf or 0
+        variance = np.where(denom <= 0, math.inf, sigma_s_sq * phi_s * df2 / denom)
+        bias = np.where(denom <= 0, math.inf, np.where(
+            kappa == 0.0, 0.0,
+            kappa ** 2 * spectrum.tr(theta_s * sig / (sig + _col(kappa)) ** 2) / denom))
+    return RiskDecomposition(bias=bias[()], variance=variance[()], group=s,
                              mode=MODE_SEPARATE, family=FAMILY_CLASSICAL)
 
 
@@ -371,7 +416,8 @@ class TheorySummary:
 
     residual is the largest residual and iters the total iteration count
     over the nonlinear solves: the joint one, plus for random projections
-    the two separate-model ones.
+    the two separate-model ones.  For a batch every field holds one entry
+    per row.
     """
 
     r1_joint: RiskDecomposition
@@ -379,15 +425,26 @@ class TheorySummary:
     r1_sep: RiskDecomposition
     r2_sep: RiskDecomposition
     gaps: BiasAmpMetrics
-    residual: float = 0.0
-    iters: int = 0
+    residual: float | np.ndarray = 0.0
+    iters: int | np.ndarray = 0
+
+    @property
+    def failed(self):
+        """Rows with a risk that is not finite: a failed solve, or a negative term."""
+        return ~np.isfinite(self.r1_joint.total + self.r2_joint.total
+                            + self.r1_sep.total + self.r2_sep.total)
 
 
 def theory_risks(spectrum: JointSpectrum, regime: ScalingRegime, family: str,
-                 sigma_sqs: tuple[float, float], lam_joint: float,
-                 lam_sep: tuple[float, float],
+                 sigma_sqs: tuple, lam_joint, lam_sep: tuple,
                  settings: fp.SolverSettings = fp.DEFAULT_SETTINGS) -> TheorySummary:
-    """Joint and separate per-group risks for one model family."""
+    """Joint and separate per-group risks for one model family.
+
+    Every argument but the family may carry a batch: a stacked spectrum,
+    per-row rates, noise levels and penalties.  A batch row whose solve
+    fails has NaN risks (``TheorySummary.failed``) and leaves the other
+    rows as they would be without it; an unbatched call raises instead.
+    """
     lam_joint = fp._effective_lambda(lam_joint, settings)
     if family == FAMILY_RP:
         e1, e2, tau, res, iters = fp.solve_rp_joint_nonlinear(
@@ -401,8 +458,8 @@ def theory_risks(spectrum: JointSpectrum, regime: ScalingRegime, family: str,
         r1s, r2s = (rp_separate_risk(spectrum, regime, lam_s, sigma_s_sq, s, settings,
                                      constants=c)
                     for s, lam_s, sigma_s_sq, c in zip((1, 2), lam_sep, sigma_sqs, seps))
-        res = max(res, *(c.residual for c in seps))
-        iters += sum(c.iters for c in seps)
+        res = np.maximum(res, np.maximum(seps[0].residual, seps[1].residual))
+        iters = iters + seps[0].iters + seps[1].iters
     elif family == FAMILY_CLASSICAL:
         e1, e2, res, iters = fp.solve_classical_joint_nonlinear(
             spectrum, regime, lam_joint, settings)

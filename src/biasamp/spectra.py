@@ -8,6 +8,11 @@ sum over atoms weighted by counts / d (``JointSpectrum.tr``).  Isotropic
 spectra are one atom and diatomic (two-block) spectra two, so their theory
 costs the same at any d; a power-law spectrum is d atoms.  Only the simulator
 expands atoms, with ``np.repeat(atoms, counts)``.
+
+A stack of P spectra over the same atoms (say, the diatomic spectra of a
+sweep's grid, whose block sizes vary with d) is one ``JointSpectrum`` with
+counts of shape (P, atoms); its d, weights and traces then carry a leading
+axis of P rows, which is how the theory solves a whole grid at once.
 """
 
 from __future__ import annotations
@@ -21,11 +26,12 @@ import numpy as np
 class JointSpectrum:
     """Atoms of the four population matrices in their common basis.
 
-    counts: multiplicity of each atom; d = counts.sum().
+    counts: multiplicity of each atom, shape (atoms,), or (P, atoms) for a
+        stack of P spectra; d = counts.sum(-1).
     sigma1, sigma2: group feature covariances (may contain zeros).
     theta: covariance of the shared ground-truth weights (scaled by 1/d).
     delta: covariance of the group-2 weight shift (scaled by 1/d).
-    weights: counts / d, the trace weight of each atom.
+    weights: counts / d, the trace weight of each atom (per row of a stack).
     """
 
     counts: np.ndarray
@@ -33,30 +39,38 @@ class JointSpectrum:
     sigma2: np.ndarray
     theta: np.ndarray
     delta: np.ndarray
-    d: int = field(init=False)
+    d: int | np.ndarray = field(init=False)
     weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         counts = np.asarray(self.counts)
-        if (counts.ndim != 1 or counts.size == 0 or counts.dtype.kind not in "iu"
+        if (counts.ndim not in (1, 2) or counts.size == 0 or counts.dtype.kind not in "iu"
                 or np.any(counts < 1)):
-            raise ValueError(f"counts must be a nonempty list of positive integers: {counts}")
+            raise ValueError("counts must be a nonempty list (or stack of lists) of "
+                             f"positive integers: {counts}")
         object.__setattr__(self, "counts", counts)
+        atoms = counts.shape[-1:]
         for name in ("sigma1", "sigma2", "theta", "delta"):
             arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != counts.shape:
-                raise ValueError(f"{name} must have one entry per atom, got {arr.shape}")
+            if arr.shape != atoms:
+                raise ValueError(f"{name} must have one entry per atom, got {arr.shape} "
+                                 f"against counts of shape {counts.shape}")
             if not np.all(np.isfinite(arr)) or np.any(arr < 0):
                 raise ValueError(f"{name} entries must be finite and nonnegative")
             object.__setattr__(self, name, arr)
         if not np.any(self.sigma1 > 0) or not np.any(self.sigma2 > 0):
             raise ValueError("each group covariance needs at least one positive eigenvalue")
-        object.__setattr__(self, "d", int(counts.sum()))
-        object.__setattr__(self, "weights", counts / self.d)
+        d = counts.sum(axis=-1)
+        object.__setattr__(self, "d", int(d) if counts.ndim == 1 else d)
+        object.__setattr__(self, "weights", counts / np.expand_dims(d, -1))
 
-    def tr(self, values) -> float:
-        """Normalized trace of the diagonal matrix with these atom values."""
-        return float(self.weights @ values)
+    def tr(self, values):
+        """Normalized trace of the diagonal matrix with these atom values.
+
+        ``values`` has atoms on its last axis; a stack, or values that vary
+        per row, give one trace per row.
+        """
+        return (self.weights * values).sum(axis=-1)
 
     def sigma(self, s: int) -> np.ndarray:
         """Feature-covariance eigenvalues of group s in {1, 2}."""
@@ -148,6 +162,8 @@ class ScalingRegime:
 
     phi = features/samples, psi = parameters/samples, gamma = psi/phi.
     Per-group rates divide by the group proportion: phi_s = phi / p_s.
+    phi, gamma, d and m may be arrays of shape (P,), one entry per row of a
+    batch; p1 and n are shared.
     """
 
     p1: float
@@ -160,11 +176,11 @@ class ScalingRegime:
     def __post_init__(self):
         if not 0.0 < self.p1 < 1.0:
             raise ValueError(f"p1 must lie in (0, 1), got {self.p1}")
-        if self.phi <= 0 or self.gamma <= 0:
+        if np.any(np.asarray(self.phi) <= 0) or np.any(np.asarray(self.gamma) <= 0):
             raise ValueError(f"phi and gamma must be positive, got {self.phi}, {self.gamma}")
         for name in ("n", "d", "m"):
             v = getattr(self, name)
-            if v is not None and v < 1:
+            if v is not None and np.any(np.asarray(v) < 1):
                 raise ValueError(f"{name} must be a positive count, got {v}")
 
     @classmethod

@@ -60,6 +60,21 @@ FAMILIES = (risk.FAMILY_RP, risk.FAMILY_CLASSICAL)
 OUT_DIR_ENV = "BIASAMP_OUT_DIR"
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+#: Per field annotation (less any ``| None``): the check a value must pass,
+#: and what the error calls it.
+_TYPES = {
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "float": (_is_number, "a number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "tuple[float, ...]": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)),
+                          "a list of numbers"),
+}
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Flat, JSON-round-trippable description of one sweep."""
@@ -91,6 +106,11 @@ class SweepConfig:
     out_csv: str | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            check, kind = _TYPES[f.type.removesuffix(" | None")]
+            if not (check(v) or (v is None and f.type.endswith("| None"))):
+                raise ValueError(f"{f.name} must be {kind}, got {v!r}")
         if self.scenario not in FIGURES:
             raise ValueError(f"unknown scenario {self.scenario!r}; "
                              f"choose from {tuple(FIGURES)}")
@@ -238,11 +258,62 @@ def _size(rate: float, n: int) -> int:
     return max(1, round(rate * n))
 
 
-def evaluate_point(config: SweepConfig, index: int, point: dict,
-                   theory_lam: float) -> SweepRow:
-    """Theory plus optional Monte Carlo at one grid coordinate.
+def _theory_rows(config: SweepConfig, grid: list[dict]) -> list[tuple[dict, list[str]]]:
+    """Per grid point: its theory and solver cells, and its flags.
 
-    ``theory_lam`` is the point's penalty, already floored for the solvers.
+    Points whose spectra share atom values are solved as one batch: every
+    isotropic point, every diatomic point (block sizes, hence weights, vary
+    per row) and the power-law points of one d.  Each distinct penalty is
+    floored once here, so a zero penalty warns once.
+    """
+    n = config.n
+    floored = {lam: fp._effective_lambda(lam, fp.DEFAULT_SETTINGS)
+               for lam in {p["lam"] for p in grid}}
+    d = [_size(p["phi"], n) for p in grid]
+    spectra = {size: config.build_spectrum(size) for size in set(d)}
+    atoms = {size: np.stack([s.sigma1, s.sigma2, s.theta, s.delta]).tobytes()
+             for size, s in spectra.items()}
+    batches: dict[bytes, list[int]] = {}
+    for i, size in enumerate(d):
+        batches.setdefault(atoms[size], []).append(i)
+
+    out: list[tuple[dict, list[str]]] = [({}, [])] * len(grid)
+    for rows in batches.values():
+        first = spectra[d[rows[0]]]
+        spectrum = JointSpectrum(np.stack([spectra[d[i]].counts for i in rows]),
+                                 first.sigma1, first.sigma2, first.theta, first.delta)
+        dims = np.array([d[i] for i in rows])
+        if config.family == risk.FAMILY_RP:
+            m = np.array([_size(grid[i]["psi"], n) for i in rows])
+            regime = ScalingRegime.from_counts(n, dims, m, config.p1)
+        else:
+            regime = ScalingRegime(p1=config.p1, phi=dims / n, gamma=1.0, n=n, d=dims)
+        sigma2_sq = (config.sigma1_sq * np.array([grid[i]["c"] for i in rows])
+                     if config.c_grid else config.sigma2_sq)
+        lam = np.array([floored[grid[i]["lam"]] for i in rows])
+        th = risk.theory_risks(spectrum, regime, config.family,
+                               (config.sigma1_sq, sigma2_sq), lam, (lam, lam))
+        columns = {"r1_joint": th.r1_joint.total, "r2_joint": th.r2_joint.total,
+                   "r1_sep": th.r1_sep.total, "r2_sep": th.r2_sep.total,
+                   **th.gaps.columns()}
+        columns = {f"theory_{k}": v.tolist() for k, v in columns.items()}
+        failed = th.failed.tolist()
+        residual, iters = th.residual.tolist(), th.iters.tolist()
+        for j, i in enumerate(rows):
+            cells = {k: math.nan if failed[j] else v[j] for k, v in columns.items()}
+            cells.update(solver_residual=residual[j], solver_iters=iters[j])
+            flags = (["solver-failure"] if failed[j] else
+                     ["add-undefined"] if math.isnan(cells["theory_add"]) else [])
+            out[i] = (cells, flags)
+    return out
+
+
+def evaluate_point(config: SweepConfig, index: int, point: dict, theory: dict,
+                   flags: list[str]) -> SweepRow:
+    """One CSV row: a grid coordinate, its theory and optional Monte Carlo.
+
+    ``theory`` holds the point's ``theory_*`` and solver cells and ``flags``
+    its flags, from the batched theory solve.
     """
     n = config.n
     d = _size(point["phi"], n)
@@ -250,15 +321,12 @@ def evaluate_point(config: SweepConfig, index: int, point: dict,
     lam = point["lam"]
     c = point["c"]
     sigma2_sq = config.sigma1_sq * c if c is not None else config.sigma2_sq
-    sig_sqs = (config.sigma1_sq, sigma2_sq)
 
-    spectrum = config.build_spectrum(d)
     phi = d / n
     gamma = (m / d) if m is not None else 1.0
     psi = phi * gamma
-    regime = ScalingRegime(p1=config.p1, phi=phi, gamma=gamma, n=n, d=d, m=m)
 
-    flags: list[str] = []
+    flags = list(flags)
     values: dict[str, object] = {
         "scenario": config.scenario, "phi": phi, "psi": psi if m is not None else "",
         "gamma": gamma if m is not None else "", "lambda": lam,
@@ -267,32 +335,13 @@ def evaluate_point(config: SweepConfig, index: int, point: dict,
         "psi_requested": point["psi"] if point["psi"] is not None else "",
         "n": n, "d": d, "m": m if m is not None else "",
         "replicates": config.replicates,
+        **theory,
     }
-
-    try:
-        th = risk.theory_risks(spectrum, regime, config.family, sig_sqs, theory_lam,
-                               (theory_lam, theory_lam))
-        theory = {
-            "r1_joint": th.r1_joint.total, "r2_joint": th.r2_joint.total,
-            "r1_sep": th.r1_sep.total, "r2_sep": th.r2_sep.total,
-            **th.gaps.columns(),
-        }
-        if th.gaps.add is None:
-            flags.append("add-undefined")
-        residual, iters = th.residual, th.iters
-    except fp.FixedPointError as exc:
-        theory = {k: float("nan") for k in QUANTITIES}
-        residual = exc.residual if exc.residual is not None else float("nan")
-        iters = exc.iters if exc.iters is not None else 0
-        flags.append("solver-failure")
-    for k, v in theory.items():
-        values[f"theory_{k}"] = v
-
     for k in QUANTITIES:
         values[f"emp_{k}_mean"] = values[f"emp_{k}_std"] = ""
     if config.replicates > 0 and "solver-failure" not in flags:
-        sim = SimConfig(spectrum=spectrum, n=n, p1=config.p1,
-                        sigma1_sq=sig_sqs[0], sigma2_sq=sig_sqs[1],
+        sim = SimConfig(spectrum=config.build_spectrum(d), n=n, p1=config.p1,
+                        sigma1_sq=config.sigma1_sq, sigma2_sq=sigma2_sq,
                         family=config.family, lam_joint=lam, lam1=lam, lam2=lam,
                         m=m)
         # Replicate streams are keyed by (base_seed, grid index) so row results
@@ -307,21 +356,15 @@ def evaluate_point(config: SweepConfig, index: int, point: dict,
                 values[f"emp_{k}_mean"] = report[k].mean
                 values[f"emp_{k}_std"] = report[k].std
 
-    values["solver_residual"] = residual
-    values["solver_iters"] = iters
     values["flags"] = ";".join(flags)
     return SweepRow(index=index, values=values, flags=flags)
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
-    """Evaluate every grid point, in grid-index order.
-
-    Each distinct penalty is floored once here, so a zero penalty warns once.
-    """
+    """Solve the theory for the whole grid, then build the rows in grid-index order."""
     grid = _grid(config)
-    floored = {lam: fp._effective_lambda(lam, fp.DEFAULT_SETTINGS)
-               for lam in {p["lam"] for p in grid}}
-    rows = [evaluate_point(config, i, p, floored[p["lam"]]) for i, p in enumerate(grid)]
+    theory = _theory_rows(config, grid)
+    rows = [evaluate_point(config, i, p, *theory[i]) for i, p in enumerate(grid)]
     return SweepResult(config=config, rows=rows)
 
 

@@ -94,6 +94,20 @@ class TestConfig:
         ("replicates", dict(replicates=1)),
         ("lam", dict(lam=0.0)),
         ("lambda_grid", dict(lambda_grid=(1e-3, 0.0))),
+        ("n", dict(n="20")),
+        ("n", dict(n=20.0)),
+        ("replicates", dict(replicates=True)),
+        ("base_seed", dict(base_seed=None)),
+        ("lam", dict(lam="1e-3")),
+        ("p1", dict(p1=False)),
+        ("sigma2_sq", dict(sigma2_sq=[1.0])),
+        ("a1", dict(a1=None)),
+        ("phi_grid", dict(phi_grid=0.5)),
+        ("psi_grid", dict(psi_grid=(0.5, "1.0"))),
+        ("lambda_grid", dict(lambda_grid=(True,))),
+        ("scenario", dict(scenario=3)),
+        ("family", dict(family=None)),
+        ("out_csv", dict(out_csv=["a.csv"])),
     ])
     def test_bad_values_rejected_naming_the_key(self, key, overrides):
         with pytest.raises(ValueError, match=rf"^{key} "):
@@ -348,6 +362,23 @@ class TestCLI:
                        "--out", str(tmp_path / "p.svg"), "--logx"])
         assert rc == 0
         assert (tmp_path / "p.svg").exists()
+
+    def test_plot_leaves_out_series_without_points(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(tiny_config().to_json())
+        cli_main(["sweep", str(cfg_path), "--out-dir", str(tmp_path), "--theory-only"])
+        capsys.readouterr()
+        plot = ["plot", str(tmp_path / "sweep.csv"), "--x", "psi", "--logx",
+                "--out", str(tmp_path / "p.svg")]
+        assert cli_main(plot + ["--y", "theory_odd", "emp_odd_mean"]) == 0
+        text = (tmp_path / "p.svg").read_text()
+        assert "theory_odd" in text and "emp_odd_mean" not in text
+        assert "left out emp_odd_mean" in capsys.readouterr().err
+        (tmp_path / "p.svg").unlink()
+        assert cli_main(plot + ["--y", "emp_odd_mean", "emp_edd_mean"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("biasamp plot: ") and err.count("\n") == 1
+        assert not (tmp_path / "p.svg").exists()
 
     def test_mp_check_small(self, capsys):
         rc = cli_main(["mp-check", "--gamma", "1.0", "--lam", "1.0",
