@@ -8,6 +8,12 @@ estimates.  Only this module expands a spectrum's atoms to coordinates.
 Randomness is counter-based: every stream is a Philox generator keyed by
 (base seed, replicate index, purpose), so results are independent of
 execution order and identical across reruns.
+
+A random-projection ridge fit depends on its d x m map S only through
+A = S S^T, by the push-through identity
+S (S^T C S + lam I)^-1 S^T = A (C A + lam I)^-1.  So when m > d the simulator
+draws the d x d Bartlett factor P of A's Wishart law in place of S
+(``draw_projection``) and fits on n x d projected features, not n x m.
 """
 
 from __future__ import annotations
@@ -142,12 +148,31 @@ def fit_classical(dataset: Dataset, subset, lam: float) -> FittedModel:
     return FittedModel(w_hat=w, family="classical", trained_on=subset, lam=lam)
 
 
+def draw_projection(rng: Generator, d: int, m: int) -> np.ndarray:
+    """A d x m projection with N(0, 1/d) entries, or its d x d Bartlett factor when m > d.
+
+    For m <= d this is ``rng.standard_normal((d, m)) / sqrt(d)``.  For m > d
+    it is P = L / sqrt(d) with L lower triangular, so that P P^T has the law
+    of S S^T, Wishart(m, I / d).  The draws are taken in this order: first d
+    chi-squares with m, m - 1, ..., m - d + 1 degrees of freedom, whose square
+    roots fill the diagonal; then d (d - 1) / 2 standard normals, which fill
+    the strictly lower triangle row by row.
+    """
+    if m <= d:
+        return rng.standard_normal((d, m)) / np.sqrt(d)
+    factor = np.diag(np.sqrt(rng.chisquare(m - np.arange(d))))
+    factor[np.tril_indices(d, -1)] = rng.standard_normal(d * (d - 1) // 2)
+    return factor / np.sqrt(d)
+
+
 def fit_rp(dataset: Dataset, subset, lam: float, m: int,
            projection: np.ndarray | Generator) -> FittedModel:
     """Ridge fit on randomly projected features; weights mapped back to ambient space.
 
-    ``projection`` is either a d x m matrix with N(0, 1/d) entries or a
-    generator to draw one from.
+    ``projection`` is a d x m matrix S with N(0, 1/d) entries; when m > d, a
+    d x d factor P in its place (the fit depends on it only through P P^T, so
+    P with P P^T = S S^T gives S's weights); or a generator to draw either
+    from with ``draw_projection``.  The model records the width m.
     """
     if lam <= 0:
         raise ValueError(f"penalty must be positive, got {lam}")
@@ -155,11 +180,12 @@ def fit_rp(dataset: Dataset, subset, lam: float, m: int,
         raise ValueError(f"projection width must be positive, got {m}")
     d = dataset.d
     if isinstance(projection, Generator):
-        s_mat = projection.standard_normal((d, m)) / np.sqrt(d)
+        s_mat = draw_projection(projection, d, m)
     else:
         s_mat = np.asarray(projection, dtype=float)
-        if s_mat.shape != (d, m):
-            raise ValueError(f"projection must be {d} x {m}, got {s_mat.shape}")
+        if s_mat.shape != (d, m) and not (m > d and s_mat.shape == (d, d)):
+            raise ValueError(f"projection must be {d} x {m}, or {d} x {d} when "
+                             f"m > d, got {s_mat.shape}")
     mask = dataset.rows(subset)
     r = int(np.sum(mask))
     if r == 0:
@@ -224,12 +250,17 @@ class MonteCarloReport:
 
 
 def run_replicate(config: SimConfig, base_seed: int, replicate: int) -> dict[str, float]:
-    """Fit the joint and both separate models on one fresh draw; exact risks."""
+    """Fit the joint and both separate models on one fresh draw; exact risks.
+
+    Random-projection fits share one ``draw_projection`` from the replicate's
+    ``projection`` stream: the d x m map, or its d x d Bartlett factor when
+    m > d.
+    """
     data = sample_dataset(config.spectrum, config.n, config.p1,
                           (config.sigma1_sq, config.sigma2_sq), base_seed, replicate)
     if config.family == "random-projection":
-        proj = stream(base_seed, replicate, "projection").standard_normal(
-            (data.d, config.m)) / np.sqrt(data.d)
+        proj = draw_projection(stream(base_seed, replicate, "projection"),
+                               data.d, config.m)
         joint = fit_rp(data, TRAIN_BOTH, config.lam_joint, config.m, proj)
         sep1 = fit_rp(data, 1, config.lam1, config.m, proj)
         sep2 = fit_rp(data, 2, config.lam2, config.m, proj)
@@ -275,5 +306,6 @@ def monte_carlo(config: SimConfig, replicates: int, base_seed: int) -> MonteCarl
             std=float(np.std(finite, ddof=1)) if finite.size > 1 else float("nan"),
             count=int(finite.size))
     ledger = {"base_seed": base_seed, "replicates": replicates,
-              "rng": "philox keyed by (base_seed, replicate * n_purposes + purpose)"}
+              "rng": "philox keyed by (base_seed, replicate * n_purposes + purpose)",
+              "projection": "d × m Gaussian; its d × d Bartlett factor when m > d"}
     return MonteCarloReport(quantities=quantities, seed_ledger=ledger)

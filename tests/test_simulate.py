@@ -137,6 +137,52 @@ class TestFits:
         assert r_p == pytest.approx(r_c, rel=0.10)
 
 
+class TestProjectionDraw:
+    @pytest.mark.parametrize("n", [10, 80])
+    def test_push_through_is_exact(self, n):
+        # d = 6, m = 30: at n = 80 every design is primal (q <= rows); at
+        # n = 10 the width-m designs and the group-only width-d designs are dual
+        d, m, lam = 6, 30, 0.1
+        spec = small_spectrum(d=d)
+        data = sim.sample_dataset(spec, n, 0.5, (1.0, 0.5), base_seed=12)
+        s_mat = np.random.default_rng(3).standard_normal((d, m)) / np.sqrt(d)
+        factor = np.linalg.cholesky(s_mat @ s_mat.T)
+        for subset in (sim.TRAIN_BOTH, 1, 2):
+            wide = sim.fit_rp(data, subset, lam, m, s_mat)
+            square = sim.fit_rp(data, subset, lam, m, factor)
+            assert square.m == m
+            assert (np.linalg.norm(square.w_hat - wide.w_hat)
+                    <= 1e-9 * np.linalg.norm(wide.w_hat))
+
+    def test_bartlett_factor_has_the_wishart_law(self):
+        d, m, draws = 4, 9, 10_000
+        rng = sim.stream(2024, 0, "projection")
+        grams = np.empty((draws, d, d))
+        for k in range(draws):
+            p = sim.draw_projection(rng, d, m)
+            assert p.shape == (d, d)
+            grams[k] = p @ p.T
+        mean = grams.mean(axis=0)
+        var = grams.var(axis=0, ddof=1)
+        centred4 = np.mean((grams - mean) ** 4, axis=0)
+        expect_var = m * (1.0 + np.eye(d)) / d ** 2
+        assert np.all(np.abs(mean - m / d * np.eye(d)) <= 4 * np.sqrt(var / draws))
+        assert np.all(np.abs(var - expect_var)
+                      <= 4 * np.sqrt((centred4 - var ** 2) / draws))
+
+    @pytest.mark.parametrize("m", [5, 12])
+    def test_narrow_draw_is_the_plain_gaussian(self, m):
+        d = 12
+        got = sim.draw_projection(sim.stream(7, 3, "projection"), d, m)
+        want = sim.stream(7, 3, "projection").standard_normal((d, m)) / np.sqrt(d)
+        assert got.tobytes() == want.tobytes()
+
+    def test_square_projection_needs_m_above_d(self):
+        data = sim.sample_dataset(small_spectrum(d=6), 20, 0.5, (1.0, 1.0), base_seed=13)
+        with pytest.raises(ValueError, match="6 x 4, or 6 x 6 when m > d"):
+            sim.fit_rp(data, sim.TRAIN_BOTH, 0.1, 4, np.eye(6))
+
+
 class TestRisks:
     def test_perfect_weights_have_zero_risk(self):
         spec = small_spectrum()
