@@ -157,7 +157,8 @@ def _validate_fig2(seed: int, replicates: int) -> bool:
             sim = SimConfig(spectrum=spec, n=n, p1=0.5, sigma1_sq=1.0,
                             sigma2_sq=1e-5, family=risk.FAMILY_RP,
                             lam_joint=lam, lam1=lam, lam2=lam, m=m)
-            rep = monte_carlo(sim, replicates, base_seed=seed + round(1000 * (phi + 10 * psi)))
+            [rep] = monte_carlo([sim], replicates,
+                                base_seed=seed + round(1000 * (phi + 10 * psi)))
             for key, dec in (("r1_joint", th.r1_joint), ("r2_joint", th.r2_joint),
                              ("r1_sep", th.r1_sep), ("r2_sep", th.r2_sep)):
                 st = rep[key]

@@ -7,7 +7,10 @@ estimates.  Only this module expands a spectrum's atoms to coordinates.
 
 Randomness is counter-based: every stream is a Philox generator keyed by
 (base seed, replicate index, purpose), so results are independent of
-execution order and identical across reruns.
+execution order and identical across reruns.  Monte Carlo runs per
+population, the grid points that share a spectrum, n and noise: each
+replicate samples one dataset for all of them and one projection per width,
+so the points' estimates use common random numbers and are correlated.
 
 A random-projection ridge fit depends on its d x m map S only through
 A = S S^T, by the push-through identity
@@ -18,6 +21,7 @@ draws the d x d Bartlett factor P of A's Wishart law in place of S
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,10 +60,14 @@ class Dataset:
     n1: int
     n2: int
 
-    def rows(self, subset) -> np.ndarray:
-        """Boolean mask of the training rows for a subset spec."""
+    def rows(self, subset) -> slice | np.ndarray:
+        """Index of the training rows for a subset spec.
+
+        All rows as a slice, so that indexing with it copies nothing; one
+        group as a boolean mask.
+        """
         if subset == TRAIN_BOTH:
-            return np.ones(self.n, dtype=bool)
+            return slice(None)
         if subset in (1, 2):
             return self.groups == subset
         raise ValueError(f"subset must be 'both', 1 or 2, got {subset!r}")
@@ -81,8 +89,9 @@ def sample_dataset(spectrum: JointSpectrum, n: int, p1: float,
     if not 0.0 < p1 < 1.0:
         raise ValueError(f"p1 must lie in (0, 1), got {p1}")
     d = spectrum.d
-    theta, delta, sigma1, sigma2 = (np.repeat(a, spectrum.counts) for a in (
-        spectrum.theta, spectrum.delta, spectrum.sigma1, spectrum.sigma2))
+    theta, delta = (np.repeat(a, spectrum.counts) for a in (spectrum.theta, spectrum.delta))
+    sqrt_sigma = np.sqrt(np.repeat(np.stack([spectrum.sigma1, spectrum.sigma2]),
+                                   spectrum.counts, axis=1))
 
     groups = 1 + (stream(base_seed, replicate, "group").random(n) >= p1).astype(int)
     if len(np.unique(groups)) < 2:
@@ -96,13 +105,11 @@ def sample_dataset(spectrum: JointSpectrum, n: int, p1: float,
     w1 = rng_w.standard_normal(d) * np.sqrt(theta / d)
     w2 = w1 + rng_w.standard_normal(d) * np.sqrt(delta / d)
 
-    z = stream(base_seed, replicate, "features").standard_normal((n, d))
-    scale = np.where((groups == 1)[:, None], np.sqrt(sigma1), np.sqrt(sigma2))
-    x = z * scale
-
-    w_rows = np.where((groups == 1)[:, None], w1, w2)
+    # Scaled in place, and each n x d temporary freed before the next is made.
+    x = stream(base_seed, replicate, "features").standard_normal((n, d))
+    x *= sqrt_sigma[groups - 1]
     noise_sd = np.sqrt(np.where(groups == 1, sigma_sqs[0], sigma_sqs[1]))
-    y = np.einsum("ij,ij->i", x, w_rows)
+    y = np.einsum("ij,ij->i", x, np.stack([w1, w2])[groups - 1])
     y = y + stream(base_seed, replicate, "noise").standard_normal(n) * noise_sd
 
     n1 = int(np.sum(groups == 1))
@@ -125,27 +132,73 @@ class FittedModel:
             raise ValueError("fitted weights contain non-finite entries")
 
 
-def _ridge_solve(design: np.ndarray, y: np.ndarray, shrink: float) -> np.ndarray:
-    """argmin over v of |design v - y|^2 + shrink |v|^2, in the cheaper dimension."""
+def _ridge_solve(design: np.ndarray, y: np.ndarray, shrinks) -> list[np.ndarray | None]:
+    """argmin over v of |design v - y|^2 + s |v|^2 for each shrink s, in the cheaper dimension.
+
+    One gram serves every shrink; a shrink whose system is singular gives None.
+    The last shrink is added to the gram itself, so that a single shrink
+    allocates no second gram-sized array.
+    """
     r, q = design.shape
-    if q <= r:
-        gram = design.T @ design + shrink * np.eye(q)
-        return np.linalg.solve(gram, design.T @ y)
-    gram = design @ design.T + shrink * np.eye(r)
-    return design.T @ np.linalg.solve(gram, y)
+    primal = q <= r
+    gram = design.T @ design if primal else design @ design.T
+    rhs = design.T @ y if primal else y
+    diagonal = np.diag_indices_from(gram)
+    out = []
+    for k, shrink in enumerate(shrinks):
+        system = gram if k == len(shrinks) - 1 else gram.copy()
+        system[diagonal] += shrink
+        try:
+            v = np.linalg.solve(system, rhs)
+        except np.linalg.LinAlgError:
+            out.append(None)
+            continue
+        out.append(v if primal else design.T @ v)
+    return out
 
 
-def fit_classical(dataset: Dataset, subset, lam: float) -> FittedModel:
-    """Ridge fit in the ambient feature space; objective normalized by its row count."""
-    if lam <= 0:
+def _penalties(lam) -> list[float]:
+    lams = np.atleast_1d(lam).tolist()
+    if not all(v > 0 for v in lams):
         raise ValueError(f"penalty must be positive, got {lam}")
+    return lams
+
+
+def _subset_rows(dataset: Dataset, subset) -> tuple[slice | np.ndarray, int]:
     mask = dataset.rows(subset)
-    r = int(np.sum(mask))
+    r = len(dataset.y[mask])
     if r == 0:
         raise ValueError(f"subset {subset!r} selects no rows")
-    x, y = dataset.x[mask], dataset.y[mask]
-    w = _ridge_solve(x, y, r * lam)
-    return FittedModel(w_hat=w, family="classical", trained_on=subset, lam=lam)
+    return mask, r
+
+
+def _models(lam, weights: list[np.ndarray | None],
+            **fields) -> FittedModel | list[FittedModel | None]:
+    """One model per penalty of ``lam``, None where its fit failed or is not finite.
+
+    For a lone penalty, its model; a failed fit then raises ValueError.
+    """
+    models = [None if w is None or not np.all(np.isfinite(w)) else
+              FittedModel(w_hat=w, lam=v, **fields)
+              for v, w in zip(np.atleast_1d(lam).tolist(), weights)]
+    if np.ndim(lam):
+        return models
+    if models[0] is None:
+        raise ValueError(f"ridge fit at penalty {lam} failed: singular system or "
+                         "non-finite weights")
+    return models[0]
+
+
+def fit_classical(dataset: Dataset, subset, lam) -> FittedModel | list[FittedModel | None]:
+    """Ridge fit in the ambient feature space; objective normalized by its row count.
+
+    ``lam`` is a penalty, giving a ``FittedModel``, or a sequence of them,
+    giving one model per penalty (None where that fit failed) from one gram.
+    """
+    lams = _penalties(lam)
+    mask, r = _subset_rows(dataset, subset)
+    w = _ridge_solve(dataset.x[mask], dataset.y[mask], [r * v for v in lams])
+    return _models(lam, w, family="classical", trained_on=subset)
 
 
 def draw_projection(rng: Generator, d: int, m: int) -> np.ndarray:
@@ -165,17 +218,20 @@ def draw_projection(rng: Generator, d: int, m: int) -> np.ndarray:
     return factor / np.sqrt(d)
 
 
-def fit_rp(dataset: Dataset, subset, lam: float, m: int,
-           projection: np.ndarray | Generator) -> FittedModel:
+def fit_rp(dataset: Dataset, subset, lam, m: int, projection: np.ndarray | Generator,
+           features: np.ndarray | None = None) -> FittedModel | list[FittedModel | None]:
     """Ridge fit on randomly projected features; weights mapped back to ambient space.
 
     ``projection`` is a d x m matrix S with N(0, 1/d) entries; when m > d, a
     d x d factor P in its place (the fit depends on it only through P P^T, so
     P with P P^T = S S^T gives S's weights); or a generator to draw either
-    from with ``draw_projection``.  The model records the width m.
+    from with ``draw_projection``.  ``features``, when given, is
+    ``dataset.x @ projection`` over all rows, formed once for the fits of
+    several subsets; its rows are sliced instead of projecting again.  The
+    model records the width m.  ``lam`` is a penalty or a sequence of them,
+    as in ``fit_classical``.
     """
-    if lam <= 0:
-        raise ValueError(f"penalty must be positive, got {lam}")
+    lams = _penalties(lam)
     if m < 1:
         raise ValueError(f"projection width must be positive, got {m}")
     d = dataset.d
@@ -186,14 +242,11 @@ def fit_rp(dataset: Dataset, subset, lam: float, m: int,
         if s_mat.shape != (d, m) and not (m > d and s_mat.shape == (d, d)):
             raise ValueError(f"projection must be {d} x {m}, or {d} x {d} when "
                              f"m > d, got {s_mat.shape}")
-    mask = dataset.rows(subset)
-    r = int(np.sum(mask))
-    if r == 0:
-        raise ValueError(f"subset {subset!r} selects no rows")
-    z = dataset.x[mask] @ s_mat
-    eta = _ridge_solve(z, dataset.y[mask], r * lam)
-    return FittedModel(w_hat=s_mat @ eta, family="random-projection",
-                       trained_on=subset, lam=lam, m=m)
+    mask, r = _subset_rows(dataset, subset)
+    z = dataset.x[mask] @ s_mat if features is None else features[mask]
+    etas = _ridge_solve(z, dataset.y[mask], [r * v for v in lams])
+    return _models(lam, [None if eta is None else s_mat @ eta for eta in etas],
+                   family="random-projection", trained_on=subset, m=m)
 
 
 def exact_risk(model: FittedModel, spectrum: JointSpectrum, s: int,
@@ -240,72 +293,127 @@ class SummaryStat:
 
 @dataclass
 class MonteCarloReport:
-    """Replicate summaries of the four risks and the gap metrics."""
+    """Replicate summaries of the four risks and the gap metrics.
+
+    ``failure`` says why a point has no estimates (its summaries are then
+    NaN with count 0): a draw or one of its fits failed in some replicate.
+    """
 
     quantities: dict[str, SummaryStat]
     seed_ledger: dict
+    failure: str | None = None
 
     def __getitem__(self, key: str) -> SummaryStat:
         return self.quantities[key]
 
 
-def run_replicate(config: SimConfig, base_seed: int, replicate: int) -> dict[str, float]:
-    """Fit the joint and both separate models on one fresh draw; exact risks.
+def run_replicate(data: Dataset, configs: Sequence[SimConfig],
+                  projection: Generator | None) -> list[dict[str, float] | None]:
+    """Fit every config of one width on one draw; exact risks and gaps per config.
 
-    Random-projection fits share one ``draw_projection`` from the replicate's
-    ``projection`` stream: the d x m map, or its d x d Bartlett factor when
-    m > d.
+    Each subset (joint, group 1, group 2) is fitted once for all the
+    configs' penalties, from one gram.  Random-projection configs share one
+    ``draw_projection`` from ``projection`` (the d x m map, or its d x d
+    Bartlett factor when m > d) and one product x @ P.  A config with a
+    failed fit gets None.
     """
-    data = sample_dataset(config.spectrum, config.n, config.p1,
-                          (config.sigma1_sq, config.sigma2_sq), base_seed, replicate)
-    if config.family == "random-projection":
-        proj = draw_projection(stream(base_seed, replicate, "projection"),
-                               data.d, config.m)
-        joint = fit_rp(data, TRAIN_BOTH, config.lam_joint, config.m, proj)
-        sep1 = fit_rp(data, 1, config.lam1, config.m, proj)
-        sep2 = fit_rp(data, 2, config.lam2, config.m, proj)
+    first = configs[0]
+    penalties = {TRAIN_BOTH: [c.lam_joint for c in configs],
+                 1: [c.lam1 for c in configs], 2: [c.lam2 for c in configs]}
+    if first.family == "random-projection":
+        proj = draw_projection(projection, data.d, first.m)
+        z = data.x @ proj
+        fits = [fit_rp(data, s, lams, first.m, proj, features=z)
+                for s, lams in penalties.items()]
     else:
-        joint = fit_classical(data, TRAIN_BOTH, config.lam_joint)
-        sep1 = fit_classical(data, 1, config.lam1)
-        sep2 = fit_classical(data, 2, config.lam2)
+        fits = [fit_classical(data, s, lams) for s, lams in penalties.items()]
 
-    out = {
-        "r1_joint": exact_risk(joint, config.spectrum, 1, data.w1),
-        "r2_joint": exact_risk(joint, config.spectrum, 2, data.w2),
-        "r1_sep": exact_risk(sep1, config.spectrum, 1, data.w1),
-        "r2_sep": exact_risk(sep2, config.spectrum, 2, data.w2),
-    }
-    return {**out, **metrics(**out).columns()}
+    rows: list[dict[str, float] | None] = []
+    for joint, sep1, sep2 in zip(*fits):
+        if joint is None or sep1 is None or sep2 is None:
+            rows.append(None)
+            continue
+        out = {
+            "r1_joint": exact_risk(joint, first.spectrum, 1, data.w1),
+            "r2_joint": exact_risk(joint, first.spectrum, 2, data.w2),
+            "r1_sep": exact_risk(sep1, first.spectrum, 1, data.w1),
+            "r2_sep": exact_risk(sep2, first.spectrum, 2, data.w2),
+        }
+        rows.append({**out, **metrics(**out).columns()})
+    return rows
 
 
 QUANTITIES = ("r1_joint", "r2_joint", "r1_sep", "r2_sep",
               "odd", "edd", "add", "odd_signed", "edd_signed")
 
 
-def monte_carlo(config: SimConfig, replicates: int, base_seed: int) -> MonteCarloReport:
-    """Aggregate independent replicates into means and standard deviations.
+def monte_carlo(configs: Sequence[SimConfig], replicates: int, base_seed: int,
+                projection_seeds: Sequence[int] | None = None) -> list[MonteCarloReport]:
+    """One report per config, from replicates shared by configs of one population.
 
-    A failed replicate raises ``RuntimeError`` naming it; a draw that leaves
-    a group empty raises its subclass ``DegenerateGroupsError``.
+    The configs share spectrum (one object), n, p1, noise and family; they
+    differ in width and penalties.  Each replicate samples one dataset from
+    streams keyed by ``base_seed``, and the configs of one width share one
+    projection from the stream keyed by the ``projection_seeds`` entry of
+    their first config (``base_seed`` when omitted).  So the estimates of
+    one population use common random numbers and are correlated.
+
+    A failed draw (a group left empty twice: ``DegenerateGroupsError``)
+    fails every config; a failed fit fails its own config only.
     """
     if replicates < 2:
         raise ValueError(f"need at least two replicates, got {replicates}")
-    rows: list[dict[str, float]] = []
+    first = configs[0]
+    population = (first.n, first.p1, first.sigma1_sq, first.sigma2_sq, first.family)
+    if any(c.spectrum is not first.spectrum
+           or (c.n, c.p1, c.sigma1_sq, c.sigma2_sq, c.family) != population
+           for c in configs):
+        raise ValueError("configs must share one population: spectrum, n, p1, "
+                         "noise and family")
+    seeds = [base_seed] * len(configs) if projection_seeds is None else projection_seeds
+    widths: dict[int | None, list[int]] = {}
+    for i, c in enumerate(configs):
+        widths.setdefault(c.m, []).append(i)
+
+    values = np.full((len(configs), replicates, len(QUANTITIES)), np.nan)
+    failure: list[str | None] = [None] * len(configs)
     for rep in range(replicates):
         try:
-            rows.append(run_replicate(config, base_seed, rep))
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise RuntimeError(f"replicate {rep} failed: {exc}") from exc
+            data = sample_dataset(first.spectrum, first.n, first.p1,
+                                  (first.sigma1_sq, first.sigma2_sq), base_seed, rep)
+        except DegenerateGroupsError as exc:
+            failure = [str(exc)] * len(configs)
+            break
+        for idx in widths.values():
+            rng = (stream(seeds[idx[0]], rep, "projection")
+                   if first.family == "random-projection" else None)
+            for i, row in zip(idx, run_replicate(data, [configs[i] for i in idx], rng)):
+                if row is not None:
+                    values[i, rep] = [row[k] for k in QUANTITIES]
+                elif failure[i] is None:
+                    failure[i] = (f"replicate {rep} failed: singular system or "
+                                  "non-finite weights")
 
-    quantities: dict[str, SummaryStat] = {}
-    for key in QUANTITIES:
-        values = np.array([row[key] for row in rows])
-        finite = values[np.isfinite(values)]
-        quantities[key] = SummaryStat(
-            mean=float(np.mean(finite)) if finite.size else float("nan"),
-            std=float(np.std(finite, ddof=1)) if finite.size > 1 else float("nan"),
-            count=int(finite.size))
-    ledger = {"base_seed": base_seed, "replicates": replicates,
-              "rng": "philox keyed by (base_seed, replicate * n_purposes + purpose)",
-              "projection": "d × m Gaussian; its d × d Bartlett factor when m > d"}
-    return MonteCarloReport(quantities=quantities, seed_ledger=ledger)
+    reports = []
+    for i, c in enumerate(configs):
+        if failure[i] is not None:
+            values[i] = np.nan
+        quantities = {}
+        for j, key in enumerate(QUANTITIES):
+            finite = values[i, :, j][np.isfinite(values[i, :, j])]
+            quantities[key] = SummaryStat(
+                mean=float(np.mean(finite)) if finite.size else float("nan"),
+                std=float(np.std(finite, ddof=1)) if finite.size > 1 else float("nan"),
+                count=int(finite.size))
+        ledger = {"base_seed": base_seed, "replicates": replicates,
+                  "rng": "philox keyed by (seed, replicate * n_purposes + purpose); "
+                         "base_seed keys the data streams, shared by every config of "
+                         "the population (common random numbers: their estimates "
+                         "are correlated)"}
+        if c.family == "random-projection":
+            ledger.update(projection_seed=seeds[widths[c.m][0]],
+                          projection="d × m Gaussian, or its d × d Bartlett factor when "
+                                     "m > d; keyed by projection_seed and shared by the "
+                                     "configs of width m")
+        reports.append(MonteCarloReport(quantities, ledger, failure[i]))
+    return reports

@@ -2,7 +2,8 @@
 
 A sweep config is a flat JSON document (unknown keys rejected).  Each grid
 point gets the deterministic-equivalent risks, and Monte-Carlo estimates
-when replicates > 0.  Output is a fixed-schema CSV whose float rendering
+when replicates > 0; the points that share (phi, c) are simulated together,
+from shared draws.  Output is a fixed-schema CSV whose float rendering
 round-trips exactly, so identical config + seed reproduces the file byte
 for byte.
 """
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import fixed_point as fp
 from . import risk
-from .simulate import QUANTITIES, SimConfig, monte_carlo
+from .simulate import QUANTITIES, MonteCarloReport, SimConfig, monte_carlo
 from .spectra import (JointSpectrum, ScalingRegime, make_diatomic, make_isotropic,
                       make_power_law)
 
@@ -308,19 +309,63 @@ def _theory_rows(config: SweepConfig, grid: list[dict]) -> list[tuple[dict, list
     return out
 
 
+def _monte_carlo_rows(config: SweepConfig, grid: list[dict],
+                      theory: list[tuple[dict, list[str]]]) -> list[MonteCarloReport | None]:
+    """Per grid point: its Monte-Carlo report, or None when it is not simulated.
+
+    The points that share (phi, c) share n, d, the spectrum and the noise:
+    one population, simulated by one ``monte_carlo`` call.  Streams are
+    keyed by grid index, so results do not depend on evaluation order: the
+    data by the population's first index and each width's projection by the
+    first index of that width.  A population's first row thus draws what a
+    one-point call at its index draws.  Points flagged ``solver-failure``
+    are not simulated.
+    """
+    out: list[MonteCarloReport | None] = [None] * len(grid)
+    if config.replicates == 0:
+        return out
+    n = config.n
+    populations: dict[tuple, list[int]] = {}
+    for i, p in enumerate(grid):
+        populations.setdefault((p["phi"], p["c"]), []).append(i)
+    for rows in populations.values():
+        phi, c = grid[rows[0]]["phi"], grid[rows[0]]["c"]
+        spectrum = config.build_spectrum(_size(phi, n))
+        sigma2_sq = config.sigma1_sq * c if c is not None else config.sigma2_sq
+        width = {i: _size(grid[i]["psi"], n) if config.family == risk.FAMILY_RP else None
+                 for i in rows}
+        first_of_width: dict[int | None, int] = {}
+        for i in rows:
+            first_of_width.setdefault(width[i], i)
+        simulated = [i for i in rows if "solver-failure" not in theory[i][1]]
+        if not simulated:
+            continue
+        sims = [SimConfig(spectrum=spectrum, n=n, p1=config.p1, sigma1_sq=config.sigma1_sq,
+                          sigma2_sq=sigma2_sq, family=config.family,
+                          lam_joint=grid[i]["lam"], lam1=grid[i]["lam"],
+                          lam2=grid[i]["lam"], m=width[i]) for i in simulated]
+        key = config.base_seed * 1_000_003
+        reports = monte_carlo(sims, config.replicates, base_seed=key + rows[0],
+                              projection_seeds=[key + first_of_width[width[i]]
+                                                for i in simulated])
+        for i, report in zip(simulated, reports):
+            out[i] = report
+    return out
+
+
 def evaluate_point(config: SweepConfig, index: int, point: dict, theory: dict,
-                   flags: list[str]) -> SweepRow:
-    """One CSV row: a grid coordinate, its theory and optional Monte Carlo.
+                   flags: list[str], report: MonteCarloReport | None) -> SweepRow:
+    """One CSV row: a grid coordinate, its theory and its Monte Carlo, if any.
 
     ``theory`` holds the point's ``theory_*`` and solver cells and ``flags``
-    its flags, from the batched theory solve.
+    its flags, from the batched theory solve; ``report`` is its Monte-Carlo
+    report, or None when it was not simulated.
     """
     n = config.n
     d = _size(point["phi"], n)
     m = _size(point["psi"], n) if config.family == risk.FAMILY_RP else None
     lam = point["lam"]
     c = point["c"]
-    sigma2_sq = config.sigma1_sq * c if c is not None else config.sigma2_sq
 
     phi = d / n
     gamma = (m / d) if m is not None else 1.0
@@ -339,32 +384,23 @@ def evaluate_point(config: SweepConfig, index: int, point: dict, theory: dict,
     }
     for k in QUANTITIES:
         values[f"emp_{k}_mean"] = values[f"emp_{k}_std"] = ""
-    if config.replicates > 0 and "solver-failure" not in flags:
-        sim = SimConfig(spectrum=config.build_spectrum(d), n=n, p1=config.p1,
-                        sigma1_sq=config.sigma1_sq, sigma2_sq=sigma2_sq,
-                        family=config.family, lam_joint=lam, lam1=lam, lam2=lam,
-                        m=m)
-        # Replicate streams are keyed by (base_seed, grid index) so row results
-        # do not depend on evaluation order.
-        try:
-            report = monte_carlo(sim, config.replicates,
-                                 base_seed=config.base_seed * 1_000_003 + index)
-        except RuntimeError:  # a failed replicate, or DegenerateGroupsError
-            flags.append("mc-failure")
-        else:
-            for k in QUANTITIES:
-                values[f"emp_{k}_mean"] = report[k].mean
-                values[f"emp_{k}_std"] = report[k].std
+    if report is not None and report.failure is not None:
+        flags.append("mc-failure")
+    elif report is not None:
+        for k in QUANTITIES:
+            values[f"emp_{k}_mean"] = report[k].mean
+            values[f"emp_{k}_std"] = report[k].std
 
     values["flags"] = ";".join(flags)
     return SweepRow(index=index, values=values, flags=flags)
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
-    """Solve the theory for the whole grid, then build the rows in grid-index order."""
+    """Solve the theory for the whole grid, simulate each population, then build the rows."""
     grid = _grid(config)
     theory = _theory_rows(config, grid)
-    rows = [evaluate_point(config, i, p, *theory[i]) for i, p in enumerate(grid)]
+    reports = _monte_carlo_rows(config, grid, theory)
+    rows = [evaluate_point(config, i, p, *theory[i], reports[i]) for i, p in enumerate(grid)]
     return SweepResult(config=config, rows=rows)
 
 

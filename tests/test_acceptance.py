@@ -40,7 +40,7 @@ def test_criterion_1_closed_form_variance():
         cfg = sim.SimConfig(spectrum=spec, n=n, p1=0.5, sigma1_sq=1.0,
                             sigma2_sq=1.0, family="classical", lam_joint=1e-8,
                             lam1=1e-8, lam2=1e-8)
-        rep = sim.monte_carlo(cfg, reps, base_seed=seed)
+        [rep] = sim.monte_carlo([cfg], reps, base_seed=seed)
         st = rep["r1_sep"]
         se = st.std / math.sqrt(st.count)
         z = (st.mean - dec.total) / se
@@ -204,7 +204,7 @@ def test_criterion_6_theory_vs_simulation_two_noise():
             cfg = sim.SimConfig(spectrum=spec, n=n, p1=0.5, sigma1_sq=1.0,
                                 sigma2_sq=1e-5, family=risk.FAMILY_RP,
                                 lam_joint=lam, lam1=lam, lam2=lam, m=m)
-            rep = sim.monte_carlo(cfg, reps,
+            [rep] = sim.monte_carlo([cfg], reps,
                                   base_seed=seed + 100 * round(10 * phi) + round(10 * psi))
             for key, dec in (("r1_joint", th.r1_joint), ("r2_joint", th.r2_joint),
                              ("r1_sep", th.r1_sep), ("r2_sep", th.r2_sep)):
@@ -226,7 +226,7 @@ def test_criterion_6_theory_vs_simulation_two_noise():
         cfg = sim.SimConfig(spectrum=spec, n=n, p1=0.5, sigma1_sq=1.0,
                             sigma2_sq=1e-5, family=risk.FAMILY_CLASSICAL,
                             lam_joint=lam, lam1=lam, lam2=lam)
-        rep = sim.monte_carlo(cfg, reps, base_seed=seed + 31 + round(10 * phi))
+        [rep] = sim.monte_carlo([cfg], reps, base_seed=seed + 31 + round(10 * phi))
         for key, dec in (("r1_joint", th.r1_joint), ("r2_joint", th.r2_joint)):
             st = rep[key]
             se = st.std / math.sqrt(st.count)
@@ -308,7 +308,7 @@ def test_criterion_9_symmetric_groups_zero_gaps():
     cfg = sim.SimConfig(spectrum=spec, n=n, p1=0.5, sigma1_sq=1.0, sigma2_sq=1.0,
                         family=risk.FAMILY_RP, lam_joint=lam, lam1=lam, lam2=lam,
                         m=m)
-    rep = sim.monte_carlo(cfg, reps, base_seed=99)
+    [rep] = sim.monte_carlo([cfg], reps, base_seed=99)
     zs = {}
     for key in ("odd_signed", "edd_signed"):
         st = rep[key]

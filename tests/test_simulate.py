@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -65,6 +68,17 @@ class TestSampling:
         b = sim.sample_dataset(flat, 40, 0.5, (1.0, 0.5), base_seed=9, replicate=2)
         for name in ("groups", "x", "y", "w1", "w2"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_sampling_holds_at_most_two_feature_sized_arrays(self):
+        n, d = 400, 1600
+        spec = make_isotropic(d, 1.0, 2.0, 1.0, 0.5)
+        tracemalloc.start()
+        try:
+            sim.sample_dataset(spec, n, 0.5, (1.0, 0.5), base_seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * n * d * 8
 
     def test_degenerate_draw_raises_after_one_retry(self):
         spec = small_spectrum()
@@ -135,6 +149,41 @@ class TestFits:
         r_c = sim.exact_risk(classical, spec, 1, data.w1)
         r_p = sim.exact_risk(rp, spec, 1, data.w1)
         assert r_p == pytest.approx(r_c, rel=0.10)
+
+
+class TestPenaltyPaths:
+    """A sequence of penalties shares one gram per subset and matches one-penalty fits."""
+
+    @pytest.mark.parametrize("n", [10, 80])
+    def test_each_penalty_matches_its_own_fit(self, n):
+        d, m, lams = 6, 30, [0.3, 1e-3, 0.05]
+        data = sim.sample_dataset(small_spectrum(d=d), n, 0.5, (1.0, 0.5), base_seed=14)
+        s_mat = np.random.default_rng(4).standard_normal((d, m)) / np.sqrt(d)
+        for subset in (sim.TRAIN_BOTH, 1, 2):
+            path = sim.fit_classical(data, subset, lams)
+            for v, model in zip(lams, path):
+                assert model.lam == v and model.trained_on == subset
+                assert model.w_hat.tobytes() == sim.fit_classical(data, subset, v).w_hat.tobytes()
+            # shared features are sliced, not projected per subset: rounding may differ
+            path = sim.fit_rp(data, subset, lams, m, s_mat, features=data.x @ s_mat)
+            for v, model in zip(lams, path):
+                single = sim.fit_rp(data, subset, v, m, s_mat).w_hat
+                assert model.lam == v and model.m == m
+                assert np.linalg.norm(model.w_hat - single) <= 1e-12 * np.linalg.norm(single)
+
+    def test_a_failed_penalty_is_none_and_a_lone_one_raises(self, monkeypatch):
+        data = sim.sample_dataset(small_spectrum(d=6), 40, 0.5, (1.0, 1.0), base_seed=15)
+        real = sim._ridge_solve
+
+        def singular_at_half(design, y, shrinks):
+            return [None if s == design.shape[0] * 0.5 else v
+                    for s, v in zip(shrinks, real(design, y, shrinks))]
+
+        monkeypatch.setattr(sim, "_ridge_solve", singular_at_half)
+        fits = sim.fit_classical(data, sim.TRAIN_BOTH, [0.1, 0.5, 1.0])
+        assert fits[1] is None and fits[0] is not None and fits[2] is not None
+        with pytest.raises(ValueError, match="penalty 0.5 failed"):
+            sim.fit_classical(data, sim.TRAIN_BOTH, 0.5)
 
 
 class TestProjectionDraw:
@@ -234,8 +283,8 @@ class TestMonteCarlo:
 
     def test_report_is_deterministic(self):
         cfg = self.config()
-        a = sim.monte_carlo(cfg, replicates=4, base_seed=42)
-        b = sim.monte_carlo(cfg, replicates=4, base_seed=42)
+        [a] = sim.monte_carlo([cfg], replicates=4, base_seed=42)
+        [b] = sim.monte_carlo([cfg], replicates=4, base_seed=42)
         for key in sim.QUANTITIES:
             assert a[key] == b[key]
 
@@ -243,12 +292,33 @@ class TestMonteCarlo:
         spec = make_isotropic(4, 1.0, 1.0, 1.0, 0.0)
         cfg = self.config(spectrum=spec, sigma1_sq=0.0, sigma2_sq=0.0,
                           lam_joint=1e-10, lam1=1e-10, lam2=1e-10, n=200)
-        rep = sim.monte_carlo(cfg, replicates=3, base_seed=0)
+        [rep] = sim.monte_carlo([cfg], replicates=3, base_seed=0)
         for key in ("r1_joint", "r2_joint", "r1_sep", "r2_sep"):
             assert rep[key].mean < 1e-12
 
+    def test_configs_must_share_one_population(self):
+        cfg = self.config()
+        with pytest.raises(ValueError, match="one population"):
+            sim.monte_carlo([cfg, replace(cfg, sigma2_sq=1.0)], replicates=2, base_seed=0)
+        with pytest.raises(ValueError, match="one population"):
+            sim.monte_carlo([cfg, replace(cfg, spectrum=small_spectrum())], replicates=2,
+                            base_seed=0)
+
+    def test_population_call_repeats_each_one_point_call(self):
+        # data keyed by base_seed; each width's projection by its first config's seed
+        cfg = self.config(family="random-projection", m=30)
+        configs = [cfg, replace(cfg, lam_joint=0.5, lam1=0.5, lam2=0.5),
+                   replace(cfg, m=8), replace(cfg, m=8, lam1=0.01)]
+        reports = sim.monte_carlo(configs, replicates=3, base_seed=5,
+                                  projection_seeds=[5, 6, 9, 10])
+        for c, seed, report in zip(configs, [5, 5, 9, 9], reports):
+            [alone] = sim.monte_carlo([c], replicates=3, base_seed=5, projection_seeds=[seed])
+            assert report.quantities == alone.quantities
+            assert report.failure is None
+            assert report.seed_ledger["projection_seed"] == seed
+
     def test_rp_family_runs_and_records_counts(self):
         cfg = self.config(family="random-projection", m=30)
-        rep = sim.monte_carlo(cfg, replicates=3, base_seed=1)
+        [rep] = sim.monte_carlo([cfg], replicates=3, base_seed=1)
         assert rep["r1_joint"].count == 3
         assert np.isfinite(rep["odd"].mean)

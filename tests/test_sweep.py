@@ -8,6 +8,7 @@ import pytest
 
 from biasamp import fixed_point as fp
 from biasamp import risk
+from biasamp import simulate as sim
 from biasamp.cli import main as cli_main
 from biasamp.spectra import ScalingRegime
 from biasamp.svg import render_plot
@@ -203,6 +204,69 @@ class TestRunSweep:
         assert row["psi"] == pytest.approx(16 / 30)
         assert row["phi_requested"] == 0.33
         assert row["psi_requested"] == 0.52
+
+
+def _emp(values: dict) -> bytes:
+    return np.array([values[f"emp_{k}_{s}"] for k in sim.QUANTITIES
+                     for s in ("mean", "std")], dtype=float).tobytes()
+
+
+class TestPopulations:
+    """Points sharing (phi, c) are simulated together from shared draws."""
+
+    CLASSICAL = dict(family="classical", psi_grid=None)
+
+    def _one_point(self, cfg, row, base_seed, projection_seed):
+        c = sim.SimConfig(spectrum=cfg.build_spectrum(row["d"]), n=cfg.n, p1=cfg.p1,
+                          sigma1_sq=cfg.sigma1_sq, sigma2_sq=cfg.sigma2_sq,
+                          family=cfg.family, lam_joint=row["lambda"], lam1=row["lambda"],
+                          lam2=row["lambda"], m=row["m"] or None)
+        [report] = sim.monte_carlo([c], cfg.replicates, base_seed=base_seed,
+                                   projection_seeds=[projection_seed])
+        return {**{f"emp_{k}_mean": report[k].mean for k in sim.QUANTITIES},
+                **{f"emp_{k}_std": report[k].std for k in sim.QUANTITIES}}
+
+    @pytest.mark.parametrize("overrides", [CLASSICAL, dict(psi_grid=(0.5, 1.5))],
+                             ids=["classical", "random-projection"])
+    def test_rows_are_one_point_calls_keyed_by_population_and_width(self, overrides):
+        cfg = tiny_config(phi_grid=(0.5, 1.0), lambda_grid=(1e-3, 1e-1), replicates=3,
+                          **overrides)
+        rows = [r.values for r in run_sweep(cfg).rows]
+        key = cfg.base_seed * 1_000_003
+        # the first row draws exactly what a one-point call at its own index draws
+        assert _emp(rows[0]) == _emp(self._one_point(cfg, rows[0], key, key))
+        for row in rows:
+            population = next(j for j, r in enumerate(rows) if r["phi"] == row["phi"])
+            width = next(j for j, r in enumerate(rows)
+                         if r["phi"] == row["phi"] and r["m"] == row["m"])
+            assert _emp(row) == _emp(self._one_point(cfg, row, key + population,
+                                                     key + width))
+        assert len({_emp(r) for r in rows}) == len(rows)
+
+    @pytest.mark.parametrize("overrides", [CLASSICAL, dict(psi_grid=(0.5, 1.5))],
+                             ids=["classical", "random-projection"])
+    @pytest.mark.parametrize("bad", [None, math.nan])
+    def test_a_failed_fit_flags_only_its_row(self, monkeypatch, overrides, bad):
+        cfg = tiny_config(lambda_grid=(1e-2, 0.5), replicates=3, **overrides)
+        clean = run_sweep(cfg).rows
+        real = sim._ridge_solve
+
+        def fails_at_half(design, y, shrinks):  # singular, or non-finite weights
+            return [v if s != design.shape[0] * 0.5 else None if bad is None else v * bad
+                    for s, v in zip(shrinks, real(design, y, shrinks))]
+
+        monkeypatch.setattr(sim, "_ridge_solve", fails_at_half)
+        for before, row in zip(clean, run_sweep(cfg).rows):
+            if row.values["lambda"] == 0.5:
+                assert row.flags == ["mc-failure"]
+                assert all(row.values[c] == "" for c in CSV_COLUMNS if c.startswith("emp_"))
+            else:
+                assert row.flags == []
+                assert _emp(row.values) == _emp(before.values)
+
+    def test_a_failed_draw_flags_its_whole_population(self):
+        res = run_sweep(SweepConfig(**{**DEGENERATE_MC, "lambda_grid": (1e-2, 1e-1)}))
+        assert [r.flags for r in res.rows] == [["mc-failure"]] * 2
 
 
 class TestCSV:
