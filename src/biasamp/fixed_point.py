@@ -28,10 +28,11 @@ NaN in a batched call; an unbatched call raises ``FixedPointError``
 from __future__ import annotations
 
 import logging
+import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .spectra import JointSpectrum, ScalingRegime, dof
 
@@ -477,34 +478,76 @@ def solve_classical_joint_linear(spectrum: JointSpectrum, regime: ScalingRegime,
 # Classical ridge, separate model per group.
 # ---------------------------------------------------------------------------
 
+def _float_bits(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _bits_float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def _bracketed_root(f, lo: float, hi: float, what: str) -> float:
+    """Root of f on [lo, hi], 0 <= lo < hi, where f changes sign, to adjacent floats.
+
+    Bisects the bit patterns, which order nonnegative floats, so it takes at
+    most 64 evaluations whatever the scale of the root; of the final two
+    adjacent floats it returns the one with the smaller |f|.
+    """
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo == 0 or f_hi == 0:
+        return lo if f_lo == 0 else hi
+    if not (math.isfinite(f_lo) and math.isfinite(f_hi)) or (f_lo > 0) == (f_hi > 0):
+        raise FixedPointError(f"no root bracketed for {what}")
+    a, b = _float_bits(lo), _float_bits(hi)
+    while b - a > 1:
+        mid = (a + b) // 2
+        f_mid = f(_bits_float(mid))
+        if f_mid == 0:
+            return _bits_float(mid)
+        if not math.isfinite(f_mid):
+            raise FixedPointError(f"non-finite defect while solving for {what}")
+        if (f_mid > 0) == (f_lo > 0):
+            a, f_lo = mid, f_mid
+        else:
+            b, f_hi = mid, f_mid
+    return _bits_float(a if abs(f_lo) <= abs(f_hi) else b)
+
+
 def solve_kappa(eigs: np.ndarray, weights: np.ndarray, phi_s: float, lam_s: float,
                 settings: SolverSettings = DEFAULT_SETTINGS) -> float:
     """Root of kappa - lam = kappa phi df_bar_1(kappa), the effective shift.
 
-    Solved by bracketing: g(kappa) = kappa - lam - kappa phi df_bar_1(kappa)
-    changes sign on [lam, lam + phi * max_eig] because df_bar_1 is
-    nonincreasing.  The unregularized case returns 0 analytically when the
-    group is underparameterized (phi_s <= 1 over the positive mass).
+    Solved for the excess x = kappa - lam by bracketing: h(x) = x - kappa phi
+    df_bar_1(kappa) is negative at 0 and positive at 2 phi max_eig, because
+    kappa df_bar_1(kappa) never exceeds max_eig.  h has no term of size lam,
+    so the shift stays accurate at any penalty: it tends to lam + phi
+    mean_eig as lam grows.  The unregularized case returns 0 analytically
+    when the group is underparameterized (phi_s <= 1 over the positive mass).
     """
     eigs = np.asarray(eigs, dtype=float)
     if lam_s < 0 or phi_s <= 0:
         raise ValueError("need lam_s >= 0 and phi_s > 0")
-    frac_pos = float(np.sum(weights[eigs > 0]))
+    pos = eigs > 0
+    e, w = eigs[pos], weights[pos]
+    hi = 2.0 * phi_s * float(np.max(eigs))
+
+    def df1(kappa):  # dof(eigs, weights, 1, 1, kappa), without its checks
+        return float(w @ (e / (e + kappa)))
+
     if lam_s == 0.0:
-        if phi_s * frac_pos <= 1.0:
+        if phi_s * float(np.sum(w)) <= 1.0:
             return 0.0
         # Interpolating regime: df_bar_1(kappa) = 1 / phi_s has a positive root.
-        lo, hi = 0.0, phi_s * float(np.max(eigs)) + 1.0
-        return float(brentq(lambda k: dof(eigs, weights, 1, 1, k) - 1.0 / phi_s, lo, hi,
-                            xtol=1e-300, rtol=8.9e-16, maxiter=200))
+        return _bracketed_root(lambda k: df1(k) - 1.0 / phi_s, 0.0, hi,
+                               "the effective shift")
+    if hi == 0.0:
+        return float(lam_s)
 
-    def g(kappa):
-        return kappa - lam_s - kappa * phi_s * dof(eigs, weights, 1, 1, kappa)
+    def h(x):
+        kappa = lam_s + x
+        return x - kappa * phi_s * df1(kappa)
 
-    hi = lam_s + phi_s * float(np.max(eigs)) + 1.0
-    if g(hi) < 0:
-        raise FixedPointError("no positive root bracketed for the effective shift")
-    return float(brentq(g, lam_s, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200))
+    return float(lam_s + _bracketed_root(h, 0.0, hi, "the effective shift"))
 
 
 # ---------------------------------------------------------------------------
@@ -572,8 +615,8 @@ def solve_theta0(eigs: np.ndarray, weights: np.ndarray, phi_s: float, psi_s: flo
             hi *= 2.0
             if hi > 1e18:
                 raise FixedPointError("no root bracketed for the zero-penalty shift")
-        theta0 = float(brentq(lambda t: dof(eigs, weights, 1, 1, t) - target, 0.0, hi,
-                              xtol=1e-300, rtol=8.9e-16, maxiter=200))
+        theta0 = _bracketed_root(lambda t: dof(eigs, weights, 1, 1, t) - target, 0.0, hi,
+                                 "the zero-penalty shift")
     eta0 = dof(eigs, weights, 1, 1, theta0)
     e0 = max(1.0 - phi_s * eta0, 0.0)
     tau0 = max(1.0 - eta0 / gamma, 0.0)

@@ -12,6 +12,12 @@ population, the grid points that share a spectrum, n and noise: each
 replicate samples one dataset for all of them and one projection per width,
 so the points' estimates use common random numbers and are correlated.
 
+A large population's replicates run in worker processes, one per CPU, each
+at one BLAS thread, so its estimates are the same bits on any core count.
+Smaller populations, and every population on a single CPU, run in the
+calling process at its BLAS thread count, whose rounding can differ in the
+last digits.  The worker count is not an option.
+
 A random-projection ridge fit depends on its d x m map S only through
 A = S S^T, by the push-through identity
 S (S^T C S + lam I)^-1 S^T = A (C A + lam I)^-1.  So when m > d the simulator
@@ -21,8 +27,15 @@ draws the d x d Bartlett factor P of A's Wishart law in place of S
 
 from __future__ import annotations
 
+import atexit
+import os
+import pickle
+import selectors
+import subprocess
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -347,6 +360,215 @@ QUANTITIES = ("r1_joint", "r2_joint", "r1_sep", "r2_sep",
               "odd", "edd", "add", "odd_signed", "edd_signed")
 
 
+def _widths(configs: Sequence[SimConfig]) -> dict[int | None, list[int]]:
+    """Indices of the configs of each projection width, in order of first use."""
+    widths: dict[int | None, list[int]] = {}
+    for i, c in enumerate(configs):
+        widths.setdefault(c.m, []).append(i)
+    return widths
+
+
+def _simulate_replicate(configs: Sequence[SimConfig], rep: int, base_seed: int,
+                        projection_seeds: Sequence[int],
+                        ) -> tuple[str | None, list[list[float] | None]]:
+    """One replicate of a population: a failed draw's message, or per config its values.
+
+    The values are the config's ``QUANTITIES`` in order, None where its fit
+    failed.  The dataset comes from streams keyed by ``base_seed`` and each
+    width's projection from the stream keyed by its first config's seed.
+    """
+    first = configs[0]
+    try:
+        data = sample_dataset(first.spectrum, first.n, first.p1,
+                              (first.sigma1_sq, first.sigma2_sq), base_seed, rep)
+    except DegenerateGroupsError as exc:
+        return str(exc), []
+    rows: list[list[float] | None] = [None] * len(configs)
+    for idx in _widths(configs).values():
+        rng = (stream(projection_seeds[idx[0]], rep, "projection")
+               if first.family == "random-projection" else None)
+        for i, row in zip(idx, run_replicate(data, [configs[i] for i in idx], rng)):
+            if row is not None:
+                rows[i] = [row[k] for k in QUANTITIES]
+    return None, rows
+
+
+# ---------------------------------------------------------------------------
+# Worker processes.
+# ---------------------------------------------------------------------------
+
+#: A population runs in the workers when replicates x n x (the sum over its
+#: configs of min(d, m, n)^2) reaches this.  Measured on a 2-vCPU Xeon
+#: (Python 3.11, numpy 2.4 with OpenBLAS) on classical diatomic populations
+#: (n = 400, 10 replicates, 4 penalties; medians of 3 runs): two workers take
+#: half the time of one process at two BLAS threads (0.19 s against 0.37 s
+#: at 2.56e9, 0.14 s against 0.22 s at 1.28e9), but starting them costs
+#: 0.2-0.25 s once per process (0.43 s and 0.32 s for those two as a
+#: process's first pooled call).  So a first call breaks even near 3e9 and
+#: the later ones at any size; 2e9 lets the large populations of a sweep
+#: share the start, and keeps small sweeps and the test suite in-process.
+POOL_MIN_WORK = 2e9
+
+#: Set in each worker's environment, so that a replicate's numbers depend
+#: only on its inputs, not on the machine's core count.
+ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                   "MKL_NUM_THREADS": "1"}
+
+
+class WorkerError(RuntimeError):
+    """Raised when a worker process exits while it holds a replicate."""
+
+
+def _serve() -> None:
+    """A worker's loop: run each pickled task from stdin, reply with a pickle on stdout.
+
+    A reply is (True, the replicate's result) or (False, the exception it
+    raised).  Anything else written to stdout goes to stderr instead.
+    """
+    replies = os.fdopen(os.dup(1), "wb")
+    os.dup2(2, 1)
+    sys.stdout = sys.stderr
+    tasks = sys.stdin.buffer
+    while True:
+        try:
+            task = pickle.load(tasks)
+        except EOFError:
+            return
+        try:
+            reply = pickle.dumps((True, _simulate_replicate(*task)))
+        except Exception as exc:
+            try:
+                reply = pickle.dumps((False, exc))
+                pickle.loads(reply)
+            except Exception:
+                reply = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+        replies.write(reply)
+        replies.flush()
+
+
+class _Workers:
+    """One worker interpreter per CPU, each at one BLAS thread, for the life of the process.
+
+    A worker imports this package from its own import root, never the
+    caller's ``__main__``, and runs ``_simulate_replicate`` on the tasks it is
+    sent; each task goes to whichever worker is free.  Not ``multiprocessing``:
+    its spawned workers re-import ``__main__``, which a script without a main
+    guard cannot survive, and forked ones inherit the caller's BLAS threads.
+    """
+
+    def __init__(self, count: int):
+        root = str(Path(__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {root!r}); "
+                "from biasamp.simulate import _serve; _serve()")
+        env = {**os.environ, **ONE_BLAS_THREAD}
+        self.procs = [subprocess.Popen([sys.executable, "-c", code], stdin=subprocess.PIPE,
+                                       stdout=subprocess.PIPE, env=env)
+                      for _ in range(count)]
+        self.closed = False
+        atexit.register(self.close)
+
+    def map(self, tasks: list[tuple]) -> list:
+        """Results of the tasks, in order, or the exception raised by the first that failed.
+
+        Tasks are sent in order; after an exception the tasks already sent
+        are waited for and no more are sent, so the failed task re-raised is
+        the one an in-order loop would meet first.  A worker that exits, or
+        any other error, stops all the workers.
+        """
+        try:
+            return self._map(tasks)
+        except BaseException:
+            self.close(kill=True)
+            raise
+
+    def _map(self, tasks: list[tuple]) -> list:
+        results: list = [None] * len(tasks)
+        pending = iter(enumerate(tasks))
+        idle, busy = list(self.procs), {}
+        errors = {}
+        with selectors.DefaultSelector() as selector:
+            for proc in self.procs:
+                selector.register(proc.stdout, selectors.EVENT_READ, proc)
+            while True:
+                while idle and not errors and (task := next(pending, None)):
+                    proc = idle.pop()
+                    try:
+                        proc.stdin.write(pickle.dumps(task[1]))
+                        proc.stdin.flush()
+                    except BrokenPipeError:
+                        raise self._exited(proc) from None
+                    busy[proc] = task[0]
+                if not busy:
+                    break
+                for key, _ in selector.select():
+                    proc = key.data
+                    try:
+                        ok, value = pickle.load(proc.stdout)
+                    except (EOFError, pickle.UnpicklingError):
+                        raise self._exited(proc) from None
+                    i = busy.pop(proc)
+                    idle.append(proc)
+                    if ok:
+                        results[i] = value
+                    else:
+                        errors[i] = value
+        if errors:
+            raise errors[min(errors)]
+        return results
+
+    @staticmethod
+    def _exited(proc: subprocess.Popen) -> WorkerError:
+        try:
+            status = proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            status = None
+        return WorkerError(f"a Monte-Carlo worker exited (status {status}) "
+                           "while it ran a replicate")
+
+    def close(self, kill: bool = False) -> None:
+        """Stop the workers: end their input and wait, or kill them."""
+        if self.closed:
+            return
+        self.closed = True
+        for proc in self.procs:
+            if kill:
+                proc.kill()
+            try:
+                proc.stdin.close()
+            except OSError:
+                pass
+        for proc in self.procs:
+            try:
+                proc.wait(timeout=5)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+
+
+_workers: _Workers | None = None
+
+
+def _cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _pooled(configs: Sequence[SimConfig], replicates: int) -> bool:
+    """Whether a population's replicates are worth sending to the workers."""
+    first = configs[0]
+    d, n = first.spectrum.d, first.n
+    work = replicates * n * sum(min(d, c.m or d, n) ** 2 for c in configs)
+    return _cpus() >= 2 and work >= POOL_MIN_WORK
+
+
+def _pool_map(tasks: list[tuple]) -> list:
+    """``_simulate_replicate`` over the tasks in the workers, started on first use."""
+    global _workers
+    if _workers is None or _workers.closed:
+        _workers = _Workers(_cpus())
+    return _workers.map(tasks)
+
+
 def monte_carlo(configs: Sequence[SimConfig], replicates: int, base_seed: int,
                 projection_seeds: Sequence[int] | None = None) -> list[MonteCarloReport]:
     """One report per config, from replicates shared by configs of one population.
@@ -360,6 +582,11 @@ def monte_carlo(configs: Sequence[SimConfig], replicates: int, base_seed: int,
 
     A failed draw (a group left empty twice: ``DegenerateGroupsError``)
     fails every config; a failed fit fails its own config only.
+
+    The replicates run in the worker processes when the population's work
+    reaches ``POOL_MIN_WORK`` and there are two CPUs or more, else in this
+    process; both paths reduce the same per-replicate results in replicate
+    order.
     """
     if replicates < 2:
         raise ValueError(f"need at least two replicates, got {replicates}")
@@ -371,29 +598,24 @@ def monte_carlo(configs: Sequence[SimConfig], replicates: int, base_seed: int,
         raise ValueError("configs must share one population: spectrum, n, p1, "
                          "noise and family")
     seeds = [base_seed] * len(configs) if projection_seeds is None else projection_seeds
-    widths: dict[int | None, list[int]] = {}
-    for i, c in enumerate(configs):
-        widths.setdefault(c.m, []).append(i)
+    tasks = [(configs, rep, base_seed, seeds) for rep in range(replicates)]
+    replies = (_pool_map(tasks) if _pooled(configs, replicates)
+               else (_simulate_replicate(*task) for task in tasks))
 
     values = np.full((len(configs), replicates, len(QUANTITIES)), np.nan)
     failure: list[str | None] = [None] * len(configs)
-    for rep in range(replicates):
-        try:
-            data = sample_dataset(first.spectrum, first.n, first.p1,
-                                  (first.sigma1_sq, first.sigma2_sq), base_seed, rep)
-        except DegenerateGroupsError as exc:
-            failure = [str(exc)] * len(configs)
+    for rep, (draw_failure, rows) in enumerate(replies):
+        if draw_failure is not None:
+            failure = [draw_failure] * len(configs)
             break
-        for idx in widths.values():
-            rng = (stream(seeds[idx[0]], rep, "projection")
-                   if first.family == "random-projection" else None)
-            for i, row in zip(idx, run_replicate(data, [configs[i] for i in idx], rng)):
-                if row is not None:
-                    values[i, rep] = [row[k] for k in QUANTITIES]
-                elif failure[i] is None:
-                    failure[i] = (f"replicate {rep} failed: singular system or "
-                                  "non-finite weights")
+        for i, row in enumerate(rows):
+            if row is not None:
+                values[i, rep] = row
+            elif failure[i] is None:
+                failure[i] = (f"replicate {rep} failed: singular system or "
+                              "non-finite weights")
 
+    widths = _widths(configs)
     reports = []
     for i, c in enumerate(configs):
         if failure[i] is not None:

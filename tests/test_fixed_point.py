@@ -68,6 +68,22 @@ class TestKappa:
         kappa = fp.solve_kappa(eigs, w, 0.25, 0.5)
         assert abs(kappa - 0.5 - kappa * 0.25 * dof(eigs, w, 1, 1, kappa)) < 1e-12
 
+    @pytest.mark.parametrize("lam", [1e12, 1e16, 1e17, 1e300])
+    def test_huge_penalty_keeps_its_root(self, lam):
+        # The excess kappa - lam tends to phi mean_eig, here 0.5 * 1.0.
+        eigs, w = anisotropic_spectrum().sigma1, uniform(50)
+        kappa = fp.solve_kappa(eigs, w, 0.5, lam)
+        assert kappa == pytest.approx(lam + 0.5 * float(w @ eigs), rel=1e-15)
+
+    @pytest.mark.parametrize("phi, lam", [(0.5, 0.1), (2.0, 1e-9), (0.25, 1e4)])
+    def test_root_is_found_to_the_last_bits(self, phi, lam):
+        # kappa - lam = kappa phi / (1 + kappa): kappa^2 + (1 - phi - lam) kappa - lam = 0
+        b = 1.0 - phi - lam
+        root = math.sqrt(b * b + 4.0 * lam)
+        oracle = 2.0 * lam / (b + root) if b > 0 else (root - b) / 2.0  # no cancellation
+        assert fp.solve_kappa(np.ones(7), uniform(7), phi, lam) == pytest.approx(
+            oracle, rel=4e-16)
+
     def test_unregularized_overparameterized_root(self):
         eigs, w = anisotropic_spectrum().sigma1, uniform(50)
         kappa = fp.solve_kappa(eigs, w, 2.0, 0.0)

@@ -196,6 +196,20 @@ class TestRunSweep:
         assert [r.values["lambda"] for r in res.rows] == [0.0] * 3
         assert not any(r.flags for r in res.rows)
 
+    def test_classical_risk_tends_to_the_null_risk_at_huge_penalties(self):
+        # The null risk is tr(theta Sigma_1) = a1 = 2; the effective shift
+        # kappa used to lose its root once lam + phi max_eig rounded to lam.
+        cfg = SweepConfig(scenario="custom", family="classical", spectrum="isotropic",
+                          n=40, phi_grid=(0.5, 2.0), a1=2.0, a2=1.0,
+                          lambda_grid=tuple(10.0 ** k for k in range(12, 19)), replicates=0)
+        rows = run_sweep(cfg).rows
+        assert not any(r.flags for r in rows)
+        for phi in (0.5, 2.0):
+            risks = [r.values["theory_r1_joint"] for r in rows
+                     if r.values["phi_requested"] == phi]
+            assert risks == sorted(risks) and risks[0] < risks[-1]
+            assert risks[-1] == pytest.approx(2.0, rel=1e-15)
+
     def test_realized_rates_recorded_alongside_requested(self):
         cfg = tiny_config(n=30, phi_grid=(0.33,), psi_grid=(0.52,), replicates=0)
         row = run_sweep(cfg).rows[0].values
