@@ -28,6 +28,7 @@ draws the d x d Bartlett factor P of A's Wishart law in place of S
 from __future__ import annotations
 
 import atexit
+import math
 import os
 import pickle
 import selectors
@@ -84,9 +85,6 @@ class Dataset:
         if subset in (1, 2):
             return self.groups == subset
         raise ValueError(f"subset must be 'both', 1 or 2, got {subset!r}")
-
-    def w_star(self, s: int) -> np.ndarray:
-        return self.w1 if s == 1 else self.w2
 
 
 def sample_dataset(spectrum: JointSpectrum, n: int, p1: float,
@@ -262,6 +260,13 @@ def fit_rp(dataset: Dataset, subset, lam, m: int, projection: np.ndarray | Gener
                    family="random-projection", trained_on=subset, m=m)
 
 
+def sampled_resolvent(n: int, d: int, lam: float, seed: int) -> float:
+    """tr(S + lam I)^-1 / d for one sample covariance S = X^T X / n of an
+    n x d standard Gaussian X drawn from ``default_rng(seed)``."""
+    x = np.random.default_rng(seed).standard_normal((n, d))
+    return float(np.trace(np.linalg.inv(x.T @ x / n + lam * np.eye(d)))) / d
+
+
 def exact_risk(model: FittedModel, spectrum: JointSpectrum, s: int,
                w_star: np.ndarray) -> float:
     """Exact group-s test risk: the covariance-weighted squared weight error."""
@@ -302,6 +307,19 @@ class SummaryStat:
     mean: float
     std: float
     count: int
+
+    def z(self, theory: float) -> float:
+        """Standard score of the mean against ``theory``.
+
+        With no spread the mean is exact: 0 if it equals ``theory``, else
+        infinite.  A failed point (NaN mean) gives NaN, which fails every
+        ``abs(z) <= bound`` check.
+        """
+        if self.std == 0.0:
+            return 0.0 if self.mean == theory else math.inf
+        if self.count == 0:
+            return math.nan
+        return (self.mean - theory) / (self.std / math.sqrt(self.count))
 
 
 @dataclass

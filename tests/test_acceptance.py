@@ -1,7 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines; the whole suite is also what ``biasamp validate`` draws on.
+lines.  Criterion 6 runs the checks of ``biasamp validate fig2 --seed 7101``
+(``cli.simulation_checks``); ``biasamp validate quick`` repeats the
+closed-form halves of criteria 1, 2, 5 and 9.
 """
 
 import math
@@ -13,6 +15,7 @@ import pytest
 from biasamp import fixed_point as fp
 from biasamp import risk
 from biasamp import simulate as sim
+from biasamp.cli import simulation_checks
 from biasamp.spectra import (JointSpectrum, ScalingRegime, dof, make_diatomic,
                              make_isotropic, make_power_law)
 from biasamp.sweep import SweepConfig, emit_csv, run_sweep
@@ -41,9 +44,7 @@ def test_criterion_1_closed_form_variance():
                             sigma2_sq=1.0, family="classical", lam_joint=1e-8,
                             lam1=1e-8, lam2=1e-8)
         [rep] = sim.monte_carlo([cfg], reps, base_seed=seed)
-        st = rep["r1_sep"]
-        se = st.std / math.sqrt(st.count)
-        z = (st.mean - dec.total) / se
+        z = rep["r1_sep"].z(dec.total)
         ok &= abs(z) <= 3.0
         details.append(f"phi_s={phi_s}: V={dec.variance:.6f} (rel {rel:.1e}), mc z={z:+.2f}")
     elapsed = time.time() - t0
@@ -161,24 +162,9 @@ def test_criterion_5_white_resolvent_self_test():
     golden = (math.sqrt(5.0) - 1.0) / 2.0
     m = fp.solve_mp(1.0, 1.0)
     ok = abs(m - golden) < 1e-10
-    d = 2000
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal((d, d))
-    s = x.T @ x / d
-    emp = float(np.trace(np.linalg.inv(s + np.eye(d)))) / d
-    diff = abs(emp - m)
+    diff = abs(sim.sampled_resolvent(2000, 2000, 1.0, 5) - m)
     ok &= diff < 1e-2
     _report(5, ok, f"m={m:.12f} (closed form {golden:.12f}), sampled diff {diff:.2e}")
-
-
-# Per-group interpolation thresholds (parameter count = group sample count,
-# or feature count = group sample count) are avoided: there the zero-penalty
-# risk diverges, so the asymptotic value at penalty 1e-6 is O(1e3) and no
-# n = 400 simulation tracks it.  phi = 0.5 puts both groups at the feature
-# threshold, which only matters once psi_s >= 1, hence its all-sub-0.5 grid.
-PSI_GRIDS = {0.5: (0.05, 0.1, 0.2, 0.3, 0.4),
-             1.0: (0.25, 0.75, 1.5, 2.5, 4.0),
-             2.0: (0.25, 0.75, 1.5, 3.0, 6.0)}
 
 
 def test_criterion_6_theory_vs_simulation_two_noise():
@@ -190,57 +176,13 @@ def test_criterion_6_theory_vs_simulation_two_noise():
     cross bias term in the joint classical decomposition.
     """
     t0 = time.time()
-    n, reps, lam, seed = 400, 25, 1e-6, 7101
-    z_max = 0.0
-    checks = 0
-    failures = []
-    for phi, psis in PSI_GRIDS.items():
-        for psi in psis:
-            d, m = round(phi * n), round(psi * n)
-            spec = make_isotropic(d, 0.5, 1.0, 2.0, 1.0)
-            reg = ScalingRegime.from_counts(n, d, m, 0.5)
-            th = risk.theory_risks(spec, reg, risk.FAMILY_RP, (1.0, 1e-5),
-                                   lam, (lam, lam))
-            cfg = sim.SimConfig(spectrum=spec, n=n, p1=0.5, sigma1_sq=1.0,
-                                sigma2_sq=1e-5, family=risk.FAMILY_RP,
-                                lam_joint=lam, lam1=lam, lam2=lam, m=m)
-            [rep] = sim.monte_carlo([cfg], reps,
-                                  base_seed=seed + 100 * round(10 * phi) + round(10 * psi))
-            for key, dec in (("r1_joint", th.r1_joint), ("r2_joint", th.r2_joint),
-                             ("r1_sep", th.r1_sep), ("r2_sep", th.r2_sep)):
-                st = rep[key]
-                se = st.std / math.sqrt(st.count)
-                z = (st.mean - dec.total) / se if se > 0 else 0.0
-                checks += 1
-                z_max = max(z_max, abs(z))
-                if abs(z) > 3.0:
-                    failures.append(f"rp phi={phi} psi={psi} {key} z={z:+.2f}")
-
-    # classical joint model, skipping its own interpolation threshold phi = 1
-    for phi in (0.5, 2.0):
-        d = round(phi * n)
-        spec = make_isotropic(d, 0.5, 1.0, 2.0, 1.0)
-        reg = ScalingRegime.from_counts(n, d, d, 0.5)
-        th = risk.theory_risks(spec, reg, risk.FAMILY_CLASSICAL, (1.0, 1e-5),
-                               lam, (lam, lam))
-        cfg = sim.SimConfig(spectrum=spec, n=n, p1=0.5, sigma1_sq=1.0,
-                            sigma2_sq=1e-5, family=risk.FAMILY_CLASSICAL,
-                            lam_joint=lam, lam1=lam, lam2=lam)
-        [rep] = sim.monte_carlo([cfg], reps, base_seed=seed + 31 + round(10 * phi))
-        for key, dec in (("r1_joint", th.r1_joint), ("r2_joint", th.r2_joint)):
-            st = rep[key]
-            se = st.std / math.sqrt(st.count)
-            z = (st.mean - dec.total) / se if se > 0 else 0.0
-            checks += 1
-            z_max = max(z_max, abs(z))
-            if abs(z) > 3.0:
-                failures.append(f"classical phi={phi} {key} z={z:+.2f}")
-
+    zs = {name: z for name, _, _, z in simulation_checks(7101, 25)}
+    failures = [f"{name} z={z:+.2f}" for name, z in zs.items() if not abs(z) <= 3.0]
     elapsed = time.time() - t0
     ok = not failures and elapsed < 300.0
-    _report(6, ok, f"{checks} theory-vs-simulation checks (incl. classical joint "
-                   f"sign validation), max |z|={z_max:.2f}, {elapsed:.0f}s"
-                   + (f"; failures: {failures}" if failures else ""))
+    _report(6, ok, f"{len(zs)} theory-vs-simulation checks (incl. classical joint "
+                   f"sign validation), max |z|={max(map(abs, zs.values())):.2f}, "
+                   f"{elapsed:.0f}s" + (f"; failures: {failures}" if failures else ""))
 
 
 def test_criterion_7_phase_diagram_shape():
@@ -309,15 +251,9 @@ def test_criterion_9_symmetric_groups_zero_gaps():
                         family=risk.FAMILY_RP, lam_joint=lam, lam1=lam, lam2=lam,
                         m=m)
     [rep] = sim.monte_carlo([cfg], reps, base_seed=99)
-    zs = {}
-    for key in ("odd_signed", "edd_signed"):
-        st = rep[key]
-        if st.std == 0.0:
-            # symmetric groups share weights and covariance, so the joint
-            # model's two risks are the same quadratic form: identically zero gap
-            zs[key] = 0.0 if st.mean == 0.0 else math.inf
-        else:
-            zs[key] = st.mean / (st.std / math.sqrt(st.count))
+    # symmetric groups share weights and covariance, so the joint model's two
+    # risks are the same quadratic form: its gap is identically zero (std 0)
+    zs = {key: rep[key].z(0.0) for key in ("odd_signed", "edd_signed")}
     mc_ok = all(abs(z) <= 3.0 for z in zs.values())
     _report(9, theory_ok and mc_ok,
             f"theory odd={th.gaps.odd:.2e} edd={th.gaps.edd:.2e}; "

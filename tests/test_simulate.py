@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -271,6 +272,15 @@ class TestRisks:
         # squared errors of Gaussians have variance 2 * (per-term risk)^2
         se = exact * np.sqrt(2.0 / n_test) * 3.0
         assert abs(est - exact) < 3 * se
+
+
+@pytest.mark.parametrize("mean, std, count, z", [
+    (1.5, 2.0, 16, 1.0), (0.5, 2.0, 16, -1.0),
+    (1.0, 0.0, 25, 0.0), (1.5, 0.0, 25, math.inf), (0.5, 0.0, 25, math.inf),  # no spread
+    (math.nan, math.nan, 0, math.nan), (1.0, math.nan, 1, math.nan),  # failed; one replicate
+])
+def test_summary_z(mean, std, count, z):
+    assert sim.SummaryStat(mean, std, count).z(1.0) == pytest.approx(z, nan_ok=True)
 
 
 class TestMonteCarlo:

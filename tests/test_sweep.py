@@ -1,11 +1,13 @@
 import json
 import math
+import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from biasamp import cli
 from biasamp import fixed_point as fp
 from biasamp import risk
 from biasamp import simulate as sim
@@ -468,6 +470,29 @@ class TestCLI:
         assert cli_main(["validate", "quick"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_validate_fig2_prints_each_check_and_a_summary(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "SIMULATION_CASES", cli.SIMULATION_CASES[:1])
+        rc = cli_main(["validate", "fig2", "--replicates", "3"])
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 5
+        assert all(line.startswith(("PASS  rp phi=0.5 psi=0.05 ", "FAIL  rp phi=0.5 psi=0.05 "))
+                   for line in lines[:4])
+        summary = re.fullmatch(r"fig2: 4 checks, (\d+) beyond 3 SE, largest \|z\| .+",
+                               lines[4])
+        beyond = int(summary.group(1))
+        assert beyond == sum(line.startswith("FAIL") for line in lines[:4])
+        assert rc == (1 if beyond else 0)
+
+    def test_validate_fig2_fails_an_exact_mean_off_theory(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "SIMULATION_CASES", cli.SIMULATION_CASES[:1])
+        exact = sim.SummaryStat(mean=5.0, std=0.0, count=3)
+        monkeypatch.setattr(cli, "monte_carlo", lambda configs, replicates, base_seed: [
+            sim.MonteCarloReport({k: exact for k in sim.QUANTITIES}, {})])
+        assert cli_main(["validate", "fig2", "--replicates", "3"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("FAIL") == 4 and out.count("z=+inf") == 4
+        assert "4 beyond 3 SE" in out
 
     def test_seed_override_changes_empirics(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
