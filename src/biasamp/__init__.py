@@ -14,7 +14,7 @@ from .risk import (BiasAmpMetrics, RiskDecomposition, TheorySummary,
                    classical_joint_risk, classical_separate_risk, h_joint, metrics,
                    power_law_limits, rp_joint_risk, rp_separate_risk,
                    rp_separate_risk_unregularized, theory_risks)
-from .simulate import (Dataset, FittedModel, MonteCarloReport, SimConfig,
+from .simulate import (Dataset, FittedModel, MonteCarloReport, Population, SimConfig,
                        exact_risk, fit_classical, fit_rp, monte_carlo,
                        sample_dataset)
 from .sweep import SweepConfig, SweepResult, emit_csv, run_sweep

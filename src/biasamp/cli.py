@@ -11,7 +11,7 @@ from pathlib import Path
 
 from . import fixed_point as fp
 from . import risk
-from .simulate import SimConfig, monte_carlo, sampled_resolvent
+from .simulate import Population, SimConfig, monte_carlo, sampled_resolvent
 from .spectra import ScalingRegime, make_isotropic
 from .svg import emit_svg, plottable, render_plot
 from .sweep import FIGURES, SweepConfig, SweepResult, default_out_dir, emit_csv, run_sweep
@@ -146,19 +146,23 @@ SIMULATION_CASES = (
 def simulation_checks(base_seed: int, replicates: int):
     """Yield (name, theory, simulated mean, z) for each check of ``SIMULATION_CASES``.
 
-    A case's Monte Carlo is seeded with ``base_seed`` plus its offset.
+    A case's Monte Carlo is seeded with ``base_seed`` plus its offset; every
+    case is one population of a single ``monte_carlo`` call.
     """
     n, lam = 400, 1e-6
+    theories, populations = [], []
     for family, phi, psi, offset in SIMULATION_CASES:
         d = round(phi * n)
         m = d if psi is None else round(psi * n)
         spec = make_isotropic(d, 0.5, 1.0, 2.0, 1.0)
         reg = ScalingRegime.from_counts(n, d, m, 0.5)
-        th = risk.theory_risks(spec, reg, family, (1.0, 1e-5), lam, (lam, lam))
+        theories.append(risk.theory_risks(spec, reg, family, (1.0, 1e-5), lam, (lam, lam)))
         sim = SimConfig(spectrum=spec, n=n, p1=0.5, sigma1_sq=1.0, sigma2_sq=1e-5,
                         family=family, lam_joint=lam, lam1=lam, lam2=lam,
                         m=None if psi is None else m)
-        [rep] = monte_carlo([sim], replicates, base_seed=base_seed + offset)
+        populations.append(Population([sim], base_seed + offset))
+    reports = monte_carlo(populations, replicates)
+    for (_, phi, psi, _), th, [rep] in zip(SIMULATION_CASES, theories, reports):
         point = f"classical phi={phi}" if psi is None else f"rp phi={phi} psi={psi}"
         keys = ("r1_joint", "r2_joint") + (() if psi is None else ("r1_sep", "r2_sep"))
         for key in keys:

@@ -12,11 +12,14 @@ population, the grid points that share a spectrum, n and noise: each
 replicate samples one dataset for all of them and one projection per width,
 so the points' estimates use common random numbers and are correlated.
 
-A large population's replicates run in worker processes, one per CPU, each
-at one BLAS thread, so its estimates are the same bits on any core count.
-Smaller populations, and every population on a single CPU, run in the
-calling process at its BLAS thread count, whose rounding can differ in the
-last digits.  The worker count is not an option.
+One ``monte_carlo`` call takes every population of a sweep (or of a
+validation suite), and each replicate of each population is one task.  When
+the call's total work is large, its tasks run in worker processes, one per
+CPU, each at one BLAS thread, fed from one queue largest first; its
+estimates are then the same bits on any core count.  Smaller calls, and
+every call on a single CPU, run in the calling process at its BLAS thread
+count, whose rounding can differ in the last digits.  The worker count is
+not an option.
 
 A random-projection ridge fit depends on its d x m map S only through
 A = S S^T, by the push-through identity
@@ -225,8 +228,10 @@ def draw_projection(rng: Generator, d: int, m: int) -> np.ndarray:
     if m <= d:
         return rng.standard_normal((d, m)) / np.sqrt(d)
     factor = np.diag(np.sqrt(rng.chisquare(m - np.arange(d))))
-    factor[np.tril_indices(d, -1)] = rng.standard_normal(d * (d - 1) // 2)
-    return factor / np.sqrt(d)
+    # a boolean mask is filled in row-major order, as documented
+    factor[np.tri(d, k=-1, dtype=bool)] = rng.standard_normal(d * (d - 1) // 2)
+    factor /= np.sqrt(d)
+    return factor
 
 
 def fit_rp(dataset: Dataset, subset, lam, m: int, projection: np.ndarray | Generator,
@@ -300,6 +305,39 @@ class SimConfig:
             raise ValueError(f"unknown family {self.family!r}")
         if self.family == "random-projection" and (self.m is None or self.m < 1):
             raise ValueError("random-projection family needs a positive width m")
+
+
+@dataclass
+class Population:
+    """Configs simulated from one dataset per replicate, and the seeds of their streams.
+
+    The configs share spectrum (one object), n, p1, noise and family; they
+    differ in width and penalties.  Each replicate samples one dataset from
+    streams keyed by ``base_seed``, and the configs of one width share one
+    projection from the stream keyed by the ``projection_seeds`` entry of
+    their first config (``base_seed`` when omitted).  So the estimates of
+    one population use common random numbers and are correlated.
+    """
+
+    configs: Sequence[SimConfig]
+    base_seed: int
+    projection_seeds: Sequence[int] | None = None
+
+    def __post_init__(self):
+        first = self.configs[0]
+        shared = (first.n, first.p1, first.sigma1_sq, first.sigma2_sq, first.family)
+        if any(c.spectrum is not first.spectrum
+               or (c.n, c.p1, c.sigma1_sq, c.sigma2_sq, c.family) != shared
+               for c in self.configs):
+            raise ValueError("configs must share one population: spectrum, n, p1, "
+                             "noise and family")
+        if self.projection_seeds is None:
+            self.projection_seeds = [self.base_seed] * len(self.configs)
+
+    def work(self) -> int:
+        """Cost of one replicate: n x (the sum over the configs of min(d, m, n)^2)."""
+        d, n = self.configs[0].spectrum.d, self.configs[0].n
+        return n * sum(min(d, c.m or d, n) ** 2 for c in self.configs)
 
 
 @dataclass(frozen=True)
@@ -415,16 +453,17 @@ def _simulate_replicate(configs: Sequence[SimConfig], rep: int, base_seed: int,
 # Worker processes.
 # ---------------------------------------------------------------------------
 
-#: A population runs in the workers when replicates x n x (the sum over its
-#: configs of min(d, m, n)^2) reaches this.  Measured on a 2-vCPU Xeon
-#: (Python 3.11, numpy 2.4 with OpenBLAS) on classical diatomic populations
-#: (n = 400, 10 replicates, 4 penalties; medians of 3 runs): two workers take
-#: half the time of one process at two BLAS threads (0.19 s against 0.37 s
-#: at 2.56e9, 0.14 s against 0.22 s at 1.28e9), but starting them costs
-#: 0.2-0.25 s once per process (0.43 s and 0.32 s for those two as a
-#: process's first pooled call).  So a first call breaks even near 3e9 and
-#: the later ones at any size; 2e9 lets the large populations of a sweep
-#: share the start, and keeps small sweeps and the test suite in-process.
+#: A ``monte_carlo`` call runs in the workers when the sum over its tasks of
+#: ``Population.work`` reaches this.  Measured on a 2-vCPU Xeon (Python 3.11,
+#: numpy 2.4 with OpenBLAS) with one call over 2 to 6 classical diatomic
+#: populations (n = 400, 4 penalties, d from 50 to 400, 10 or 20 replicates;
+#: medians of 3 fresh interpreters), this process at two BLAS threads against
+#: two workers, for a process's first call (the workers' start included) and
+#: a later one: 0.21 s against 0.32 s and 0.14 s against 0.11 s at 6.0e8;
+#: 0.29 / 0.33 s and 0.26 / 0.13 s at 1.1e9; 0.46 / 0.46 s and 0.42 / 0.21 s
+#: at 2.2e9; 1.06 / 0.69 s and 0.88 / 0.51 s at 5.0e9.  So a first call breaks
+#: even near 2e9, and a later one below 6e8; 2e9 keeps small sweeps in-process
+#: and lets every larger call share the start.
 POOL_MIN_WORK = 2e9
 
 #: Set in each worker's environment, so that a replicate's numbers depend
@@ -485,23 +524,25 @@ class _Workers:
         self.closed = False
         atexit.register(self.close)
 
-    def map(self, tasks: list[tuple]) -> list:
-        """Results of the tasks, in order, or the exception raised by the first that failed.
+    def map(self, tasks: list[tuple], order: Sequence[int]) -> list:
+        """Results of the tasks, each at its own index; tasks are sent in ``order``.
 
-        Tasks are sent in order; after an exception the tasks already sent
-        are waited for and no more are sent, so the failed task re-raised is
-        the one an in-order loop would meet first.  A worker that exits, or
-        any other error, stops all the workers.
+        Each task goes to whichever worker is free, so the results do not
+        depend on the send order.  After an exception no more tasks are sent
+        and those already sent are waited for; the exception re-raised is the
+        one of the lowest-numbered failing task among those that ran,
+        whatever order they were sent in.  A worker that exits, or any other
+        error, stops all the workers.
         """
         try:
-            return self._map(tasks)
+            return self._map(tasks, order)
         except BaseException:
             self.close(kill=True)
             raise
 
-    def _map(self, tasks: list[tuple]) -> list:
+    def _map(self, tasks: list[tuple], order: Sequence[int]) -> list:
         results: list = [None] * len(tasks)
-        pending = iter(enumerate(tasks))
+        pending = ((i, tasks[i]) for i in order)
         idle, busy = list(self.procs), {}
         errors = {}
         with selectors.DefaultSelector() as selector:
@@ -571,55 +612,51 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _pooled(configs: Sequence[SimConfig], replicates: int) -> bool:
-    """Whether a population's replicates are worth sending to the workers."""
-    first = configs[0]
-    d, n = first.spectrum.d, first.n
-    work = replicates * n * sum(min(d, c.m or d, n) ** 2 for c in configs)
-    return _cpus() >= 2 and work >= POOL_MIN_WORK
-
-
-def _pool_map(tasks: list[tuple]) -> list:
+def _pool_map(tasks: list[tuple], order: Sequence[int]) -> list:
     """``_simulate_replicate`` over the tasks in the workers, started on first use."""
     global _workers
     if _workers is None or _workers.closed:
         _workers = _Workers(_cpus())
-    return _workers.map(tasks)
+    return _workers.map(tasks, order)
 
 
-def monte_carlo(configs: Sequence[SimConfig], replicates: int, base_seed: int,
-                projection_seeds: Sequence[int] | None = None) -> list[MonteCarloReport]:
-    """One report per config, from replicates shared by configs of one population.
+def monte_carlo(populations: Sequence[Population],
+                replicates: int) -> list[list[MonteCarloReport]]:
+    """Per population, one report per config, from ``replicates`` shared draws.
 
-    The configs share spectrum (one object), n, p1, noise and family; they
-    differ in width and penalties.  Each replicate samples one dataset from
-    streams keyed by ``base_seed``, and the configs of one width share one
-    projection from the stream keyed by the ``projection_seeds`` entry of
-    their first config (``base_seed`` when omitted).  So the estimates of
-    one population use common random numbers and are correlated.
+    Each replicate of each population is one task, numbered population by
+    population and then by replicate.  The tasks run in the worker
+    processes when the sum of their work (``Population.work``) reaches
+    ``POOL_MIN_WORK`` and there are two CPUs or more, sent largest first;
+    else in this process, in task order.  Either way each population's
+    results are reduced in replicate order, so the send order changes no bit.
 
     A failed draw (a group left empty twice: ``DegenerateGroupsError``)
-    fails every config; a failed fit fails its own config only.
-
-    The replicates run in the worker processes when the population's work
-    reaches ``POOL_MIN_WORK`` and there are two CPUs or more, else in this
-    process; both paths reduce the same per-replicate results in replicate
-    order.
+    fails every config of its own population and no other; a failed fit
+    fails its own config only.  An exception raised in a replicate reaches
+    the caller: the one of the lowest-numbered failing task among those that
+    ran, whatever order they were sent in.
     """
     if replicates < 2:
         raise ValueError(f"need at least two replicates, got {replicates}")
-    first = configs[0]
-    population = (first.n, first.p1, first.sigma1_sq, first.sigma2_sq, first.family)
-    if any(c.spectrum is not first.spectrum
-           or (c.n, c.p1, c.sigma1_sq, c.sigma2_sq, c.family) != population
-           for c in configs):
-        raise ValueError("configs must share one population: spectrum, n, p1, "
-                         "noise and family")
-    seeds = [base_seed] * len(configs) if projection_seeds is None else projection_seeds
-    tasks = [(configs, rep, base_seed, seeds) for rep in range(replicates)]
-    replies = (_pool_map(tasks) if _pooled(configs, replicates)
-               else (_simulate_replicate(*task) for task in tasks))
+    tasks = [(p.configs, rep, p.base_seed, p.projection_seeds)
+             for p in populations for rep in range(replicates)]
+    work = [w for p in populations for w in [p.work()] * replicates]
+    if _cpus() >= 2 and sum(work) >= POOL_MIN_WORK:
+        reply = _pool_map(tasks, sorted(range(len(tasks)), key=lambda k: -work[k])).__getitem__
+    else:
+        def reply(k: int):
+            return _simulate_replicate(*tasks[k])
+    return [_reports(p, replicates, map(reply, range(j * replicates, (j + 1) * replicates)))
+            for j, p in enumerate(populations)]
 
+
+def _reports(population: Population, replicates: int, replies) -> list[MonteCarloReport]:
+    """A population's reports from its replicates' results, taken in replicate order.
+
+    The results after a failed draw are not taken.
+    """
+    configs, seeds = population.configs, population.projection_seeds
     values = np.full((len(configs), replicates, len(QUANTITIES)), np.nan)
     failure: list[str | None] = [None] * len(configs)
     for rep, (draw_failure, rows) in enumerate(replies):
@@ -645,7 +682,7 @@ def monte_carlo(configs: Sequence[SimConfig], replicates: int, base_seed: int,
                 mean=float(np.mean(finite)) if finite.size else float("nan"),
                 std=float(np.std(finite, ddof=1)) if finite.size > 1 else float("nan"),
                 count=int(finite.size))
-        ledger = {"base_seed": base_seed, "replicates": replicates,
+        ledger = {"base_seed": population.base_seed, "replicates": replicates,
                   "rng": "philox keyed by (seed, replicate * n_purposes + purpose); "
                          "base_seed keys the data streams, shared by every config of "
                          "the population (common random numbers: their estimates "

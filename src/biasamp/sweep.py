@@ -20,7 +20,7 @@ import numpy as np
 
 from . import fixed_point as fp
 from . import risk
-from .simulate import QUANTITIES, MonteCarloReport, SimConfig, monte_carlo
+from .simulate import QUANTITIES, MonteCarloReport, Population, SimConfig, monte_carlo
 from .spectra import (JointSpectrum, ScalingRegime, make_diatomic, make_isotropic,
                       make_power_law)
 
@@ -314,21 +314,23 @@ def _monte_carlo_rows(config: SweepConfig, grid: list[dict],
     """Per grid point: its Monte-Carlo report, or None when it is not simulated.
 
     The points that share (phi, c) share n, d, the spectrum and the noise:
-    one population, simulated by one ``monte_carlo`` call.  Streams are
-    keyed by grid index, so results do not depend on evaluation order: the
-    data by the population's first index and each width's projection by the
-    first index of that width.  A population's first row thus draws what a
-    one-point call at its index draws.  Points flagged ``solver-failure``
-    are not simulated.
+    one population.  Every population goes to one ``monte_carlo`` call.
+    Streams are keyed by grid index, so results do not depend on evaluation
+    order: the data by the population's first index and each width's
+    projection by the first index of that width.  A population's first row
+    thus draws what a one-point population at its index draws.  Points
+    flagged ``solver-failure`` are not simulated.
     """
     out: list[MonteCarloReport | None] = [None] * len(grid)
     if config.replicates == 0:
         return out
     n = config.n
-    populations: dict[tuple, list[int]] = {}
+    key = config.base_seed * 1_000_003
+    groups: dict[tuple, list[int]] = {}
     for i, p in enumerate(grid):
-        populations.setdefault((p["phi"], p["c"]), []).append(i)
-    for rows in populations.values():
+        groups.setdefault((p["phi"], p["c"]), []).append(i)
+    populations, simulated_rows = [], []
+    for rows in groups.values():
         phi, c = grid[rows[0]]["phi"], grid[rows[0]]["c"]
         spectrum = config.build_spectrum(_size(phi, n))
         sigma2_sq = config.sigma1_sq * c if c is not None else config.sigma2_sq
@@ -344,11 +346,11 @@ def _monte_carlo_rows(config: SweepConfig, grid: list[dict],
                           sigma2_sq=sigma2_sq, family=config.family,
                           lam_joint=grid[i]["lam"], lam1=grid[i]["lam"],
                           lam2=grid[i]["lam"], m=width[i]) for i in simulated]
-        key = config.base_seed * 1_000_003
-        reports = monte_carlo(sims, config.replicates, base_seed=key + rows[0],
-                              projection_seeds=[key + first_of_width[width[i]]
-                                                for i in simulated])
-        for i, report in zip(simulated, reports):
+        populations.append(Population(sims, key + rows[0],
+                                      [key + first_of_width[width[i]] for i in simulated]))
+        simulated_rows.append(simulated)
+    for rows, reports in zip(simulated_rows, monte_carlo(populations, config.replicates)):
+        for i, report in zip(rows, reports):
             out[i] = report
     return out
 

@@ -43,7 +43,7 @@ def test_criterion_1_closed_form_variance():
         cfg = sim.SimConfig(spectrum=spec, n=n, p1=0.5, sigma1_sq=1.0,
                             sigma2_sq=1.0, family="classical", lam_joint=1e-8,
                             lam1=1e-8, lam2=1e-8)
-        [rep] = sim.monte_carlo([cfg], reps, base_seed=seed)
+        [[rep]] = sim.monte_carlo([sim.Population([cfg], seed)], reps)
         z = rep["r1_sep"].z(dec.total)
         ok &= abs(z) <= 3.0
         details.append(f"phi_s={phi_s}: V={dec.variance:.6f} (rel {rel:.1e}), mc z={z:+.2f}")
@@ -250,7 +250,7 @@ def test_criterion_9_symmetric_groups_zero_gaps():
     cfg = sim.SimConfig(spectrum=spec, n=n, p1=0.5, sigma1_sq=1.0, sigma2_sq=1.0,
                         family=risk.FAMILY_RP, lam_joint=lam, lam1=lam, lam2=lam,
                         m=m)
-    [rep] = sim.monte_carlo([cfg], reps, base_seed=99)
+    [[rep]] = sim.monte_carlo([sim.Population([cfg], 99)], reps)
     # symmetric groups share weights and covariance, so the joint model's two
     # risks are the same quadratic form: its gap is identically zero (std 0)
     zs = {key: rep[key].z(0.0) for key in ("odd_signed", "edd_signed")}

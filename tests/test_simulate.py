@@ -220,6 +220,19 @@ class TestProjectionDraw:
         assert np.all(np.abs(var - expect_var)
                       <= 4 * np.sqrt((centred4 - var ** 2) / draws))
 
+    @pytest.mark.parametrize("d, m", [(1, 3), (7, 8), (12, 40)])
+    def test_bartlett_factor_is_drawn_in_its_documented_order(self, d, m):
+        rng = sim.stream(11, 2, "projection")
+        want = np.zeros((d, d))
+        for i in range(d):
+            want[i, i] = math.sqrt(rng.chisquare(m - i))
+        for i in range(d):
+            for j in range(i):
+                want[i, j] = rng.standard_normal()
+        want /= math.sqrt(d)
+        got = sim.draw_projection(sim.stream(11, 2, "projection"), d, m)
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("m", [5, 12])
     def test_narrow_draw_is_the_plain_gaussian(self, m):
         d = 12
@@ -293,8 +306,8 @@ class TestMonteCarlo:
 
     def test_report_is_deterministic(self):
         cfg = self.config()
-        [a] = sim.monte_carlo([cfg], replicates=4, base_seed=42)
-        [b] = sim.monte_carlo([cfg], replicates=4, base_seed=42)
+        [[a]] = sim.monte_carlo([sim.Population([cfg], 42)], replicates=4)
+        [[b]] = sim.monte_carlo([sim.Population([cfg], 42)], replicates=4)
         for key in sim.QUANTITIES:
             assert a[key] == b[key]
 
@@ -302,33 +315,31 @@ class TestMonteCarlo:
         spec = make_isotropic(4, 1.0, 1.0, 1.0, 0.0)
         cfg = self.config(spectrum=spec, sigma1_sq=0.0, sigma2_sq=0.0,
                           lam_joint=1e-10, lam1=1e-10, lam2=1e-10, n=200)
-        [rep] = sim.monte_carlo([cfg], replicates=3, base_seed=0)
+        [[rep]] = sim.monte_carlo([sim.Population([cfg], 0)], replicates=3)
         for key in ("r1_joint", "r2_joint", "r1_sep", "r2_sep"):
             assert rep[key].mean < 1e-12
 
     def test_configs_must_share_one_population(self):
         cfg = self.config()
         with pytest.raises(ValueError, match="one population"):
-            sim.monte_carlo([cfg, replace(cfg, sigma2_sq=1.0)], replicates=2, base_seed=0)
+            sim.Population([cfg, replace(cfg, sigma2_sq=1.0)], 0)
         with pytest.raises(ValueError, match="one population"):
-            sim.monte_carlo([cfg, replace(cfg, spectrum=small_spectrum())], replicates=2,
-                            base_seed=0)
+            sim.Population([cfg, replace(cfg, spectrum=small_spectrum())], 0)
 
     def test_population_call_repeats_each_one_point_call(self):
         # data keyed by base_seed; each width's projection by its first config's seed
         cfg = self.config(family="random-projection", m=30)
         configs = [cfg, replace(cfg, lam_joint=0.5, lam1=0.5, lam2=0.5),
                    replace(cfg, m=8), replace(cfg, m=8, lam1=0.01)]
-        reports = sim.monte_carlo(configs, replicates=3, base_seed=5,
-                                  projection_seeds=[5, 6, 9, 10])
+        [reports] = sim.monte_carlo([sim.Population(configs, 5, [5, 6, 9, 10])], replicates=3)
         for c, seed, report in zip(configs, [5, 5, 9, 9], reports):
-            [alone] = sim.monte_carlo([c], replicates=3, base_seed=5, projection_seeds=[seed])
+            [[alone]] = sim.monte_carlo([sim.Population([c], 5, [seed])], replicates=3)
             assert report.quantities == alone.quantities
             assert report.failure is None
             assert report.seed_ledger["projection_seed"] == seed
 
     def test_rp_family_runs_and_records_counts(self):
         cfg = self.config(family="random-projection", m=30)
-        [rep] = sim.monte_carlo([cfg], replicates=3, base_seed=1)
+        [[rep]] = sim.monte_carlo([sim.Population([cfg], 1)], replicates=3)
         assert rep["r1_joint"].count == 3
         assert np.isfinite(rep["odd"].mean)

@@ -237,8 +237,8 @@ class TestPopulations:
                           sigma1_sq=cfg.sigma1_sq, sigma2_sq=cfg.sigma2_sq,
                           family=cfg.family, lam_joint=row["lambda"], lam1=row["lambda"],
                           lam2=row["lambda"], m=row["m"] or None)
-        [report] = sim.monte_carlo([c], cfg.replicates, base_seed=base_seed,
-                                   projection_seeds=[projection_seed])
+        [[report]] = sim.monte_carlo([sim.Population([c], base_seed, [projection_seed])],
+                                     cfg.replicates)
         return {**{f"emp_{k}_mean": report[k].mean for k in sim.QUANTITIES},
                 **{f"emp_{k}_std": report[k].std for k in sim.QUANTITIES}}
 
@@ -487,8 +487,8 @@ class TestCLI:
     def test_validate_fig2_fails_an_exact_mean_off_theory(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "SIMULATION_CASES", cli.SIMULATION_CASES[:1])
         exact = sim.SummaryStat(mean=5.0, std=0.0, count=3)
-        monkeypatch.setattr(cli, "monte_carlo", lambda configs, replicates, base_seed: [
-            sim.MonteCarloReport({k: exact for k in sim.QUANTITIES}, {})])
+        monkeypatch.setattr(cli, "monte_carlo", lambda populations, replicates: [
+            [sim.MonteCarloReport({k: exact for k in sim.QUANTITIES}, {})]])
         assert cli_main(["validate", "fig2", "--replicates", "3"]) == 1
         out = capsys.readouterr().out
         assert out.count("FAIL") == 4 and out.count("z=+inf") == 4
