@@ -3,11 +3,12 @@
 Every deterministic equivalent in this package is driven by a handful of
 scalar constants defined as the unique positive solution of coupled
 fixed-point equations over normalized spectral traces.  Every nonlinear
-equation has the form x_i (1 + t_i(x)) - 1 = 0 with t_i a nonnegative
-trace, and each stage is solved by a safeguarded Newton iteration with an
-analytic Jacobian (each entry is one more normalized trace); once those
-constants are known, the remaining unknowns satisfy small affine systems
-which are solved exactly.
+equation has the form x_i g_i(x) - 1 = 0 with g_i positive (one plus a
+nonnegative trace, or for the effective shift the penalty plus a trace), and
+each stage, the effective shift included, is solved by one safeguarded
+Newton iteration with an analytic Jacobian (each entry is one more
+normalized trace); once those constants are known, the remaining unknowns
+satisfy small affine systems which are solved exactly.
 
 Every stage solves a batch of P systems at once.  Its per-row inputs (the
 rates of ``ScalingRegime``, the penalty, earlier constants) are scalars or
@@ -28,8 +29,6 @@ NaN in a batched call; an unbatched call raises ``FixedPointError``
 from __future__ import annotations
 
 import logging
-import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,27 +38,28 @@ from .spectra import JointSpectrum, ScalingRegime, dof
 logger = logging.getLogger(__name__)
 
 
+#: Substitutes for a requested penalty of exactly zero in solvers that have
+#: no dedicated unregularized path.
+LAMBDA_FLOOR = 1e-8
+
+
 @dataclass(frozen=True)
 class SolverSettings:
     """Knobs for the Newton solves of the nonlinear stages.
 
     A solve stops once the max defect of its equations falls below tol;
     max_iter caps its iterations (the slowest preset grid point takes
-    about 150).  lambda_floor substitutes for a requested penalty of exactly
-    zero in solvers that have no dedicated unregularized path.
+    about 150).
     """
 
     tol: float = 1e-12
     max_iter: int = 1000
-    lambda_floor: float = 1e-8
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.lambda_floor <= 0:
-            raise ValueError(f"lambda_floor must be positive, got {self.lambda_floor}")
 
 
 DEFAULT_SETTINGS = SolverSettings()
@@ -75,23 +75,26 @@ class FixedPointError(RuntimeError):
         self.iters = iters
 
 
-def _effective_lambda(lam, settings: SolverSettings):
-    """The penalty (a scalar or per-row array) with zeros floored to lambda_floor."""
+def _effective_lambda(lam):
+    """The penalty (a scalar or per-row array) with zeros floored to LAMBDA_FLOOR."""
     arr = np.asarray(lam, dtype=float)
     if np.any(arr < 0):
         raise ValueError(f"ridge penalty must be nonnegative, got {lam}")
     if np.any(arr == 0.0):
-        logger.warning("penalty 0 floored to %.1e for the regularized solver",
-                       settings.lambda_floor)
-        return np.where(arr == 0.0, settings.lambda_floor, arr)[()]
+        logger.warning("penalty 0 floored to %.1e for the regularized solver", LAMBDA_FLOOR)
+        return np.where(arr == 0.0, LAMBDA_FLOOR, arr)[()]
     return lam
 
 
-def _batch(spectrum: JointSpectrum, *per_row):
-    """Batch shape of a call, and its weights (P, atoms) and per-row values (P, 1)."""
-    shape = np.broadcast_shapes(spectrum.weights.shape[:-1], *map(np.shape, per_row))
+def _batch(weights: np.ndarray, *per_row):
+    """Batch shape of a call, and its weights (P, atoms) and per-row values (P, 1).
+
+    ``weights`` are (atoms,) or (P, atoms), like ``JointSpectrum.weights``.
+    """
+    weights = np.asarray(weights, dtype=float)
+    shape = np.broadcast_shapes(weights.shape[:-1], *map(np.shape, per_row))
     rows = int(np.prod(shape))
-    weights = np.broadcast_to(spectrum.weights, shape + spectrum.sigma1.shape)
+    weights = np.broadcast_to(weights, shape + weights.shape[-1:])
     return shape, [weights.reshape(rows, -1)] + [
         np.broadcast_to(np.asarray(v, dtype=float), shape).reshape(rows, 1)
         for v in per_row]
@@ -157,10 +160,11 @@ def _newton(fun, x0: np.ndarray, params: list, settings: SolverSettings, what: s
     ``x0`` is (P, q) and ``params`` holds the per-row arrays (P, ...) of the
     P systems.  ``fun(x, *params)`` maps N points x (N, q), with the params
     of their rows, to (F, residual, J) of shapes (N, q), (N,) and (N, q, q):
-    the defects F_i = x_i (1 + t_i(x)) - 1, their max magnitude per row, and
-    the Jacobians dF/dx.  Each row takes its own path: a Newton step is
-    halved until it keeps x positive and lowers the residual; if no halving
-    does, the damped Picard step x <- (x + x / (F + 1)) / 2 is taken instead.
+    the defects F_i = x_i g_i(x) - 1 with g_i > 0, their max magnitude per
+    row, and the Jacobians dF/dx.  Each row takes its own path: a Newton step
+    is halved until it keeps x positive and lowers the residual; if no
+    halving does, the damped Picard step x <- (x + 1 / g) / 2, computed as
+    (x + x / (F + 1)) / 2, is taken instead.
     Once the residual is below tol, at most _POLISH_STEPS full steps polish
     the root while the relative step max|J^-1 F| / x exceeds _POLISH_RTOL.
     Only unfinished rows are carried and evaluated, and all halvings of a
@@ -258,8 +262,8 @@ def solve_rp_joint_nonlinear(spectrum: JointSpectrum, regime: ScalingRegime,
     tau tr_bar(Sigma_s K^-1) in tau reduce to lam-weighted traces of K^-2.
     Returns (e1, e2, tau, residual, iters).
     """
-    lam = _effective_lambda(lam, settings)
-    shape, params = _batch(spectrum, regime.psi, regime.gamma, lam)
+    lam = _effective_lambda(lam)
+    shape, params = _batch(spectrum.weights, regime.psi, regime.gamma, lam)
     s1, s2 = spectrum.sigma1, spectrum.sigma2
     p1, p2 = regime.p1, regime.p2
     # atom values traced against K^-1, and against K^-2 for the Jacobian
@@ -303,12 +307,12 @@ def solve_rp_joint_linear(spectrum: JointSpectrum, regime: ScalingRegime,
     rho' = rho / (gamma tau^2), which stays well conditioned as the penalty
     and tau vanish together.
     """
-    lam = _effective_lambda(lam, settings)
+    lam = _effective_lambda(lam)
     b = np.asarray(b, dtype=float)
     if b.shape != spectrum.sigma1.shape or np.any(b < 0):
         raise ValueError("target spectrum b must be nonnegative, one entry per atom")
     shape, (w, psi, gamma, lam, e1, e2, tau) = _batch(
-        spectrum, regime.psi, regime.gamma, lam, e1, e2, tau)
+        spectrum.weights, regime.psi, regime.gamma, lam, e1, e2, tau)
     s1, s2, tr = spectrum.sigma1, spectrum.sigma2, _trace(w)
     p1, p2 = regime.p1, regime.p2
 
@@ -374,8 +378,8 @@ def solve_rp_separate(spectrum: JointSpectrum, regime: ScalingRegime, s: int,
     (u_s, rho_s) solve an exact 2x2 affine system (assembled in
     rho' = rho / (gamma tau^2)).
     """
-    lam = _effective_lambda(lam_s, settings)
-    shape, params = _batch(spectrum, regime.psi_s(s), regime.gamma, lam)
+    lam = _effective_lambda(lam_s)
+    shape, params = _batch(spectrum.weights, regime.psi_s(s), regime.gamma, lam)
     sig = spectrum.sigma(s)
 
     def fun(x, w, psi_s, gamma, lam):
@@ -423,8 +427,8 @@ def solve_classical_joint_nonlinear(spectrum: JointSpectrum, regime: ScalingRegi
 
     Returns (e1, e2, residual, iters).
     """
-    lam = _effective_lambda(lam, settings)
-    shape, params = _batch(spectrum, regime.phi, lam)
+    lam = _effective_lambda(lam)
+    shape, params = _batch(spectrum.weights, regime.phi, lam)
     s1, s2 = spectrum.sigma1, spectrum.sigma2
     p1, p2 = regime.p1, regime.p2
     by_k = np.stack([s1, s2])
@@ -451,8 +455,8 @@ def solve_classical_joint_linear(spectrum: JointSpectrum, regime: ScalingRegime,
                                  lam, e1, e2, s: int,
                                  settings: SolverSettings = DEFAULT_SETTINGS):
     """Exact 2x2 solve for (u1, u2) targeting evaluation group s."""
-    lam = _effective_lambda(lam, settings)
-    shape, (w, phi, lam, e1, e2) = _batch(spectrum, regime.phi, lam, e1, e2)
+    lam = _effective_lambda(lam)
+    shape, (w, phi, lam, e1, e2) = _batch(spectrum.weights, regime.phi, lam, e1, e2)
     s1, s2, tr = spectrum.sigma1, spectrum.sigma2, _trace(w)
     p1, p2 = regime.p1, regime.p2
     k = p1 * e1 * s1 + p2 * e2 * s2 + lam
@@ -478,76 +482,48 @@ def solve_classical_joint_linear(spectrum: JointSpectrum, regime: ScalingRegime,
 # Classical ridge, separate model per group.
 # ---------------------------------------------------------------------------
 
-def _float_bits(x: float) -> int:
-    return struct.unpack("<q", struct.pack("<d", x))[0]
-
-
-def _bits_float(bits: int) -> float:
-    return struct.unpack("<d", struct.pack("<q", bits))[0]
-
-
-def _bracketed_root(f, lo: float, hi: float, what: str) -> float:
-    """Root of f on [lo, hi], 0 <= lo < hi, where f changes sign, to adjacent floats.
-
-    Bisects the bit patterns, which order nonnegative floats, so it takes at
-    most 64 evaluations whatever the scale of the root; of the final two
-    adjacent floats it returns the one with the smaller |f|.
-    """
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo == 0 or f_hi == 0:
-        return lo if f_lo == 0 else hi
-    if not (math.isfinite(f_lo) and math.isfinite(f_hi)) or (f_lo > 0) == (f_hi > 0):
-        raise FixedPointError(f"no root bracketed for {what}")
-    a, b = _float_bits(lo), _float_bits(hi)
-    while b - a > 1:
-        mid = (a + b) // 2
-        f_mid = f(_bits_float(mid))
-        if f_mid == 0:
-            return _bits_float(mid)
-        if not math.isfinite(f_mid):
-            raise FixedPointError(f"non-finite defect while solving for {what}")
-        if (f_mid > 0) == (f_lo > 0):
-            a, f_lo = mid, f_mid
-        else:
-            b, f_hi = mid, f_mid
-    return _bits_float(a if abs(f_lo) <= abs(f_hi) else b)
-
-
-def solve_kappa(eigs: np.ndarray, weights: np.ndarray, phi_s: float, lam_s: float,
-                settings: SolverSettings = DEFAULT_SETTINGS) -> float:
+def solve_kappa(eigs: np.ndarray, weights: np.ndarray, phi_s, lam_s,
+                settings: SolverSettings = DEFAULT_SETTINGS):
     """Root of kappa - lam = kappa phi df_bar_1(kappa), the effective shift.
 
-    Solved for the excess x = kappa - lam by bracketing: h(x) = x - kappa phi
-    df_bar_1(kappa) is negative at 0 and positive at 2 phi max_eig, because
-    kappa df_bar_1(kappa) never exceeds max_eig.  h has no term of size lam,
-    so the shift stays accurate at any penalty: it tends to lam + phi
-    mean_eig as lam grows.  The unregularized case returns 0 analytically
-    when the group is underparameterized (phi_s <= 1 over the positive mass).
+    ``weights`` are (atoms,) or (P, atoms), phi_s and lam_s scalars or (P,).
+    Solved through ``_newton`` for x = 1 / kappa, from
+        F(x) = x g(x) - 1,   g(x) = lam + phi tr_bar(E (I + x E)^-1),
+        J = lam + phi tr_bar(E (I + x E)^-2) > 0,
+    one formula at any penalty, zero included.  F is increasing and concave,
+    and kappa never exceeds lam + phi mean_eig, so Newton climbs from
+    x = 1 / (lam + phi mean_eig) to the root without overshooting.  An
+    unregularized row that is underparameterized (phi_s <= 1 over the
+    positive mass) has kappa = 0 and is not solved.
+    Returns (kappa, residual, iters), the residual being |F| where ``_newton``
+    stopped.
     """
     eigs = np.asarray(eigs, dtype=float)
-    if lam_s < 0 or phi_s <= 0:
+    if np.any(np.asarray(lam_s) < 0) or np.any(np.asarray(phi_s) <= 0):
         raise ValueError("need lam_s >= 0 and phi_s > 0")
-    pos = eigs > 0
-    e, w = eigs[pos], weights[pos]
-    hi = 2.0 * phi_s * float(np.max(eigs))
+    shape, (w, phi, lam) = _batch(weights, phi_s, lam_s)
 
-    def df1(kappa):  # dof(eigs, weights, 1, 1, kappa), without its checks
-        return float(w @ (e / (e + kappa)))
+    def g(x, w, phi, lam):
+        return lam + phi * (w * eigs / (1.0 + x * eigs)).sum(axis=1, keepdims=True)
 
-    if lam_s == 0.0:
-        if phi_s * float(np.sum(w)) <= 1.0:
-            return 0.0
-        # Interpolating regime: df_bar_1(kappa) = 1 / phi_s has a positive root.
-        return _bracketed_root(lambda k: df1(k) - 1.0 / phi_s, 0.0, hi,
-                               "the effective shift")
-    if hi == 0.0:
-        return float(lam_s)
+    def fun(x, w, phi, lam):
+        f = x * g(x, w, phi, lam) - 1.0
+        jac = lam + phi * (w * eigs / (1.0 + x * eigs) ** 2).sum(axis=1, keepdims=True)
+        return f, np.abs(f[:, 0]), jac[:, :, None]
 
-    def h(x):
-        kappa = lam_s + x
-        return x - kappa * phi_s * df1(kappa)
-
-    return float(lam_s + _bracketed_root(h, 0.0, hi, "the effective shift"))
+    kappa, res = np.zeros(len(w)), np.zeros(len(w))
+    iters = np.zeros(len(w), dtype=int)
+    rows = np.flatnonzero((lam[:, 0] > 0) | (phi[:, 0] * w[:, eigs > 0].sum(axis=1) > 1.0))
+    if rows.size:
+        w, phi, lam = w[rows], phi[rows], lam[rows]
+        x0 = 1.0 / (lam + phi * (w * eigs).sum(axis=1, keepdims=True))
+        x, res[rows], iters[rows] = _newton(fun, x0, [w, phi, lam], settings,
+                                            "the effective shift", shape)
+        # _newton stops once the relative step is below _POLISH_RTOL; one more
+        # step, and kappa = g(x) rather than 1 / x, take kappa to its last bits.
+        f, _, jac = fun(x, w, phi, lam)
+        kappa[rows] = g(x - f / jac[:, 0], w, phi, lam)[:, 0]
+    return _unbatch(shape, kappa, res, iters)
 
 
 # ---------------------------------------------------------------------------
@@ -591,8 +567,9 @@ def solve_theta0(eigs: np.ndarray, weights: np.ndarray, phi_s: float, psi_s: flo
 
     The target value of eta0 depends on the parameterization regime:
     gamma below one, interpolating, or overparameterized.  The shift is the
-    root of I_{1,1}(theta0) = target; no root exists when the target exceeds
-    the fraction of positive eigenvalues.
+    root of I_{1,1}(theta0) = target, the effective shift at zero penalty
+    and phi = 1 / target; no root exists when the target exceeds the
+    fraction of positive eigenvalues.
     """
     eigs = np.asarray(eigs, dtype=float)
     tag = classify_unregularized_regime(psi_s, gamma)
@@ -607,16 +584,7 @@ def solve_theta0(eigs: np.ndarray, weights: np.ndarray, phi_s: float, psi_s: flo
         raise FixedPointError(
             f"no root: target degrees of freedom {target:.6g} exceeds the "
             f"spectrum's maximum {cap:.6g}")
-    if target == cap:
-        theta0 = 0.0
-    else:
-        hi = 1.0
-        while dof(eigs, weights, 1, 1, hi) > target:
-            hi *= 2.0
-            if hi > 1e18:
-                raise FixedPointError("no root bracketed for the zero-penalty shift")
-        theta0 = _bracketed_root(lambda t: dof(eigs, weights, 1, 1, t) - target, 0.0, hi,
-                                 "the zero-penalty shift")
+    theta0 = float(solve_kappa(eigs, weights, 1.0 / target, 0.0, settings)[0])
     eta0 = dof(eigs, weights, 1, 1, theta0)
     e0 = max(1.0 - phi_s * eta0, 0.0)
     tau0 = max(1.0 - eta0 / gamma, 0.0)

@@ -183,7 +183,7 @@ def rp_joint_risk(spectrum: JointSpectrum, regime: ScalingRegime, lam,
     ``nonlinear`` optionally reuses a previously solved (e1, e2, tau) triple,
     since that stage does not depend on the evaluation group.
     """
-    lam = fp._effective_lambda(lam, settings)
+    lam = fp._effective_lambda(lam)
     sig_s = spectrum.sigma(s)
     if nonlinear is None:
         e1, e2, tau, _, _ = fp.solve_rp_joint_nonlinear(spectrum, regime, lam, settings)
@@ -222,7 +222,7 @@ def rp_separate_risk(spectrum: JointSpectrum, regime: ScalingRegime, lam_s,
     ``constants`` optionally reuses a previous ``solve_rp_separate`` result
     for the same group and penalty.
     """
-    lam = fp._effective_lambda(lam_s, settings)
+    lam = fp._effective_lambda(lam_s)
     c = constants if constants is not None else fp.solve_rp_separate(
         spectrum, regime, s, lam, settings)
     sig = spectrum.sigma(s)
@@ -295,7 +295,7 @@ def classical_joint_risk(spectrum: JointSpectrum, regime: ScalingRegime, lam,
                          nonlinear: tuple | None = None,
                          ) -> RiskDecomposition:
     """Test risk of the single classical ridge model on group s."""
-    lam = fp._effective_lambda(lam, settings)
+    lam = fp._effective_lambda(lam)
     if nonlinear is None:
         e1, e2, _, _ = fp.solve_classical_joint_nonlinear(spectrum, regime, lam, settings)
     else:
@@ -352,29 +352,22 @@ def classical_separate_risk(spectrum: JointSpectrum, phi_s, lam_s, sigma_s_sq, s
                             ) -> RiskDecomposition:
     """Test risk of a classical ridge model trained on group s alone.
 
-    The effective shift is bracketed row by row; a batch row whose shift has
-    no root is NaN.
+    The effective shifts of all rows are solved in one ``solve_kappa`` call;
+    a batch row whose shift does not converge is NaN.
     """
+    kappa, _, _ = fp.solve_kappa(spectrum.sigma(s), spectrum.weights, phi_s, lam_s, settings)
+    return _classical_separate(spectrum, phi_s, kappa, sigma_s_sq, s)
+
+
+def _classical_separate(spectrum: JointSpectrum, phi_s, kappa, sigma_s_sq,
+                        s: int) -> RiskDecomposition:
+    """The classical separate risk of group s at its effective shift kappa."""
     sig = spectrum.sigma(s)
-    shape = np.broadcast_shapes(spectrum.weights.shape[:-1], np.shape(phi_s),
-                                np.shape(lam_s))
-    weights = np.broadcast_to(spectrum.weights, shape + sig.shape).reshape(-1, sig.size)
-    phis = np.broadcast_to(phi_s, shape).ravel()
-    lams = np.broadcast_to(lam_s, shape).ravel()
-    kappa = np.empty(len(weights))
-    df2 = np.empty(len(weights))
-    for i, w in enumerate(weights):
-        try:
-            kappa[i] = fp.solve_kappa(sig, w, phis[i], lams[i], settings)
-        except fp.FixedPointError:
-            if shape == ():
-                raise
-            kappa[i] = math.nan
-        df2[i] = dof(sig, w, 2, 2, kappa[i])
-    kappa, df2 = kappa.reshape(shape), df2.reshape(shape)
-    denom = 1.0 - phi_s * df2
     theta_s = spectrum.theta_s(s)
     with np.errstate(divide="ignore", invalid="ignore"):  # rows that end up inf or 0
+        # zero atoms contribute 0 to df_bar_2, also at kappa = 0
+        df2 = spectrum.tr(np.where(sig > 0, sig ** 2 / (sig + _col(kappa)) ** 2, 0.0))
+        denom = 1.0 - phi_s * df2
         variance = np.where(denom <= 0, math.inf, sigma_s_sq * phi_s * df2 / denom)
         bias = np.where(denom <= 0, math.inf, np.where(
             kappa == 0.0, 0.0,
@@ -415,9 +408,9 @@ class TheorySummary:
     """The four deterministic-equivalent risks, gap metrics and diagnostics.
 
     residual is the largest residual and iters the total iteration count
-    over the nonlinear solves: the joint one, plus for random projections
-    the two separate-model ones.  For a batch every field holds one entry
-    per row.
+    over the nonlinear solves: the joint one plus the two separate-model
+    ones (for classical ridge, the two effective shifts).  For a batch every
+    field holds one entry per row.
     """
 
     r1_joint: RiskDecomposition
@@ -445,33 +438,36 @@ def theory_risks(spectrum: JointSpectrum, regime: ScalingRegime, family: str,
     fails has NaN risks (``TheorySummary.failed``) and leaves the other
     rows as they would be without it; an unbatched call raises instead.
     """
-    lam_joint = fp._effective_lambda(lam_joint, settings)
+    lam_joint = fp._effective_lambda(lam_joint)
     if family == FAMILY_RP:
         e1, e2, tau, res, iters = fp.solve_rp_joint_nonlinear(
             spectrum, regime, lam_joint, settings)
         r1j, r2j = (rp_joint_risk(spectrum, regime, lam_joint, sigma_sqs, s,
                                   settings, nonlinear=(e1, e2, tau))
                     for s in (1, 2))
-        lam_sep = [fp._effective_lambda(lam_s, settings) for lam_s in lam_sep]
+        lam_sep = [fp._effective_lambda(lam_s) for lam_s in lam_sep]
         seps = [fp.solve_rp_separate(spectrum, regime, s, lam_s, settings)
                 for s, lam_s in zip((1, 2), lam_sep)]
         r1s, r2s = (rp_separate_risk(spectrum, regime, lam_s, sigma_s_sq, s, settings,
                                      constants=c)
                     for s, lam_s, sigma_s_sq, c in zip((1, 2), lam_sep, sigma_sqs, seps))
-        res = np.maximum(res, np.maximum(seps[0].residual, seps[1].residual))
-        iters = iters + seps[0].iters + seps[1].iters
+        diagnostics = [(c.residual, c.iters) for c in seps]
     elif family == FAMILY_CLASSICAL:
         e1, e2, res, iters = fp.solve_classical_joint_nonlinear(
             spectrum, regime, lam_joint, settings)
         r1j, r2j = (classical_joint_risk(spectrum, regime, lam_joint, sigma_sqs, s,
                                          settings, nonlinear=(e1, e2))
                     for s in (1, 2))
-        r1s = classical_separate_risk(spectrum, regime.phi_s(1), lam_sep[0],
-                                      sigma_sqs[0], 1, settings)
-        r2s = classical_separate_risk(spectrum, regime.phi_s(2), lam_sep[1],
-                                      sigma_sqs[1], 2, settings)
+        kappas = [fp.solve_kappa(spectrum.sigma(s), spectrum.weights, regime.phi_s(s),
+                                 lam_s, settings) for s, lam_s in zip((1, 2), lam_sep)]
+        r1s, r2s = (_classical_separate(spectrum, regime.phi_s(s), kappa, sigma_s_sq, s)
+                    for s, (kappa, _, _), sigma_s_sq in zip((1, 2), kappas, sigma_sqs))
+        diagnostics = [k[1:] for k in kappas]
     else:
         raise ValueError(f"unknown model family: {family!r}")
+    (res1, iters1), (res2, iters2) = diagnostics
+    res = np.maximum(res, np.maximum(res1, res2))
+    iters = iters + iters1 + iters2
     return TheorySummary(r1_joint=r1j, r2_joint=r2j, r1_sep=r1s, r2_sep=r2s,
                          gaps=metrics(r1j, r2j, r1s, r2s), residual=res,
                          iters=iters)

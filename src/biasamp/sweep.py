@@ -268,7 +268,7 @@ def _theory_rows(config: SweepConfig, grid: list[dict]) -> list[tuple[dict, list
     floored once here, so a zero penalty warns once.
     """
     n = config.n
-    floored = {lam: fp._effective_lambda(lam, fp.DEFAULT_SETTINGS)
+    floored = {lam: fp._effective_lambda(lam)
                for lam in {p["lam"] for p in grid}}
     d = [_size(p["phi"], n) for p in grid]
     spectra = {size: config.build_spectrum(size) for size in set(d)}

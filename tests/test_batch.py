@@ -104,6 +104,8 @@ class TestBatchEqualsPointByPoint:
         seps = [fp.solve_rp_separate(spectrum, regime, s, lam) for s in (1, 2)]
         classical = fp.solve_classical_joint_nonlinear(spectrum, regime, lam)
         u = fp.solve_classical_joint_linear(spectrum, regime, lam, *classical[:2], 1)
+        kappas = [fp.solve_kappa(spectrum.sigma(s), spectrum.weights, regime.phi_s(s), lam)
+                  for s in (1, 2)]
         for i, spec in enumerate(spectra):
             reg = regime_of(config, dims[i], m[i])
             one = fp.solve_rp_joint_nonlinear(spec, reg, lam)
@@ -119,6 +121,9 @@ class TestBatchEqualsPointByPoint:
             assert [v[i] for v in classical] == list(one_classical)
             assert [v[i] for v in u] == list(fp.solve_classical_joint_linear(
                 spec, reg, lam, *one_classical[:2], 1))
+            for s, kappa in zip((1, 2), kappas):  # (kappa, residual, iters)
+                one_kappa = fp.solve_kappa(spec.sigma(s), spec.weights, reg.phi_s(s), lam)
+                assert [v[i] for v in kappa] == list(one_kappa)
 
 
 #: diatomic_minority at phi in {0.5, 1}, psi in {0.125, 0.5, 1}: the joint

@@ -56,23 +56,23 @@ class TestWhiteResolvent:
 class TestKappa:
     def test_isotropic_quadratic_oracle(self):
         # kappa - lam = kappa phi / (1 + kappa) reduces to a quadratic.
-        kappa = fp.solve_kappa(np.ones(7), uniform(7), 0.5, 0.1)
+        kappa, _, _ = fp.solve_kappa(np.ones(7), uniform(7), 0.5, 0.1)
         assert kappa == pytest.approx((-0.4 + math.sqrt(0.56)) / 2, rel=1e-12)
         assert kappa == pytest.approx(0.17417, abs=5e-6)
 
     def test_unregularized_underparameterized_is_zero(self):
-        assert fp.solve_kappa(np.ones(5), uniform(5), 0.7, 0.0) == 0.0
+        assert fp.solve_kappa(np.ones(5), uniform(5), 0.7, 0.0)[0] == 0.0
 
     def test_residual_plugback(self):
         eigs, w = anisotropic_spectrum().sigma1, uniform(50)
-        kappa = fp.solve_kappa(eigs, w, 0.25, 0.5)
+        kappa, _, _ = fp.solve_kappa(eigs, w, 0.25, 0.5)
         assert abs(kappa - 0.5 - kappa * 0.25 * dof(eigs, w, 1, 1, kappa)) < 1e-12
 
     @pytest.mark.parametrize("lam", [1e12, 1e16, 1e17, 1e300])
     def test_huge_penalty_keeps_its_root(self, lam):
         # The excess kappa - lam tends to phi mean_eig, here 0.5 * 1.0.
         eigs, w = anisotropic_spectrum().sigma1, uniform(50)
-        kappa = fp.solve_kappa(eigs, w, 0.5, lam)
+        kappa, _, _ = fp.solve_kappa(eigs, w, 0.5, lam)
         assert kappa == pytest.approx(lam + 0.5 * float(w @ eigs), rel=1e-15)
 
     @pytest.mark.parametrize("phi, lam", [(0.5, 0.1), (2.0, 1e-9), (0.25, 1e4)])
@@ -81,14 +81,38 @@ class TestKappa:
         b = 1.0 - phi - lam
         root = math.sqrt(b * b + 4.0 * lam)
         oracle = 2.0 * lam / (b + root) if b > 0 else (root - b) / 2.0  # no cancellation
-        assert fp.solve_kappa(np.ones(7), uniform(7), phi, lam) == pytest.approx(
+        assert fp.solve_kappa(np.ones(7), uniform(7), phi, lam)[0] == pytest.approx(
             oracle, rel=4e-16)
 
     def test_unregularized_overparameterized_root(self):
         eigs, w = anisotropic_spectrum().sigma1, uniform(50)
-        kappa = fp.solve_kappa(eigs, w, 2.0, 0.0)
+        kappa, _, _ = fp.solve_kappa(eigs, w, 2.0, 0.0)
         assert kappa > 0
         assert dof(eigs, w, 1, 1, kappa) == pytest.approx(0.5, rel=1e-12)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_every_row_converges_on_random_spectra(self, seed):
+        # atoms over six decades, some zero; a third of the rows unregularized,
+        # half of them with phi within 1e-12 to 1e-1 of 1 / (positive mass)
+        rng = np.random.default_rng(seed)
+        atoms = int(rng.integers(1, 7))
+        eigs = 10.0 ** rng.uniform(-3, 3, atoms) * (rng.random(atoms) < 0.7)
+        eigs[rng.integers(atoms)] = 10.0 ** rng.uniform(-3, 3)
+        w = rng.dirichlet(np.ones(atoms))
+        mass = w[eigs > 0].sum()
+        rows = 8
+        lam = np.where(rng.random(rows) < 1 / 3, 0.0, 10.0 ** rng.uniform(-14, 14, rows))
+        near = 1.0 / mass + rng.choice([-1.0, 1.0], rows) * 10.0 ** rng.uniform(-12, -1, rows)
+        phi = np.where(rng.random(rows) < 0.5, near, 10.0 ** rng.uniform(-1.5, 1.5, rows))
+        kappa, res, _ = fp.solve_kappa(eigs, w, phi, lam)
+        assert np.isfinite(kappa).all() and (res < 1e-12).all()
+        zero = (lam == 0.0) & (phi * mass <= 1.0)
+        assert ((kappa == 0.0) == zero).all()
+        x = 1.0 / kappa[~zero, None]
+        trace = (w * eigs / (1.0 + x * eigs)).sum(axis=1)
+        defect = x[:, 0] * (lam[~zero] + phi[~zero] * trace) - 1.0
+        assert np.abs(defect).max(initial=0.0) <= 1e-12
 
 
 def rp_residuals(spectrum, regime, lam, e1, e2, tau, u1, u2, rho, b):
@@ -282,7 +306,7 @@ class TestClassicalJoint:
         lam = 0.05
         _, _, u = classical_joint(spec, reg, lam)
         phi_2 = phi / (1 - p1)
-        kappa_2 = fp.solve_kappa(spec.sigma2, spec.weights, phi_2, lam)
+        kappa_2, _, _ = fp.solve_kappa(spec.sigma2, spec.weights, phi_2, lam)
         df2 = dof(spec.sigma2, spec.weights, 2, 2, kappa_2)
         expected = phi_2 * df2 / (1.0 - phi_2 * df2)
         assert u[2][1] == pytest.approx(expected, rel=2e-3)
@@ -355,7 +379,7 @@ class TestSolverBehaviour:
         c = rp_joint(spec, reg, lam, spec.sigma1)
         assert 0 < c.e1 <= 1 and 0 < c.e2 <= 1 and 0 < c.tau <= 1
         assert c.u1 >= -1e-12 and c.u2 >= -1e-12 and c.rho >= -1e-12
-        kappa = fp.solve_kappa(spec.sigma1, spec.weights, phi, lam)
+        kappa, _, _ = fp.solve_kappa(spec.sigma1, spec.weights, phi, lam)
         assert kappa > 0
 
     def test_newton_root_matches_picard_iteration(self):

@@ -141,7 +141,7 @@ class TestClassicalJointRisk:
         dec = risk.classical_joint_risk(spec, reg, lam, (1.0, 1.0), 2)
         from biasamp.spectra import dof
         phi_2 = phi / (1 - p1)
-        kappa = fp.solve_kappa(spec.sigma2, spec.weights, phi_2, lam)
+        kappa, _, _ = fp.solve_kappa(spec.sigma2, spec.weights, phi_2, lam)
         df2 = dof(spec.sigma2, spec.weights, 2, 2, kappa)
         expected = phi_2 * df2 / (1.0 - phi_2 * df2)
         assert dec.variance == pytest.approx(expected, rel=5e-3)
@@ -156,9 +156,14 @@ class TestClassicalJointRisk:
 
 
 class TestClassicalSeparateRisk:
-    @pytest.mark.parametrize("phi_s,expected", [(0.5, 1.0), (0.25, 1.0 / 3.0)])
-    def test_unregularized_isotropic_variance(self, phi_s, expected):
-        spec = make_isotropic(6, 1.0, 1.0, 1.0, 0.0)
+    @pytest.mark.parametrize("phi_s,expected,spec", [
+        (0.5, 1.0, make_isotropic(6, 1.0, 1.0, 1.0, 0.0)),
+        (0.25, 1.0 / 3.0, make_isotropic(6, 1.0, 1.0, 1.0, 0.0)),
+        # group 1 has a zero atom and positive mass 0.9: 0.9 phi / (1 - 0.9 phi)
+        (0.5, 0.8181818181818181, make_diatomic(200, 0.9, 2.0, 2.0, 0.2, 1.0, 0.0)),
+        (0.9, 4.263157894736843, make_diatomic(200, 0.9, 2.0, 2.0, 0.2, 1.0, 0.0)),
+    ], ids=["0.5-1.0", "0.25-0.3333333333333333", "zero-atom-0.5", "zero-atom-0.9"])
+    def test_unregularized_isotropic_variance(self, phi_s, expected, spec):
         dec = risk.classical_separate_risk(spec, phi_s, 0.0, 1.0, 1)
         assert dec.variance == pytest.approx(expected, rel=1e-12)
         assert dec.bias == 0.0

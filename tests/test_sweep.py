@@ -168,15 +168,26 @@ class TestRunSweep:
         assert row["theory_odd"] == th.gaps.odd
 
     def test_solver_diagnostics_cover_all_nonlinear_solves(self):
-        cfg = tiny_config(replicates=0)
-        row = run_sweep(cfg).rows[1].values
-        spec = cfg.build_spectrum(row["d"])
-        reg = ScalingRegime.from_counts(row["n"], row["d"], row["m"], cfg.p1)
-        *_, res, iters = fp.solve_rp_joint_nonlinear(spec, reg, row["lambda"])
-        seps = [fp.solve_rp_separate(spec, reg, s, row["lambda"]) for s in (1, 2)]
-        assert all(c.iters > 0 for c in seps)
-        assert row["solver_iters"] == iters + sum(c.iters for c in seps)
-        assert row["solver_residual"] == max(res, *(c.residual for c in seps))
+        rp = tiny_config(replicates=0)
+        classical = tiny_config(replicates=0, family=risk.FAMILY_CLASSICAL, psi_grid=None,
+                                phi_grid=(0.5, 2.0))
+        for cfg in (rp, classical):
+            row = run_sweep(cfg).rows[1].values
+            spec = cfg.build_spectrum(row["d"])
+            lam = row["lambda"]
+            if cfg is rp:
+                reg = ScalingRegime.from_counts(row["n"], row["d"], row["m"], cfg.p1)
+                *_, res, iters = fp.solve_rp_joint_nonlinear(spec, reg, lam)
+                seps = [(c.residual, c.iters)
+                        for c in (fp.solve_rp_separate(spec, reg, s, lam) for s in (1, 2))]
+            else:  # the separate stage of classical ridge is the effective shift
+                reg = ScalingRegime(p1=cfg.p1, phi=row["d"] / row["n"], gamma=1.0)
+                *_, res, iters = fp.solve_classical_joint_nonlinear(spec, reg, lam)
+                seps = [fp.solve_kappa(spec.sigma(s), spec.weights, reg.phi_s(s), lam)[1:]
+                        for s in (1, 2)]
+            assert all(it > 0 for _, it in seps)
+            assert row["solver_iters"] == iters + sum(it for _, it in seps)
+            assert row["solver_residual"] == max(res, *(r for r, _ in seps))
 
     def test_failed_monte_carlo_point_is_flagged(self):
         row = run_sweep(SweepConfig(**DEGENERATE_MC)).rows[0]
