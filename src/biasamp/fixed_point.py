@@ -4,8 +4,8 @@ Every deterministic equivalent in this package is driven by a handful of
 scalar constants defined as the unique positive solution of coupled
 fixed-point equations over normalized spectral traces.  Every nonlinear
 equation has the form x_i g_i(x) - 1 = 0 with g_i positive (one plus a
-nonnegative trace, or for the effective shift the penalty plus a trace), and
-each stage, the effective shift included, is solved by one safeguarded
+nonnegative trace, or for an effective shift the penalty plus a trace), and
+each stage, the effective shifts included, is solved by one safeguarded
 Newton iteration with an analytic Jacobian (each entry is one more
 normalized trace); once those constants are known, the remaining unknowns
 satisfy small affine systems which are solved exactly.
@@ -372,32 +372,48 @@ def solve_rp_separate(spectrum: JointSpectrum, regime: ScalingRegime, s: int,
     (e_s, tau_s) solve
         e = 1 / (1 + psi_s tau tr_bar(Sigma_s K^-1)),
         tau = 1 / (1 + e tr_bar(Sigma_s K^-1)),
-    with K = gamma tau e Sigma_s + lam I.  Both traces depend on (e, tau) only
-    through the product e tau, and since K - gamma tau e Sigma_s = lam I every
-    Jacobian entry is a multiple of lam tr_bar(Sigma_s K^-2).  Then
-    (u_s, rho_s) solve an exact 2x2 affine system (assembled in
-    rho' = rho / (gamma tau^2)).
+    with K = gamma tau e Sigma_s + lam I.  Both depend on (e, tau) only
+    through the product e tau, so they are one equation in x = gamma e tau / lam,
+    the reciprocal of the effective shift.  With
+    t_k(x) = tr_bar(Sigma_s (I + x Sigma_s)^-k), df = x t_1 and
+    phi_s = psi_s / gamma, they give e = 1 - phi_s df and tau = 1 - df / gamma,
+    and x is solved through ``_newton`` from
+        F(x) = x g(x) - 1 = lam x / gamma - e tau,
+        g(x) = lam / gamma + (phi_s tau + 1 / gamma) t_1 > 0,
+        J = lam / gamma + (phi_s tau + e / gamma) t_2.
+    F is increasing and concave wherever e, tau > 0, and g never exceeds
+    lam / gamma + (phi_s + 1 / gamma) tr_bar(Sigma_s), so Newton climbs from
+    the reciprocal of that bound to the root without overshooting.  After
+    one more step the larger of e and tau is taken from its formula and the
+    smaller as (lam x / gamma) / larger: the subtraction alone would keep only
+    a few digits of one near zero.  Then (u_s, rho_s) solve an exact 2x2
+    affine system (assembled in rho' = rho / (gamma tau^2)).
     """
     lam = _effective_lambda(lam_s)
     shape, params = _batch(spectrum.weights, regime.psi_s(s), regime.gamma, lam)
     sig = spectrum.sigma(s)
 
     def fun(x, w, psi_s, gamma, lam):
-        e, tau = x[:, :1], x[:, 1:]
-        inv_k = 1.0 / (gamma * tau * e * sig + lam)
-        wk = w * (sig * inv_k)
-        t = wk.sum(axis=1, keepdims=True)
-        lq = lam * (wk * inv_k).sum(axis=1, keepdims=True)
-        f = np.concatenate([e * (1.0 + psi_s * tau * t) - 1.0, tau * (1.0 + e * t) - 1.0],
-                           axis=1)
-        jac = _matrix([[1.0 + psi_s * tau * lq, psi_s * e * lq],
-                       [tau * lq, 1.0 + e * lq]])
-        return f, np.abs(f).max(axis=1), jac
+        inv = 1.0 / (1.0 + x * sig)
+        ws = w * sig * inv
+        dg = x * ws.sum(axis=1, keepdims=True) / gamma  # df / gamma
+        e, tau = 1.0 - psi_s * dg, 1.0 - dg
+        f = lam * x / gamma - e * tau
+        jac = (lam + (psi_s * tau + e) * (ws * inv).sum(axis=1, keepdims=True)) / gamma
+        return f, np.abs(f[:, 0]), jac[:, :, None]
 
-    x, res, iters = _newton(fun, np.ones((len(params[0]), 2)), params, settings,
-                            f"rp-separate (e, tau) stage, group {s}", shape)
-    e, tau = x[:, :1], x[:, 1:]
     w, psi_s, gamma, lam = params
+    x0 = gamma / (lam + (psi_s + 1.0) * (w * sig).sum(axis=1, keepdims=True))
+    x, res, iters = _newton(fun, x0, params, settings,
+                            f"rp-separate shift, group {s}", shape)
+    # As in solve_kappa, one more step takes x to its last bits.
+    f, _, jac = fun(x, *params)
+    x = x - f / jac[:, 0]
+    dg = x * (w * sig / (1.0 + x * sig)).sum(axis=1, keepdims=True) / gamma
+    e, tau = 1.0 - psi_s * dg, 1.0 - dg
+    larger = np.maximum(e, tau)
+    smaller = lam * x / gamma / larger
+    e, tau = np.where(e >= tau, larger, smaller), np.where(e >= tau, smaller, larger)
     tr = _trace(w)
 
     k = gamma * tau * e * sig + lam

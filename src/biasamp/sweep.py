@@ -250,10 +250,6 @@ def _grid(config: SweepConfig) -> list[dict]:
     return points
 
 
-def _nan_summary():
-    return {"mean": float("nan"), "std": float("nan")}
-
-
 def _size(rate: float, n: int) -> int:
     """Finite size (d or m) of a rate at n samples."""
     return max(1, round(rate * n))

@@ -264,24 +264,38 @@ class TestRPSeparate:
         assert c.rho / lam ** 2 < 1e-12
 
     def test_full_system_plugback_residual(self):
-        spec = anisotropic_spectrum(seed=33)
-        reg = ScalingRegime.from_rates(0.5, 0.4, 0.6)
-        lam = 1e-4
-        c = fp.solve_rp_separate(spec, reg, 2, lam)
-        sig = spec.sigma2
-        psi_s, gamma = reg.psi_s(2), reg.gamma
-        k = gamma * c.tau * c.e * sig + lam
-        tr = float(np.mean(sig / k))
-        res = [
-            c.e * (1.0 + psi_s * c.tau * tr) - 1.0,
-            c.tau * (1.0 + c.e * tr) - 1.0,
-            c.u - psi_s * c.e ** 2 * float(np.mean(
-                sig * (gamma * c.tau ** 2 * (c.u + 1.0) * sig + c.rho) / k ** 2)),
-            c.rho - c.tau ** 2 * float(np.mean(
-                (gamma * c.rho * (c.e * sig) ** 2
-                 + lam ** 2 * (c.u + 1.0) * sig) / k ** 2)),
+        # (spectrum, regime, group, penalty, bound on the two nonlinear defects).
+        # The defects are relative: e and tau against the right-hand sides of
+        # their equations.  The last two cases are the stiffest preset rows, the
+        # isotropic sweep's phi = 1, psi = 8 and the diatomic minority's phi = 1,
+        # psi = 5.65685, where e is about 2.7e-7 and 2.0e-8; a product e tau
+        # that loses its last bits leaves defects tens of eps wide there.
+        eps = np.finfo(float).eps
+        cases = [
+            (anisotropic_spectrum(seed=33), ScalingRegime.from_rates(0.5, 0.4, 0.6),
+             2, 1e-4, 1e-10),
+            (make_isotropic(400, 0.5, 1.0, 2.0, 1.0),
+             ScalingRegime.from_counts(400, 400, 3200, 0.5), 1, 1e-6, 4 * eps),
+            (make_diatomic(400, 0.5, 2.0, 2.0, 0.2, 1.0, 0.0),
+             ScalingRegime.from_counts(400, 400, 2263, 0.9), 2, 1e-6, 4 * eps),
         ]
-        assert max(abs(r) for r in res) < 1e-10
+        for spec, reg, s, lam, bound in cases:
+            c = fp.solve_rp_separate(spec, reg, s, lam)
+            sig = spec.sigma(s)
+            psi_s, gamma = reg.psi_s(s), reg.gamma
+            k = gamma * c.tau * c.e * sig + lam
+            tr = float(spec.tr(sig / k))
+            nonlinear = [c.e * (1.0 + psi_s * c.tau * tr) - 1.0,
+                         c.tau * (1.0 + c.e * tr) - 1.0]
+            affine = [
+                c.u - psi_s * c.e ** 2 * float(spec.tr(
+                    sig * (gamma * c.tau ** 2 * (c.u + 1.0) * sig + c.rho) / k ** 2)),
+                c.rho - c.tau ** 2 * float(spec.tr(
+                    (gamma * c.rho * (c.e * sig) ** 2
+                     + lam ** 2 * (c.u + 1.0) * sig) / k ** 2)),
+            ]
+            assert max(abs(r) for r in nonlinear) <= bound, (s, lam, nonlinear)
+            assert max(abs(r) for r in nonlinear + affine) < 1e-10, (s, lam, affine)
 
     def test_joint_approaches_separate_as_group_dominates(self):
         spec = anisotropic_spectrum(seed=13)
