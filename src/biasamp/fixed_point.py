@@ -4,11 +4,13 @@ Every deterministic equivalent in this package is driven by a handful of
 scalar constants defined as the unique positive solution of coupled
 fixed-point equations over normalized spectral traces.  Every nonlinear
 equation has the form x_i g_i(x) - 1 = 0 with g_i positive (one plus a
-nonnegative trace, or for an effective shift the penalty plus a trace), and
-each stage, the effective shifts included, is solved by one safeguarded
-Newton iteration with an analytic Jacobian (each entry is one more
-normalized trace); once those constants are known, the remaining unknowns
-satisfy small affine systems which are solved exactly.
+nonnegative trace, or for an effective shift the penalty plus a trace).  The
+classical effective shift and the random-projection stages take as unknowns
+reciprocal effective shifts (for the joint random-projection model, one per
+group), from which their constants follow in closed form.  Each stage is
+solved by one safeguarded Newton iteration with an analytic Jacobian (each
+entry is one more normalized trace); once those constants are known, the
+remaining unknowns satisfy small affine systems which are solved exactly.
 
 Every stage solves a batch of P systems at once.  Its per-row inputs (the
 rates of ``ScalingRegime``, the penalty, earlier constants) are scalars or
@@ -48,8 +50,9 @@ class SolverSettings:
     """Knobs for the Newton solves of the nonlinear stages.
 
     A solve stops once the max defect of its equations falls below tol;
-    max_iter caps its iterations (the slowest preset grid point takes
-    about 150).
+    max_iter caps its iterations (the slowest solve of a preset grid point,
+    the joint random-projection stage at diatomic_minority phi = 0.5,
+    psi = 0.25, takes 99).
     """
 
     tol: float = 1e-12
@@ -161,10 +164,12 @@ def _newton(fun, x0: np.ndarray, params: list, settings: SolverSettings, what: s
     P systems.  ``fun(x, *params)`` maps N points x (N, q), with the params
     of their rows, to (F, residual, J) of shapes (N, q), (N,) and (N, q, q):
     the defects F_i = x_i g_i(x) - 1 with g_i > 0, their max magnitude per
-    row, and the Jacobians dF/dx.  Each row takes its own path: a Newton step
-    is halved until it keeps x positive and lowers the residual; if no
-    halving does, the damped Picard step x <- (x + 1 / g) / 2, computed as
-    (x + x / (F + 1)) / 2, is taken instead.
+    row, and the Jacobians dF/dx.  ``fun`` may report an infinite residual
+    at a point outside the domain of its equations, where F has spurious
+    roots.  Each row takes its own path: a Newton step is halved until it
+    keeps x positive and lowers the residual, so it never ends outside that
+    domain; if no halving does, the damped Picard step x <- (x + 1 / g) / 2,
+    computed as (x + x / (F + 1)) / 2, is taken instead.
     Once the residual is below tol, at most _POLISH_STEPS full steps polish
     the root while the relative step max|J^-1 F| / x exceeds _POLISH_RTOL.
     Only unfinished rows are carried and evaluated, and all halvings of a
@@ -257,40 +262,71 @@ def solve_rp_joint_nonlinear(spectrum: JointSpectrum, regime: ScalingRegime,
 
     The defining equations are
         1/tau = 1 + tr_bar(L K^-1),   1/e_s = 1 + psi tau tr_bar(Sigma_s K^-1),
-    with L = p1 e1 Sigma1 + p2 e2 Sigma2 and K = gamma tau L + lam I.
-    Since K - gamma tau L = lam I, the derivatives of tr_bar(L K^-1) and of
-    tau tr_bar(Sigma_s K^-1) in tau reduce to lam-weighted traces of K^-2.
-    Returns (e1, e2, tau, residual, iters).
+    with L = p1 e1 Sigma1 + p2 e2 Sigma2 and K = gamma tau L + lam I.  They
+    depend on (e1, e2, tau) only through the groups' reciprocal shifts
+    x_s = gamma tau p_s e_s / lam, with K = lam M, M = I + x1 Sigma1 + x2 Sigma2,
+    so they are two equations in x.  With t_s = tr_bar(Sigma_s M^-1),
+    q_s = tr_bar(Sigma_s M^-2), T_sk = tr_bar(Sigma_s Sigma_k M^-2) and
+    df = x1 t1 + x2 t2 = 1 - tr_bar(M^-1), they give tau = 1 - df / gamma and
+    e_s = 1 - psi x_s t_s / (gamma p_s), and x is solved through ``_newton`` from
+        F_s(x) = lam x_s / (gamma p_s) - e_s tau,
+        J_sk = (lam delta_sk + q_k p_s e_s + psi tau (delta_sk t_s - x_s T_sk))
+               / (gamma p_s),
+    starting at x_s = gamma p_s / (lam + (psi + 1) tr_bar(Sigma_s)), the
+    separate stage's start given the group's share.  Where tau <= 0 or an
+    e_s <= 0, F has spurious roots (e_s tau > 0 with both factors negative),
+    so such points report an infinite residual and are never stepped to.
+    After one more Newton step the products e_s tau = lam x_s / (gamma p_s)
+    are exact, and the smaller constants are taken from them: tau as the
+    product over the larger e when it is below that e, then each e_s below
+    tau as its product over tau.  The subtractions alone would keep only a
+    few digits of a constant near zero.
+    Returns (e1, e2, tau, residual, iters), the residual being max |F_s|.
     """
     lam = _effective_lambda(lam)
     shape, params = _batch(spectrum.weights, regime.psi, regime.gamma, lam)
     s1, s2 = spectrum.sigma1, spectrum.sigma2
     p1, p2 = regime.p1, regime.p2
-    # atom values traced against K^-1, and against K^-2 for the Jacobian
-    by_k = np.stack([s1, s2])
-    by_k2 = np.stack([s1, s2, s1 * s1, s1 * s2, s2 * s2])
+    # atom values traced against M^-1, and against M^-2 for the Jacobian
+    by_m = np.stack([s1, s2])
+    by_m2 = np.stack([s1, s2, s1 * s1, s1 * s2, s2 * s2])
+
+    def constants(x, w, psi, gamma):
+        """(e1, e2, tau) at x, and the traces against M^-1 and M^-2 of w."""
+        x1, x2 = x[:, :1], x[:, 1:]
+        inv = 1.0 / (1.0 + x1 * s1 + x2 * s2)
+        wm = w * inv
+        t1, t2 = _traces(wm, by_m)
+        d1, d2 = x1 * t1 / gamma, x2 * t2 / gamma  # their sum is df / gamma
+        return (1.0 - psi * d1 / p1, 1.0 - psi * d2 / p2, 1.0 - (d1 + d2),
+                (t1, t2), _traces(wm * inv, by_m2))
 
     def fun(x, w, psi, gamma, lam):
-        e1, e2, tau = x[:, :1], x[:, 1:2], x[:, 2:]
-        inv_k = 1.0 / (gamma * tau * (p1 * e1 * s1 + p2 * e2 * s2) + lam)
-        wk = w * inv_k
-        tr1, tr2 = _traces(wk, by_k)
-        q1, q2, t11, t12, t22 = _traces(wk * inv_k, by_k2)
-        d1, d2 = 1.0 + psi * tau * tr1, 1.0 + psi * tau * tr2
-        f = np.concatenate([e1 * d1 - 1.0, e2 * d2 - 1.0,
-                            tau * (1.0 + (p1 * e1 * tr1 + p2 * e2 * tr2)) - 1.0], axis=1)
-        g = gamma * psi * tau ** 2
+        x1, x2 = x[:, :1], x[:, 1:]
+        e1, e2, tau, (t1, t2), (q1, q2, t11, t12, t22) = constants(x, w, psi, gamma)
+        f = np.concatenate([lam * x1 / (gamma * p1) - e1 * tau,
+                            lam * x2 / (gamma * p2) - e2 * tau], axis=1)
+        res = np.where(((e1 > 0) & (e2 > 0) & (tau > 0))[:, 0], np.abs(f).max(axis=1), np.inf)
+        g1, g2, c = p1 * e1, p2 * e2, psi * tau
         jac = _matrix([
-            [d1 - g * (e1 * p1) * t11, -g * (e1 * p2) * t12, psi * lam * e1 * q1],
-            [-g * (e2 * p1) * t12, d2 - g * (e2 * p2) * t22, psi * lam * e2 * q2],
-            [lam * tau * p1 * q1, lam * tau * p2 * q2,
-             1.0 + lam * (p1 * e1 * q1 + p2 * e2 * q2)],
+            [(lam + q1 * g1 + c * (t1 - x1 * t11)) / (gamma * p1),
+             (q2 * g1 - c * x1 * t12) / (gamma * p1)],
+            [(q1 * g2 - c * x2 * t12) / (gamma * p2),
+             (lam + q2 * g2 + c * (t2 - x2 * t22)) / (gamma * p2)],
         ])
-        return f, np.abs(f).max(axis=1), jac
+        return f, res, jac
 
-    x, res, iters = _newton(fun, np.ones((len(params[0]), 3)), params, settings,
-                            "rp-joint (e, tau) stage", shape)
-    return _unbatch(shape, x[:, 0], x[:, 1], x[:, 2], res, iters)
+    w, psi, gamma, lam = params
+    x0 = gamma * np.array([p1, p2]) / (lam + (psi + 1.0) * _traces(w, by_m)[:, :, 0].T)
+    x, res, iters = _newton(fun, x0, params, settings, "rp-joint (e, tau) stage", shape)
+    # As in solve_rp_separate, one more step takes x to its last bits.
+    f, _, jac = fun(x, *params)
+    x = x - _solve(jac, f)
+    e1, e2, tau = constants(x, w, psi, gamma)[:3]
+    prod1, prod2 = lam * x[:, :1] / (gamma * p1), lam * x[:, 1:] / (gamma * p2)
+    tau = np.where(tau < np.maximum(e1, e2), np.where(e1 >= e2, prod1 / e1, prod2 / e2), tau)
+    e1, e2 = np.where(e1 < tau, prod1 / tau, e1), np.where(e2 < tau, prod2 / tau, e2)
+    return _unbatch(shape, e1, e2, tau, res, iters)
 
 
 def solve_rp_joint_linear(spectrum: JointSpectrum, regime: ScalingRegime,

@@ -143,6 +143,10 @@ def h_joint(k: int, j: int, a, constants: fp.RPJointConstants,
     e = {1: constants.e1, 2: constants.e2}
     u = {1: constants.u1, 2: constants.u2}
     tau, rho, gamma = constants.tau, constants.rho, regime.gamma
+    # np.square, not ** 2: a float64 scalar's ** 2 calls pow, which can differ
+    # from an array's square by an ulp, and an unbatched row must equal its
+    # batched one
+    tau2, e2 = np.square(tau), {j: np.square(v) for j, v in e.items()}
     c = _col
 
     ell = c(regime.p1 * e[1]) * spectrum.sigma1 + c(regime.p2 * e[2]) * spectrum.sigma2
@@ -153,20 +157,20 @@ def h_joint(k: int, j: int, a, constants: fp.RPJointConstants,
     b = constants.b
     inv_k2 = 1.0 / kay ** 2
     if k == 2:
-        core = (c(gamma * e[j] * tau ** 2) * b
-                + c(p_jp * gamma * tau ** 2) * sig_jp * c(e[j] * u[jp] - e[jp] * u[j])
+        core = (c(gamma * e[j] * tau2) * b
+                + c(p_jp * gamma * tau2) * sig_jp * c(e[j] * u[jp] - e[jp] * u[j])
                 + c(e[j] * rho) - c(lam * u[j] * tau))
         return p_j * gamma * spectrum.tr(a * sig_j * core * inv_k2)
     if k == 3:
-        core = (c(gamma * e[j] ** 2 * p_j) * sig_j
-                * (c(p_jp * gamma * tau ** 2 * u[jp]) * sig_jp + c(gamma * tau ** 2) * b
+        core = (c(gamma * e2[j] * p_j) * sig_j
+                * (c(p_jp * gamma * tau2 * u[jp]) * sig_jp + c(gamma * tau2) * b
                    + c(rho))
                 + c(u[j]) * (c(p_jp * gamma * e[jp] * tau) * sig_jp + c(lam)) ** 2)
         return p_j * spectrum.tr(a * sig_j * core * inv_k2)
     if k == 4:
-        core = (c(gamma * tau ** 2) * (c(e[j] * e[jp]) * b
-                                       - c(p_j * e[j] ** 2 * u[jp]) * sig_j
-                                       - c(p_jp * e[jp] ** 2 * u[j]) * sig_jp)
+        core = (c(gamma * tau2) * (c(e[j] * e[jp]) * b
+                                   - c(p_j * e2[j] * u[jp]) * sig_j
+                                   - c(p_jp * e2[jp] * u[j]) * sig_jp)
                 - c(lam * tau * (e[j] * u[jp] + e[jp] * u[j]))
                 + c(e[j] * e[jp] * rho))
         return p_j * gamma * p_jp * spectrum.tr(sig_j * sig_jp * a * core * inv_k2)
@@ -230,8 +234,9 @@ def rp_separate_risk(spectrum: JointSpectrum, regime: ScalingRegime, lam_s,
     kay = _col(gamma * c.tau * c.e) * sig + _col(lam)
     inv_k2 = 1.0 / kay ** 2
 
+    tau2 = np.square(c.tau)  # not ** 2, as in h_joint
     h2 = gamma * spectrum.tr(
-        sig * (_col(gamma * c.e * c.tau ** 2) * sig + _col(c.e * c.rho)
+        sig * (_col(gamma * c.e * tau2) * sig + _col(c.e * c.rho)
                - _col(lam * c.u * c.tau))
         * inv_k2)
     variance = sigma_s_sq * phi_s * h2
@@ -239,8 +244,8 @@ def rp_separate_risk(spectrum: JointSpectrum, regime: ScalingRegime, lam_s,
     theta_s = spectrum.theta_s(s)
     h3 = spectrum.tr(
         theta_s * sig
-        * (_col(gamma * c.e ** 2) * sig * (_col(gamma * c.tau ** 2) * sig + _col(c.rho))
-           + _col(lam ** 2 * c.u))
+        * (_col(gamma * np.square(c.e)) * sig * (_col(gamma * tau2) * sig + _col(c.rho))
+           + _col(np.square(lam) * c.u))
         * inv_k2)
     h1 = gamma * c.e * c.tau * spectrum.tr(theta_s * sig * sig / kay)
     bias = spectrum.tr(theta_s * sig) + h3 - 2.0 * h1
@@ -326,10 +331,10 @@ def classical_joint_risk(spectrum: JointSpectrum, regime: ScalingRegime, lam,
     # Weight-shift contribution from the other group's share of the design.
     b1 = p[sp] * spectrum.tr(
         delta * sig[sp]
-        * (c(p[sp] * (1.0 + p[s] * u[s]) * e[sp] ** 2) * sig[sp] * sig_s
+        * (c(p[sp] * (1.0 + p[s] * u[s]) * np.square(e[sp])) * sig[sp] * sig_s
            + c(u[sp]) * (c(p[s] * e[s]) * sig_s + c(lam)) ** 2) * inv_k2)
     # Shrinkage contribution through the weight covariance of group s.
-    b3 = lam ** 2 * spectrum.tr(
+    b3 = np.square(lam) * spectrum.tr(
         spectrum.theta_s(s) * (c(p1 * u1) * s1 + c(p2 * u2) * s2 + sig_s) * inv_k2)
     bias = b1 + b3
     if s == 2:
@@ -371,7 +376,7 @@ def _classical_separate(spectrum: JointSpectrum, phi_s, kappa, sigma_s_sq,
         variance = np.where(denom <= 0, math.inf, sigma_s_sq * phi_s * df2 / denom)
         bias = np.where(denom <= 0, math.inf, np.where(
             kappa == 0.0, 0.0,
-            kappa ** 2 * spectrum.tr(theta_s * sig / (sig + _col(kappa)) ** 2) / denom))
+            np.square(kappa) * spectrum.tr(theta_s * sig / (sig + _col(kappa)) ** 2) / denom))
     return RiskDecomposition(bias=bias[()], variance=variance[()], group=s,
                              mode=MODE_SEPARATE, family=FAMILY_CLASSICAL)
 

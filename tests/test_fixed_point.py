@@ -116,22 +116,25 @@ class TestKappa:
 
 
 def rp_residuals(spectrum, regime, lam, e1, e2, tau, u1, u2, rho, b):
-    """Defect of all six defining equations of the joint system."""
-    s1, s2 = spectrum.sigma1, spectrum.sigma2
+    """Defects of the six defining equations of the joint system, nonlinear first.
+
+    The three nonlinear defects are relative: each constant against the
+    right-hand side of its equation.
+    """
+    s1, s2, tr = spectrum.sigma1, spectrum.sigma2, spectrum.tr
     p1, p2 = regime.p1, regime.p2
     psi, gamma = regime.psi, regime.gamma
     ell = p1 * e1 * s1 + p2 * e2 * s2
     k = gamma * tau * ell + lam
     dee = p1 * u1 * s1 + p2 * u2 * s2 + b
-    res = [
-        tau * (1.0 + np.mean(ell / k)) - 1.0,
-        e1 * (1.0 + psi * tau * np.mean(s1 / k)) - 1.0,
-        e2 * (1.0 + psi * tau * np.mean(s2 / k)) - 1.0,
-        rho - tau ** 2 * np.mean((gamma * rho * ell ** 2 + lam ** 2 * dee) / k ** 2),
-        u1 - psi * e1 ** 2 * np.mean(s1 * (gamma * tau ** 2 * dee + rho) / k ** 2),
-        u2 - psi * e2 ** 2 * np.mean(s2 * (gamma * tau ** 2 * dee + rho) / k ** 2),
+    return [
+        tau * (1.0 + tr(ell / k)) - 1.0,
+        e1 * (1.0 + psi * tau * tr(s1 / k)) - 1.0,
+        e2 * (1.0 + psi * tau * tr(s2 / k)) - 1.0,
+        rho - tau ** 2 * tr((gamma * rho * ell ** 2 + lam ** 2 * dee) / k ** 2),
+        u1 - psi * e1 ** 2 * tr(s1 * (gamma * tau ** 2 * dee + rho) / k ** 2),
+        u2 - psi * e2 ** 2 * tr(s2 * (gamma * tau ** 2 * dee + rho) / k ** 2),
     ]
-    return max(abs(r) for r in res)
 
 
 def rp_joint_defect(spectrum, regime, lam):
@@ -178,14 +181,35 @@ class TestRPJoint:
         assert tau == pytest.approx(1.0, abs=1e-6)
 
     def test_full_system_plugback_residual(self):
+        # (spectrum, regime, penalty, bound on the three nonlinear defects).
+        # The first case has equal group covariances.  The others are the
+        # stiffest preset rows: phase_diagram phi = 5.878, psi = 0.0838 and
+        # isotropic_sweep phi = 2, psi = 0.125, where tau is about 7.5e-7 and
+        # 1.6e-6; diatomic_minority phi = 1, psi = 1, where e2 is about 3.1e-5;
+        # and diatomic_minority phi = 1, psi = 0.7075, where the iteration
+        # stalls at a spurious root unless points with tau or an e_s <= 0 are
+        # rejected.  A constant that loses its last bits leaves defects tens of
+        # eps wide there.
+        eps = np.finfo(float).eps
         spec = anisotropic_spectrum(seed=9)
         spec = JointSpectrum(np.ones(spec.d, int), 2.0 * np.ones(spec.d), np.ones(spec.d),
                              spec.theta, spec.delta)
-        reg = ScalingRegime.from_rates(0.5, 0.25, 1.0)  # gamma = 4
-        c = rp_joint(spec, reg, 1e-6, spec.sigma1)
-        res = rp_residuals(spec, reg, 1e-6, c.e1, c.e2, c.tau, c.u1, c.u2,
-                           c.rho, spec.sigma1)
-        assert res < 1e-10
+        minority = make_diatomic(400, 0.5, 2.0, 2.0, 0.2, 1.0, 0.0)
+        cases = [
+            (spec, ScalingRegime.from_rates(0.5, 0.25, 1.0), 1e-10),  # gamma = 4
+            (make_isotropic(58780, 2.0, 1.0, 2.0, 1.0),
+             ScalingRegime.from_counts(10000, 58780, 838, 0.5), 4 * eps),
+            (make_isotropic(800, 0.5, 1.0, 2.0, 1.0),
+             ScalingRegime.from_counts(400, 800, 50, 0.5), 4 * eps),
+            (minority, ScalingRegime.from_counts(400, 400, 400, 0.9), 4 * eps),
+            (minority, ScalingRegime.from_counts(400, 400, 283, 0.9), 4 * eps),
+        ]
+        for spec, reg, bound in cases:
+            c = rp_joint(spec, reg, 1e-6, spec.sigma1)
+            res = rp_residuals(spec, reg, 1e-6, c.e1, c.e2, c.tau, c.u1, c.u2,
+                               c.rho, spec.sigma1)
+            assert max(abs(r) for r in res[:3]) <= bound, (reg.phi, reg.psi, res)
+            assert max(abs(r) for r in res) < 1e-10, (reg.phi, reg.psi, res)
 
     def test_zero_target_gives_zero_affine_solution(self):
         spec = anisotropic_spectrum()
@@ -425,9 +449,10 @@ class TestSolverBehaviour:
                                    rtol=1e-9, atol=0)
 
     def test_stiff_minority_point_converges(self):
-        # diatomic_minority grid point 17 (phi = 1, psi = 0.5, p1 = 0.9): near a
-        # residual of 0.22 no halving of the Newton step lowers the residual,
-        # and the damped Picard fallback step carries the iteration on.
+        # diatomic_minority grid point 17 (phi = 1, psi = 0.5, p1 = 0.9), where
+        # tau is about 2.5e-5: near the root four Newton steps in the reciprocal
+        # shifts must be halved before the residual falls, and the solve takes
+        # 17 steps (149 in the unknowns (e1, e2, tau) from (1, 1, 1)).
         spec = make_diatomic(400, 0.5, 2.0, 2.0, 0.2, 1.0, 0.0)
         reg = ScalingRegime(p1=0.9, phi=1.0, gamma=0.5, n=400, d=400, m=200)
         e1, e2, tau, res, _ = fp.solve_rp_joint_nonlinear(spec, reg, 1e-6)
