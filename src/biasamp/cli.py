@@ -106,14 +106,17 @@ def _validate_quick() -> bool:
 
     spec = make_isotropic(8, 1.0, 1.0, 1.0, 0.0)
     for phi_s, expect in ((0.25, 1.0 / 3.0), (0.5, 1.0), (0.8, 4.0)):
-        dec = risk.classical_separate_risk(spec, phi_s, 1e-8, 1.0, 1)
+        reg = ScalingRegime(p1=0.5, phi=0.5 * phi_s, gamma=1.0)
+        dec = risk.theory_risks(spec, reg, risk.FAMILY_CLASSICAL, (1.0, 1.0), 1e-8,
+                                (1e-8, 1e-8)).r1_sep
         ok &= _check(f"classical separate variance, phi_s={phi_s}",
                      abs(dec.variance - expect) / expect < 1e-4,
                      f"V={dec.variance:.6f} vs {expect:.6f}")
 
     reg = ScalingRegime.from_rates(0.5, 0.25, 0.25 * 2.0)
     closed = risk.rp_separate_risk_unregularized(spec, reg, 1.0, 1)
-    general = risk.rp_separate_risk(spec, reg, 1e-8, 1.0, 1)
+    general = risk.theory_risks(spec, reg, risk.FAMILY_RP, (1.0, 1.0), 1e-8,
+                                (1e-8, 1e-8)).r1_sep
     ok &= _check("zero-penalty closed form vs general solver",
                  abs(closed.total - general.total) / closed.total < 1e-3,
                  f"{closed.total:.6f} vs {general.total:.6f}")
@@ -242,6 +245,33 @@ def _cmd_plot(args) -> int:
     return 0
 
 
+def _int_in(low: int, high: int | None = None):
+    """An argparse type: an integer in [low, high] (no upper end if high is None)."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            span = f"at least {low}" if high is None else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"must be an integer {span}, got {value}")
+        return value
+    return integer
+
+
+def _positive_float(text: str) -> float:
+    """An argparse type: a finite positive number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    return value
+
+
+#: ``validate fig2`` seeds case populations with its base seed plus the
+#: case's offset, and stream keys are uint64.
+_FIG2_MAX_SEED = 2 ** 64 - 1 - max(case[-1] for case in SIMULATION_CASES)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="biasamp",
@@ -264,16 +294,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="run a named validation suite")
     p.add_argument("suite", choices=["quick", "fig2"])
-    p.add_argument("--seed", type=int, default=0, help="fig2 base seed")
-    p.add_argument("--replicates", type=int, default=25, help="fig2 replicates per case")
+    p.add_argument("--seed", type=_int_in(0, _FIG2_MAX_SEED), default=0,
+                   help="fig2 base seed")
+    p.add_argument("--replicates", type=_int_in(2), default=25,
+                   help="fig2 replicates per case")
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("mp-check",
                        help="compare the white-resolvent fixed point to a sampled matrix")
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--lam", type=float, default=1.0)
-    p.add_argument("--d", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--gamma", type=_positive_float, default=1.0)
+    p.add_argument("--lam", type=_positive_float, default=1.0)
+    p.add_argument("--d", type=_int_in(1), default=2000)
+    p.add_argument("--seed", type=_int_in(0), default=0)
     p.set_defaults(func=_cmd_mp_check)
 
     p = sub.add_parser("plot", help="render an SVG from a sweep CSV")

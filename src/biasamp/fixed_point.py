@@ -45,29 +45,6 @@ logger = logging.getLogger(__name__)
 LAMBDA_FLOOR = 1e-8
 
 
-@dataclass(frozen=True)
-class SolverSettings:
-    """Knobs for the Newton solves of the nonlinear stages.
-
-    A solve stops once the max defect of its equations falls below tol;
-    max_iter caps its iterations (the slowest solve of a preset grid point,
-    the joint random-projection stage at diatomic_minority phi = 0.5,
-    psi = 0.25, takes 99).
-    """
-
-    tol: float = 1e-12
-    max_iter: int = 1000
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-
-
-DEFAULT_SETTINGS = SolverSettings()
-
-
 class FixedPointError(RuntimeError):
     """Raised when an iteration fails to reach tolerance or a system is singular."""
 
@@ -146,6 +123,12 @@ def _matrix(rows) -> np.ndarray:
         -1, len(rows), len(rows))
 
 
+#: A solve stops once the max defect of its equations falls below this ...
+_TOL = 1e-12
+#: ... or after this many iterations (the slowest solve of a preset grid
+#: point, the joint random-projection stage at diatomic_minority phi = 0.5,
+#: psi = 0.25, takes 99).
+_MAX_ITER = 1000
 #: A converged root is polished while its relative Newton step, the
 #: forward-error estimate, exceeds this ...
 _POLISH_RTOL = 1e-13
@@ -156,7 +139,7 @@ _POLISH_STEPS = 2
 _MAX_HALVINGS = 10
 
 
-def _newton(fun, x0: np.ndarray, params: list, settings: SolverSettings, what: str,
+def _newton(fun, x0: np.ndarray, params: list, what: str,
             shape: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Safeguarded Newton iteration for F(x) = 0 over positive x, P rows at once.
 
@@ -170,35 +153,34 @@ def _newton(fun, x0: np.ndarray, params: list, settings: SolverSettings, what: s
     keeps x positive and lowers the residual, so it never ends outside that
     domain; if no halving does, the damped Picard step x <- (x + 1 / g) / 2,
     computed as (x + x / (F + 1)) / 2, is taken instead.
-    Once the residual is below tol, at most _POLISH_STEPS full steps polish
+    Once the residual is below _TOL, at most _POLISH_STEPS full steps polish
     the root while the relative step max|J^-1 F| / x exceeds _POLISH_RTOL.
     Only unfinished rows are carried and evaluated, and all halvings of a
     step in one call; the first that succeeds is taken, as a loop over
     halvings would.
     Returns (x, residual, iterations) per row; a row that does not converge
-    in max_iter iterations is NaN in x, with its best residual and max_iter
+    in _MAX_ITER iterations is NaN in x, with its best residual and _MAX_ITER
     iterations, or raises FixedPointError if the call is unbatched
     (``shape`` is ()).
     """
     x = np.array(x0, dtype=float)
-    tol = settings.tol
     halvings = 0.5 ** np.arange(1, _MAX_HALVINGS)[:, None]  # exact powers of two
     out_x, out_res = np.full_like(x, np.nan), np.empty(len(x))
-    iters = np.full(len(x), settings.max_iter)
+    iters = np.full(len(x), _MAX_ITER)
     # state of the unfinished rows only; rows maps it back to the batch
     rows, args = np.arange(len(x)), list(params)
     with np.errstate(all="ignore"):  # trial points off the positive orthant
         f, res, jac = fun(x, *args)
         best, polished = res.copy(), np.zeros(len(x), dtype=int)
-        for it in range(1, settings.max_iter + 1):
+        for it in range(1, _MAX_ITER + 1):
             step = _solve(jac, f)
             trial = x - step
             positive = (trial > 0).all(axis=1)
-            converged = res < tol
+            converged = res < _TOL
             done = converged & ((polished == _POLISH_STEPS) | ~positive
                                 | ~((np.abs(step) / x).max(axis=1) > _POLISH_RTOL))
             ft, rt, jt = fun(trial, *args)
-            polish = converged & ~done & (rt < tol)
+            polish = converged & ~done & (rt < _TOL)
             done |= converged & ~polish
             pending = np.flatnonzero(~converged & ~(positive & (rt < res)))
             if pending.size:
@@ -227,9 +209,9 @@ def _newton(fun, x0: np.ndarray, params: list, settings: SolverSettings, what: s
             x, f, res, jac = trial, ft, rt, jt
             best = np.fmin(best, res)
     out_res[rows] = best
-    _raise_unbatched(shape, np.isnan(out_x[:, 0]), f"{what}: no convergence after {settings.max_iter} "
-                     f"iterations (best residual {out_res[0]:.3e})",
-                     residual=out_res[0], iters=settings.max_iter)
+    _raise_unbatched(shape, np.isnan(out_x[:, 0]), f"{what}: no convergence after "
+                     f"{_MAX_ITER} iterations (best residual {out_res[0]:.3e})",
+                     residual=out_res[0], iters=_MAX_ITER)
     return out_x, out_res, iters
 
 
@@ -256,8 +238,7 @@ class RPJointConstants:
     b: np.ndarray
 
 
-def solve_rp_joint_nonlinear(spectrum: JointSpectrum, regime: ScalingRegime,
-                             lam, settings: SolverSettings = DEFAULT_SETTINGS):
+def solve_rp_joint_nonlinear(spectrum: JointSpectrum, regime: ScalingRegime, lam):
     """Solve for (e1, e2, tau) of the joint random-projection system.
 
     The defining equations are
@@ -318,7 +299,7 @@ def solve_rp_joint_nonlinear(spectrum: JointSpectrum, regime: ScalingRegime,
 
     w, psi, gamma, lam = params
     x0 = gamma * np.array([p1, p2]) / (lam + (psi + 1.0) * _traces(w, by_m)[:, :, 0].T)
-    x, res, iters = _newton(fun, x0, params, settings, "rp-joint (e, tau) stage", shape)
+    x, res, iters = _newton(fun, x0, params, "rp-joint (e, tau) stage", shape)
     # As in solve_rp_separate, one more step takes x to its last bits.
     f, _, jac = fun(x, *params)
     x = x - _solve(jac, f)
@@ -330,9 +311,7 @@ def solve_rp_joint_nonlinear(spectrum: JointSpectrum, regime: ScalingRegime,
 
 
 def solve_rp_joint_linear(spectrum: JointSpectrum, regime: ScalingRegime,
-                          lam, e1, e2, tau, b: np.ndarray,
-                          settings: SolverSettings = DEFAULT_SETTINGS,
-                          ) -> RPJointConstants:
+                          lam, e1, e2, tau, b: np.ndarray) -> RPJointConstants:
     """Solve the affine stage for (u1, u2, rho) given (e1, e2, tau) and target b.
 
     The defining equations,
@@ -401,8 +380,7 @@ class RPSeparateConstants:
 
 
 def solve_rp_separate(spectrum: JointSpectrum, regime: ScalingRegime, s: int,
-                      lam_s, settings: SolverSettings = DEFAULT_SETTINGS,
-                      ) -> RPSeparateConstants:
+                      lam_s) -> RPSeparateConstants:
     """Constants for a random-projection model trained on group s alone.
 
     (e_s, tau_s) solve
@@ -440,8 +418,7 @@ def solve_rp_separate(spectrum: JointSpectrum, regime: ScalingRegime, s: int,
 
     w, psi_s, gamma, lam = params
     x0 = gamma / (lam + (psi_s + 1.0) * (w * sig).sum(axis=1, keepdims=True))
-    x, res, iters = _newton(fun, x0, params, settings,
-                            f"rp-separate shift, group {s}", shape)
+    x, res, iters = _newton(fun, x0, params, f"rp-separate shift, group {s}", shape)
     # As in solve_kappa, one more step takes x to its last bits.
     f, _, jac = fun(x, *params)
     x = x - f / jac[:, 0]
@@ -473,8 +450,7 @@ def solve_rp_separate(spectrum: JointSpectrum, regime: ScalingRegime, s: int,
 # Classical ridge, single model trained on the group mixture.
 # ---------------------------------------------------------------------------
 
-def solve_classical_joint_nonlinear(spectrum: JointSpectrum, regime: ScalingRegime,
-                                    lam, settings: SolverSettings = DEFAULT_SETTINGS):
+def solve_classical_joint_nonlinear(spectrum: JointSpectrum, regime: ScalingRegime, lam):
     """Solve 1/e_s = 1 + phi tr_bar(Sigma_s K^-1), K = p1 e1 Sigma1 + p2 e2 Sigma2 + lam I.
 
     Returns (e1, e2, residual, iters).
@@ -498,14 +474,13 @@ def solve_classical_joint_nonlinear(spectrum: JointSpectrum, regime: ScalingRegi
                        [-phi * (e2 * p1) * t12, d2 - phi * (e2 * p2) * t22]])
         return f, np.abs(f).max(axis=1), jac
 
-    x, res, iters = _newton(fun, np.ones((len(params[0]), 2)), params, settings,
+    x, res, iters = _newton(fun, np.ones((len(params[0]), 2)), params,
                             "classical-joint e stage", shape)
     return _unbatch(shape, x[:, 0], x[:, 1], res, iters)
 
 
 def solve_classical_joint_linear(spectrum: JointSpectrum, regime: ScalingRegime,
-                                 lam, e1, e2, s: int,
-                                 settings: SolverSettings = DEFAULT_SETTINGS):
+                                 lam, e1, e2, s: int):
     """Exact 2x2 solve for (u1, u2) targeting evaluation group s."""
     lam = _effective_lambda(lam)
     shape, (w, phi, lam, e1, e2) = _batch(spectrum.weights, regime.phi, lam, e1, e2)
@@ -534,8 +509,7 @@ def solve_classical_joint_linear(spectrum: JointSpectrum, regime: ScalingRegime,
 # Classical ridge, separate model per group.
 # ---------------------------------------------------------------------------
 
-def solve_kappa(eigs: np.ndarray, weights: np.ndarray, phi_s, lam_s,
-                settings: SolverSettings = DEFAULT_SETTINGS):
+def solve_kappa(eigs: np.ndarray, weights: np.ndarray, phi_s, lam_s):
     """Root of kappa - lam = kappa phi df_bar_1(kappa), the effective shift.
 
     ``weights`` are (atoms,) or (P, atoms), phi_s and lam_s scalars or (P,).
@@ -569,7 +543,7 @@ def solve_kappa(eigs: np.ndarray, weights: np.ndarray, phi_s, lam_s,
     if rows.size:
         w, phi, lam = w[rows], phi[rows], lam[rows]
         x0 = 1.0 / (lam + phi * (w * eigs).sum(axis=1, keepdims=True))
-        x, res[rows], iters[rows] = _newton(fun, x0, [w, phi, lam], settings,
+        x, res[rows], iters[rows] = _newton(fun, x0, [w, phi, lam],
                                             "the effective shift", shape)
         # _newton stops once the relative step is below _POLISH_RTOL; one more
         # step, and kappa = g(x) rather than 1 / x, take kappa to its last bits.
@@ -613,8 +587,7 @@ def classify_unregularized_regime(psi_s: float, gamma: float) -> str:
 
 
 def solve_theta0(eigs: np.ndarray, weights: np.ndarray, phi_s: float, psi_s: float,
-                 gamma: float, settings: SolverSettings = DEFAULT_SETTINGS,
-                 group: int = 1) -> UnregularizedRPConstants:
+                 gamma: float, group: int = 1) -> UnregularizedRPConstants:
     """Zero-penalty spectral shift theta0 with eta0 = I_{1,1}(theta0).
 
     The target value of eta0 depends on the parameterization regime:
@@ -636,7 +609,7 @@ def solve_theta0(eigs: np.ndarray, weights: np.ndarray, phi_s: float, psi_s: flo
         raise FixedPointError(
             f"no root: target degrees of freedom {target:.6g} exceeds the "
             f"spectrum's maximum {cap:.6g}")
-    theta0 = float(solve_kappa(eigs, weights, 1.0 / target, 0.0, settings)[0])
+    theta0 = float(solve_kappa(eigs, weights, 1.0 / target, 0.0)[0])
     eta0 = dof(eigs, weights, 1, 1, theta0)
     e0 = max(1.0 - phi_s * eta0, 0.0)
     tau0 = max(1.0 - eta0 / gamma, 0.0)
@@ -648,8 +621,7 @@ def solve_theta0(eigs: np.ndarray, weights: np.ndarray, phi_s: float, psi_s: flo
 # White-covariance resolvent self-test.
 # ---------------------------------------------------------------------------
 
-def solve_mp(gamma: float, lam: float,
-             settings: SolverSettings = DEFAULT_SETTINGS) -> float:
+def solve_mp(gamma: float, lam: float) -> float:
     """Solve 1/m = lam + 1/(1 + gamma m), the white sample-covariance resolvent.
 
     m equals the limiting normalized trace of (S + lam I)^-1 for a Wishart
@@ -663,5 +635,5 @@ def solve_mp(gamma: float, lam: float,
         f = x * (lam + 1.0 / (1.0 + gamma * x)) - 1.0
         return f, np.abs(f[:, 0]), (lam + 1.0 / (1.0 + gamma * x) ** 2)[:, :, None]
 
-    x, _, _ = _newton(fun, np.ones((1, 1)), [], settings, "white-covariance resolvent", ())
+    x, _, _ = _newton(fun, np.ones((1, 1)), [], "white-covariance resolvent", ())
     return float(x[0, 0])

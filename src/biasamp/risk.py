@@ -1,8 +1,13 @@
 """Deterministic equivalents of the per-group test risks and the gap metrics.
 
-Each risk formula is a normalized-trace expression in the fixed-point
-constants; with all population matrices sharing an eigenbasis, every trace
-collapses to a weighted sum over the spectrum's atoms (``JointSpectrum.tr``).
+``theory_risks`` is the one entry point: it solves the fixed-point stages of
+a model family and assembles its four risks (joint and separate model, each
+group) and their gap ``metrics``.  Each risk formula is a normalized-trace
+expression in the solved constants; with all population matrices sharing an
+eigenbasis, every trace collapses to a weighted sum over the spectrum's atoms
+(``JointSpectrum.tr``).  ``rp_separate_risk_unregularized`` is the closed-form
+zero-penalty reference for the separate random-projection risk, and
+``power_law_limits`` the closed-form gap limits of the power-law scenario.
 
 Conventions used throughout:
   * group index s is 1 or 2, and s' = 3 - s;
@@ -126,8 +131,8 @@ def metrics(r1_joint, r2_joint, r1_sep, r2_sep) -> BiasAmpMetrics:
 # Random projections, joint model.
 # ---------------------------------------------------------------------------
 
-def h_joint(k: int, j: int, a, constants: fp.RPJointConstants,
-            spectrum: JointSpectrum, regime: ScalingRegime, lam):
+def _h_joint(k: int, j: int, a, constants: fp.RPJointConstants,
+             spectrum: JointSpectrum, regime: ScalingRegime, lam):
     """Auxiliary trace functionals h_j^(1..4) of the joint equivalent.
 
     ``a`` is the left spectral weight, atom values or a scalar; k >= 2 uses
@@ -135,8 +140,6 @@ def h_joint(k: int, j: int, a, constants: fp.RPJointConstants,
     Constants, rates and the penalty may be per-row arrays, giving one value
     per row.
     """
-    if j not in (1, 2):
-        raise ValueError(f"group index must be 1 or 2, got {j}")
     jp = 3 - j
     p_j, p_jp = regime.p(j), regime.p(jp)
     sig_j, sig_jp = spectrum.sigma(j), spectrum.sigma(jp)
@@ -177,26 +180,18 @@ def h_joint(k: int, j: int, a, constants: fp.RPJointConstants,
     raise ValueError(f"functional index must be 1..4, got {k}")
 
 
-def rp_joint_risk(spectrum: JointSpectrum, regime: ScalingRegime, lam,
-                  sigma_sqs: tuple, s: int,
-                  settings: fp.SolverSettings = fp.DEFAULT_SETTINGS,
-                  nonlinear: tuple | None = None,
-                  ) -> RiskDecomposition:
+def _rp_joint(spectrum: JointSpectrum, regime: ScalingRegime, lam, sigma_sqs: tuple,
+              s: int, e1, e2, tau) -> RiskDecomposition:
     """Test risk of the single random-projection model on group s.
 
-    ``nonlinear`` optionally reuses a previously solved (e1, e2, tau) triple,
-    since that stage does not depend on the evaluation group.
+    (e1, e2, tau) is the solved nonlinear stage, which does not depend on the
+    evaluation group; the affine stage targets group s.
     """
-    lam = fp._effective_lambda(lam)
     sig_s = spectrum.sigma(s)
-    if nonlinear is None:
-        e1, e2, tau, _, _ = fp.solve_rp_joint_nonlinear(spectrum, regime, lam, settings)
-    else:
-        e1, e2, tau = nonlinear
-    consts = fp.solve_rp_joint_linear(spectrum, regime, lam, e1, e2, tau, sig_s, settings)
+    consts = fp.solve_rp_joint_linear(spectrum, regime, lam, e1, e2, tau, sig_s)
 
     def h(k, j, a):
-        return h_joint(k, j, a, consts, spectrum, regime, lam)
+        return _h_joint(k, j, a, consts, spectrum, regime, lam)
 
     variance = sum(sigma_sqs[j - 1] * regime.phi * h(2, j, 1.0) for j in (1, 2))
 
@@ -216,25 +211,17 @@ def rp_joint_risk(spectrum: JointSpectrum, regime: ScalingRegime, lam,
 # Random projections, separate model per group.
 # ---------------------------------------------------------------------------
 
-def rp_separate_risk(spectrum: JointSpectrum, regime: ScalingRegime, lam_s,
-                     sigma_s_sq, s: int,
-                     settings: fp.SolverSettings = fp.DEFAULT_SETTINGS,
-                     constants: fp.RPSeparateConstants | None = None,
-                     ) -> RiskDecomposition:
-    """Test risk of a random-projection model trained on group s alone.
-
-    ``constants`` optionally reuses a previous ``solve_rp_separate`` result
-    for the same group and penalty.
-    """
-    lam = fp._effective_lambda(lam_s)
-    c = constants if constants is not None else fp.solve_rp_separate(
-        spectrum, regime, s, lam, settings)
+def _rp_separate(spectrum: JointSpectrum, regime: ScalingRegime, lam, sigma_s_sq,
+                 c: fp.RPSeparateConstants) -> RiskDecomposition:
+    """Test risk of a random-projection model trained on group c.group alone,
+    from its ``solve_rp_separate`` constants at penalty lam."""
+    s = c.group
     sig = spectrum.sigma(s)
     gamma, phi_s = regime.gamma, regime.phi_s(s)
     kay = _col(gamma * c.tau * c.e) * sig + _col(lam)
     inv_k2 = 1.0 / kay ** 2
 
-    tau2 = np.square(c.tau)  # not ** 2, as in h_joint
+    tau2 = np.square(c.tau)  # not ** 2, as in _h_joint
     h2 = gamma * spectrum.tr(
         sig * (_col(gamma * c.e * tau2) * sig + _col(c.e * c.rho)
                - _col(lam * c.u * c.tau))
@@ -254,9 +241,7 @@ def rp_separate_risk(spectrum: JointSpectrum, regime: ScalingRegime, lam_s,
 
 
 def rp_separate_risk_unregularized(spectrum: JointSpectrum, regime: ScalingRegime,
-                                   sigma_s_sq: float, s: int,
-                                   settings: fp.SolverSettings = fp.DEFAULT_SETTINGS,
-                                   ) -> RiskDecomposition:
+                                   sigma_s_sq: float, s: int) -> RiskDecomposition:
     """Zero-penalty limit of the separate random-projection risk, in closed form.
 
     Case split on the parameterization regime; at the interpolation
@@ -266,7 +251,7 @@ def rp_separate_risk_unregularized(spectrum: JointSpectrum, regime: ScalingRegim
     sig = spectrum.sigma(s)
     theta_s = spectrum.theta_s(s)
     phi_s, psi_s, gamma = regime.phi_s(s), regime.psi_s(s), regime.gamma
-    c = fp.solve_theta0(sig, spectrum.weights, phi_s, psi_s, gamma, settings, group=s)
+    c = fp.solve_theta0(sig, spectrum.weights, phi_s, psi_s, gamma, group=s)
     t0 = c.theta0
 
     if c.regime_tag == fp.REGIME_UNDERPARAM_LOW_GAMMA:
@@ -294,18 +279,11 @@ def rp_separate_risk_unregularized(spectrum: JointSpectrum, regime: ScalingRegim
 # Classical ridge, joint model.
 # ---------------------------------------------------------------------------
 
-def classical_joint_risk(spectrum: JointSpectrum, regime: ScalingRegime, lam,
-                         sigma_sqs: tuple, s: int,
-                         settings: fp.SolverSettings = fp.DEFAULT_SETTINGS,
-                         nonlinear: tuple | None = None,
-                         ) -> RiskDecomposition:
-    """Test risk of the single classical ridge model on group s."""
-    lam = fp._effective_lambda(lam)
-    if nonlinear is None:
-        e1, e2, _, _ = fp.solve_classical_joint_nonlinear(spectrum, regime, lam, settings)
-    else:
-        e1, e2 = nonlinear
-    u1, u2 = fp.solve_classical_joint_linear(spectrum, regime, lam, e1, e2, s, settings)
+def _classical_joint(spectrum: JointSpectrum, regime: ScalingRegime, lam,
+                     sigma_sqs: tuple, s: int, e1, e2) -> RiskDecomposition:
+    """Test risk of the single classical ridge model on group s, from its
+    solved nonlinear stage (e1, e2)."""
+    u1, u2 = fp.solve_classical_joint_linear(spectrum, regime, lam, e1, e2, s)
 
     s1, s2 = spectrum.sigma1, spectrum.sigma2
     p1, p2, phi = regime.p1, regime.p2, regime.phi
@@ -352,18 +330,6 @@ def classical_joint_risk(spectrum: JointSpectrum, regime: ScalingRegime, lam,
 # Classical ridge, separate model per group.
 # ---------------------------------------------------------------------------
 
-def classical_separate_risk(spectrum: JointSpectrum, phi_s, lam_s, sigma_s_sq, s: int,
-                            settings: fp.SolverSettings = fp.DEFAULT_SETTINGS,
-                            ) -> RiskDecomposition:
-    """Test risk of a classical ridge model trained on group s alone.
-
-    The effective shifts of all rows are solved in one ``solve_kappa`` call;
-    a batch row whose shift does not converge is NaN.
-    """
-    kappa, _, _ = fp.solve_kappa(spectrum.sigma(s), spectrum.weights, phi_s, lam_s, settings)
-    return _classical_separate(spectrum, phi_s, kappa, sigma_s_sq, s)
-
-
 def _classical_separate(spectrum: JointSpectrum, phi_s, kappa, sigma_s_sq,
                         s: int) -> RiskDecomposition:
     """The classical separate risk of group s at its effective shift kappa."""
@@ -405,7 +371,7 @@ def power_law_limits(c: float, phi: float, sigma1_sq: float,
 
 
 # ---------------------------------------------------------------------------
-# All four risks at once (sweep entry point).
+# All four risks at once (the entry point).
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -434,8 +400,7 @@ class TheorySummary:
 
 
 def theory_risks(spectrum: JointSpectrum, regime: ScalingRegime, family: str,
-                 sigma_sqs: tuple, lam_joint, lam_sep: tuple,
-                 settings: fp.SolverSettings = fp.DEFAULT_SETTINGS) -> TheorySummary:
+                 sigma_sqs: tuple, lam_joint, lam_sep: tuple) -> TheorySummary:
     """Joint and separate per-group risks for one model family.
 
     Every argument but the family may carry a batch: a stacked spectrum,
@@ -445,26 +410,21 @@ def theory_risks(spectrum: JointSpectrum, regime: ScalingRegime, family: str,
     """
     lam_joint = fp._effective_lambda(lam_joint)
     if family == FAMILY_RP:
-        e1, e2, tau, res, iters = fp.solve_rp_joint_nonlinear(
-            spectrum, regime, lam_joint, settings)
-        r1j, r2j = (rp_joint_risk(spectrum, regime, lam_joint, sigma_sqs, s,
-                                  settings, nonlinear=(e1, e2, tau))
+        e1, e2, tau, res, iters = fp.solve_rp_joint_nonlinear(spectrum, regime, lam_joint)
+        r1j, r2j = (_rp_joint(spectrum, regime, lam_joint, sigma_sqs, s, e1, e2, tau)
                     for s in (1, 2))
         lam_sep = [fp._effective_lambda(lam_s) for lam_s in lam_sep]
-        seps = [fp.solve_rp_separate(spectrum, regime, s, lam_s, settings)
+        seps = [fp.solve_rp_separate(spectrum, regime, s, lam_s)
                 for s, lam_s in zip((1, 2), lam_sep)]
-        r1s, r2s = (rp_separate_risk(spectrum, regime, lam_s, sigma_s_sq, s, settings,
-                                     constants=c)
-                    for s, lam_s, sigma_s_sq, c in zip((1, 2), lam_sep, sigma_sqs, seps))
+        r1s, r2s = (_rp_separate(spectrum, regime, lam_s, sigma_s_sq, c)
+                    for lam_s, sigma_s_sq, c in zip(lam_sep, sigma_sqs, seps))
         diagnostics = [(c.residual, c.iters) for c in seps]
     elif family == FAMILY_CLASSICAL:
-        e1, e2, res, iters = fp.solve_classical_joint_nonlinear(
-            spectrum, regime, lam_joint, settings)
-        r1j, r2j = (classical_joint_risk(spectrum, regime, lam_joint, sigma_sqs, s,
-                                         settings, nonlinear=(e1, e2))
+        e1, e2, res, iters = fp.solve_classical_joint_nonlinear(spectrum, regime, lam_joint)
+        r1j, r2j = (_classical_joint(spectrum, regime, lam_joint, sigma_sqs, s, e1, e2)
                     for s in (1, 2))
-        kappas = [fp.solve_kappa(spectrum.sigma(s), spectrum.weights, regime.phi_s(s),
-                                 lam_s, settings) for s, lam_s in zip((1, 2), lam_sep)]
+        kappas = [fp.solve_kappa(spectrum.sigma(s), spectrum.weights, regime.phi_s(s), lam_s)
+                  for s, lam_s in zip((1, 2), lam_sep)]
         r1s, r2s = (_classical_separate(spectrum, regime.phi_s(s), kappa, sigma_s_sq, s)
                     for s, (kappa, _, _), sigma_s_sq in zip((1, 2), kappas, sigma_sqs))
         diagnostics = [k[1:] for k in kappas]

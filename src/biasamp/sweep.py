@@ -59,6 +59,9 @@ SPECTRUM_KEYS = {
 FAMILIES = (risk.FAMILY_RP, risk.FAMILY_CLASSICAL)
 
 OUT_DIR_ENV = "BIASAMP_OUT_DIR"
+#: Monte-Carlo streams of grid point i are keyed by base_seed * _SEED_STRIDE + i,
+#: a uint64.
+_SEED_STRIDE = 1_000_003
 
 
 def _is_number(v) -> bool:
@@ -155,6 +158,12 @@ class SweepConfig:
         if self.replicates < 0 or self.replicates == 1:
             raise ValueError(f"replicates must be 0 (theory only) or at least 2, "
                              f"got {self.replicates}")
+        points = len(_grid(self))
+        max_seed = (2 ** 64 - points) // _SEED_STRIDE
+        if not 0 <= self.base_seed <= max_seed:
+            raise ValueError(f"base_seed must lie in [0, {max_seed}] (stream keys "
+                             f"base_seed * {_SEED_STRIDE} + point index, over {points} "
+                             f"points, are uint64), got {self.base_seed}")
         name = "lambda_grid" if self.lambda_grid else "lam"
         if self.replicates > 0 and 0.0 in (self.lambda_grid or (self.lam,)):
             raise ValueError(f"{name} must be positive when replicates > 0 (the "
@@ -321,7 +330,7 @@ def _monte_carlo_rows(config: SweepConfig, grid: list[dict],
     if config.replicates == 0:
         return out
     n = config.n
-    key = config.base_seed * 1_000_003
+    key = config.base_seed * _SEED_STRIDE
     groups: dict[tuple, list[int]] = {}
     for i, p in enumerate(grid):
         groups.setdefault((p["phi"], p["c"]), []).append(i)

@@ -34,7 +34,9 @@ def test_criterion_1_closed_form_variance():
     details = []
     ok = True
     for phi_s, expected in ((0.25, 1.0 / 3.0), (0.5, 1.0), (0.8, 4.0)):
-        dec = risk.classical_separate_risk(spec_theory, phi_s, 1e-8, 1.0, 1)
+        reg = ScalingRegime(p1=0.5, phi=0.5 * phi_s, gamma=1.0)  # halving is exact
+        dec = risk.theory_risks(spec_theory, reg, risk.FAMILY_CLASSICAL, (1.0, 1.0), 1e-8,
+                                (1e-8, 1e-8)).r1_sep
         rel = abs(dec.variance - expected) / expected
         ok &= rel < 1e-4
 
@@ -76,7 +78,9 @@ def test_criterion_2_zero_penalty_oracle_equivalence():
                 phi_s = psi_s / gamma
                 reg = ScalingRegime.from_rates(0.5, phi_s * 0.5, psi_s * 0.5)
                 closed = risk.rp_separate_risk_unregularized(spec, reg, 1.0, s)
-                general = risk.rp_separate_risk(spec, reg, 1e-8, 1.0, s)
+                th = risk.theory_risks(spec, reg, risk.FAMILY_RP, (1.0, 1.0), 1e-8,
+                                       (1e-8, 1e-8))
+                general = th.r1_sep if s == 1 else th.r2_sep
                 for part in ("bias", "variance"):
                     cv, gv = getattr(closed, part), getattr(general, part)
                     if cv < 1e-9 and gv < 1e-6:
@@ -102,8 +106,8 @@ def test_criterion_3_joint_to_separate_limit():
         lam = 10 ** rng.uniform(-4, -0.5)
         p1 = 0.999
         reg = ScalingRegime.from_rates(p1, phi_1 * p1, psi_1 * p1)
-        joint = risk.rp_joint_risk(spec, reg, lam, (1.0, 1.0), 1)
-        sep = risk.rp_separate_risk(spec, reg, lam, 1.0, 1)
+        th = risk.theory_risks(spec, reg, risk.FAMILY_RP, (1.0, 1.0), lam, (lam, lam))
+        joint, sep = th.r1_joint, th.r1_sep
         scale = sep.total
         worst = max(worst, abs(joint.bias - sep.bias) / scale,
                     abs(joint.variance - sep.variance) / scale)
@@ -224,11 +228,10 @@ def test_criterion_8_power_law_noise_ratio_transitions():
     spec = make_power_law(d, 2.0, 1.0, 1.0, 1.0)
     reg = ScalingRegime.from_rates(0.5, 0.2, 0.5)
     lam = 1e-12
-    settings = fp.SolverSettings(tol=1e-13)
     worst_odd = worst_add = 0.0
     for c in (0.5, 2.0, 4.0):
         th = risk.theory_risks(spec, reg, risk.FAMILY_RP, (1.0, c), lam,
-                               (lam, lam), settings)
+                               (lam, lam))
         odd_cf, _, add_cf = risk.power_law_limits(c, 0.2, 1.0)
         worst_odd = max(worst_odd, abs(th.gaps.odd - odd_cf) / odd_cf)
         worst_add = max(worst_add, abs(th.gaps.add - add_cf) / add_cf)

@@ -47,15 +47,14 @@ def regime_of(config, d, m):
     return ScalingRegime(p1=config.p1, phi=d / config.n, gamma=1.0, n=config.n, d=d)
 
 
-def unbatched_theory(config, values, settings=fp.DEFAULT_SETTINGS):
+def unbatched_theory(config, values):
     """The theory of one CSV row, solved on its own."""
     d = values["d"]
     m = values["m"] if values["m"] != "" else None
     sigma2_sq = config.sigma1_sq * values["c"] if config.c_grid else config.sigma2_sq
     lam = values["lambda"]
     return risk.theory_risks(config.build_spectrum(d), regime_of(config, d, m),
-                             config.family, (config.sigma1_sq, sigma2_sq), lam, (lam, lam),
-                             settings)
+                             config.family, (config.sigma1_sq, sigma2_sq), lam, (lam, lam))
 
 
 def cells(th):
@@ -128,9 +127,10 @@ class TestBatchEqualsPointByPoint:
 
 #: diatomic_minority at phi in {0.5, 1}, psi in {0.125, 0.5, 1}: the joint
 #: solve of (phi, psi) = (1, 1) takes 68 iterations, every other solve at
-#: most 47 (the joint solve of (0.5, 0.5)).
+#: most 47 (the joint solve of (0.5, 0.5)).  The tests cap every solve at
+#: SHORT iterations.
 FAILING = (1.0, 1.0)
-SHORT = fp.SolverSettings(max_iter=60)
+SHORT = 60
 
 
 class TestIsolatedFailures:
@@ -138,7 +138,8 @@ class TestIsolatedFailures:
         return replace(preset("diatomic_minority"), phi_grid=(0.5, 1.0),
                        psi_grid=(0.125, 0.5, 1.0))
 
-    def test_row_out_of_iterations_fails_alone(self):
+    def test_row_out_of_iterations_fails_alone(self, monkeypatch):
+        monkeypatch.setattr(fp, "_MAX_ITER", SHORT)
         config = self.config()
         points = [(0.5, 0.125), FAILING, (1.0, 0.5), (0.5, 1.0)]
         dims = np.array([round(phi * config.n) for phi, _ in points])
@@ -146,27 +147,25 @@ class TestIsolatedFailures:
         spectrum, _ = stacked(config, dims)
         lam = np.full(len(points), config.lam)
         th = risk.theory_risks(spectrum, regime_of(config, dims, m), config.family,
-                               (config.sigma1_sq, config.sigma2_sq), lam, (lam, lam), SHORT)
+                               (config.sigma1_sq, config.sigma2_sq), lam, (lam, lam))
         assert th.failed.tolist() == [False, True, False, False]
         # its separate solves converged; its joint risks and the gaps did not
         assert all(math.isnan(cells(th)[k][1]) for k in ("r1_joint", "r2_joint", "odd", "add"))
-        assert th.iters[1] >= SHORT.max_iter
+        assert th.iters[1] >= SHORT
         for i in range(len(points)):
             values = {"d": dims[i], "m": m[i], "lambda": config.lam}
             if i == 1:
                 with pytest.raises(fp.FixedPointError):
-                    unbatched_theory(config, values, SHORT)
+                    unbatched_theory(config, values)
                 continue
-            one = unbatched_theory(config, values, SHORT)
+            one = unbatched_theory(config, values)
             assert all(v[i] == cells(one)[k] for k, v in cells(th).items())
             assert th.iters[i] == one.iters and th.residual[i] == one.residual
 
     def test_sweep_flags_only_the_failed_row(self, monkeypatch):
         config = self.config()
         full = run_sweep(config).rows
-        theory_risks = risk.theory_risks
-        monkeypatch.setattr(risk, "theory_risks",
-                            lambda *args: theory_risks(*args, settings=SHORT))
+        monkeypatch.setattr(fp, "_MAX_ITER", SHORT)
         rows = run_sweep(config).rows
         failed = [r for r in rows if r.flags]
         assert [(r.values["phi_requested"], r.values["psi_requested"]) for r in failed] \

@@ -459,12 +459,12 @@ class TestSolverBehaviour:
         assert res < 1e-12
         assert 0 < e1 <= 1 and 0 < e2 <= 1 and 0 < tau <= 1
 
-    def test_nonconvergence_reports_residual(self):
+    def test_nonconvergence_reports_residual(self, monkeypatch):
+        monkeypatch.setattr(fp, "_MAX_ITER", 3)
         spec = anisotropic_spectrum()
         reg = ScalingRegime.from_rates(0.5, 1.0, 1.0)
         with pytest.raises(fp.FixedPointError) as exc:
-            fp.solve_rp_joint_nonlinear(spec, reg, 1e-6,
-                                        fp.SolverSettings(max_iter=3))
+            fp.solve_rp_joint_nonlinear(spec, reg, 1e-6)
         assert exc.value.residual is not None
         assert exc.value.iters == 3
 

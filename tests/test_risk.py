@@ -23,6 +23,17 @@ def joint_constants(spec, reg, lam, b):
     return fp.solve_rp_joint_linear(spec, reg, lam, e1, e2, tau, b)
 
 
+def separate(spec, reg, family, lam_s, s):
+    """Group s's separate-model risk at penalty lam_s (unit noise)."""
+    th = risk.theory_risks(spec, reg, family, (1.0, 1.0), lam_s, (lam_s, lam_s))
+    return th.r1_sep if s == 1 else th.r2_sep
+
+
+def classical_regime(phi_s):
+    """Balanced groups, each at per-group feature rate phi_s (halving is exact)."""
+    return ScalingRegime(p1=0.5, phi=0.5 * phi_s, gamma=1.0)
+
+
 class TestHFunctionals:
     def setup_method(self):
         self.spec = random_spectrum(2)
@@ -33,13 +44,13 @@ class TestHFunctionals:
     def test_zero_left_argument(self):
         zero = np.zeros(self.spec.d)
         for k in (1, 2, 3, 4):
-            assert risk.h_joint(k, 1, zero, self.consts, self.spec, self.reg,
-                                self.lam) == 0.0
+            assert risk._h_joint(k, 1, zero, self.consts, self.spec, self.reg,
+                                 self.lam) == 0.0
 
     def test_first_functional_vanishes_at_large_penalty(self):
         lam = 1e9
         consts = joint_constants(self.spec, self.reg, lam, self.spec.sigma1)
-        val = risk.h_joint(1, 1, np.ones(self.spec.d), consts, self.spec, self.reg, lam)
+        val = risk._h_joint(1, 1, np.ones(self.spec.d), consts, self.spec, self.reg, lam)
         assert abs(val) < 1e-8
 
     def test_group_symmetry(self):
@@ -47,8 +58,8 @@ class TestHFunctionals:
         reg = ScalingRegime.from_rates(0.5, 0.4, 0.8)
         consts = joint_constants(spec, reg, 0.05, spec.sigma1)
         for k in (1, 2, 3, 4):
-            h1 = risk.h_joint(k, 1, 1.0, consts, spec, reg, 0.05)
-            h2 = risk.h_joint(k, 2, 1.0, consts, spec, reg, 0.05)
+            h1 = risk._h_joint(k, 1, 1.0, consts, spec, reg, 0.05)
+            h2 = risk._h_joint(k, 2, 1.0, consts, spec, reg, 0.05)
             assert h1 == pytest.approx(h2, rel=1e-12, abs=1e-15)
 
 
@@ -69,8 +80,8 @@ class TestRPJointRisk:
         phi_1, psi_1 = 0.5, 1.5
         reg = ScalingRegime.from_rates(p1, phi_1 * p1, psi_1 * p1)
         lam = 1e-3
-        joint = risk.rp_joint_risk(spec, reg, lam, (1.0, 1.0), 1)
-        sep = risk.rp_separate_risk(spec, reg, lam, 1.0, 1)
+        th = risk.theory_risks(spec, reg, risk.FAMILY_RP, (1.0, 1.0), lam, (lam, lam))
+        joint, sep = th.r1_joint, th.r1_sep
         assert abs(joint.bias - sep.bias) <= 0.01 * sep.total
         assert abs(joint.variance - sep.variance) <= 0.01 * sep.total
 
@@ -79,8 +90,8 @@ class TestRPJointRisk:
         lam = 0.02
         for p1, tol in ((0.999, 0.01), (0.9999, 0.001)):
             reg = ScalingRegime.from_rates(p1, 0.6 * p1, 0.9 * p1)
-            joint = risk.rp_joint_risk(spec, reg, lam, (1.0, 1.0), 1)
-            sep = risk.rp_separate_risk(spec, reg, lam, 1.0, 1)
+            th = risk.theory_risks(spec, reg, risk.FAMILY_RP, (1.0, 1.0), lam, (lam, lam))
+            joint, sep = th.r1_joint, th.r1_sep
             assert abs(joint.bias - sep.bias) <= tol * sep.total
             assert abs(joint.variance - sep.variance) <= tol * sep.total
 
@@ -103,14 +114,14 @@ class TestRPSeparateRisk:
         spec = make_isotropic(5, 1.0, 1.0, 1.0, 0.0)
         # psi_s = 0.5, gamma = 2 -> phi_s = 0.25: V = phi_s/(1-phi_s) = 1/3, B = 0
         reg = ScalingRegime.from_rates(0.5, 0.125, 0.25)
-        dec = risk.rp_separate_risk(spec, reg, 1e-8, 1.0, 1)
+        dec = separate(spec, reg, risk.FAMILY_RP, 1e-8, 1)
         assert dec.variance == pytest.approx(1.0 / 3.0, rel=1e-4)
         assert dec.bias == pytest.approx(0.0, abs=1e-6)
 
     def test_large_penalty_returns_null_model(self):
         spec = random_spectrum(6)
         reg = ScalingRegime.from_rates(0.5, 0.5, 0.75)
-        dec = risk.rp_separate_risk(spec, reg, 1e9, 1.0, 2)
+        dec = separate(spec, reg, risk.FAMILY_RP, 1e9, 2)
         assert dec.variance == pytest.approx(0.0, abs=1e-8)
         null_risk = float(np.mean(spec.theta_s(2) * spec.sigma2))
         assert dec.bias == pytest.approx(null_risk, rel=1e-6)
@@ -121,7 +132,7 @@ class TestRPSeparateRisk:
         phi_s = psi_s / gamma
         reg = ScalingRegime.from_rates(0.5, phi_s * 0.5, psi_s * 0.5)
         closed = risk.rp_separate_risk_unregularized(spec, reg, 1.0, 1)
-        general = risk.rp_separate_risk(spec, reg, 1e-8, 1.0, 1)
+        general = separate(spec, reg, risk.FAMILY_RP, 1e-8, 1)
         assert general.total == pytest.approx(closed.total, rel=1e-3)
 
 
@@ -131,14 +142,16 @@ class TestClassicalJointRisk:
         # vanishes with the penalty.
         spec = random_spectrum(10, with_delta=False)
         reg = ScalingRegime(p1=0.4, phi=0.5, gamma=1.0)
-        dec = risk.classical_joint_risk(spec, reg, 1e-9, (1.0, 1.0), 2)
+        dec = risk.theory_risks(spec, reg, risk.FAMILY_CLASSICAL, (1.0, 1.0), 1e-9,
+                                (1e-9, 1e-9)).r2_joint
         assert dec.bias == pytest.approx(0.0, abs=1e-6)
 
     def test_dominant_group_variance_formula(self):
         spec = random_spectrum(12)
         p1, phi, lam = 0.001, 0.4, 0.05
         reg = ScalingRegime(p1=p1, phi=phi, gamma=1.0)
-        dec = risk.classical_joint_risk(spec, reg, lam, (1.0, 1.0), 2)
+        dec = risk.theory_risks(spec, reg, risk.FAMILY_CLASSICAL, (1.0, 1.0), lam,
+                                (lam, lam)).r2_joint
         from biasamp.spectra import dof
         phi_2 = phi / (1 - p1)
         kappa, _, _ = fp.solve_kappa(spec.sigma2, spec.weights, phi_2, lam)
@@ -150,8 +163,8 @@ class TestClassicalJointRisk:
         spec = random_spectrum(14)
         p1, phi_1, lam = 0.9999, 0.7, 0.01
         reg = ScalingRegime(p1=p1, phi=phi_1 * p1, gamma=1.0)
-        joint = risk.classical_joint_risk(spec, reg, lam, (1.0, 1.0), 1)
-        sep = risk.classical_separate_risk(spec, reg.phi_s(1), lam, 1.0, 1)
+        th = risk.theory_risks(spec, reg, risk.FAMILY_CLASSICAL, (1.0, 1.0), lam, (lam, lam))
+        joint, sep = th.r1_joint, th.r1_sep
         assert joint.total == pytest.approx(sep.total, rel=1e-3)
 
 
@@ -164,13 +177,13 @@ class TestClassicalSeparateRisk:
         (0.9, 4.263157894736843, make_diatomic(200, 0.9, 2.0, 2.0, 0.2, 1.0, 0.0)),
     ], ids=["0.5-1.0", "0.25-0.3333333333333333", "zero-atom-0.5", "zero-atom-0.9"])
     def test_unregularized_isotropic_variance(self, phi_s, expected, spec):
-        dec = risk.classical_separate_risk(spec, phi_s, 0.0, 1.0, 1)
+        dec = separate(spec, classical_regime(phi_s), risk.FAMILY_CLASSICAL, 0.0, 1)
         assert dec.variance == pytest.approx(expected, rel=1e-12)
         assert dec.bias == 0.0
 
     def test_large_penalty_returns_null_model(self):
         spec = random_spectrum(16)
-        dec = risk.classical_separate_risk(spec, 0.5, 1e9, 1.0, 2)
+        dec = separate(spec, classical_regime(0.5), risk.FAMILY_CLASSICAL, 1e9, 2)
         assert dec.variance == pytest.approx(0.0, abs=1e-8)
         assert dec.bias == pytest.approx(float(np.mean(spec.theta_s(2) * spec.sigma2)),
                                          rel=1e-6)

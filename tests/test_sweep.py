@@ -101,6 +101,7 @@ class TestConfig:
         ("n", dict(n=20.0)),
         ("replicates", dict(replicates=True)),
         ("base_seed", dict(base_seed=None)),
+        ("base_seed", dict(base_seed=-1)),
         ("lam", dict(lam="1e-3")),
         ("p1", dict(p1=False)),
         ("sigma2_sq", dict(sigma2_sq=[1.0])),
@@ -115,6 +116,13 @@ class TestConfig:
     def test_bad_values_rejected_naming_the_key(self, key, overrides):
         with pytest.raises(ValueError, match=rf"^{key} "):
             tiny_config(**overrides)
+
+    def test_base_seed_keys_must_fit_in_uint64(self):
+        # tiny_config has two points: stream keys base_seed * 1_000_003 + {0, 1}
+        top = (2 ** 64 - 2) // 1_000_003
+        with pytest.raises(ValueError, match=r"^base_seed "):
+            tiny_config(base_seed=top + 1)
+        assert not run_sweep(tiny_config(base_seed=top)).flagged
 
     def test_zero_penalty_allowed_in_theory_only_sweeps(self):
         assert tiny_config(lam=0.0, replicates=0).lam == 0.0
@@ -434,6 +442,44 @@ class TestCLI:
         assert err.startswith("biasamp sweep: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert not (tmp_path / "sweep.csv").exists()
+
+    def test_negative_seed_override_is_one_line_and_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(tiny_config().to_json())
+        assert cli_main(["sweep", str(cfg_path), "--out-dir", str(tmp_path),
+                         "--seed", "-1", "--replicates", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("biasamp sweep: base_seed ") and err.count("\n") == 1
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "fig2", "--replicates", "1"],
+        ["validate", "fig2", "--seed", "-100"],
+        ["validate", "fig2", "--seed", str(2 ** 64 - 1)],
+        ["mp-check", "--gamma", "0"],
+        ["mp-check", "--lam", "-1"],
+        ["mp-check", "--d", "0"],
+        ["mp-check", "--seed", "-1"],
+    ], ids=["fig2-replicates", "fig2-negative-seed", "fig2-seed-overflow", "mp-gamma",
+            "mp-lam", "mp-d", "mp-seed"])
+    def test_bad_argument_is_one_error_line_and_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith(
+            f"biasamp {argv[0]}: error: argument {argv[-2]}: must be ")
+
+    def test_validate_fig2_accepts_its_largest_seed(self, monkeypatch, capsys):
+        # the case with the largest seed offset reaches the last uint64 key
+        last = max(cli.SIMULATION_CASES, key=lambda case: case[-1])
+        assert cli._FIG2_MAX_SEED + last[-1] == 2 ** 64 - 1
+        monkeypatch.setattr(cli, "SIMULATION_CASES", (last,))
+        rc = cli_main(["validate", "fig2", "--replicates", "2",
+                       "--seed", str(cli._FIG2_MAX_SEED)])
+        assert rc in (0, 1)
+        assert capsys.readouterr().out.startswith(("PASS", "FAIL"))
 
     def test_theory_only_flag_blanks_empirics(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
