@@ -101,7 +101,6 @@ class TestConfig:
         ("n", dict(n=20.0)),
         ("replicates", dict(replicates=True)),
         ("base_seed", dict(base_seed=None)),
-        ("base_seed", dict(base_seed=-1)),
         ("lam", dict(lam="1e-3")),
         ("p1", dict(p1=False)),
         ("sigma2_sq", dict(sigma2_sq=[1.0])),
@@ -112,6 +111,7 @@ class TestConfig:
         ("scenario", dict(scenario=3)),
         ("family", dict(family=None)),
         ("out_csv", dict(out_csv=["a.csv"])),
+        ("base_seed", dict(base_seed=-1)),
     ])
     def test_bad_values_rejected_naming_the_key(self, key, overrides):
         with pytest.raises(ValueError, match=rf"^{key} "):
