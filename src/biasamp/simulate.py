@@ -21,6 +21,19 @@ every call on a single CPU, run in the calling process at its BLAS thread
 count, whose rounding can differ in the last digits.  The worker count is
 not an option.
 
+Each worker starts with ``WORKER_ENV`` on top of the caller's environment:
+one BLAS thread, and ``MALLOC_TOP_PAD_``, which makes glibc keep 32 MiB
+free at the top of the worker's heap whenever it grows or trims it.  The
+n x d samples, projections, feature products and grams a replicate frees
+are then reused by the next one, where glibc would return them to the kernel
+and fault the same pages in again: a pooled ``diatomic_minority`` sweep
+took 417,152 minor page faults and 0.77 s of system CPU in its two workers,
+and 20,853 faults and 0.10 s with the pad, 16,400 of them to start the two
+interpreters.  No number changes.  The values replace the caller's own
+values of these variables in the workers only; the calling process, and the
+calls that run in it, keep their allocator as it is.  Only glibc reads the
+heap variable, when a process starts; other C libraries ignore it.
+
 A random-projection ridge fit depends on its d x m map S only through
 A = S S^T, by the push-through identity
 S (S^T C S + lam I)^-1 S^T = A (C A + lam I)^-1.  So when m > d the simulator
@@ -455,21 +468,27 @@ def _simulate_replicate(configs: Sequence[SimConfig], rep: int, base_seed: int,
 
 #: A ``monte_carlo`` call runs in the workers when the sum over its tasks of
 #: ``Population.work`` reaches this.  Measured on a 2-vCPU Xeon (Python 3.11,
-#: numpy 2.4 with OpenBLAS) with one call over 2 to 6 classical diatomic
-#: populations (n = 400, 4 penalties, d from 50 to 400, 10 or 20 replicates;
+#: numpy 2.4 with OpenBLAS) with one call over 3 or 4 classical diatomic
+#: populations (n = 400, 4 penalties, d from 50 to 400, 10 replicates;
 #: medians of 3 fresh interpreters), this process at two BLAS threads against
-#: two workers, for a process's first call (the workers' start included) and
-#: a later one: 0.21 s against 0.32 s and 0.14 s against 0.11 s at 6.0e8;
-#: 0.29 / 0.33 s and 0.26 / 0.13 s at 1.1e9; 0.46 / 0.46 s and 0.42 / 0.21 s
-#: at 2.2e9; 1.06 / 0.69 s and 0.88 / 0.51 s at 5.0e9.  So a first call breaks
-#: even near 2e9, and a later one below 6e8; 2e9 keeps small sweeps in-process
+#: two workers with ``WORKER_ENV``, for a process's first call (the workers'
+#: start included) and a later one: 0.22 s against 0.28 s and 0.19 s against
+#: 0.08 s at 6.0e8; 0.30 / 0.34 s and 0.25 / 0.12 s at 1.2e9; 0.38 / 0.37 s
+#: and 0.33 / 0.16 s at 1.5e9; 0.43 / 0.35 s and 0.39 / 0.17 s at 2.2e9;
+#: 0.73 / 0.48 s and 0.69 / 0.27 s at 5.0e9.  So a first call breaks even
+#: near 1.5e9, and a later one below 6e8; 2e9 keeps small sweeps in-process
 #: and lets every larger call share the start.
 POOL_MIN_WORK = 2e9
 
-#: Set in each worker's environment, so that a replicate's numbers depend
-#: only on its inputs, not on the machine's core count.
-ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-                   "MKL_NUM_THREADS": "1"}
+#: Added to each worker's environment (see the module docstring).  The one
+#: pad variable does what two threshold variables do: 20,966 faults on the
+#: pooled ``diatomic_minority`` sweep, against 20,928 for
+#: ``MALLOC_MMAP_THRESHOLD_`` = 32 MiB with ``MALLOC_TRIM_THRESHOLD_`` =
+#: 128 MiB and over 6.3e5 for either alone.  A pad of 32 MiB is the smallest
+#: of 8, 16, 32 and 64 MiB that also removes the faults of the benchmark's
+#: mc-classical sweep: 196,440, 40,519, 23,617 and 23,639 (103,132 without).
+WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+              "MKL_NUM_THREADS": "1", "MALLOC_TOP_PAD_": str(32 << 20)}
 
 
 class WorkerError(RuntimeError):
@@ -504,7 +523,11 @@ def _serve() -> None:
 
 
 class _Workers:
-    """One worker interpreter per CPU, each at one BLAS thread, for the life of the process.
+    """One worker interpreter per CPU, each with ``WORKER_ENV``, for the life of the process.
+
+    Each worker gets its own copy of the caller's environment with
+    ``WORKER_ENV`` merged in, so one BLAS thread and glibc's heap pad hold in
+    the workers only; the caller's ``os.environ`` is not changed.
 
     A worker imports this package from its own import root, never the
     caller's ``__main__``, and runs ``_simulate_replicate`` on the tasks it is
@@ -517,7 +540,7 @@ class _Workers:
         root = str(Path(__file__).resolve().parents[1])
         code = (f"import sys; sys.path.insert(0, {root!r}); "
                 "from biasamp.simulate import _serve; _serve()")
-        env = {**os.environ, **ONE_BLAS_THREAD}
+        env = {**os.environ, **WORKER_ENV}
         self.procs = [subprocess.Popen([sys.executable, "-c", code], stdin=subprocess.PIPE,
                                        stdout=subprocess.PIPE, env=env)
                       for _ in range(count)]

@@ -1,5 +1,6 @@
 """The Monte-Carlo worker processes: when they start, and what they give back."""
 
+import io
 import math
 import os
 import subprocess
@@ -27,6 +28,8 @@ SPLIT = SweepConfig(scenario="custom", family="classical", spectrum="isotropic",
 TINY = SweepConfig(scenario="custom", family="random-projection", spectrum="diatomic",
                    n=40, phi_grid=(0.5, 1.0), psi_grid=(0.25, 1.0), p1=0.7, pi_frac=0.5,
                    b2=0.2, replicates=3)
+
+ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 ONE_THREAD_IN_PROCESS = f"""
 import sys
@@ -105,11 +108,35 @@ def test_pooled_sweep_matches_a_one_thread_run_in_process(tmp_path, monkeypatch)
 
         config = tmp_path / f"{name}.json"
         config.write_text(sweep.to_json())
+        # one BLAS thread but not the workers' heap pad: the bytes must not depend on it
         out = _python("-c", ONE_THREAD_IN_PROCESS, config, tmp_path / f"{name}-alone.csv",
-                      **sim.ONE_BLAS_THREAD)
+                      **ONE_BLAS_THREAD)
         assert out.returncode == 0, out.stderr
         assert ((tmp_path / f"{name}.csv").read_bytes()
                 == (tmp_path / f"{name}-alone.csv").read_bytes())
+
+
+def test_each_worker_gets_the_worker_environment_and_the_caller_keeps_its_own(monkeypatch):
+    envs = []
+
+    class Unstarted:
+        """A worker that records its environment and never starts."""
+
+        def __init__(self, args, env, **kw):
+            envs.append(env)
+            self.stdin, self.stdout = io.BytesIO(), io.BytesIO()
+
+        def wait(self, timeout=None):
+            return 0
+
+    monkeypatch.setenv("MALLOC_TOP_PAD_", "4096")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.setattr(subprocess, "Popen", Unstarted)
+    environ = dict(os.environ)
+    sim._Workers(2).close()
+    assert dict(os.environ) == environ
+    expected = {**environ, **ONE_BLAS_THREAD, "MALLOC_TOP_PAD_": str(32 << 20)}
+    assert envs == [expected, expected]
 
 
 @needs_two_cpus
