@@ -9,10 +9,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import fixed_point as fp
 from . import risk
 from .simulate import Population, SimConfig, monte_carlo, sampled_resolvent
-from .spectra import ScalingRegime, make_isotropic
+from .spectra import JointSpectrum, ScalingRegime, make_isotropic
 from .svg import emit_svg, plottable, render_plot
 from .sweep import FIGURES, SweepConfig, SweepResult, default_out_dir, emit_csv, run_sweep
 
@@ -107,26 +109,25 @@ def _validate_quick() -> bool:
     spec = make_isotropic(8, 1.0, 1.0, 1.0, 0.0)
     for phi_s, expect in ((0.25, 1.0 / 3.0), (0.5, 1.0), (0.8, 4.0)):
         reg = ScalingRegime(p1=0.5, phi=0.5 * phi_s, gamma=1.0)
-        dec = risk.theory_risks(spec, reg, risk.FAMILY_CLASSICAL, (1.0, 1.0), 1e-8,
-                                (1e-8, 1e-8)).r1_sep
+        [variance] = risk.theory_risks(spec, reg, risk.FAMILY_CLASSICAL, (1.0, 1.0), 1e-8,
+                                       (1e-8, 1e-8)).r1_sep.variance
         ok &= _check(f"classical separate variance, phi_s={phi_s}",
-                     abs(dec.variance - expect) / expect < 1e-4,
-                     f"V={dec.variance:.6f} vs {expect:.6f}")
+                     abs(variance - expect) / expect < 1e-4,
+                     f"V={variance:.6f} vs {expect:.6f}")
 
     reg = ScalingRegime.from_rates(0.5, 0.25, 0.25 * 2.0)
-    closed = risk.rp_separate_risk_unregularized(spec, reg, 1.0, 1)
-    general = risk.theory_risks(spec, reg, risk.FAMILY_RP, (1.0, 1.0), 1e-8,
-                                (1e-8, 1e-8)).r1_sep
+    [closed] = risk.rp_separate_risk_unregularized(spec, reg, 1.0, 1).total
+    [general] = risk.theory_risks(spec, reg, risk.FAMILY_RP, (1.0, 1.0), 1e-8,
+                                  (1e-8, 1e-8)).r1_sep.total
     ok &= _check("zero-penalty closed form vs general solver",
-                 abs(closed.total - general.total) / closed.total < 1e-3,
-                 f"{closed.total:.6f} vs {general.total:.6f}")
+                 abs(closed - general) / closed < 1e-3, f"{closed:.6f} vs {general:.6f}")
 
     sym = make_isotropic(8, 1.0, 1.0, 1.0, 0.0)
     reg = ScalingRegime.from_rates(0.5, 0.5, 0.75)
-    th = risk.theory_risks(sym, reg, risk.FAMILY_RP, (1.0, 1.0), 1e-6, (1e-6, 1e-6))
-    ok &= _check("symmetric groups give zero gaps",
-                 th.gaps.odd < 1e-12 and th.gaps.edd < 1e-12,
-                 f"odd={th.gaps.odd:.2e} edd={th.gaps.edd:.2e}")
+    gaps = risk.theory_risks(sym, reg, risk.FAMILY_RP, (1.0, 1.0), 1e-6, (1e-6, 1e-6)).gaps
+    [odd], [edd] = gaps.odd, gaps.edd
+    ok &= _check("symmetric groups give zero gaps", odd < 1e-12 and edd < 1e-12,
+                 f"odd={odd:.2e} edd={edd:.2e}")
     return ok
 
 
@@ -149,27 +150,38 @@ SIMULATION_CASES = (
 def simulation_checks(base_seed: int, replicates: int):
     """Yield (name, theory, simulated mean, z) for each check of ``SIMULATION_CASES``.
 
-    A case's Monte Carlo is seeded with ``base_seed`` plus its offset; every
-    case is one population of a single ``monte_carlo`` call.
+    The theory of each family's cases is one batch, as in a sweep: every
+    case's spectrum has the same atom.  A case's Monte Carlo is seeded with
+    ``base_seed`` plus its offset; every case is one population of a single
+    ``monte_carlo`` call.
     """
     n, lam = 400, 1e-6
-    theories, populations = [], []
-    for family, phi, psi, offset in SIMULATION_CASES:
-        d = round(phi * n)
-        m = d if psi is None else round(psi * n)
-        spec = make_isotropic(d, 0.5, 1.0, 2.0, 1.0)
-        reg = ScalingRegime.from_counts(n, d, m, 0.5)
-        theories.append(risk.theory_risks(spec, reg, family, (1.0, 1e-5), lam, (lam, lam)))
-        sim = SimConfig(spectrum=spec, n=n, p1=0.5, sigma1_sq=1.0, sigma2_sq=1e-5,
-                        family=family, lam_joint=lam, lam1=lam, lam2=lam,
-                        m=None if psi is None else m)
-        populations.append(Population([sim], base_seed + offset))
+    d = np.array([round(phi * n) for _, phi, _, _ in SIMULATION_CASES])
+    m = np.array([dc if psi is None else round(psi * n)
+                  for dc, (_, _, psi, _) in zip(d, SIMULATION_CASES)])
+    spectra = [make_isotropic(dc, 0.5, 1.0, 2.0, 1.0) for dc in d]
+    theories = [None] * len(SIMULATION_CASES)  # per case: (its family's batch, its row)
+    for family in dict.fromkeys(case[0] for case in SIMULATION_CASES):
+        rows = [i for i, case in enumerate(SIMULATION_CASES) if case[0] == family]
+        atoms = spectra[rows[0]]
+        spec = JointSpectrum(np.stack([spectra[i].counts for i in rows]), atoms.sigma1,
+                             atoms.sigma2, atoms.theta, atoms.delta)
+        th = risk.theory_risks(spec, ScalingRegime.from_counts(n, d[rows], m[rows], 0.5),
+                               family, (1.0, 1e-5), lam, (lam, lam))
+        for j, i in enumerate(rows):
+            theories[i] = (th, j)
+    populations = [
+        Population([SimConfig(spectrum=spec, n=n, p1=0.5, sigma1_sq=1.0, sigma2_sq=1e-5,
+                              family=family, lam_joint=lam, lam1=lam, lam2=lam,
+                              m=None if psi is None else int(mc))],
+                   base_seed + offset)
+        for (family, _, psi, offset), spec, mc in zip(SIMULATION_CASES, spectra, m)]
     reports = monte_carlo(populations, replicates)
-    for (_, phi, psi, _), th, [rep] in zip(SIMULATION_CASES, theories, reports):
+    for (_, phi, psi, _), (th, j), [rep] in zip(SIMULATION_CASES, theories, reports):
         point = f"classical phi={phi}" if psi is None else f"rp phi={phi} psi={psi}"
         keys = ("r1_joint", "r2_joint") + (() if psi is None else ("r1_sep", "r2_sep"))
         for key in keys:
-            theory = getattr(th, key).total
+            theory = getattr(th, key).total[j]
             yield f"{point} {key}", theory, rep[key].mean, rep[key].z(theory)
 
 

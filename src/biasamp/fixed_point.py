@@ -16,16 +16,16 @@ Every stage solves a batch of P systems at once.  Its per-row inputs (the
 rates of ``ScalingRegime``, the penalty, earlier constants) are scalars or
 arrays of shape (P,), and the spectrum's weights are (atoms,) or, for a
 stack of spectra over the same atoms, (P, atoms); traces are weighted sums
-over the last axis.  Results take the batch shape: floats for an unbatched
-call, (P,) arrays otherwise.  ``_newton`` iterates x of shape (P, q), one
-row per system, and the affine stages make one stacked ``np.linalg.solve``.
-Rows never interact, so a row's result does not depend on the batch it is
-solved in.
+over the last axis.  Results are always (P,) arrays: one point is P = 1, and
+the caller indexes it.  ``_newton`` iterates x of shape (P, q), one row per
+system, and the affine stages make one stacked ``np.linalg.solve``.  Rows
+never interact, so a row's result does not depend on the batch it is solved
+in.
 
 Solvers report the achieved residual and iteration count per row.  A row
 that does not converge, or whose affine system is singular, comes back as
-NaN in a batched call; an unbatched call raises ``FixedPointError``
-(carrying the best residual) instead of returning a silent bad answer.
+NaN, and nothing raises for it.  ``FixedPointError`` is raised only where
+nothing is batched: ``solve_theta0``'s target with no root.
 """
 
 from __future__ import annotations
@@ -46,51 +46,33 @@ LAMBDA_FLOOR = 1e-8
 
 
 class FixedPointError(RuntimeError):
-    """Raised when an iteration fails to reach tolerance or a system is singular."""
-
-    def __init__(self, message: str, residual: float | None = None,
-                 iters: int | None = None):
-        super().__init__(message)
-        self.residual = residual
-        self.iters = iters
+    """Raised when a fixed-point equation has no root (``solve_theta0``)."""
 
 
-def _effective_lambda(lam):
-    """The penalty (a scalar or per-row array) with zeros floored to LAMBDA_FLOOR."""
-    arr = np.asarray(lam, dtype=float)
-    if np.any(arr < 0):
+def _effective_lambda(lam) -> np.ndarray:
+    """The penalty (a scalar or per-row array) as (P,), zeros floored to LAMBDA_FLOOR."""
+    lam = np.array(lam, dtype=float, ndmin=1)
+    if np.any(lam < 0):
         raise ValueError(f"ridge penalty must be nonnegative, got {lam}")
-    if np.any(arr == 0.0):
+    if np.any(lam == 0.0):
         logger.warning("penalty 0 floored to %.1e for the regularized solver", LAMBDA_FLOOR)
-        return np.where(arr == 0.0, LAMBDA_FLOOR, arr)[()]
+        lam[lam == 0.0] = LAMBDA_FLOOR
     return lam
 
 
 def _batch(weights: np.ndarray, *per_row):
-    """Batch shape of a call, and its weights (P, atoms) and per-row values (P, 1).
+    """Weights (P, atoms) and per-row values (P, 1) of a call.
 
-    ``weights`` are (atoms,) or (P, atoms), like ``JointSpectrum.weights``.
+    ``weights`` are (atoms,) or (P, atoms), like ``JointSpectrum.weights``,
+    and the per-row values scalars or (P,); P is 1 if none is per row.
     """
     weights = np.asarray(weights, dtype=float)
     shape = np.broadcast_shapes(weights.shape[:-1], *map(np.shape, per_row))
     rows = int(np.prod(shape))
     weights = np.broadcast_to(weights, shape + weights.shape[-1:])
-    return shape, [weights.reshape(rows, -1)] + [
+    return [weights.reshape(rows, -1)] + [
         np.broadcast_to(np.asarray(v, dtype=float), shape).reshape(rows, 1)
         for v in per_row]
-
-
-def _unbatch(shape: tuple, *values):
-    """Per-row results (P,) or (P, 1) in the call's batch shape; floats if unbatched."""
-    out = tuple(np.reshape(v, shape)[()] for v in values)
-    return out if len(out) > 1 else out[0]
-
-
-def _raise_unbatched(shape: tuple, failed: np.ndarray, message: str,
-                     residual=None, iters=None) -> None:
-    """An unbatched call raises for its failed row; a batched call keeps its NaN."""
-    if shape == () and failed.any():
-        raise FixedPointError(message, residual=residual, iters=iters)
 
 
 def _trace(weights: np.ndarray):
@@ -139,8 +121,7 @@ _POLISH_STEPS = 2
 _MAX_HALVINGS = 10
 
 
-def _newton(fun, x0: np.ndarray, params: list, what: str,
-            shape: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _newton(fun, x0: np.ndarray, params: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Safeguarded Newton iteration for F(x) = 0 over positive x, P rows at once.
 
     ``x0`` is (P, q) and ``params`` holds the per-row arrays (P, ...) of the
@@ -160,8 +141,7 @@ def _newton(fun, x0: np.ndarray, params: list, what: str,
     halvings would.
     Returns (x, residual, iterations) per row; a row that does not converge
     in _MAX_ITER iterations is NaN in x, with its best residual and _MAX_ITER
-    iterations, or raises FixedPointError if the call is unbatched
-    (``shape`` is ()).
+    iterations.
     """
     x = np.array(x0, dtype=float)
     halvings = 0.5 ** np.arange(1, _MAX_HALVINGS)[:, None]  # exact powers of two
@@ -209,9 +189,6 @@ def _newton(fun, x0: np.ndarray, params: list, what: str,
             x, f, res, jac = trial, ft, rt, jt
             best = np.fmin(best, res)
     out_res[rows] = best
-    _raise_unbatched(shape, np.isnan(out_x[:, 0]), f"{what}: no convergence after "
-                     f"{_MAX_ITER} iterations (best residual {out_res[0]:.3e})",
-                     residual=out_res[0], iters=_MAX_ITER)
     return out_x, out_res, iters
 
 
@@ -221,20 +198,20 @@ def _newton(fun, x0: np.ndarray, params: list, what: str,
 
 @dataclass(frozen=True)
 class RPJointConstants:
-    """Constants of the joint random-projection equivalent, in the batch shape.
+    """Constants of the joint random-projection equivalent, (P,) arrays.
 
     (e1, e2, tau) solve the nonlinear stage; (u1, u2, rho) solve the affine
     stage for the recorded target spectrum b (atom values).  rho_prime =
     rho / (gamma tau^2) is the numerically natural scaling of rho.
     """
 
-    e1: float | np.ndarray
-    e2: float | np.ndarray
-    tau: float | np.ndarray
-    u1: float | np.ndarray
-    u2: float | np.ndarray
-    rho: float | np.ndarray
-    rho_prime: float | np.ndarray
+    e1: np.ndarray
+    e2: np.ndarray
+    tau: np.ndarray
+    u1: np.ndarray
+    u2: np.ndarray
+    rho: np.ndarray
+    rho_prime: np.ndarray
     b: np.ndarray
 
 
@@ -264,8 +241,7 @@ def solve_rp_joint_nonlinear(spectrum: JointSpectrum, regime: ScalingRegime, lam
     few digits of a constant near zero.
     Returns (e1, e2, tau, residual, iters), the residual being max |F_s|.
     """
-    lam = _effective_lambda(lam)
-    shape, params = _batch(spectrum.weights, regime.psi, regime.gamma, lam)
+    params = _batch(spectrum.weights, regime.psi, regime.gamma, _effective_lambda(lam))
     s1, s2 = spectrum.sigma1, spectrum.sigma2
     p1, p2 = regime.p1, regime.p2
     # atom values traced against M^-1, and against M^-2 for the Jacobian
@@ -299,7 +275,7 @@ def solve_rp_joint_nonlinear(spectrum: JointSpectrum, regime: ScalingRegime, lam
 
     w, psi, gamma, lam = params
     x0 = gamma * np.array([p1, p2]) / (lam + (psi + 1.0) * _traces(w, by_m)[:, :, 0].T)
-    x, res, iters = _newton(fun, x0, params, "rp-joint (e, tau) stage", shape)
+    x, res, iters = _newton(fun, x0, params)
     # As in solve_rp_separate, one more step takes x to its last bits.
     f, _, jac = fun(x, *params)
     x = x - _solve(jac, f)
@@ -307,7 +283,7 @@ def solve_rp_joint_nonlinear(spectrum: JointSpectrum, regime: ScalingRegime, lam
     prod1, prod2 = lam * x[:, :1] / (gamma * p1), lam * x[:, 1:] / (gamma * p2)
     tau = np.where(tau < np.maximum(e1, e2), np.where(e1 >= e2, prod1 / e1, prod2 / e2), tau)
     e1, e2 = np.where(e1 < tau, prod1 / tau, e1), np.where(e2 < tau, prod2 / tau, e2)
-    return _unbatch(shape, e1, e2, tau, res, iters)
+    return e1[:, 0], e2[:, 0], tau[:, 0], res, iters
 
 
 def solve_rp_joint_linear(spectrum: JointSpectrum, regime: ScalingRegime,
@@ -322,12 +298,11 @@ def solve_rp_joint_linear(spectrum: JointSpectrum, regime: ScalingRegime,
     rho' = rho / (gamma tau^2), which stays well conditioned as the penalty
     and tau vanish together.
     """
-    lam = _effective_lambda(lam)
     b = np.asarray(b, dtype=float)
     if b.shape != spectrum.sigma1.shape or np.any(b < 0):
         raise ValueError("target spectrum b must be nonnegative, one entry per atom")
-    shape, (w, psi, gamma, lam, e1, e2, tau) = _batch(
-        spectrum.weights, regime.psi, regime.gamma, lam, e1, e2, tau)
+    w, psi, gamma, lam, e1, e2, tau = _batch(
+        spectrum.weights, regime.psi, regime.gamma, _effective_lambda(lam), e1, e2, tau)
     s1, s2, tr = spectrum.sigma1, spectrum.sigma2, _trace(w)
     p1, p2 = regime.p1, regime.p2
 
@@ -355,10 +330,8 @@ def solve_rp_joint_linear(spectrum: JointSpectrum, regime: ScalingRegime,
     ])
     rhs = np.hstack([c1 * gt2 * tb1, c2 * gt2 * tb2, lg * tb])
     u1, u2, rho_prime = _solve(mat, rhs).T
-    _raise_unbatched(shape, np.isnan(u1),
-                     "rp-joint affine stage is singular (near a phase boundary)")
-    rho = gt2[:, 0] * rho_prime
-    return RPJointConstants(*_unbatch(shape, e1, e2, tau, u1, u2, rho, rho_prime), b=b)
+    return RPJointConstants(e1[:, 0], e2[:, 0], tau[:, 0], u1, u2, gt2[:, 0] * rho_prime,
+                            rho_prime, b=b)
 
 
 # ---------------------------------------------------------------------------
@@ -367,16 +340,16 @@ def solve_rp_joint_linear(spectrum: JointSpectrum, regime: ScalingRegime,
 
 @dataclass(frozen=True)
 class RPSeparateConstants:
-    """Single-group constants of the separate random-projection equivalent."""
+    """Single-group constants of the separate random-projection equivalent, (P,) arrays."""
 
     group: int
-    e: float | np.ndarray
-    tau: float | np.ndarray
-    u: float | np.ndarray
-    rho: float | np.ndarray
-    rho_prime: float | np.ndarray
-    residual: float | np.ndarray
-    iters: int | np.ndarray
+    e: np.ndarray
+    tau: np.ndarray
+    u: np.ndarray
+    rho: np.ndarray
+    rho_prime: np.ndarray
+    residual: np.ndarray
+    iters: np.ndarray
 
 
 def solve_rp_separate(spectrum: JointSpectrum, regime: ScalingRegime, s: int,
@@ -403,8 +376,7 @@ def solve_rp_separate(spectrum: JointSpectrum, regime: ScalingRegime, s: int,
     a few digits of one near zero.  Then (u_s, rho_s) solve an exact 2x2
     affine system (assembled in rho' = rho / (gamma tau^2)).
     """
-    lam = _effective_lambda(lam_s)
-    shape, params = _batch(spectrum.weights, regime.psi_s(s), regime.gamma, lam)
+    params = _batch(spectrum.weights, regime.psi_s(s), regime.gamma, _effective_lambda(lam_s))
     sig = spectrum.sigma(s)
 
     def fun(x, w, psi_s, gamma, lam):
@@ -418,7 +390,7 @@ def solve_rp_separate(spectrum: JointSpectrum, regime: ScalingRegime, s: int,
 
     w, psi_s, gamma, lam = params
     x0 = gamma / (lam + (psi_s + 1.0) * (w * sig).sum(axis=1, keepdims=True))
-    x, res, iters = _newton(fun, x0, params, f"rp-separate shift, group {s}", shape)
+    x, res, iters = _newton(fun, x0, params)
     # As in solve_kappa, one more step takes x to its last bits.
     f, _, jac = fun(x, *params)
     x = x - f / jac[:, 0]
@@ -441,9 +413,8 @@ def solve_rp_separate(spectrum: JointSpectrum, regime: ScalingRegime, s: int,
                    [-lg * s1k, 1.0 - gamma * (tau * e) ** 2 * s2k]])
     rhs = np.hstack([ce * gt2 * s2k, lg * s1k])
     u, rho_prime = _solve(mat, rhs).T
-    _raise_unbatched(shape, np.isnan(u), f"rp-separate affine stage is singular for group {s}")
-    rho = gt2[:, 0] * rho_prime
-    return RPSeparateConstants(s, *_unbatch(shape, e, tau, u, rho, rho_prime, res, iters))
+    return RPSeparateConstants(s, e[:, 0], tau[:, 0], u, gt2[:, 0] * rho_prime, rho_prime,
+                               res, iters)
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +426,7 @@ def solve_classical_joint_nonlinear(spectrum: JointSpectrum, regime: ScalingRegi
 
     Returns (e1, e2, residual, iters).
     """
-    lam = _effective_lambda(lam)
-    shape, params = _batch(spectrum.weights, regime.phi, lam)
+    params = _batch(spectrum.weights, regime.phi, _effective_lambda(lam))
     s1, s2 = spectrum.sigma1, spectrum.sigma2
     p1, p2 = regime.p1, regime.p2
     by_k = np.stack([s1, s2])
@@ -474,16 +444,14 @@ def solve_classical_joint_nonlinear(spectrum: JointSpectrum, regime: ScalingRegi
                        [-phi * (e2 * p1) * t12, d2 - phi * (e2 * p2) * t22]])
         return f, np.abs(f).max(axis=1), jac
 
-    x, res, iters = _newton(fun, np.ones((len(params[0]), 2)), params,
-                            "classical-joint e stage", shape)
-    return _unbatch(shape, x[:, 0], x[:, 1], res, iters)
+    x, res, iters = _newton(fun, np.ones((len(params[0]), 2)), params)
+    return x[:, 0], x[:, 1], res, iters
 
 
 def solve_classical_joint_linear(spectrum: JointSpectrum, regime: ScalingRegime,
                                  lam, e1, e2, s: int):
     """Exact 2x2 solve for (u1, u2) targeting evaluation group s."""
-    lam = _effective_lambda(lam)
-    shape, (w, phi, lam, e1, e2) = _batch(spectrum.weights, regime.phi, lam, e1, e2)
+    w, phi, lam, e1, e2 = _batch(spectrum.weights, regime.phi, _effective_lambda(lam), e1, e2)
     s1, s2, tr = spectrum.sigma1, spectrum.sigma2, _trace(w)
     p1, p2 = regime.p1, regime.p2
     k = p1 * e1 * s1 + p2 * e2 * s2 + lam
@@ -500,9 +468,7 @@ def solve_classical_joint_linear(spectrum: JointSpectrum, regime: ScalingRegime,
     mat = _matrix([[1.0 - c1 * p1 * t11, -c1 * p2 * t12],
                    [-c2 * p1 * t12, 1.0 - c2 * p2 * t22]])
     u1, u2 = _solve(mat, np.hstack([c1 * ts1, c2 * ts2])).T
-    _raise_unbatched(shape, np.isnan(u1),
-                     "classical-joint affine stage is singular (near a phase boundary)")
-    return _unbatch(shape, u1, u2)
+    return u1, u2
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +493,7 @@ def solve_kappa(eigs: np.ndarray, weights: np.ndarray, phi_s, lam_s):
     eigs = np.asarray(eigs, dtype=float)
     if np.any(np.asarray(lam_s) < 0) or np.any(np.asarray(phi_s) <= 0):
         raise ValueError("need lam_s >= 0 and phi_s > 0")
-    shape, (w, phi, lam) = _batch(weights, phi_s, lam_s)
+    w, phi, lam = _batch(weights, phi_s, lam_s)
 
     def g(x, w, phi, lam):
         return lam + phi * (w * eigs / (1.0 + x * eigs)).sum(axis=1, keepdims=True)
@@ -543,13 +509,12 @@ def solve_kappa(eigs: np.ndarray, weights: np.ndarray, phi_s, lam_s):
     if rows.size:
         w, phi, lam = w[rows], phi[rows], lam[rows]
         x0 = 1.0 / (lam + phi * (w * eigs).sum(axis=1, keepdims=True))
-        x, res[rows], iters[rows] = _newton(fun, x0, [w, phi, lam],
-                                            "the effective shift", shape)
+        x, res[rows], iters[rows] = _newton(fun, x0, [w, phi, lam])
         # _newton stops once the relative step is below _POLISH_RTOL; one more
         # step, and kappa = g(x) rather than 1 / x, take kappa to its last bits.
         f, _, jac = fun(x, w, phi, lam)
         kappa[rows] = g(x - f / jac[:, 0], w, phi, lam)[:, 0]
-    return _unbatch(shape, kappa, res, iters)
+    return kappa, res, iters
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +574,8 @@ def solve_theta0(eigs: np.ndarray, weights: np.ndarray, phi_s: float, psi_s: flo
         raise FixedPointError(
             f"no root: target degrees of freedom {target:.6g} exceeds the "
             f"spectrum's maximum {cap:.6g}")
-    theta0 = float(solve_kappa(eigs, weights, 1.0 / target, 0.0)[0])
+    [theta0], _, _ = solve_kappa(eigs, weights, 1.0 / target, 0.0)
+    theta0 = float(theta0)
     eta0 = dof(eigs, weights, 1, 1, theta0)
     e0 = max(1.0 - phi_s * eta0, 0.0)
     tau0 = max(1.0 - eta0 / gamma, 0.0)
@@ -626,7 +592,7 @@ def solve_mp(gamma: float, lam: float) -> float:
 
     m equals the limiting normalized trace of (S + lam I)^-1 for a Wishart
     matrix S with aspect ratio gamma; used as a self-test of the Newton
-    machinery against a case with a closed form.
+    machinery against a case with a closed form.  NaN if it does not converge.
     """
     if gamma <= 0 or lam <= 0:
         raise ValueError("need gamma > 0 and lam > 0")
@@ -635,5 +601,5 @@ def solve_mp(gamma: float, lam: float) -> float:
         f = x * (lam + 1.0 / (1.0 + gamma * x)) - 1.0
         return f, np.abs(f[:, 0]), (lam + 1.0 / (1.0 + gamma * x) ** 2)[:, :, None]
 
-    x, _, _ = _newton(fun, np.ones((1, 1)), [], "white-covariance resolvent", ())
+    x, _, _ = _newton(fun, np.ones((1, 1)), [])
     return float(x[0, 0])

@@ -13,7 +13,9 @@ Conventions used throughout:
   * group index s is 1 or 2, and s' = 3 - s;
   * the weight covariance seen by group 2 includes the shift term;
   * joint-model constants are always solved with the evaluation group's
-    feature covariance as the affine-stage target.
+    feature covariance as the affine-stage target;
+  * risks, gaps and solver diagnostics are (P,) arrays, one entry per grid
+    point; one point is P = 1.
 """
 
 from __future__ import annotations
@@ -42,37 +44,33 @@ def _col(value):
     return np.asarray(value)[..., None]
 
 
-def _clamp_nonneg(value, scale, what: str):
-    """value with negatives inside numerical slack rounded up to 0.
+def _clamp_nonneg(value, scale):
+    """value as (P,), negatives inside numerical slack rounded up to 0.
 
-    A value negative beyond the slack raises ValueError when unbatched and
-    marks its row NaN (failed) in a batch.
+    A value negative beyond the slack marks its row NaN (failed).
     """
-    value = np.asarray(value, dtype=float)
-    beyond = value < -_CLAMP_SLACK * scale
-    if value.ndim == 0 and beyond:
-        raise ValueError(f"{what} is negative beyond numerical slack: {value}")
-    return np.where(beyond, np.nan, np.where(value < 0.0, 0.0, value))[()]
+    value = np.array(value, dtype=float, ndmin=1)
+    return np.where(value < -_CLAMP_SLACK * scale, np.nan, np.where(value < 0.0, 0.0, value))
 
 
 @dataclass(frozen=True)
 class RiskDecomposition:
     """Bias/variance split of one group's test risk under one training mode.
 
-    bias and variance are floats, or (P,) arrays for a batch of grid points.
+    bias and variance are given as scalars or (P,) arrays, one entry per
+    grid point, and kept as (P,) arrays.
     """
 
-    bias: float | np.ndarray
-    variance: float | np.ndarray
+    bias: np.ndarray
+    variance: np.ndarray
     group: int
     mode: str
     family: str
 
     def __post_init__(self):
         scale = np.maximum(1.0, np.abs(self.bias) + np.abs(self.variance))
-        object.__setattr__(self, "bias", _clamp_nonneg(self.bias, scale, "bias"))
-        object.__setattr__(self, "variance",
-                           _clamp_nonneg(self.variance, scale, "variance"))
+        object.__setattr__(self, "bias", _clamp_nonneg(self.bias, scale))
+        object.__setattr__(self, "variance", _clamp_nonneg(self.variance, scale))
 
     @property
     def total(self):
@@ -81,50 +79,42 @@ class RiskDecomposition:
 
 @dataclass(frozen=True)
 class BiasAmpMetrics:
-    """Joint-vs-separate risk gap metrics.
+    """Joint-vs-separate risk gap metrics, (P,) arrays.
 
     odd: risk gap of the single model trained on both groups.
     edd: risk gap of the per-group models.
-    add: odd / edd, or None when the separate gap is numerically zero (NaN
-    in a batch).
+    add: odd / edd, or NaN where the separate gap is numerically zero.
     Signed gaps (group 2 minus group 1) are kept alongside the absolute
     values because absolute-value estimators are biased near zero.
     """
 
-    odd: float | np.ndarray
-    edd: float | np.ndarray
-    add: float | np.ndarray | None
-    signed_odd: float | np.ndarray
-    signed_edd: float | np.ndarray
+    odd: np.ndarray
+    edd: np.ndarray
+    add: np.ndarray
+    signed_odd: np.ndarray
+    signed_edd: np.ndarray
 
     def columns(self) -> dict:
-        """The five gap quantities under their sweep names; an undefined ratio is NaN."""
-        return {"odd": self.odd, "edd": self.edd,
-                "add": math.nan if self.add is None else self.add,
+        """The five gap quantities under their sweep names."""
+        return {"odd": self.odd, "edd": self.edd, "add": self.add,
                 "odd_signed": self.signed_odd, "edd_signed": self.signed_edd}
 
 
 def metrics(r1_joint, r2_joint, r1_sep, r2_sep) -> BiasAmpMetrics:
     """Gap metrics from the four per-group risks (decompositions or totals).
 
-    The risks may be (P,) arrays.  A non-finite risk raises ValueError when
-    unbatched and gives its row NaN gaps in a batch.
+    The risks are scalars or (P,) arrays, and the gaps (P,) arrays.  A row
+    with a risk that is not finite has NaN gaps.
     """
-    vals = [np.asarray(r.total if isinstance(r, RiskDecomposition) else r, dtype=float)
-            for r in (r1_joint, r2_joint, r1_sep, r2_sep)]
-    finite = np.all(np.isfinite(vals), axis=0)
-    if finite.ndim == 0 and not finite:
-        raise ValueError(f"risks must be finite, got {[float(v) for v in vals]}")
-    vals = [np.where(finite, v, np.nan) for v in vals]
-    signed_odd = vals[1] - vals[0]
-    signed_edd = vals[3] - vals[2]
+    vals = np.broadcast_arrays(*(
+        np.array(r.total if isinstance(r, RiskDecomposition) else r, dtype=float, ndmin=1)
+        for r in (r1_joint, r2_joint, r1_sep, r2_sep)))
+    r1j, r2j, r1s, r2s = np.where(np.isfinite(vals).all(axis=0), vals, np.nan)
+    signed_odd, signed_edd = r2j - r1j, r2s - r1s
     odd, edd = np.abs(signed_odd), np.abs(signed_edd)
-    defined = edd > EDD_SINGULAR
-    add = np.divide(odd, edd, out=np.full(odd.shape, np.nan), where=defined)
-    if add.ndim == 0:
-        add = float(add) if defined else None
-    return BiasAmpMetrics(odd=odd[()], edd=edd[()], add=add,
-                          signed_odd=signed_odd[()], signed_edd=signed_edd[()])
+    add = np.divide(odd, edd, out=np.full(odd.shape, np.nan), where=edd > EDD_SINGULAR)
+    return BiasAmpMetrics(odd=odd, edd=edd, add=add,
+                          signed_odd=signed_odd, signed_edd=signed_edd)
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +127,8 @@ def _h_joint(k: int, j: int, a, constants: fp.RPJointConstants,
 
     ``a`` is the left spectral weight, atom values or a scalar; k >= 2 uses
     the target spectrum b the affine stage of ``constants`` was solved with.
-    Constants, rates and the penalty may be per-row arrays, giving one value
-    per row.
+    Constants are (P,) arrays, and rates and the penalty scalars or (P,),
+    giving one value per row.
     """
     jp = 3 - j
     p_j, p_jp = regime.p(j), regime.p(jp)
@@ -146,10 +136,7 @@ def _h_joint(k: int, j: int, a, constants: fp.RPJointConstants,
     e = {1: constants.e1, 2: constants.e2}
     u = {1: constants.u1, 2: constants.u2}
     tau, rho, gamma = constants.tau, constants.rho, regime.gamma
-    # np.square, not ** 2: a float64 scalar's ** 2 calls pow, which can differ
-    # from an array's square by an ulp, and an unbatched row must equal its
-    # batched one
-    tau2, e2 = np.square(tau), {j: np.square(v) for j, v in e.items()}
+    tau2, e2 = tau ** 2, {j: v ** 2 for j, v in e.items()}
     c = _col
 
     ell = c(regime.p1 * e[1]) * spectrum.sigma1 + c(regime.p2 * e[2]) * spectrum.sigma2
@@ -221,7 +208,7 @@ def _rp_separate(spectrum: JointSpectrum, regime: ScalingRegime, lam, sigma_s_sq
     kay = _col(gamma * c.tau * c.e) * sig + _col(lam)
     inv_k2 = 1.0 / kay ** 2
 
-    tau2 = np.square(c.tau)  # not ** 2, as in _h_joint
+    tau2 = c.tau ** 2
     h2 = gamma * spectrum.tr(
         sig * (_col(gamma * c.e * tau2) * sig + _col(c.e * c.rho)
                - _col(lam * c.u * c.tau))
@@ -231,8 +218,8 @@ def _rp_separate(spectrum: JointSpectrum, regime: ScalingRegime, lam, sigma_s_sq
     theta_s = spectrum.theta_s(s)
     h3 = spectrum.tr(
         theta_s * sig
-        * (_col(gamma * np.square(c.e)) * sig * (_col(gamma * tau2) * sig + _col(c.rho))
-           + _col(np.square(lam) * c.u))
+        * (_col(gamma * c.e ** 2) * sig * (_col(gamma * tau2) * sig + _col(c.rho))
+           + _col(lam ** 2 * c.u))
         * inv_k2)
     h1 = gamma * c.e * c.tau * spectrum.tr(theta_s * sig * sig / kay)
     bias = spectrum.tr(theta_s * sig) + h3 - 2.0 * h1
@@ -246,7 +233,7 @@ def rp_separate_risk_unregularized(spectrum: JointSpectrum, regime: ScalingRegim
 
     Case split on the parameterization regime; at the interpolation
     threshold (psi_s = 1 >= gamma) the risk diverges and infinities are
-    returned.
+    returned.  One point: P = 1.
     """
     sig = spectrum.sigma(s)
     theta_s = spectrum.theta_s(s)
@@ -309,10 +296,10 @@ def _classical_joint(spectrum: JointSpectrum, regime: ScalingRegime, lam,
     # Weight-shift contribution from the other group's share of the design.
     b1 = p[sp] * spectrum.tr(
         delta * sig[sp]
-        * (c(p[sp] * (1.0 + p[s] * u[s]) * np.square(e[sp])) * sig[sp] * sig_s
+        * (c(p[sp] * (1.0 + p[s] * u[s]) * e[sp] ** 2) * sig[sp] * sig_s
            + c(u[sp]) * (c(p[s] * e[s]) * sig_s + c(lam)) ** 2) * inv_k2)
     # Shrinkage contribution through the weight covariance of group s.
-    b3 = np.square(lam) * spectrum.tr(
+    b3 = lam ** 2 * spectrum.tr(
         spectrum.theta_s(s) * (c(p1 * u1) * s1 + c(p2 * u2) * s2 + sig_s) * inv_k2)
     bias = b1 + b3
     if s == 2:
@@ -342,8 +329,8 @@ def _classical_separate(spectrum: JointSpectrum, phi_s, kappa, sigma_s_sq,
         variance = np.where(denom <= 0, math.inf, sigma_s_sq * phi_s * df2 / denom)
         bias = np.where(denom <= 0, math.inf, np.where(
             kappa == 0.0, 0.0,
-            np.square(kappa) * spectrum.tr(theta_s * sig / (sig + _col(kappa)) ** 2) / denom))
-    return RiskDecomposition(bias=bias[()], variance=variance[()], group=s,
+            kappa ** 2 * spectrum.tr(theta_s * sig / (sig + _col(kappa)) ** 2) / denom))
+    return RiskDecomposition(bias=bias, variance=variance, group=s,
                              mode=MODE_SEPARATE, family=FAMILY_CLASSICAL)
 
 
@@ -380,8 +367,8 @@ class TheorySummary:
 
     residual is the largest residual and iters the total iteration count
     over the nonlinear solves: the joint one plus the two separate-model
-    ones (for classical ridge, the two effective shifts).  For a batch every
-    field holds one entry per row.
+    ones (for classical ridge, the two effective shifts).  Every field holds
+    one entry per row, (P,).
     """
 
     r1_joint: RiskDecomposition
@@ -389,8 +376,8 @@ class TheorySummary:
     r1_sep: RiskDecomposition
     r2_sep: RiskDecomposition
     gaps: BiasAmpMetrics
-    residual: float | np.ndarray = 0.0
-    iters: int | np.ndarray = 0
+    residual: np.ndarray
+    iters: np.ndarray
 
     @property
     def failed(self):
@@ -401,12 +388,12 @@ class TheorySummary:
 
 def theory_risks(spectrum: JointSpectrum, regime: ScalingRegime, family: str,
                  sigma_sqs: tuple, lam_joint, lam_sep: tuple) -> TheorySummary:
-    """Joint and separate per-group risks for one model family.
+    """Joint and separate per-group risks for one model family, as (P,) arrays.
 
-    Every argument but the family may carry a batch: a stacked spectrum,
-    per-row rates, noise levels and penalties.  A batch row whose solve
-    fails has NaN risks (``TheorySummary.failed``) and leaves the other
-    rows as they would be without it; an unbatched call raises instead.
+    Every argument but the family may carry a batch of P rows: a stacked
+    spectrum, per-row rates, noise levels and penalties; one point is P = 1.
+    A row whose solve fails has NaN risks (``TheorySummary.failed``), and
+    leaves the other rows as they would be without it.
     """
     lam_joint = fp._effective_lambda(lam_joint)
     if family == FAMILY_RP:

@@ -410,18 +410,18 @@ def run_replicate(data: Dataset, configs: Sequence[SimConfig],
     else:
         fits = [fit_classical(data, s, lams) for s, lams in penalties.items()]
 
-    rows: list[dict[str, float] | None] = []
-    for joint, sep1, sep2 in zip(*fits):
-        if joint is None or sep1 is None or sep2 is None:
-            rows.append(None)
-            continue
-        out = {
+    rows: list[dict[str, float] | None] = [
+        None if joint is None or sep1 is None or sep2 is None else {
             "r1_joint": exact_risk(joint, first.spectrum, 1, data.w1),
             "r2_joint": exact_risk(joint, first.spectrum, 2, data.w2),
             "r1_sep": exact_risk(sep1, first.spectrum, 1, data.w1),
             "r2_sep": exact_risk(sep2, first.spectrum, 2, data.w2),
-        }
-        rows.append({**out, **metrics(**out).columns()})
+        } for joint, sep1, sep2 in zip(*fits)]
+    done = [row for row in rows if row is not None]
+    if done:  # the gaps of every fitted config at once
+        gaps = metrics(**{k: np.array([row[k] for row in done]) for k in done[0]}).columns()
+        for j, row in enumerate(done):
+            row.update({k: v[j] for k, v in gaps.items()})
     return rows
 
 

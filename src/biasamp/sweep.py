@@ -269,12 +269,11 @@ def _theory_rows(config: SweepConfig, grid: list[dict]) -> list[tuple[dict, list
 
     Points whose spectra share atom values are solved as one batch: every
     isotropic point, every diatomic point (block sizes, hence weights, vary
-    per row) and the power-law points of one d.  Each distinct penalty is
-    floored once here, so a zero penalty warns once.
+    per row) and the power-law points of one d.  The penalties are floored
+    once here, so a zero penalty warns once.
     """
     n = config.n
-    floored = {lam: fp._effective_lambda(lam)
-               for lam in {p["lam"] for p in grid}}
+    floored = fp._effective_lambda([p["lam"] for p in grid])
     d = [_size(p["phi"], n) for p in grid]
     spectra = {size: config.build_spectrum(size) for size in set(d)}
     atoms = {size: np.stack([s.sigma1, s.sigma2, s.theta, s.delta]).tobytes()
@@ -296,7 +295,7 @@ def _theory_rows(config: SweepConfig, grid: list[dict]) -> list[tuple[dict, list
             regime = ScalingRegime(p1=config.p1, phi=dims / n, gamma=1.0, n=n, d=dims)
         sigma2_sq = (config.sigma1_sq * np.array([grid[i]["c"] for i in rows])
                      if config.c_grid else config.sigma2_sq)
-        lam = np.array([floored[grid[i]["lam"]] for i in rows])
+        lam = floored[rows]
         th = risk.theory_risks(spectrum, regime, config.family,
                                (config.sigma1_sq, sigma2_sq), lam, (lam, lam))
         columns = {"r1_joint": th.r1_joint.total, "r2_joint": th.r2_joint.total,

@@ -424,7 +424,7 @@ class TestSolverBehaviour:
         spec = anisotropic_spectrum(seed=29)
         reg = ScalingRegime.from_rates(0.4, 0.7, 1.1)
         lam = 1e-4
-        e1, e2, tau, _, _ = fp.solve_rp_joint_nonlinear(spec, reg, lam)
+        [e1], [e2], [tau], _, _ = fp.solve_rp_joint_nonlinear(spec, reg, lam)
         s1, s2 = spec.sigma1, spec.sigma2
         p1, p2, psi, gamma = reg.p1, reg.p2, reg.psi, reg.gamma
         x = np.ones(3)
@@ -442,7 +442,7 @@ class TestSolverBehaviour:
         lam = 1e-6
         spec = make_isotropic(100, 2.0, 1.0, 2.0, 1.0)
         reg = ScalingRegime(p1=0.5, phi=0.01, gamma=1.0, n=10_000, d=100, m=100)
-        e1, e2, tau, res, iters = fp.solve_rp_joint_nonlinear(spec, reg, lam)
+        [e1], [e2], [tau], [res], [iters] = fp.solve_rp_joint_nonlinear(spec, reg, lam)
         assert res < 1e-12 and iters <= 50
         x = np.array([e1, e2, tau])
         np.testing.assert_allclose(x, polished(rp_joint_defect(spec, reg, lam), x),
@@ -463,10 +463,10 @@ class TestSolverBehaviour:
         monkeypatch.setattr(fp, "_MAX_ITER", 3)
         spec = anisotropic_spectrum()
         reg = ScalingRegime.from_rates(0.5, 1.0, 1.0)
-        with pytest.raises(fp.FixedPointError) as exc:
-            fp.solve_rp_joint_nonlinear(spec, reg, 1e-6)
-        assert exc.value.residual is not None
-        assert exc.value.iters == 3
+        [e1], [e2], [tau], [res], [iters] = fp.solve_rp_joint_nonlinear(spec, reg, 1e-6)
+        assert math.isnan(e1) and math.isnan(e2) and math.isnan(tau)
+        assert fp._TOL <= res < math.inf  # the best residual reached
+        assert iters == 3
 
     def test_zero_penalty_floored_with_warning(self, caplog):
         spec = make_isotropic(4, 1.0, 1.0, 1.0, 0.0)
