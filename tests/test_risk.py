@@ -266,6 +266,12 @@ class TestMetrics:
         assert th.gaps.odd == pytest.approx(
             abs(th.r2_joint.total - th.r1_joint.total), abs=1e-15)
 
+    def test_rejects_nonfinite(self):
+        # a risk that is not finite gives its row NaN gaps and raises nothing
+        for bad in (math.inf, math.nan):
+            gaps = risk.metrics(1.0, bad, 1.0, 2.0)
+            assert all(np.isnan(v).tolist() == [True] for v in gaps.columns().values())
+
 
 class TestInvariants:
     @given(seed=st.integers(0, 5000), phi=st.floats(0.15, 2.0),
@@ -315,6 +321,14 @@ class TestInvariants:
         reg = ScalingRegime.from_rates(0.5, 0.5, 0.75)
         with pytest.raises(ValueError):
             risk.theory_risks(spec, reg, family, (1.0, 1.0), lam_joint, lam_sep)
+
+    def test_clamp_rejects_large_negative(self):
+        # a negative term beyond the slack marks its row NaN and raises nothing
+        dec = risk.RiskDecomposition(bias=-1e-3, variance=1.0, group=1,
+                                     mode="joint", family="classical")
+        assert dec.bias.shape == (1,) and np.isnan(dec.bias[0]) and dec.variance[0] == 1.0
+        gaps = risk.metrics(1.0, dec, 1.0, 2.0)
+        assert all(np.isnan(v).tolist() == [True] for v in gaps.columns().values())
 
     def test_clamp_accepts_tiny_negative(self):
         dec = risk.RiskDecomposition(bias=-1e-12, variance=1.0, group=1,
