@@ -160,16 +160,13 @@ def simulation_checks(base_seed: int, replicates: int):
     m = np.array([dc if psi is None else round(psi * n)
                   for dc, (_, _, psi, _) in zip(d, SIMULATION_CASES)])
     spectra = [make_isotropic(dc, 0.5, 1.0, 2.0, 1.0) for dc in d]
-    theories = [None] * len(SIMULATION_CASES)  # per case: (its family's batch, its row)
+    theories = {}  # case index: (its family's batch, its row there)
     for family in dict.fromkeys(case[0] for case in SIMULATION_CASES):
         rows = [i for i, case in enumerate(SIMULATION_CASES) if case[0] == family]
-        atoms = spectra[rows[0]]
-        spec = JointSpectrum(np.stack([spectra[i].counts for i in rows]), atoms.sigma1,
-                             atoms.sigma2, atoms.theta, atoms.delta)
-        th = risk.theory_risks(spec, ScalingRegime.from_counts(n, d[rows], m[rows], 0.5),
+        th = risk.theory_risks(JointSpectrum.stack([spectra[i] for i in rows]),
+                               ScalingRegime.from_counts(n, d[rows], m[rows], 0.5),
                                family, (1.0, 1e-5), lam, (lam, lam))
-        for j, i in enumerate(rows):
-            theories[i] = (th, j)
+        theories.update((i, (th, j)) for j, i in enumerate(rows))
     populations = [
         Population([SimConfig(spectrum=spec, n=n, p1=0.5, sigma1_sq=1.0, sigma2_sq=1e-5,
                               family=family, lam_joint=lam, lam1=lam, lam2=lam,
@@ -177,7 +174,8 @@ def simulation_checks(base_seed: int, replicates: int):
                    base_seed + offset)
         for (family, _, psi, offset), spec, mc in zip(SIMULATION_CASES, spectra, m)]
     reports = monte_carlo(populations, replicates)
-    for (_, phi, psi, _), (th, j), [rep] in zip(SIMULATION_CASES, theories, reports):
+    for i, ((_, phi, psi, _), [rep]) in enumerate(zip(SIMULATION_CASES, reports)):
+        th, j = theories[i]
         point = f"classical phi={phi}" if psi is None else f"rp phi={phi} psi={psi}"
         keys = ("r1_joint", "r2_joint") + (() if psi is None else ("r1_sep", "r2_sep"))
         for key in keys:

@@ -10,9 +10,10 @@ costs the same at any d; a power-law spectrum is d atoms.  Only the simulator
 expands atoms, with ``np.repeat(atoms, counts)``.
 
 A stack of P spectra over the same atoms (say, the diatomic spectra of a
-sweep's grid, whose block sizes vary with d) is one ``JointSpectrum`` with
-counts of shape (P, atoms); its d, weights and traces then carry a leading
-axis of P rows, which is how the theory solves a whole grid at once.
+sweep's grid, whose block sizes vary with d) is one ``JointSpectrum``
+(``JointSpectrum.stack``) with counts of shape (P, atoms); its d, weights
+and traces then carry a leading axis of P rows, which is how the theory
+solves a whole grid at once.
 """
 
 from __future__ import annotations
@@ -63,6 +64,14 @@ class JointSpectrum:
         d = counts.sum(axis=-1)
         object.__setattr__(self, "d", int(d) if counts.ndim == 1 else d)
         object.__setattr__(self, "weights", counts / np.expand_dims(d, -1))
+
+    @classmethod
+    def stack(cls, spectra) -> JointSpectrum:
+        """One stack of these spectra, which must share their atom values."""
+        atoms = [(s.sigma1, s.sigma2, s.theta, s.delta) for s in spectra]
+        if any(not np.array_equal(a, atoms[0]) for a in atoms[1:]):
+            raise ValueError("only spectra with the same atom values can be stacked")
+        return cls(np.stack([s.counts for s in spectra]), *atoms[0])
 
     def tr(self, values):
         """Normalized trace of the diagonal matrix with these atom values.

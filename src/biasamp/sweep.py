@@ -284,9 +284,7 @@ def _theory_rows(config: SweepConfig, grid: list[dict]) -> list[tuple[dict, list
 
     out: list[tuple[dict, list[str]]] = [({}, [])] * len(grid)
     for rows in batches.values():
-        first = spectra[d[rows[0]]]
-        spectrum = JointSpectrum(np.stack([spectra[d[i]].counts for i in rows]),
-                                 first.sigma1, first.sigma2, first.theta, first.delta)
+        spectrum = JointSpectrum.stack([spectra[d[i]] for i in rows])
         dims = np.array([d[i] for i in rows])
         if config.family == risk.FAMILY_RP:
             m = np.array([_size(grid[i]["psi"], n) for i in rows])

@@ -71,7 +71,7 @@ def test_criterion_2_zero_penalty_oracle_equivalence():
         "power-law": (make_power_law(64, 1.5, 0.75, 1.0, 1.0), 1),
     }
     regimes = set()
-    worst = 0.0
+    deviations = []
     for psi_s in (0.5, 1.5, 3.0):
         for gamma in (0.5, 1.25, 2.0):
             regimes.add(fp.classify_unregularized_regime(psi_s, gamma))
@@ -86,7 +86,8 @@ def test_criterion_2_zero_penalty_oracle_equivalence():
                     [cv], [gv] = getattr(closed, part), getattr(general, part)
                     if cv < 1e-9 and gv < 1e-6:
                         continue
-                    worst = max(worst, abs(gv - cv) / abs(cv))
+                    deviations.append(abs(gv - cv) / abs(cv))
+    worst = np.max(deviations)  # unlike max(), keeps a failed row's NaN, which fails
     elapsed = time.time() - t0
     ok = worst < 1e-3 and len(regimes) == 3 and elapsed < 30.0
     _report(2, ok, f"worst relative deviation {worst:.2e} over 27 cells, "
@@ -96,7 +97,7 @@ def test_criterion_2_zero_penalty_oracle_equivalence():
 def test_criterion_3_joint_to_separate_limit():
     """Joint risks at p1 = 0.999 match the separate model for group 1 within 1%."""
     rng = np.random.default_rng(31)
-    worst = 0.0
+    deviations = []
     for _ in range(10):
         d = 24
         spec = JointSpectrum(np.ones(d, int), rng.uniform(0.2, 2.5, d),
@@ -110,8 +111,9 @@ def test_criterion_3_joint_to_separate_limit():
         th = risk.theory_risks(spec, reg, risk.FAMILY_RP, (1.0, 1.0), lam, (lam, lam))
         joint, sep = th.r1_joint, th.r1_sep
         [scale] = sep.total
-        worst = max(worst, abs(joint.bias[0] - sep.bias[0]) / scale,
-                    abs(joint.variance[0] - sep.variance[0]) / scale)
+        deviations += [abs(joint.bias[0] - sep.bias[0]) / scale,
+                       abs(joint.variance[0] - sep.variance[0]) / scale]
+    worst = np.max(deviations)  # NaN, failing the check, if a row failed
     _report(3, worst < 0.01,
             f"worst component deviation {100 * worst:.3f}% of total over 10 configs")
 
@@ -128,7 +130,7 @@ def test_criterion_4_shared_covariance_linear_stage():
     asserted below.)
     """
     rng = np.random.default_rng(41)
-    worst = 0.0
+    deviations = []
     i22_variant_fails = False
     for _ in range(20):
         d = rng.integers(10, 60)
@@ -147,7 +149,7 @@ def test_criterion_4_shared_covariance_linear_stage():
         z = i22 * (gamma - i22) + theta ** 2 * i12 ** 2
         den = gamma - phi * z - i22
         u_cf, rp_cf = phi * z / den, theta ** 2 * i12 / den
-        worst = max(worst, abs(u1 - u_cf) / abs(u_cf), abs(rho_prime - rp_cf) / abs(rp_cf))
+        deviations += [abs(u1 - u_cf) / abs(u_cf), abs(rho_prime - rp_cf) / abs(rp_cf)]
         # the closed forms solve the pair of linear equations ...
         assert u_cf == pytest.approx(phi * i22 * (1 + u_cf) + phi * i12 * rp_cf,
                                      rel=1e-9)
@@ -158,6 +160,7 @@ def test_criterion_4_shared_covariance_linear_stage():
         lhs = gamma * rp_alt - (i22 * rp_alt + theta ** 2 * i12 * (1 + u_cf))
         if abs(lhs) > 1e-6 * abs(gamma * rp_alt):
             i22_variant_fails = True
+    worst = np.max(deviations)  # NaN, failing the check, if a row failed
     _report(4, worst < 1e-8 and i22_variant_fails,
             f"worst relative deviation {worst:.2e} over 20 draws")
 
@@ -202,12 +205,14 @@ def test_criterion_7_phase_diagram_shape():
         reg = ScalingRegime.from_rates(0.5, phi, np.array(psis))
         return risk.theory_risks(spec, reg, risk.FAMILY_RP, (1.0, 1.0), lam, (lam, lam)).gaps
 
-    i_edd = int(np.argmax(gap_curves(0.75).edd))
-    edd_ok = abs(i_edd - psis.index(0.5)) <= 1
+    # argmax picks a NaN, so a failed row must fail the check on its own
+    edd = gap_curves(0.75).edd
+    i_edd = int(np.argmax(edd))
+    edd_ok = bool(np.isfinite(edd).all()) and abs(i_edd - psis.index(0.5)) <= 1
 
     gaps2 = gap_curves(2.0)
     i_odd = int(np.argmax(gaps2.odd))
-    odd_ok = abs(i_odd - psis.index(1.0)) <= 1
+    odd_ok = bool(np.isfinite(gaps2.odd).all()) and abs(i_odd - psis.index(1.0)) <= 1
     tail = gaps2.add[-2:]  # NaN where the ratio is undefined fails the check
     tail_ok = bool(np.all(tail > 1.0))
 
@@ -226,13 +231,14 @@ def test_criterion_8_power_law_noise_ratio_transitions():
     spec = make_power_law(d, 2.0, 1.0, 1.0, 1.0)
     reg = ScalingRegime.from_rates(0.5, 0.2, 0.5)
     lam = 1e-12
-    worst_odd = worst_add = 0.0
+    odd_devs, add_devs = [], []
     for c in (0.5, 2.0, 4.0):
         th = risk.theory_risks(spec, reg, risk.FAMILY_RP, (1.0, c), lam,
                                (lam, lam))
         odd_cf, _, add_cf = risk.power_law_limits(c, 0.2, 1.0)
-        worst_odd = max(worst_odd, abs(th.gaps.odd[0] - odd_cf) / odd_cf)
-        worst_add = max(worst_add, abs(th.gaps.add[0] - add_cf) / add_cf)
+        odd_devs.append(abs(th.gaps.odd[0] - odd_cf) / odd_cf)
+        add_devs.append(abs(th.gaps.add[0] - add_cf) / add_cf)
+    worst_odd, worst_add = np.max(odd_devs), np.max(add_devs)  # NaN if a row failed
     ok = worst_odd < 0.10 and worst_add < 0.10
     _report(8, ok, f"worst relative deviation: joint gap {worst_odd:.3f}, "
                    f"ratio {worst_add:.3f} (tolerance 0.10)")

@@ -71,9 +71,7 @@ def same(a, b):
 def stacked(config, dims):
     """One spectrum stacking the grid spectra of these dimensions."""
     spectra = [config.build_spectrum(d) for d in dims]
-    atoms = spectra[0]
-    return JointSpectrum(np.stack([s.counts for s in spectra]), atoms.sigma1,
-                         atoms.sigma2, atoms.theta, atoms.delta), spectra
+    return JointSpectrum.stack(spectra), spectra
 
 
 class TestBatchEqualsPointByPoint:

@@ -208,8 +208,9 @@ class TestRPJoint:
             c = rp_joint(spec, reg, 1e-6, spec.sigma1)
             res = rp_residuals(spec, reg, 1e-6, c.e1, c.e2, c.tau, c.u1, c.u2,
                                c.rho, spec.sigma1)
-            assert max(abs(r) for r in res[:3]) <= bound, (reg.phi, reg.psi, res)
-            assert max(abs(r) for r in res) < 1e-10, (reg.phi, reg.psi, res)
+            # np.max, unlike max(), keeps a failed row's NaN, which fails
+            assert np.max(np.abs(np.hstack(res[:3]))) <= bound, (reg.phi, reg.psi, res)
+            assert np.max(np.abs(np.hstack(res))) < 1e-10, (reg.phi, reg.psi, res)
 
     def test_zero_target_gives_zero_affine_solution(self):
         spec = anisotropic_spectrum()
@@ -318,8 +319,9 @@ class TestRPSeparate:
                     (gamma * c.rho * (c.e * sig) ** 2
                      + lam ** 2 * (c.u + 1.0) * sig) / k ** 2)),
             ]
-            assert max(abs(r) for r in nonlinear) <= bound, (s, lam, nonlinear)
-            assert max(abs(r) for r in nonlinear + affine) < 1e-10, (s, lam, affine)
+            # np.max, unlike max(), keeps a failed row's NaN, which fails
+            assert np.max(np.abs(np.hstack(nonlinear))) <= bound, (s, lam, nonlinear)
+            assert np.max(np.abs(np.hstack(nonlinear + affine))) < 1e-10, (s, lam, affine)
 
     def test_joint_approaches_separate_as_group_dominates(self):
         spec = anisotropic_spectrum(seed=13)
@@ -371,7 +373,7 @@ class TestClassicalJoint:
             dee = reg.p1 * u1 * s1 + reg.p2 * u2 * s2 + target
             r1 = u1 - reg.phi * e1 ** 2 * float(np.mean(s1 * dee / k ** 2))
             r2 = u2 - reg.phi * e2 ** 2 * float(np.mean(s2 * dee / k ** 2))
-            assert max(abs(r1), abs(r2)) < 1e-10
+            assert np.all(np.abs(np.hstack([r1, r2])) < 1e-10)
 
 
 class TestTheta0:

@@ -106,6 +106,7 @@ class TestRPJointRisk:
             th = risk.theory_risks(spec, reg, risk.FAMILY_RP, (1.0, 1.0),
                                    1e-6, (1e-6, 1e-6))
             edds.append(th.gaps.edd)
+        assert np.isfinite(edds).all()  # argmax would pick a failed row's NaN
         assert psis[int(np.argmax(edds))] == pytest.approx(0.5)
 
 

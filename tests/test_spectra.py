@@ -147,6 +147,15 @@ class TestSpectrumType:
         assert spec.d == 4
         assert np.array_equal(spec.weights, [0.25, 0.75])
 
+    def test_stack_keeps_each_row_and_rejects_other_atoms(self):
+        rows = [make_diatomic(d, 0.5, 2.0, 2.0, 0.2, 1.0, 0.0) for d in (10, 40)]
+        spec = JointSpectrum.stack(rows)
+        assert np.array_equal(spec.d, [10, 40])
+        assert np.array_equal(spec.weights, [r.weights for r in rows])
+        with pytest.raises(ValueError, match="atom values"):
+            JointSpectrum.stack([make_isotropic(10, 1.0, 1.0, 1.0, 0.0),
+                                 make_isotropic(10, 2.0, 1.0, 1.0, 0.0)])
+
     def test_group_two_weight_covariance_adds_shift(self):
         spec = make_isotropic(3, 1.0, 1.0, 2.0, 0.5)
         assert np.allclose(spec.theta_s(1), 2.0)
