@@ -2,15 +2,16 @@
 
 Every deterministic equivalent in this package is driven by a handful of
 scalar constants defined as the unique positive solution of coupled
-fixed-point equations over normalized spectral traces.  Every nonlinear
-equation has the form x_i g_i(x) - 1 = 0 with g_i positive (one plus a
-nonnegative trace, or for an effective shift the penalty plus a trace).  The
-classical effective shift and the random-projection stages take as unknowns
-reciprocal effective shifts (for the joint random-projection model, one per
-group), from which their constants follow in closed form.  Each stage is
-solved by one safeguarded Newton iteration with an analytic Jacobian (each
-entry is one more normalized trace); once those constants are known, the
-remaining unknowns satisfy small affine systems which are solved exactly.
+fixed-point equations over normalized spectral traces.  The nonlinear ones
+are one system in the reciprocal effective shifts x_s of one or two groups,
+with M = I + sum_s x_s Sigma_s: the joint and separate random-projection
+constants (e_s, tau), the classical joint e_s and the classical effective
+shift kappa all follow from x in closed form, and each stage states its
+mapping onto that system.  It is solved by ``_solve_shifts``: one
+safeguarded Newton iteration with an analytic Jacobian (each entry is one
+more normalized trace), one start and one recovery of the constants.  Once
+those constants are known, the remaining unknowns satisfy small affine
+systems which are solved exactly.
 
 Every stage solves a batch of P systems at once.  Its per-row inputs (the
 rates of ``ScalingRegime``, the penalty, earlier constants) are scalars or
@@ -80,11 +81,6 @@ def _trace(weights: np.ndarray):
     return lambda values: (weights * values).sum(axis=-1, keepdims=True)
 
 
-def _traces(weighted: np.ndarray, atoms: np.ndarray):
-    """Sums of weighted (P, atoms) against each row of atoms (n, atoms): n (P, 1) columns."""
-    return (weighted[:, None, :] * atoms).sum(axis=-1).T[:, :, None]
-
-
 def _solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Stacked solve of mat x = rhs for (P, q, q) and (P, q); NaN rows where singular."""
     try:
@@ -107,9 +103,11 @@ def _matrix(rows) -> np.ndarray:
 
 #: A solve stops once the max defect of its equations falls below this ...
 _TOL = 1e-12
-#: ... or after this many iterations (the slowest solve of a preset grid
-#: point, the joint random-projection stage at diatomic_minority phi = 0.5,
-#: psi = 0.25, takes 99).
+#: ... or after this many iterations (``_solve_shifts``'s slowest solve of a
+#: preset grid point, the joint random-projection stage at diatomic_minority
+#: phi = 0.5, psi = 0.25, takes 99; every row of the other presets takes at
+#: most 18, and the classical joint stage at most 16 on a 40 x 40 grid of
+#: phi from 0.05 to 4 and lam from 1e-6 to 1).
 _MAX_ITER = 1000
 #: A converged root is polished while its relative Newton step, the
 #: forward-error estimate, exceeds this ...
@@ -193,6 +191,86 @@ def _newton(fun, x0: np.ndarray, params: list) -> tuple[np.ndarray, np.ndarray, 
 
 
 # ---------------------------------------------------------------------------
+# The groups' reciprocal effective shifts: every nonlinear stage.
+# ---------------------------------------------------------------------------
+
+def _solve_shifts(sigma, p, w, psi, gamma, lam, free: bool):
+    """Reciprocal effective shifts x_s of G = 1 or 2 groups, and their constants.
+
+    ``sigma`` (G, atoms) holds the groups' atom values and ``p`` (G,) their
+    shares; ``w`` (P, atoms) and psi, gamma, lam (P, 1) are the rows'
+    weights, rates and penalties, as ``_batch`` returns them.  With
+    M = I + sum_s x_s Sigma_s, t_s = tr_bar(Sigma_s M^-1),
+    q_k = tr_bar(Sigma_k M^-2) and T_sk = tr_bar(Sigma_s Sigma_k M^-2), the
+    constants are
+        e_s = 1 - psi x_s t_s / (gamma p_s),
+        tau = 1 - sum_s x_s t_s / gamma if ``free``, else tau = 1,
+    and x is solved through ``_newton`` from
+        F_s = lam x_s / (gamma p_s) - e_s tau,
+        J_sk = (lam delta_sk + [free] q_k p_s e_s + psi tau (delta_sk t_s - x_s T_sk))
+               / (gamma p_s),
+    starting at x_s = gamma p_s / (lam + (psi + [free]) tr_bar(Sigma_s)).
+    Where tau is free and tau <= 0 or an e_s <= 0, F has spurious roots
+    (e_s tau > 0 with both factors negative), so such points report an
+    infinite residual and are never stepped to.  After one more Newton step
+    the products e_s tau = lam x_s / (gamma p_s) are exact, and the smaller
+    constants are taken from them: tau as the product over the larger e when
+    it is below that e, then each e_s below tau as its product over tau.  The
+    subtractions alone would keep only a few digits of a constant near zero.
+    Returns (x, e, tau, residual, iters): x and e (P, G), tau (P, 1) if it
+    is free and 1.0 if not, and per row the residual max |F_s| and the
+    Newton steps.
+    """
+    sigma, p = np.asarray(sigma, dtype=float), np.asarray(p, dtype=float)
+    groups = len(sigma)
+    # atom values traced against M^-2: q, then T row by row
+    by_m2 = np.concatenate([sigma, (sigma[:, None] * sigma).reshape(groups ** 2, -1)])
+
+    def constants(x, w, psi, gamma):
+        """(e, tau) at x, with t and the weights times M^-2."""
+        m = 1.0  # 1 + x1 Sigma1 + x2 Sigma2 in this order, with no BLAS call to vary it
+        for term in x.T[:, :, None] * sigma[:, None]:
+            m = m + term
+        inv = 1.0 / m
+        wm = w * inv
+        t = (wm[:, None, :] * sigma).sum(axis=-1)
+        d = x * t / gamma  # its row sum is df / gamma, df = 1 - tr_bar(M^-1)
+        tau = 1.0 - d.sum(axis=1, keepdims=True) if free else 1.0
+        return 1.0 - psi * d / p, tau, t, wm * inv
+
+    def fun(x, w, psi, gamma, lam):
+        e, tau, t, wm2 = constants(x, w, psi, gamma)
+        gp = gamma * p
+        f = lam * x / gp - e * tau
+        res = np.where(np.minimum(e, tau) > 0, np.abs(f), np.inf) if free else np.abs(f)
+        traces = (wm2[:, None, :] * by_m2).sum(axis=-1)
+        q, t_diag = traces[:, :groups], traces[:, groups::groups + 1]
+        c = psi * tau
+        jac = -(c * x)[:, :, None] * traces[:, groups:].reshape(-1, groups, groups)
+        shift = lam
+        if free:
+            pe = p * e
+            jac += q[:, None, :] * pe[:, :, None]
+            shift = lam + q * pe
+        jac.reshape(len(x), -1)[:, ::groups + 1] = shift + c * (t - x * t_diag)  # diagonal
+        return f, res.max(axis=1), jac / gp[:, :, None]
+
+    x0 = gamma * p / (lam + (psi + 1.0 if free else psi) * (w[:, None, :] * sigma).sum(axis=-1))
+    params = [w, psi, gamma, lam]
+    x, res, iters = _newton(fun, x0, params)
+    f, _, jac = fun(x, *params)
+    x = x - _solve(jac, f)
+    e, tau = constants(x, w, psi, gamma)[:2]
+    prod = lam * x / (gamma * p)
+    if free:
+        top = e.max(axis=1, keepdims=True)
+        at_top = np.take_along_axis(prod, e.argmax(axis=1)[:, None], axis=1)
+        tau = np.where(tau < top, at_top / top, tau)
+    e = np.where(e < tau, prod / tau, e)
+    return x, e, tau, res, iters
+
+
+# ---------------------------------------------------------------------------
 # Random-projection model, single model trained on the group mixture.
 # ---------------------------------------------------------------------------
 
@@ -222,68 +300,15 @@ def solve_rp_joint_nonlinear(spectrum: JointSpectrum, regime: ScalingRegime, lam
         1/tau = 1 + tr_bar(L K^-1),   1/e_s = 1 + psi tau tr_bar(Sigma_s K^-1),
     with L = p1 e1 Sigma1 + p2 e2 Sigma2 and K = gamma tau L + lam I.  They
     depend on (e1, e2, tau) only through the groups' reciprocal shifts
-    x_s = gamma tau p_s e_s / lam, with K = lam M, M = I + x1 Sigma1 + x2 Sigma2,
-    so they are two equations in x.  With t_s = tr_bar(Sigma_s M^-1),
-    q_s = tr_bar(Sigma_s M^-2), T_sk = tr_bar(Sigma_s Sigma_k M^-2) and
-    df = x1 t1 + x2 t2 = 1 - tr_bar(M^-1), they give tau = 1 - df / gamma and
-    e_s = 1 - psi x_s t_s / (gamma p_s), and x is solved through ``_newton`` from
-        F_s(x) = lam x_s / (gamma p_s) - e_s tau,
-        J_sk = (lam delta_sk + q_k p_s e_s + psi tau (delta_sk t_s - x_s T_sk))
-               / (gamma p_s),
-    starting at x_s = gamma p_s / (lam + (psi + 1) tr_bar(Sigma_s)), the
-    separate stage's start given the group's share.  Where tau <= 0 or an
-    e_s <= 0, F has spurious roots (e_s tau > 0 with both factors negative),
-    so such points report an infinite residual and are never stepped to.
-    After one more Newton step the products e_s tau = lam x_s / (gamma p_s)
-    are exact, and the smaller constants are taken from them: tau as the
-    product over the larger e when it is below that e, then each e_s below
-    tau as its product over tau.  The subtractions alone would keep only a
-    few digits of a constant near zero.
+    x_s = gamma tau p_s e_s / lam, with K = lam M: they are ``_solve_shifts``
+    with both groups, their shares p_s, psi, gamma and tau free.
     Returns (e1, e2, tau, residual, iters), the residual being max |F_s|.
     """
-    params = _batch(spectrum.weights, regime.psi, regime.gamma, _effective_lambda(lam))
-    s1, s2 = spectrum.sigma1, spectrum.sigma2
-    p1, p2 = regime.p1, regime.p2
-    # atom values traced against M^-1, and against M^-2 for the Jacobian
-    by_m = np.stack([s1, s2])
-    by_m2 = np.stack([s1, s2, s1 * s1, s1 * s2, s2 * s2])
-
-    def constants(x, w, psi, gamma):
-        """(e1, e2, tau) at x, and the traces against M^-1 and M^-2 of w."""
-        x1, x2 = x[:, :1], x[:, 1:]
-        inv = 1.0 / (1.0 + x1 * s1 + x2 * s2)
-        wm = w * inv
-        t1, t2 = _traces(wm, by_m)
-        d1, d2 = x1 * t1 / gamma, x2 * t2 / gamma  # their sum is df / gamma
-        return (1.0 - psi * d1 / p1, 1.0 - psi * d2 / p2, 1.0 - (d1 + d2),
-                (t1, t2), _traces(wm * inv, by_m2))
-
-    def fun(x, w, psi, gamma, lam):
-        x1, x2 = x[:, :1], x[:, 1:]
-        e1, e2, tau, (t1, t2), (q1, q2, t11, t12, t22) = constants(x, w, psi, gamma)
-        f = np.concatenate([lam * x1 / (gamma * p1) - e1 * tau,
-                            lam * x2 / (gamma * p2) - e2 * tau], axis=1)
-        res = np.where(((e1 > 0) & (e2 > 0) & (tau > 0))[:, 0], np.abs(f).max(axis=1), np.inf)
-        g1, g2, c = p1 * e1, p2 * e2, psi * tau
-        jac = _matrix([
-            [(lam + q1 * g1 + c * (t1 - x1 * t11)) / (gamma * p1),
-             (q2 * g1 - c * x1 * t12) / (gamma * p1)],
-            [(q1 * g2 - c * x2 * t12) / (gamma * p2),
-             (lam + q2 * g2 + c * (t2 - x2 * t22)) / (gamma * p2)],
-        ])
-        return f, res, jac
-
-    w, psi, gamma, lam = params
-    x0 = gamma * np.array([p1, p2]) / (lam + (psi + 1.0) * _traces(w, by_m)[:, :, 0].T)
-    x, res, iters = _newton(fun, x0, params)
-    # As in solve_rp_separate, one more step takes x to its last bits.
-    f, _, jac = fun(x, *params)
-    x = x - _solve(jac, f)
-    e1, e2, tau = constants(x, w, psi, gamma)[:3]
-    prod1, prod2 = lam * x[:, :1] / (gamma * p1), lam * x[:, 1:] / (gamma * p2)
-    tau = np.where(tau < np.maximum(e1, e2), np.where(e1 >= e2, prod1 / e1, prod2 / e2), tau)
-    e1, e2 = np.where(e1 < tau, prod1 / tau, e1), np.where(e2 < tau, prod2 / tau, e2)
-    return e1[:, 0], e2[:, 0], tau[:, 0], res, iters
+    w, psi, gamma, lam = _batch(spectrum.weights, regime.psi, regime.gamma,
+                                _effective_lambda(lam))
+    _, e, tau, res, iters = _solve_shifts(np.stack([spectrum.sigma1, spectrum.sigma2]),
+                                          [regime.p1, regime.p2], w, psi, gamma, lam, True)
+    return e[:, 0], e[:, 1], tau[:, 0], res, iters
 
 
 def solve_rp_joint_linear(spectrum: JointSpectrum, regime: ScalingRegime,
@@ -361,44 +386,14 @@ def solve_rp_separate(spectrum: JointSpectrum, regime: ScalingRegime, s: int,
         tau = 1 / (1 + e tr_bar(Sigma_s K^-1)),
     with K = gamma tau e Sigma_s + lam I.  Both depend on (e, tau) only
     through the product e tau, so they are one equation in x = gamma e tau / lam,
-    the reciprocal of the effective shift.  With
-    t_k(x) = tr_bar(Sigma_s (I + x Sigma_s)^-k), df = x t_1 and
-    phi_s = psi_s / gamma, they give e = 1 - phi_s df and tau = 1 - df / gamma,
-    and x is solved through ``_newton`` from
-        F(x) = x g(x) - 1 = lam x / gamma - e tau,
-        g(x) = lam / gamma + (phi_s tau + 1 / gamma) t_1 > 0,
-        J = lam / gamma + (phi_s tau + e / gamma) t_2.
-    F is increasing and concave wherever e, tau > 0, and g never exceeds
-    lam / gamma + (phi_s + 1 / gamma) tr_bar(Sigma_s), so Newton climbs from
-    the reciprocal of that bound to the root without overshooting.  After
-    one more step the larger of e and tau is taken from its formula and the
-    smaller as (lam x / gamma) / larger: the subtraction alone would keep only
-    a few digits of one near zero.  Then (u_s, rho_s) solve an exact 2x2
-    affine system (assembled in rho' = rho / (gamma tau^2)).
+    the reciprocal of the effective shift: ``_solve_shifts`` with group s
+    alone, p = 1, psi_s, gamma and tau free.  Then (u_s, rho_s) solve an
+    exact 2x2 affine system (assembled in rho' = rho / (gamma tau^2)).
     """
-    params = _batch(spectrum.weights, regime.psi_s(s), regime.gamma, _effective_lambda(lam_s))
+    w, psi_s, gamma, lam = _batch(spectrum.weights, regime.psi_s(s), regime.gamma,
+                                  _effective_lambda(lam_s))
     sig = spectrum.sigma(s)
-
-    def fun(x, w, psi_s, gamma, lam):
-        inv = 1.0 / (1.0 + x * sig)
-        ws = w * sig * inv
-        dg = x * ws.sum(axis=1, keepdims=True) / gamma  # df / gamma
-        e, tau = 1.0 - psi_s * dg, 1.0 - dg
-        f = lam * x / gamma - e * tau
-        jac = (lam + (psi_s * tau + e) * (ws * inv).sum(axis=1, keepdims=True)) / gamma
-        return f, np.abs(f[:, 0]), jac[:, :, None]
-
-    w, psi_s, gamma, lam = params
-    x0 = gamma / (lam + (psi_s + 1.0) * (w * sig).sum(axis=1, keepdims=True))
-    x, res, iters = _newton(fun, x0, params)
-    # As in solve_kappa, one more step takes x to its last bits.
-    f, _, jac = fun(x, *params)
-    x = x - f / jac[:, 0]
-    dg = x * (w * sig / (1.0 + x * sig)).sum(axis=1, keepdims=True) / gamma
-    e, tau = 1.0 - psi_s * dg, 1.0 - dg
-    larger = np.maximum(e, tau)
-    smaller = lam * x / gamma / larger
-    e, tau = np.where(e >= tau, larger, smaller), np.where(e >= tau, smaller, larger)
+    _, e, tau, res, iters = _solve_shifts(sig[None], [1.0], w, psi_s, gamma, lam, True)
     tr = _trace(w)
 
     k = gamma * tau * e * sig + lam
@@ -424,28 +419,15 @@ def solve_rp_separate(spectrum: JointSpectrum, regime: ScalingRegime, s: int,
 def solve_classical_joint_nonlinear(spectrum: JointSpectrum, regime: ScalingRegime, lam):
     """Solve 1/e_s = 1 + phi tr_bar(Sigma_s K^-1), K = p1 e1 Sigma1 + p2 e2 Sigma2 + lam I.
 
+    With the groups' reciprocal shifts x_s = p_s e_s / lam, K = lam M and
+    e_s = 1 - phi x_s t_s / p_s: this is ``_solve_shifts`` with both groups,
+    their shares p_s, psi = phi, gamma = 1 and tau fixed at 1.
     Returns (e1, e2, residual, iters).
     """
-    params = _batch(spectrum.weights, regime.phi, _effective_lambda(lam))
-    s1, s2 = spectrum.sigma1, spectrum.sigma2
-    p1, p2 = regime.p1, regime.p2
-    by_k = np.stack([s1, s2])
-    by_k2 = np.stack([s1 * s1, s1 * s2, s2 * s2])
-
-    def fun(x, w, phi, lam):
-        e1, e2 = x[:, :1], x[:, 1:]
-        inv_k = 1.0 / (p1 * e1 * s1 + p2 * e2 * s2 + lam)
-        wk = w * inv_k
-        tr1, tr2 = _traces(wk, by_k)
-        t11, t12, t22 = _traces(wk * inv_k, by_k2)
-        d1, d2 = 1.0 + phi * tr1, 1.0 + phi * tr2
-        f = np.concatenate([e1 * d1 - 1.0, e2 * d2 - 1.0], axis=1)
-        jac = _matrix([[d1 - phi * (e1 * p1) * t11, -phi * (e1 * p2) * t12],
-                       [-phi * (e2 * p1) * t12, d2 - phi * (e2 * p2) * t22]])
-        return f, np.abs(f).max(axis=1), jac
-
-    x, res, iters = _newton(fun, np.ones((len(params[0]), 2)), params)
-    return x[:, 0], x[:, 1], res, iters
+    w, phi, gamma, lam = _batch(spectrum.weights, regime.phi, 1.0, _effective_lambda(lam))
+    _, e, _, res, iters = _solve_shifts(np.stack([spectrum.sigma1, spectrum.sigma2]),
+                                        [regime.p1, regime.p2], w, phi, gamma, lam, False)
+    return e[:, 0], e[:, 1], res, iters
 
 
 def solve_classical_joint_linear(spectrum: JointSpectrum, regime: ScalingRegime,
@@ -479,41 +461,28 @@ def solve_kappa(eigs: np.ndarray, weights: np.ndarray, phi_s, lam_s):
     """Root of kappa - lam = kappa phi df_bar_1(kappa), the effective shift.
 
     ``weights`` are (atoms,) or (P, atoms), phi_s and lam_s scalars or (P,).
-    Solved through ``_newton`` for x = 1 / kappa, from
-        F(x) = x g(x) - 1,   g(x) = lam + phi tr_bar(E (I + x E)^-1),
-        J = lam + phi tr_bar(E (I + x E)^-2) > 0,
-    one formula at any penalty, zero included.  F is increasing and concave,
-    and kappa never exceeds lam + phi mean_eig, so Newton climbs from
-    x = 1 / (lam + phi mean_eig) to the root without overshooting.  An
-    unregularized row that is underparameterized (phi_s <= 1 over the
-    positive mass) has kappa = 0 and is not solved.
+    In x = 1 / kappa it reads x (lam + phi tr_bar(E (I + x E)^-1)) = 1, that is
+    e = 1 - phi x t = lam x: ``_solve_shifts`` with one group of atom values
+    eigs, p = 1, psi = phi_s, gamma = 1 and tau fixed at 1, one formula at any
+    penalty, zero included.  F is then increasing and concave, and kappa
+    never exceeds lam + phi mean_eig, so Newton climbs from its start to the
+    root without overshooting.  An unregularized row that is
+    underparameterized (phi_s <= 1 over the positive mass) has kappa = 0 and
+    is not solved.
     Returns (kappa, residual, iters), the residual being |F| where ``_newton``
     stopped.
     """
     eigs = np.asarray(eigs, dtype=float)
     if np.any(np.asarray(lam_s) < 0) or np.any(np.asarray(phi_s) <= 0):
         raise ValueError("need lam_s >= 0 and phi_s > 0")
-    w, phi, lam = _batch(weights, phi_s, lam_s)
-
-    def g(x, w, phi, lam):
-        return lam + phi * (w * eigs / (1.0 + x * eigs)).sum(axis=1, keepdims=True)
-
-    def fun(x, w, phi, lam):
-        f = x * g(x, w, phi, lam) - 1.0
-        jac = lam + phi * (w * eigs / (1.0 + x * eigs) ** 2).sum(axis=1, keepdims=True)
-        return f, np.abs(f[:, 0]), jac[:, :, None]
-
+    w, phi, gamma, lam = _batch(weights, phi_s, 1.0, lam_s)
     kappa, res = np.zeros(len(w)), np.zeros(len(w))
     iters = np.zeros(len(w), dtype=int)
     rows = np.flatnonzero((lam[:, 0] > 0) | (phi[:, 0] * w[:, eigs > 0].sum(axis=1) > 1.0))
     if rows.size:
-        w, phi, lam = w[rows], phi[rows], lam[rows]
-        x0 = 1.0 / (lam + phi * (w * eigs).sum(axis=1, keepdims=True))
-        x, res[rows], iters[rows] = _newton(fun, x0, [w, phi, lam])
-        # _newton stops once the relative step is below _POLISH_RTOL; one more
-        # step, and kappa = g(x) rather than 1 / x, take kappa to its last bits.
-        f, _, jac = fun(x, w, phi, lam)
-        kappa[rows] = g(x - f / jac[:, 0], w, phi, lam)[:, 0]
+        x, _, _, res[rows], iters[rows] = _solve_shifts(
+            eigs[None], [1.0], w[rows], phi[rows], gamma[rows], lam[rows], False)
+        kappa[rows] = 1.0 / x[:, 0]
     return kappa, res, iters
 
 
@@ -591,15 +560,11 @@ def solve_mp(gamma: float, lam: float) -> float:
     """Solve 1/m = lam + 1/(1 + gamma m), the white sample-covariance resolvent.
 
     m equals the limiting normalized trace of (S + lam I)^-1 for a Wishart
-    matrix S with aspect ratio gamma; used as a self-test of the Newton
-    machinery against a case with a closed form.  NaN if it does not converge.
+    matrix S with aspect ratio gamma; it is 1 / kappa for one atom of value
+    gamma at phi = 1 / gamma, so this self-test runs ``solve_kappa`` against a
+    case with a closed form.  NaN if it does not converge.
     """
     if gamma <= 0 or lam <= 0:
         raise ValueError("need gamma > 0 and lam > 0")
-
-    def fun(x):
-        f = x * (lam + 1.0 / (1.0 + gamma * x)) - 1.0
-        return f, np.abs(f[:, 0]), (lam + 1.0 / (1.0 + gamma * x) ** 2)[:, :, None]
-
-    x, _, _ = _newton(fun, np.ones((1, 1)), [])
-    return float(x[0, 0])
+    [kappa], _, _ = solve_kappa(np.array([gamma]), np.ones(1), 1.0 / gamma, lam)
+    return float(1.0 / kappa)

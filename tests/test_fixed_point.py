@@ -461,6 +461,36 @@ class TestSolverBehaviour:
         assert res < 1e-12
         assert 0 < e1 <= 1 and 0 < e2 <= 1 and 0 < tau <= 1
 
+    @pytest.mark.parametrize("groups, free", [(1, True), (1, False), (2, True), (2, False)])
+    def test_shift_jacobian_matches_central_differences(self, monkeypatch, groups, free):
+        # A wrong Jacobian entry only slows Newton down, so no root test sees
+        # it.  Points: between zero and the start, where e_s, tau > 0, and
+        # the root.
+        rng = np.random.default_rng(10 * groups + free)
+        atoms, rows = 6, 8
+        sigma = rng.uniform(0.05, 3.0, (groups, atoms))
+        p = rng.dirichlet(np.ones(groups))
+        params = fp._batch(rng.dirichlet(np.ones(atoms), rows), rng.uniform(0.1, 3.0, rows),
+                           rng.uniform(0.2, 3.0, rows), 10.0 ** rng.uniform(-3, 0, rows))
+        systems, newton = [], fp._newton
+
+        def spy(fun, x0, args):
+            systems.append((fun, x0))
+            return newton(fun, x0, args)
+
+        monkeypatch.setattr(fp, "_newton", spy)
+        root = fp._solve_shifts(sigma, p, *params, free)[0]
+        [(fun, x0)] = systems
+        for x in (x0 * rng.uniform(0.1, 1.0, x0.shape), root):
+            _, res, jac = fun(x, *params)
+            assert np.isfinite(res).all()
+            h = 1e-6 * x
+            fd = np.stack([(fun(x + h * unit, *params)[0] - fun(x - h * unit, *params)[0])
+                           / (2.0 * h[:, [k]]) for k, unit in enumerate(np.eye(groups))],
+                          axis=2)
+            scale = np.abs(jac).max(axis=(1, 2))[:, None, None]
+            assert (np.abs(jac - fd) <= 1e-6 * scale).all(), (jac, fd)
+
     def test_nonconvergence_reports_residual(self, monkeypatch):
         monkeypatch.setattr(fp, "_MAX_ITER", 3)
         spec = anisotropic_spectrum()
