@@ -12,9 +12,8 @@ from .fixed_point import (FixedPointError, RPJointConstants, RPSeparateConstants
                           solve_rp_separate, solve_theta0)
 from .risk import (BiasAmpMetrics, RiskDecomposition, TheorySummary, metrics,
                    power_law_limits, rp_separate_risk_unregularized, theory_risks)
-from .simulate import (Dataset, FittedModel, MonteCarloReport, Population, SimConfig,
-                       exact_risk, fit_classical, fit_rp, monte_carlo,
-                       sample_dataset)
+from .simulate import (Dataset, MonteCarloReport, Population, SimConfig, exact_risk,
+                       fit_classical, fit_rp, monte_carlo, sample_dataset)
 from .sweep import SweepConfig, SweepResult, emit_csv, run_sweep
 from .svg import emit_svg
 

@@ -109,22 +109,21 @@ def _validate_quick() -> bool:
     spec = make_isotropic(8, 1.0, 1.0, 1.0, 0.0)
     for phi_s, expect in ((0.25, 1.0 / 3.0), (0.5, 1.0), (0.8, 4.0)):
         reg = ScalingRegime(p1=0.5, phi=0.5 * phi_s, gamma=1.0)
-        [variance] = risk.theory_risks(spec, reg, risk.FAMILY_CLASSICAL, (1.0, 1.0), 1e-8,
-                                       (1e-8, 1e-8)).r1_sep.variance
+        [variance] = risk.theory_risks(spec, reg, risk.FAMILY_CLASSICAL, (1.0, 1.0),
+                                       1e-8).r1_sep.variance
         ok &= _check(f"classical separate variance, phi_s={phi_s}",
                      abs(variance - expect) / expect < 1e-4,
                      f"V={variance:.6f} vs {expect:.6f}")
 
     reg = ScalingRegime.from_rates(0.5, 0.25, 0.25 * 2.0)
     [closed] = risk.rp_separate_risk_unregularized(spec, reg, 1.0, 1).total
-    [general] = risk.theory_risks(spec, reg, risk.FAMILY_RP, (1.0, 1.0), 1e-8,
-                                  (1e-8, 1e-8)).r1_sep.total
+    [general] = risk.theory_risks(spec, reg, risk.FAMILY_RP, (1.0, 1.0), 1e-8).r1_sep.total
     ok &= _check("zero-penalty closed form vs general solver",
                  abs(closed - general) / closed < 1e-3, f"{closed:.6f} vs {general:.6f}")
 
     sym = make_isotropic(8, 1.0, 1.0, 1.0, 0.0)
     reg = ScalingRegime.from_rates(0.5, 0.5, 0.75)
-    gaps = risk.theory_risks(sym, reg, risk.FAMILY_RP, (1.0, 1.0), 1e-6, (1e-6, 1e-6)).gaps
+    gaps = risk.theory_risks(sym, reg, risk.FAMILY_RP, (1.0, 1.0), 1e-6).gaps
     [odd], [edd] = gaps.odd, gaps.edd
     ok &= _check("symmetric groups give zero gaps", odd < 1e-12 and edd < 1e-12,
                  f"odd={odd:.2e} edd={edd:.2e}")
@@ -165,12 +164,11 @@ def simulation_checks(base_seed: int, replicates: int):
         rows = [i for i, case in enumerate(SIMULATION_CASES) if case[0] == family]
         th = risk.theory_risks(JointSpectrum.stack([spectra[i] for i in rows]),
                                ScalingRegime.from_counts(n, d[rows], m[rows], 0.5),
-                               family, (1.0, 1e-5), lam, (lam, lam))
+                               family, (1.0, 1e-5), lam)
         theories.update((i, (th, j)) for j, i in enumerate(rows))
     populations = [
         Population([SimConfig(spectrum=spec, n=n, p1=0.5, sigma1_sq=1.0, sigma2_sq=1e-5,
-                              family=family, lam_joint=lam, lam1=lam, lam2=lam,
-                              m=None if psi is None else int(mc))],
+                              family=family, lam=lam, m=None if psi is None else int(mc))],
                    base_seed + offset)
         for (family, _, psi, offset), spec, mc in zip(SIMULATION_CASES, spectra, m)]
     reports = monte_carlo(populations, replicates)

@@ -387,31 +387,33 @@ class TheorySummary:
 
 
 def theory_risks(spectrum: JointSpectrum, regime: ScalingRegime, family: str,
-                 sigma_sqs: tuple, lam_joint, lam_sep: tuple) -> TheorySummary:
+                 sigma_sqs: tuple, lam) -> TheorySummary:
     """Joint and separate per-group risks for one model family, as (P,) arrays.
 
-    Every argument but the family may carry a batch of P rows: a stacked
-    spectrum, per-row rates, noise levels and penalties; one point is P = 1.
-    A row whose solve fails has NaN risks (``TheorySummary.failed``), and
-    leaves the other rows as they would be without it.
+    One ridge penalty ``lam`` serves the joint model and both separate
+    models.  It is floored once (``fixed_point.LAMBDA_FLOOR``), and the
+    floored value goes to every stage but ``solve_kappa``, which solves a
+    zero penalty exactly.  Every argument but the family may carry a batch
+    of P rows: a stacked spectrum, per-row rates, noise levels and
+    penalties; one point is P = 1.  A row whose solve fails has NaN risks
+    (``TheorySummary.failed``), and leaves the other rows as they would be
+    without it.
     """
-    lam_joint = fp._effective_lambda(lam_joint)
+    floored = fp._effective_lambda(lam)
     if family == FAMILY_RP:
-        e1, e2, tau, res, iters = fp.solve_rp_joint_nonlinear(spectrum, regime, lam_joint)
-        r1j, r2j = (_rp_joint(spectrum, regime, lam_joint, sigma_sqs, s, e1, e2, tau)
+        e1, e2, tau, res, iters = fp.solve_rp_joint_nonlinear(spectrum, regime, floored)
+        r1j, r2j = (_rp_joint(spectrum, regime, floored, sigma_sqs, s, e1, e2, tau)
                     for s in (1, 2))
-        lam_sep = [fp._effective_lambda(lam_s) for lam_s in lam_sep]
-        seps = [fp.solve_rp_separate(spectrum, regime, s, lam_s)
-                for s, lam_s in zip((1, 2), lam_sep)]
-        r1s, r2s = (_rp_separate(spectrum, regime, lam_s, sigma_s_sq, c)
-                    for lam_s, sigma_s_sq, c in zip(lam_sep, sigma_sqs, seps))
+        seps = [fp.solve_rp_separate(spectrum, regime, s, floored) for s in (1, 2)]
+        r1s, r2s = (_rp_separate(spectrum, regime, floored, sigma_s_sq, c)
+                    for sigma_s_sq, c in zip(sigma_sqs, seps))
         diagnostics = [(c.residual, c.iters) for c in seps]
     elif family == FAMILY_CLASSICAL:
-        e1, e2, res, iters = fp.solve_classical_joint_nonlinear(spectrum, regime, lam_joint)
-        r1j, r2j = (_classical_joint(spectrum, regime, lam_joint, sigma_sqs, s, e1, e2)
+        e1, e2, res, iters = fp.solve_classical_joint_nonlinear(spectrum, regime, floored)
+        r1j, r2j = (_classical_joint(spectrum, regime, floored, sigma_sqs, s, e1, e2)
                     for s in (1, 2))
-        kappas = [fp.solve_kappa(spectrum.sigma(s), spectrum.weights, regime.phi_s(s), lam_s)
-                  for s, lam_s in zip((1, 2), lam_sep)]
+        kappas = [fp.solve_kappa(spectrum.sigma(s), spectrum.weights, regime.phi_s(s), lam)
+                  for s in (1, 2)]
         r1s, r2s = (_classical_separate(spectrum, regime.phi_s(s), kappa, sigma_s_sq, s)
                     for s, (kappa, _, _), sigma_s_sq in zip((1, 2), kappas, sigma_sqs))
         diagnostics = [k[1:] for k in kappas]

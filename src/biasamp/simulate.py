@@ -34,6 +34,11 @@ values of these variables in the workers only; the calling process, and the
 calls that run in it, keep their allocator as it is.  Only glibc reads the
 heap variable, when a process starts; other C libraries ignore it.
 
+Each config has one ridge penalty, which serves the joint model and both
+separate models, as in ``risk.theory_risks``.  Every fit takes a sequence of
+penalties and returns one ambient weight vector per penalty, from one gram,
+or None where that system is singular or the weights are not finite.
+
 A random-projection ridge fit depends on its d x m map S only through
 A = S S^T, by the push-through identity
 S (S^T C S + lam I)^-1 S^T = A (C A + lam I)^-1.  So when m > d the simulator
@@ -80,15 +85,12 @@ def stream(base_seed: int, replicate: int, purpose: str) -> Generator:
 class Dataset:
     """One finite-size draw from the two-group mixture, in the eigenbasis."""
 
-    n: int
     d: int
     groups: np.ndarray          # n entries in {1, 2}
     x: np.ndarray               # n x d features
     y: np.ndarray               # n labels
     w1: np.ndarray              # ground-truth weights, group 1
     w2: np.ndarray              # ground-truth weights, group 2
-    n1: int
-    n2: int
 
     def rows(self, subset) -> slice | np.ndarray:
         """Index of the training rows for a subset spec.
@@ -138,33 +140,17 @@ def sample_dataset(spectrum: JointSpectrum, n: int, p1: float,
     noise_sd = np.sqrt(np.where(groups == 1, sigma_sqs[0], sigma_sqs[1]))
     y = np.einsum("ij,ij->i", x, np.stack([w1, w2])[groups - 1])
     y = y + stream(base_seed, replicate, "noise").standard_normal(n) * noise_sd
-
-    n1 = int(np.sum(groups == 1))
-    return Dataset(n=n, d=d, groups=groups, x=x, y=y, w1=w1, w2=w2,
-                   n1=n1, n2=n - n1)
+    return Dataset(d=d, groups=groups, x=x, y=y, w1=w1, w2=w2)
 
 
-@dataclass
-class FittedModel:
-    """A fitted linear predictor, reported through its ambient-space weights."""
+def _ridge_solve(design: np.ndarray, y: np.ndarray, lams: Sequence[float],
+                 back: np.ndarray | None = None) -> list[np.ndarray | None]:
+    """argmin over v of |design v - y|^2 / r + lam |v|^2 for each penalty, r rows.
 
-    w_hat: np.ndarray
-    family: str                 # "classical" | "random-projection"
-    trained_on: object          # "both", 1 or 2
-    lam: float
-    m: int | None = None        # projection width, random-projection family only
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.w_hat)):
-            raise ValueError("fitted weights contain non-finite entries")
-
-
-def _ridge_solve(design: np.ndarray, y: np.ndarray, shrinks) -> list[np.ndarray | None]:
-    """argmin over v of |design v - y|^2 + s |v|^2 for each shrink s, in the cheaper dimension.
-
-    One gram serves every shrink; a shrink whose system is singular gives None.
-    The last shrink is added to the gram itself, so that a single shrink
-    allocates no second gram-sized array.
+    Solved in the cheaper dimension; one gram serves every penalty.  Each
+    solution is mapped by ``back`` when given, and is None where its system is
+    singular or it is not finite.  The last penalty is added to the gram
+    itself, so that a single penalty allocates no second gram-sized array.
     """
     r, q = design.shape
     primal = q <= r
@@ -172,60 +158,28 @@ def _ridge_solve(design: np.ndarray, y: np.ndarray, shrinks) -> list[np.ndarray 
     rhs = design.T @ y if primal else y
     diagonal = np.diag_indices_from(gram)
     out = []
-    for k, shrink in enumerate(shrinks):
-        system = gram if k == len(shrinks) - 1 else gram.copy()
-        system[diagonal] += shrink
+    for k, lam in enumerate(lams):
+        system = gram if k == len(lams) - 1 else gram.copy()
+        system[diagonal] += r * lam
         try:
             v = np.linalg.solve(system, rhs)
         except np.linalg.LinAlgError:
             out.append(None)
             continue
-        out.append(v if primal else design.T @ v)
+        w = v if primal else design.T @ v
+        w = w if back is None else back @ w
+        out.append(w if np.all(np.isfinite(w)) else None)
     return out
 
 
-def _penalties(lam) -> list[float]:
-    lams = np.atleast_1d(lam).tolist()
-    if not all(v > 0 for v in lams):
-        raise ValueError(f"penalty must be positive, got {lam}")
-    return lams
+def fit_classical(dataset: Dataset, subset, lams: Sequence[float]) -> list[np.ndarray | None]:
+    """Ridge fits in the ambient feature space; objective normalized by its row count.
 
-
-def _subset_rows(dataset: Dataset, subset) -> tuple[slice | np.ndarray, int]:
-    mask = dataset.rows(subset)
-    r = len(dataset.y[mask])
-    if r == 0:
-        raise ValueError(f"subset {subset!r} selects no rows")
-    return mask, r
-
-
-def _models(lam, weights: list[np.ndarray | None],
-            **fields) -> FittedModel | list[FittedModel | None]:
-    """One model per penalty of ``lam``, None where its fit failed or is not finite.
-
-    For a lone penalty, its model; a failed fit then raises ValueError.
+    One weight vector per penalty of ``lams``, all from one gram; None where
+    that fit's system is singular or its weights are not finite.
     """
-    models = [None if w is None or not np.all(np.isfinite(w)) else
-              FittedModel(w_hat=w, lam=v, **fields)
-              for v, w in zip(np.atleast_1d(lam).tolist(), weights)]
-    if np.ndim(lam):
-        return models
-    if models[0] is None:
-        raise ValueError(f"ridge fit at penalty {lam} failed: singular system or "
-                         "non-finite weights")
-    return models[0]
-
-
-def fit_classical(dataset: Dataset, subset, lam) -> FittedModel | list[FittedModel | None]:
-    """Ridge fit in the ambient feature space; objective normalized by its row count.
-
-    ``lam`` is a penalty, giving a ``FittedModel``, or a sequence of them,
-    giving one model per penalty (None where that fit failed) from one gram.
-    """
-    lams = _penalties(lam)
-    mask, r = _subset_rows(dataset, subset)
-    w = _ridge_solve(dataset.x[mask], dataset.y[mask], [r * v for v in lams])
-    return _models(lam, w, family="classical", trained_on=subset)
+    rows = dataset.rows(subset)
+    return _ridge_solve(dataset.x[rows], dataset.y[rows], lams)
 
 
 def draw_projection(rng: Generator, d: int, m: int) -> np.ndarray:
@@ -247,35 +201,21 @@ def draw_projection(rng: Generator, d: int, m: int) -> np.ndarray:
     return factor
 
 
-def fit_rp(dataset: Dataset, subset, lam, m: int, projection: np.ndarray | Generator,
-           features: np.ndarray | None = None) -> FittedModel | list[FittedModel | None]:
-    """Ridge fit on randomly projected features; weights mapped back to ambient space.
+def fit_rp(dataset: Dataset, subset, lams: Sequence[float], projection: np.ndarray,
+           features: np.ndarray) -> list[np.ndarray | None]:
+    """Ridge fits on randomly projected features; weights mapped back to ambient space.
 
-    ``projection`` is a d x m matrix S with N(0, 1/d) entries; when m > d, a
-    d x d factor P in its place (the fit depends on it only through P P^T, so
-    P with P P^T = S S^T gives S's weights); or a generator to draw either
-    from with ``draw_projection``.  ``features``, when given, is
-    ``dataset.x @ projection`` over all rows, formed once for the fits of
-    several subsets; its rows are sliced instead of projecting again.  The
-    model records the width m.  ``lam`` is a penalty or a sequence of them,
-    as in ``fit_classical``.
+    ``projection`` is a ``draw_projection`` result: the d x m map S, or its
+    d x d Bartlett factor P when m > d (the fit depends on S only through
+    S S^T = P P^T).  ``features`` is ``dataset.x @ projection`` over all rows,
+    formed once for the fits of every subset.  One weight vector per penalty
+    of ``lams``, as in ``fit_classical``.
     """
-    lams = _penalties(lam)
-    if m < 1:
-        raise ValueError(f"projection width must be positive, got {m}")
-    d = dataset.d
-    if isinstance(projection, Generator):
-        s_mat = draw_projection(projection, d, m)
-    else:
-        s_mat = np.asarray(projection, dtype=float)
-        if s_mat.shape != (d, m) and not (m > d and s_mat.shape == (d, d)):
-            raise ValueError(f"projection must be {d} x {m}, or {d} x {d} when "
-                             f"m > d, got {s_mat.shape}")
-    mask, r = _subset_rows(dataset, subset)
-    z = dataset.x[mask] @ s_mat if features is None else features[mask]
-    etas = _ridge_solve(z, dataset.y[mask], [r * v for v in lams])
-    return _models(lam, [None if eta is None else s_mat @ eta for eta in etas],
-                   family="random-projection", trained_on=subset, m=m)
+    if projection.shape != (dataset.d, features.shape[1]):
+        raise ValueError(f"projection must be {dataset.d} x {features.shape[1]} to match "
+                         f"the features, got {projection.shape}")
+    rows = dataset.rows(subset)
+    return _ridge_solve(features[rows], dataset.y[rows], lams, back=projection)
 
 
 def sampled_resolvent(n: int, d: int, lam: float, seed: int) -> float:
@@ -285,12 +225,12 @@ def sampled_resolvent(n: int, d: int, lam: float, seed: int) -> float:
     return float(np.trace(np.linalg.inv(x.T @ x / n + lam * np.eye(d)))) / d
 
 
-def exact_risk(model: FittedModel, spectrum: JointSpectrum, s: int,
+def exact_risk(w_hat: np.ndarray, spectrum: JointSpectrum, s: int,
                w_star: np.ndarray) -> float:
     """Exact group-s test risk: the covariance-weighted squared weight error."""
-    diff = model.w_hat - w_star
+    diff = w_hat - w_star
     if diff.shape != (spectrum.d,):
-        raise ValueError("model and spectrum dimensions differ")
+        raise ValueError("weight and spectrum dimensions differ")
     return float(np.sum(np.repeat(spectrum.sigma(s), spectrum.counts) * diff ** 2))
 
 
@@ -300,7 +240,10 @@ def exact_risk(model: FittedModel, spectrum: JointSpectrum, s: int,
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Everything one replicate needs: population, sizes and penalties."""
+    """Everything one replicate needs: population, sizes and penalty.
+
+    One penalty ``lam`` serves the joint model and both separate models.
+    """
 
     spectrum: JointSpectrum
     n: int
@@ -308,14 +251,14 @@ class SimConfig:
     sigma1_sq: float
     sigma2_sq: float
     family: str                 # "classical" | "random-projection"
-    lam_joint: float
-    lam1: float
-    lam2: float
+    lam: float
     m: int | None = None        # required for the random-projection family
 
     def __post_init__(self):
         if self.family not in ("classical", "random-projection"):
             raise ValueError(f"unknown family {self.family!r}")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError(f"lam must be finite and positive, got {self.lam}")
         if self.family == "random-projection" and (self.m is None or self.m < 1):
             raise ValueError("random-projection family needs a positive width m")
 
@@ -325,7 +268,7 @@ class Population:
     """Configs simulated from one dataset per replicate, and the seeds of their streams.
 
     The configs share spectrum (one object), n, p1, noise and family; they
-    differ in width and penalties.  Each replicate samples one dataset from
+    differ in width and penalty.  Each replicate samples one dataset from
     streams keyed by ``base_seed``, and the configs of one width share one
     projection from the stream keyed by the ``projection_seeds`` entry of
     their first config (``base_seed`` when omitted).  So the estimates of
@@ -400,15 +343,13 @@ def run_replicate(data: Dataset, configs: Sequence[SimConfig],
     failed fit gets None.
     """
     first = configs[0]
-    penalties = {TRAIN_BOTH: [c.lam_joint for c in configs],
-                 1: [c.lam1 for c in configs], 2: [c.lam2 for c in configs]}
+    lams = [c.lam for c in configs]
     if first.family == "random-projection":
         proj = draw_projection(projection, data.d, first.m)
         z = data.x @ proj
-        fits = [fit_rp(data, s, lams, first.m, proj, features=z)
-                for s, lams in penalties.items()]
+        fits = [fit_rp(data, s, lams, proj, z) for s in (TRAIN_BOTH, 1, 2)]
     else:
-        fits = [fit_classical(data, s, lams) for s, lams in penalties.items()]
+        fits = [fit_classical(data, s, lams) for s in (TRAIN_BOTH, 1, 2)]
 
     rows: list[dict[str, float] | None] = [
         None if joint is None or sep1 is None or sep2 is None else {

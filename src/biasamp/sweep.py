@@ -293,9 +293,8 @@ def _theory_rows(config: SweepConfig, grid: list[dict]) -> list[tuple[dict, list
             regime = ScalingRegime(p1=config.p1, phi=dims / n, gamma=1.0, n=n, d=dims)
         sigma2_sq = (config.sigma1_sq * np.array([grid[i]["c"] for i in rows])
                      if config.c_grid else config.sigma2_sq)
-        lam = floored[rows]
         th = risk.theory_risks(spectrum, regime, config.family,
-                               (config.sigma1_sq, sigma2_sq), lam, (lam, lam))
+                               (config.sigma1_sq, sigma2_sq), floored[rows])
         columns = {"r1_joint": th.r1_joint.total, "r2_joint": th.r2_joint.total,
                    "r1_sep": th.r1_sep.total, "r2_sep": th.r2_sep.total,
                    **th.gaps.columns()}
@@ -346,8 +345,7 @@ def _monte_carlo_rows(config: SweepConfig, grid: list[dict],
             continue
         sims = [SimConfig(spectrum=spectrum, n=n, p1=config.p1, sigma1_sq=config.sigma1_sq,
                           sigma2_sq=sigma2_sq, family=config.family,
-                          lam_joint=grid[i]["lam"], lam1=grid[i]["lam"],
-                          lam2=grid[i]["lam"], m=width[i]) for i in simulated]
+                          lam=grid[i]["lam"], m=width[i]) for i in simulated]
         populations.append(Population(sims, key + rows[0],
                                       [key + first_of_width[width[i]] for i in simulated]))
         simulated_rows.append(simulated)

@@ -35,8 +35,8 @@ def test_criterion_1_closed_form_variance():
     ok = True
     for phi_s, expected in ((0.25, 1.0 / 3.0), (0.5, 1.0), (0.8, 4.0)):
         reg = ScalingRegime(p1=0.5, phi=0.5 * phi_s, gamma=1.0)  # halving is exact
-        dec = risk.theory_risks(spec_theory, reg, risk.FAMILY_CLASSICAL, (1.0, 1.0), 1e-8,
-                                (1e-8, 1e-8)).r1_sep
+        dec = risk.theory_risks(spec_theory, reg, risk.FAMILY_CLASSICAL, (1.0, 1.0),
+                                1e-8).r1_sep
         [variance], [total] = dec.variance, dec.total
         rel = abs(variance - expected) / expected
         ok &= rel < 1e-4
@@ -44,8 +44,7 @@ def test_criterion_1_closed_form_variance():
         d = round(phi_s * n * 0.5)  # two balanced groups: phi_s = d / (n/2)
         spec = make_isotropic(d, 1.0, 1.0, 1.0, 0.0)
         cfg = sim.SimConfig(spectrum=spec, n=n, p1=0.5, sigma1_sq=1.0,
-                            sigma2_sq=1.0, family="classical", lam_joint=1e-8,
-                            lam1=1e-8, lam2=1e-8)
+                            sigma2_sq=1.0, family="classical", lam=1e-8)
         [[rep]] = sim.monte_carlo([sim.Population([cfg], seed)], reps)
         z = rep["r1_sep"].z(total)
         ok &= abs(z) <= 3.0
@@ -79,8 +78,7 @@ def test_criterion_2_zero_penalty_oracle_equivalence():
                 phi_s = psi_s / gamma
                 reg = ScalingRegime.from_rates(0.5, phi_s * 0.5, psi_s * 0.5)
                 closed = risk.rp_separate_risk_unregularized(spec, reg, 1.0, s)
-                th = risk.theory_risks(spec, reg, risk.FAMILY_RP, (1.0, 1.0), 1e-8,
-                                       (1e-8, 1e-8))
+                th = risk.theory_risks(spec, reg, risk.FAMILY_RP, (1.0, 1.0), 1e-8)
                 general = th.r1_sep if s == 1 else th.r2_sep
                 for part in ("bias", "variance"):
                     [cv], [gv] = getattr(closed, part), getattr(general, part)
@@ -108,7 +106,7 @@ def test_criterion_3_joint_to_separate_limit():
         lam = 10 ** rng.uniform(-4, -0.5)
         p1 = 0.999
         reg = ScalingRegime.from_rates(p1, phi_1 * p1, psi_1 * p1)
-        th = risk.theory_risks(spec, reg, risk.FAMILY_RP, (1.0, 1.0), lam, (lam, lam))
+        th = risk.theory_risks(spec, reg, risk.FAMILY_RP, (1.0, 1.0), lam)
         joint, sep = th.r1_joint, th.r1_sep
         [scale] = sep.total
         deviations += [abs(joint.bias[0] - sep.bias[0]) / scale,
@@ -203,7 +201,7 @@ def test_criterion_7_phase_diagram_shape():
     def gap_curves(phi):
         """The gaps along psis, one batch of (P,) arrays."""
         reg = ScalingRegime.from_rates(0.5, phi, np.array(psis))
-        return risk.theory_risks(spec, reg, risk.FAMILY_RP, (1.0, 1.0), lam, (lam, lam)).gaps
+        return risk.theory_risks(spec, reg, risk.FAMILY_RP, (1.0, 1.0), lam).gaps
 
     # argmax picks a NaN, so a failed row must fail the check on its own
     edd = gap_curves(0.75).edd
@@ -233,8 +231,7 @@ def test_criterion_8_power_law_noise_ratio_transitions():
     lam = 1e-12
     odd_devs, add_devs = [], []
     for c in (0.5, 2.0, 4.0):
-        th = risk.theory_risks(spec, reg, risk.FAMILY_RP, (1.0, c), lam,
-                               (lam, lam))
+        th = risk.theory_risks(spec, reg, risk.FAMILY_RP, (1.0, c), lam)
         odd_cf, _, add_cf = risk.power_law_limits(c, 0.2, 1.0)
         odd_devs.append(abs(th.gaps.odd[0] - odd_cf) / odd_cf)
         add_devs.append(abs(th.gaps.add[0] - add_cf) / add_cf)
@@ -251,13 +248,12 @@ def test_criterion_9_symmetric_groups_zero_gaps():
     d, m = 200, 300
     spec = make_isotropic(d, 1.0, 1.0, 1.0, 0.0)
     reg = ScalingRegime.from_counts(n, d, m, 0.5)
-    gaps = risk.theory_risks(spec, reg, risk.FAMILY_RP, (1.0, 1.0), lam, (lam, lam)).gaps
+    gaps = risk.theory_risks(spec, reg, risk.FAMILY_RP, (1.0, 1.0), lam).gaps
     [odd], [edd] = gaps.odd, gaps.edd
     theory_ok = odd <= 1e-12 and edd <= 1e-12
 
     cfg = sim.SimConfig(spectrum=spec, n=n, p1=0.5, sigma1_sq=1.0, sigma2_sq=1.0,
-                        family=risk.FAMILY_RP, lam_joint=lam, lam1=lam, lam2=lam,
-                        m=m)
+                        family=risk.FAMILY_RP, lam=lam, m=m)
     [[rep]] = sim.monte_carlo([sim.Population([cfg], 99)], reps)
     # symmetric groups share weights and covariance, so the joint model's two
     # risks are the same quadratic form: its gap is identically zero (std 0)

@@ -55,7 +55,7 @@ def one_point_theory(config, values):
     sigma2_sq = config.sigma1_sq * values["c"] if config.c_grid else config.sigma2_sq
     lam = values["lambda"]
     return risk.theory_risks(config.build_spectrum(d), regime_of(config, d, m),
-                             config.family, (config.sigma1_sq, sigma2_sq), lam, (lam, lam))
+                             config.family, (config.sigma1_sq, sigma2_sq), lam)
 
 
 def cells(th):
@@ -151,7 +151,7 @@ class TestIsolatedFailures:
         spectrum, _ = stacked(config, dims)
         lam = np.full(len(points), config.lam)
         th = risk.theory_risks(spectrum, regime_of(config, dims, m), config.family,
-                               (config.sigma1_sq, config.sigma2_sq), lam, (lam, lam))
+                               (config.sigma1_sq, config.sigma2_sq), lam)
         assert th.failed.tolist() == [False, True, False, False]
         # its separate solves converged; its joint risks and the gaps did not
         assert all(math.isnan(cells(th)[k][1]) for k in ("r1_joint", "r2_joint", "odd", "add"))
@@ -243,7 +243,7 @@ def kappa():
 
 
 def theory(family):
-    th = risk.theory_risks(SPEC, REG, family, (1.0, 0.5), LAM, (LAM, LAM))
+    th = risk.theory_risks(SPEC, REG, family, (1.0, 0.5), LAM)
     risks = [th.r1_joint.total, th.r2_joint.total, th.r1_sep.total, th.r2_sep.total]
     return risks + list(th.gaps.columns().values()), [th.residual, th.iters]
 

@@ -25,7 +25,7 @@ def joint_constants(spec, reg, lam, b):
 
 def separate(spec, reg, family, lam_s, s):
     """Group s's separate-model risk at penalty lam_s (unit noise)."""
-    th = risk.theory_risks(spec, reg, family, (1.0, 1.0), lam_s, (lam_s, lam_s))
+    th = risk.theory_risks(spec, reg, family, (1.0, 1.0), lam_s)
     return th.r1_sep if s == 1 else th.r2_sep
 
 
@@ -67,7 +67,7 @@ class TestRPJointRisk:
     def test_fully_symmetric_groups_have_equal_risks(self):
         spec = make_isotropic(6, 1.0, 1.0, 1.5, 0.0)
         reg = ScalingRegime.from_rates(0.5, 0.5, 0.75)
-        th = risk.theory_risks(spec, reg, risk.FAMILY_RP, (1.0, 1.0), 1e-6, (1e-6, 1e-6))
+        th = risk.theory_risks(spec, reg, risk.FAMILY_RP, (1.0, 1.0), 1e-6)
         r1, r2 = th.r1_joint, th.r2_joint
         assert r1.bias == pytest.approx(r2.bias, abs=1e-13)
         assert r1.variance == pytest.approx(r2.variance, abs=1e-13)
@@ -80,7 +80,7 @@ class TestRPJointRisk:
         phi_1, psi_1 = 0.5, 1.5
         reg = ScalingRegime.from_rates(p1, phi_1 * p1, psi_1 * p1)
         lam = 1e-3
-        th = risk.theory_risks(spec, reg, risk.FAMILY_RP, (1.0, 1.0), lam, (lam, lam))
+        th = risk.theory_risks(spec, reg, risk.FAMILY_RP, (1.0, 1.0), lam)
         joint, sep = th.r1_joint, th.r1_sep
         assert abs(joint.bias - sep.bias) <= 0.01 * sep.total
         assert abs(joint.variance - sep.variance) <= 0.01 * sep.total
@@ -90,7 +90,7 @@ class TestRPJointRisk:
         lam = 0.02
         for p1, tol in ((0.999, 0.01), (0.9999, 0.001)):
             reg = ScalingRegime.from_rates(p1, 0.6 * p1, 0.9 * p1)
-            th = risk.theory_risks(spec, reg, risk.FAMILY_RP, (1.0, 1.0), lam, (lam, lam))
+            th = risk.theory_risks(spec, reg, risk.FAMILY_RP, (1.0, 1.0), lam)
             joint, sep = th.r1_joint, th.r1_sep
             assert abs(joint.bias - sep.bias) <= tol * sep.total
             assert abs(joint.variance - sep.variance) <= tol * sep.total
@@ -103,8 +103,7 @@ class TestRPJointRisk:
         edds = []
         for psi in psis:
             reg = ScalingRegime.from_rates(0.5, 0.75, psi)
-            th = risk.theory_risks(spec, reg, risk.FAMILY_RP, (1.0, 1.0),
-                                   1e-6, (1e-6, 1e-6))
+            th = risk.theory_risks(spec, reg, risk.FAMILY_RP, (1.0, 1.0), 1e-6)
             edds.append(th.gaps.edd)
         assert np.isfinite(edds).all()  # argmax would pick a failed row's NaN
         assert psis[int(np.argmax(edds))] == pytest.approx(0.5)
@@ -143,16 +142,14 @@ class TestClassicalJointRisk:
         # vanishes with the penalty.
         spec = random_spectrum(10, with_delta=False)
         reg = ScalingRegime(p1=0.4, phi=0.5, gamma=1.0)
-        dec = risk.theory_risks(spec, reg, risk.FAMILY_CLASSICAL, (1.0, 1.0), 1e-9,
-                                (1e-9, 1e-9)).r2_joint
+        dec = risk.theory_risks(spec, reg, risk.FAMILY_CLASSICAL, (1.0, 1.0), 1e-9).r2_joint
         assert dec.bias == pytest.approx(0.0, abs=1e-6)
 
     def test_dominant_group_variance_formula(self):
         spec = random_spectrum(12)
         p1, phi, lam = 0.001, 0.4, 0.05
         reg = ScalingRegime(p1=p1, phi=phi, gamma=1.0)
-        dec = risk.theory_risks(spec, reg, risk.FAMILY_CLASSICAL, (1.0, 1.0), lam,
-                                (lam, lam)).r2_joint
+        dec = risk.theory_risks(spec, reg, risk.FAMILY_CLASSICAL, (1.0, 1.0), lam).r2_joint
         from biasamp.spectra import dof
         phi_2 = phi / (1 - p1)
         kappa, _, _ = fp.solve_kappa(spec.sigma2, spec.weights, phi_2, lam)
@@ -164,7 +161,7 @@ class TestClassicalJointRisk:
         spec = random_spectrum(14)
         p1, phi_1, lam = 0.9999, 0.7, 0.01
         reg = ScalingRegime(p1=p1, phi=phi_1 * p1, gamma=1.0)
-        th = risk.theory_risks(spec, reg, risk.FAMILY_CLASSICAL, (1.0, 1.0), lam, (lam, lam))
+        th = risk.theory_risks(spec, reg, risk.FAMILY_CLASSICAL, (1.0, 1.0), lam)
         joint, sep = th.r1_joint, th.r1_sep
         assert joint.total == pytest.approx(sep.total, rel=1e-3)
 
@@ -203,7 +200,7 @@ class TestDimensionFree:
     ])
     def test_risks_identical_at_any_dimension(self, small, large, family, psi):
         reg = ScalingRegime.from_rates(0.7, 0.4, psi)
-        args = (family, (1.0, 0.25), 1e-4, (1e-4, 1e-4))
+        args = (family, (1.0, 0.25), 1e-4)
         assert (risk.theory_risks(small, reg, *args)
                 == risk.theory_risks(large, reg, *args))
 
@@ -214,7 +211,7 @@ class TestDimensionFree:
         flat = JointSpectrum(np.ones(12, int), *(np.repeat(a, atoms.counts) for a in (
             atoms.sigma1, atoms.sigma2, atoms.theta, atoms.delta)))
         reg = ScalingRegime.from_rates(0.6, 0.5, 0.75)
-        args = (family, (1.0, 0.25), 1e-3, (1e-3, 1e-3))
+        args = (family, (1.0, 0.25), 1e-3)
         a, b = risk.theory_risks(atoms, reg, *args), risk.theory_risks(flat, reg, *args)
         for name in ("r1_joint", "r2_joint", "r1_sep", "r2_sep"):
             assert getattr(a, name).total == pytest.approx(getattr(b, name).total,
@@ -263,7 +260,7 @@ class TestMetrics:
     def test_accepts_decompositions(self):
         spec = make_isotropic(4, 1.0, 1.0, 1.0, 0.0)
         reg = ScalingRegime.from_rates(0.5, 0.25, 0.5)
-        th = risk.theory_risks(spec, reg, risk.FAMILY_RP, (1.0, 1.0), 0.1, (0.1, 0.1))
+        th = risk.theory_risks(spec, reg, risk.FAMILY_RP, (1.0, 1.0), 0.1)
         assert th.gaps.odd == pytest.approx(
             abs(th.r2_joint.total - th.r1_joint.total), abs=1e-15)
 
@@ -283,7 +280,7 @@ class TestInvariants:
         spec = random_spectrum(seed, d=16)
         reg = ScalingRegime.from_rates(p1, phi, phi * gamma)
         for family in (risk.FAMILY_RP, risk.FAMILY_CLASSICAL):
-            th = risk.theory_risks(spec, reg, family, (0.7, 1.3), lam, (lam, lam))
+            th = risk.theory_risks(spec, reg, family, (0.7, 1.3), lam)
             for dec in (th.r1_joint, th.r2_joint, th.r1_sep, th.r2_sep):
                 assert dec.bias >= 0.0
                 assert dec.variance >= 0.0
@@ -306,22 +303,28 @@ class TestInvariants:
         sig = (0.6, 1.4)
         sig_sw = (1.4, 0.6)
         for family in (risk.FAMILY_RP, risk.FAMILY_CLASSICAL):
-            th = risk.theory_risks(spec, reg, family, sig, lam, (lam, lam))
-            tw = risk.theory_risks(swapped, reg_sw, family, sig_sw, lam,
-                                   (lam, lam))
+            th = risk.theory_risks(spec, reg, family, sig, lam)
+            tw = risk.theory_risks(swapped, reg_sw, family, sig_sw, lam)
             assert th.r1_joint.total == pytest.approx(tw.r2_joint.total, rel=1e-9)
             assert th.r2_joint.total == pytest.approx(tw.r1_joint.total, rel=1e-9)
             assert th.r1_sep.total == pytest.approx(tw.r2_sep.total, rel=1e-9)
             assert th.r2_sep.total == pytest.approx(tw.r1_sep.total, rel=1e-9)
 
     @pytest.mark.parametrize("family", [risk.FAMILY_RP, risk.FAMILY_CLASSICAL])
-    @pytest.mark.parametrize("lam_joint,lam_sep", [(-1.0, (1e-3, 1e-3)),
-                                                   (1e-3, (1e-3, -1.0))])
-    def test_negative_penalty_rejected(self, family, lam_joint, lam_sep):
+    @pytest.mark.parametrize("lam,lam_sep", [(-1.0, (1e-3, 1e-3)),
+                                             (1e-3, (1e-3, -1.0))])
+    def test_negative_penalty_rejected(self, family, lam, lam_sep):
+        # theory_risks hands its one lam to every stage; a separate-model stage
+        # called on its own keeps its own penalty and rejects a negative one.
         spec = random_spectrum(7, d=8)
         reg = ScalingRegime.from_rates(0.5, 0.5, 0.75)
         with pytest.raises(ValueError):
-            risk.theory_risks(spec, reg, family, (1.0, 1.0), lam_joint, lam_sep)
+            risk.theory_risks(spec, reg, family, (1.0, 1.0), lam)
+            for s, lam_s in zip((1, 2), lam_sep):
+                if family == risk.FAMILY_RP:
+                    fp.solve_rp_separate(spec, reg, s, lam_s)
+                else:
+                    fp.solve_kappa(spec.sigma(s), spec.weights, reg.phi_s(s), lam_s)
 
     def test_clamp_rejects_large_negative(self):
         # a negative term beyond the slack marks its row NaN and raises nothing

@@ -27,6 +27,11 @@ def expand(spec, atoms):
     return np.repeat(atoms, spec.counts)
 
 
+def fit_projected(data, subset, lams, projection):
+    """``sim.fit_rp`` on features projected here, as ``run_replicate`` projects them."""
+    return sim.fit_rp(data, subset, lams, projection, data.x @ projection)
+
+
 class TestSampling:
     def test_same_seed_is_bit_identical(self):
         spec = small_spectrum()
@@ -58,8 +63,8 @@ class TestSampling:
     def test_group_counts_partition(self):
         spec = small_spectrum()
         data = sim.sample_dataset(spec, 41, 0.3, (1.0, 1.0), base_seed=3)
-        assert data.n1 + data.n2 == 41
-        assert data.n1 == int(np.sum(data.groups == 1))
+        assert data.groups.shape == (41,)
+        assert set(data.groups.tolist()) == {1, 2}
 
     def test_atoms_sample_like_their_expansion(self):
         spec = atom_spectrum()
@@ -93,9 +98,9 @@ class TestFits:
         spec = small_spectrum(d=10)
         data = sim.sample_dataset(spec, 50, 0.5, (1.0, 1.0), base_seed=5)
         lam = 0.1
-        model = sim.fit_classical(data, sim.TRAIN_BOTH, lam)
+        [w_hat] = sim.fit_classical(data, sim.TRAIN_BOTH, [lam])
         x, y = data.x, data.y
-        lhs = (x.T @ x + 50 * lam * np.eye(10)) @ model.w_hat
+        lhs = (x.T @ x + 50 * lam * np.eye(10)) @ w_hat
         rhs = x.T @ y
         assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) < 1e-10
 
@@ -103,10 +108,10 @@ class TestFits:
         spec = small_spectrum(d=6)
         data = sim.sample_dataset(spec, 60, 0.5, (1.0, 1.0), base_seed=6)
         lam = 0.2
-        model = sim.fit_classical(data, 1, lam)
+        [w_hat] = sim.fit_classical(data, 1, [lam])
         mask = data.groups == 1
         x, y = data.x[mask], data.y[mask]
-        lhs = (x.T @ x + data.n1 * lam * np.eye(6)) @ model.w_hat
+        lhs = (x.T @ x + mask.sum() * lam * np.eye(6)) @ w_hat
         assert np.allclose(lhs, x.T @ y, rtol=1e-10)
 
     def test_identity_design_interpolates(self):
@@ -115,16 +120,16 @@ class TestFits:
         data = sim.sample_dataset(spec, d, 0.5, (1.0, 1.0), base_seed=8)
         data.x = np.eye(d)
         data.y = np.arange(1.0, d + 1.0)
-        model = sim.fit_classical(data, sim.TRAIN_BOTH, 1e-12)
-        assert np.allclose(model.w_hat, data.y, rtol=1e-6)
+        [w_hat] = sim.fit_classical(data, sim.TRAIN_BOTH, [1e-12])
+        assert np.allclose(w_hat, data.y, rtol=1e-6)
 
     def test_huge_penalty_shrinks_to_zero(self):
         spec = small_spectrum()
         data = sim.sample_dataset(spec, 40, 0.5, (1.0, 1.0), base_seed=9)
-        for fitted in (sim.fit_classical(data, sim.TRAIN_BOTH, 1e12),
-                       sim.fit_rp(data, sim.TRAIN_BOTH, 1e12, 20,
-                                  np.random.default_rng(0))):
-            assert np.all(np.abs(fitted.w_hat) < 1e-8)
+        proj = sim.draw_projection(np.random.default_rng(0), spec.d, 20)
+        for [w_hat] in (sim.fit_classical(data, sim.TRAIN_BOTH, [1e12]),
+                        fit_projected(data, sim.TRAIN_BOTH, [1e12], proj)):
+            assert np.all(np.abs(w_hat) < 1e-8)
 
     def test_rp_plugback_residual_overparameterized(self):
         spec = small_spectrum(d=15)
@@ -132,10 +137,10 @@ class TestFits:
         m, lam = 40, 0.05
         rng = np.random.default_rng(1)
         s_mat = rng.standard_normal((15, m)) / np.sqrt(15)
-        model = sim.fit_rp(data, sim.TRAIN_BOTH, lam, m, s_mat)
+        [w_hat] = fit_projected(data, sim.TRAIN_BOTH, [lam], s_mat)
         z = data.x @ s_mat
         # recover eta from w_hat via least squares on the projection
-        eta, *_ = np.linalg.lstsq(s_mat, model.w_hat, rcond=None)
+        eta, *_ = np.linalg.lstsq(s_mat, w_hat, rcond=None)
         lhs = (z.T @ z + 25 * lam * np.eye(m)) @ eta
         rhs = z.T @ data.y
         assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) < 1e-8
@@ -144,16 +149,16 @@ class TestFits:
         spec = small_spectrum(d=10)
         data = sim.sample_dataset(spec, 80, 0.5, (0.5, 0.5), base_seed=11)
         lam = 1e-6
-        classical = sim.fit_classical(data, sim.TRAIN_BOTH, lam)
-        rng = np.random.default_rng(2)
-        rp = sim.fit_rp(data, sim.TRAIN_BOTH, lam, 50 * 10, rng)
+        [classical] = sim.fit_classical(data, sim.TRAIN_BOTH, [lam])
+        [rp] = fit_projected(data, sim.TRAIN_BOTH, [lam],
+                             sim.draw_projection(np.random.default_rng(2), 10, 50 * 10))
         r_c = sim.exact_risk(classical, spec, 1, data.w1)
         r_p = sim.exact_risk(rp, spec, 1, data.w1)
         assert r_p == pytest.approx(r_c, rel=0.10)
 
 
 class TestPenaltyPaths:
-    """A sequence of penalties shares one gram per subset and matches one-penalty fits."""
+    """A list of penalties shares one gram per subset and matches one-penalty fits."""
 
     @pytest.mark.parametrize("n", [10, 80])
     def test_each_penalty_matches_its_own_fit(self, n):
@@ -161,30 +166,29 @@ class TestPenaltyPaths:
         data = sim.sample_dataset(small_spectrum(d=d), n, 0.5, (1.0, 0.5), base_seed=14)
         s_mat = np.random.default_rng(4).standard_normal((d, m)) / np.sqrt(d)
         for subset in (sim.TRAIN_BOTH, 1, 2):
-            path = sim.fit_classical(data, subset, lams)
-            for v, model in zip(lams, path):
-                assert model.lam == v and model.trained_on == subset
-                assert model.w_hat.tobytes() == sim.fit_classical(data, subset, v).w_hat.tobytes()
-            # shared features are sliced, not projected per subset: rounding may differ
-            path = sim.fit_rp(data, subset, lams, m, s_mat, features=data.x @ s_mat)
-            for v, model in zip(lams, path):
-                single = sim.fit_rp(data, subset, v, m, s_mat).w_hat
-                assert model.lam == v and model.m == m
-                assert np.linalg.norm(model.w_hat - single) <= 1e-12 * np.linalg.norm(single)
+            for fit in (sim.fit_classical, lambda *a: fit_projected(*a, s_mat)):
+                path = fit(data, subset, lams)
+                assert len(path) == len(lams)
+                for v, w_hat in zip(lams, path):
+                    [single] = fit(data, subset, [v])
+                    assert w_hat.tobytes() == single.tobytes()
 
-    def test_a_failed_penalty_is_none_and_a_lone_one_raises(self, monkeypatch):
+    def test_a_failed_penalty_is_none(self, monkeypatch):
         data = sim.sample_dataset(small_spectrum(d=6), 40, 0.5, (1.0, 1.0), base_seed=15)
-        real = sim._ridge_solve
+        real, calls = np.linalg.solve, []
 
-        def singular_at_half(design, y, shrinks):
-            return [None if s == design.shape[0] * 0.5 else v
-                    for s, v in zip(shrinks, real(design, y, shrinks))]
+        def singular_second(system, rhs):  # the penalties are solved in order
+            calls.append(system)
+            if len(calls) == 2:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real(system, rhs)
 
-        monkeypatch.setattr(sim, "_ridge_solve", singular_at_half)
+        monkeypatch.setattr(np.linalg, "solve", singular_second)
         fits = sim.fit_classical(data, sim.TRAIN_BOTH, [0.1, 0.5, 1.0])
         assert fits[1] is None and fits[0] is not None and fits[2] is not None
-        with pytest.raises(ValueError, match="penalty 0.5 failed"):
-            sim.fit_classical(data, sim.TRAIN_BOTH, 0.5)
+        monkeypatch.undo()
+        data.y[0] = np.inf  # weights that are not finite
+        assert sim.fit_classical(data, sim.TRAIN_BOTH, [0.1, 1.0]) == [None, None]
 
 
 class TestProjectionDraw:
@@ -198,11 +202,9 @@ class TestProjectionDraw:
         s_mat = np.random.default_rng(3).standard_normal((d, m)) / np.sqrt(d)
         factor = np.linalg.cholesky(s_mat @ s_mat.T)
         for subset in (sim.TRAIN_BOTH, 1, 2):
-            wide = sim.fit_rp(data, subset, lam, m, s_mat)
-            square = sim.fit_rp(data, subset, lam, m, factor)
-            assert square.m == m
-            assert (np.linalg.norm(square.w_hat - wide.w_hat)
-                    <= 1e-9 * np.linalg.norm(wide.w_hat))
+            [wide] = fit_projected(data, subset, [lam], s_mat)
+            [square] = fit_projected(data, subset, [lam], factor)
+            assert np.linalg.norm(square - wide) <= 1e-9 * np.linalg.norm(wide)
 
     def test_bartlett_factor_has_the_wishart_law(self):
         d, m, draws = 4, 9, 10_000
@@ -241,24 +243,22 @@ class TestProjectionDraw:
         assert got.tobytes() == want.tobytes()
 
     def test_square_projection_needs_m_above_d(self):
+        # features of width m = 4 <= d = 6 come from a 6 x 4 map, not a square factor
         data = sim.sample_dataset(small_spectrum(d=6), 20, 0.5, (1.0, 1.0), base_seed=13)
-        with pytest.raises(ValueError, match="6 x 4, or 6 x 6 when m > d"):
-            sim.fit_rp(data, sim.TRAIN_BOTH, 0.1, 4, np.eye(6))
+        features = data.x @ sim.draw_projection(np.random.default_rng(5), 6, 4)
+        with pytest.raises(ValueError, match="projection must be 6 x 4 to match the features"):
+            sim.fit_rp(data, sim.TRAIN_BOTH, [0.1], np.eye(6), features)
 
 
 class TestRisks:
     def test_perfect_weights_have_zero_risk(self):
         spec = small_spectrum()
-        model = sim.FittedModel(w_hat=np.zeros(spec.d), family="classical",
-                                trained_on="both", lam=1.0)
-        assert sim.exact_risk(model, spec, 1, np.zeros(spec.d)) == 0.0
+        assert sim.exact_risk(np.zeros(spec.d), spec, 1, np.zeros(spec.d)) == 0.0
 
     def test_null_model_risk_is_weighted_norm(self):
         spec = atom_spectrum()
         w_star = np.arange(1.0, spec.d + 1.0)
-        model = sim.FittedModel(w_hat=np.zeros(spec.d), family="classical",
-                                trained_on="both", lam=1.0)
-        assert sim.exact_risk(model, spec, 2, w_star) == pytest.approx(
+        assert sim.exact_risk(np.zeros(spec.d), spec, 2, w_star) == pytest.approx(
             float(np.sum(expand(spec, spec.sigma2) * w_star ** 2)))
 
     def test_exact_risk_equals_naive_loop(self):
@@ -266,19 +266,15 @@ class TestRisks:
         sigma1 = expand(spec, spec.sigma1)
         rng = np.random.default_rng(3)
         w_hat, w_star = rng.standard_normal(spec.d), rng.standard_normal(spec.d)
-        model = sim.FittedModel(w_hat=w_hat, family="classical",
-                                trained_on="both", lam=1.0)
         naive = sum(sigma1[k] * (w_hat[k] - w_star[k]) ** 2
                     for k in range(spec.d))
-        assert sim.exact_risk(model, spec, 1, w_star) == pytest.approx(naive, rel=1e-15)
+        assert sim.exact_risk(w_hat, spec, 1, w_star) == pytest.approx(naive, rel=1e-15)
 
     def test_sampled_estimate_agrees_with_exact(self):
         spec = atom_spectrum()
         rng = np.random.default_rng(4)
         w_hat, w_star = rng.standard_normal(spec.d), rng.standard_normal(spec.d)
-        model = sim.FittedModel(w_hat=w_hat, family="classical",
-                                trained_on="both", lam=1.0)
-        exact = sim.exact_risk(model, spec, 1, w_star)
+        exact = sim.exact_risk(w_hat, spec, 1, w_star)
         n_test = 1_000_000
         x = rng.standard_normal((n_test, spec.d)) * np.sqrt(expand(spec, spec.sigma1))
         est = float(np.mean((x @ (w_hat - w_star)) ** 2))
@@ -300,7 +296,7 @@ class TestMonteCarlo:
     def config(self, family="classical", m=None, **kw):
         spec = kw.pop("spectrum", small_spectrum())
         base = dict(spectrum=spec, n=60, p1=0.5, sigma1_sq=1.0, sigma2_sq=0.5,
-                    family=family, lam_joint=0.1, lam1=0.1, lam2=0.1, m=m)
+                    family=family, lam=0.1, m=m)
         base.update(kw)
         return sim.SimConfig(**base)
 
@@ -314,10 +310,15 @@ class TestMonteCarlo:
     def test_noiseless_shared_problem_has_tiny_risks(self):
         spec = make_isotropic(4, 1.0, 1.0, 1.0, 0.0)
         cfg = self.config(spectrum=spec, sigma1_sq=0.0, sigma2_sq=0.0,
-                          lam_joint=1e-10, lam1=1e-10, lam2=1e-10, n=200)
+                          lam=1e-10, n=200)
         [[rep]] = sim.monte_carlo([sim.Population([cfg], 0)], replicates=3)
         for key in ("r1_joint", "r2_joint", "r1_sep", "r2_sep"):
             assert rep[key].mean < 1e-12
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_penalty_rejected_at_config(self, lam):
+        with pytest.raises(ValueError, match="lam must be finite and positive"):
+            self.config(lam=lam)
 
     def test_configs_must_share_one_population(self):
         cfg = self.config()
@@ -329,8 +330,7 @@ class TestMonteCarlo:
     def test_population_call_repeats_each_one_point_call(self):
         # data keyed by base_seed; each width's projection by its first config's seed
         cfg = self.config(family="random-projection", m=30)
-        configs = [cfg, replace(cfg, lam_joint=0.5, lam1=0.5, lam2=0.5),
-                   replace(cfg, m=8), replace(cfg, m=8, lam1=0.01)]
+        configs = [cfg, replace(cfg, lam=0.5), replace(cfg, m=8), replace(cfg, m=8, lam=0.01)]
         [reports] = sim.monte_carlo([sim.Population(configs, 5, [5, 6, 9, 10])], replicates=3)
         for c, seed, report in zip(configs, [5, 5, 9, 9], reports):
             [[alone]] = sim.monte_carlo([sim.Population([c], 5, [seed])], replicates=3)

@@ -170,8 +170,7 @@ class TestRunSweep:
         spec = cfg.build_spectrum(row["d"])
         reg = ScalingRegime.from_counts(row["n"], row["d"], row["m"], cfg.p1)
         th = risk.theory_risks(spec, reg, cfg.family,
-                               (cfg.sigma1_sq, cfg.sigma2_sq), row["lambda"],
-                               (row["lambda"], row["lambda"]))
+                               (cfg.sigma1_sq, cfg.sigma2_sq), row["lambda"])
         assert row["theory_r1_joint"] == th.r1_joint.total
         assert row["theory_odd"] == th.gaps.odd
 
@@ -254,8 +253,7 @@ class TestPopulations:
     def _one_point(self, cfg, row, base_seed, projection_seed):
         c = sim.SimConfig(spectrum=cfg.build_spectrum(row["d"]), n=cfg.n, p1=cfg.p1,
                           sigma1_sq=cfg.sigma1_sq, sigma2_sq=cfg.sigma2_sq,
-                          family=cfg.family, lam_joint=row["lambda"], lam1=row["lambda"],
-                          lam2=row["lambda"], m=row["m"] or None)
+                          family=cfg.family, lam=row["lambda"], m=row["m"] or None)
         [[report]] = sim.monte_carlo([sim.Population([c], base_seed, [projection_seed])],
                                      cfg.replicates)
         return {**{f"emp_{k}_mean": report[k].mean for k in sim.QUANTITIES},
@@ -286,9 +284,11 @@ class TestPopulations:
         clean = run_sweep(cfg).rows
         real = sim._ridge_solve
 
-        def fails_at_half(design, y, shrinks):  # singular, or non-finite weights
-            return [v if s != design.shape[0] * 0.5 else None if bad is None else v * bad
-                    for s, v in zip(shrinks, real(design, y, shrinks))]
+        def fails_at_half(design, y, lams, back=None):
+            if bad is None:  # a singular system
+                return [None if v == 0.5 else w for v, w in zip(lams, real(design, y, lams, back))]
+            # a NaN penalty makes the solved weights NaN, which the fit turns to None
+            return real(design, y, [bad if v == 0.5 else v for v in lams], back)
 
         monkeypatch.setattr(sim, "_ridge_solve", fails_at_half)
         for before, row in zip(clean, run_sweep(cfg).rows):

@@ -77,8 +77,7 @@ def _spy_on_pool(monkeypatch) -> list[list[int]]:
 
 def _rp_config(**kw) -> sim.SimConfig:
     base = dict(spectrum=TINY.build_spectrum(20), n=40, p1=0.5, sigma1_sq=1.0,
-                sigma2_sq=0.5, family="random-projection", lam_joint=0.1, lam1=0.1,
-                lam2=0.1, m=10)
+                sigma2_sq=0.5, family="random-projection", lam=0.1, m=10)
     return sim.SimConfig(**{**base, **kw})
 
 
