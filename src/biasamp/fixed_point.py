@@ -10,8 +10,10 @@ shift kappa all follow from x in closed form, and each stage states its
 mapping onto that system.  It is solved by ``_solve_shifts``: one
 safeguarded Newton iteration with an analytic Jacobian (each entry is one
 more normalized trace), one start and one recovery of the constants.  Once
-those constants are known, the remaining unknowns satisfy small affine
-systems which are solved exactly.
+those constants are known, the remaining unknowns (u_s, rho) solve one
+affine system, ``_affine``: the nonlinear stage linearized at its root,
+whose solution is the derivative of the constants under a source in the
+target spectrum.
 
 Every stage solves a batch of P systems at once.  Its per-row inputs (the
 rates of ``ScalingRegime``, the penalty, earlier constants) are scalars or
@@ -19,7 +21,7 @@ arrays of shape (P,), and the spectrum's weights are (atoms,) or, for a
 stack of spectra over the same atoms, (P, atoms); traces are weighted sums
 over the last axis.  Results are always (P,) arrays: one point is P = 1, and
 the caller indexes it.  ``_newton`` iterates x of shape (P, q), one row per
-system, and the affine stages make one stacked ``np.linalg.solve``.  Rows
+system, and ``_affine`` makes one stacked ``np.linalg.solve``.  Rows
 never interact, so a row's result does not depend on the batch it is solved
 in.
 
@@ -76,11 +78,6 @@ def _batch(weights: np.ndarray, *per_row):
         for v in per_row]
 
 
-def _trace(weights: np.ndarray):
-    """Normalized trace over the atom axis, keeping it: (P, atoms) -> (P, 1)."""
-    return lambda values: (weights * values).sum(axis=-1, keepdims=True)
-
-
 def _solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Stacked solve of mat x = rhs for (P, q, q) and (P, q); NaN rows where singular."""
     try:
@@ -93,12 +90,6 @@ def _solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             except np.linalg.LinAlgError:
                 pass
         return out
-
-
-def _matrix(rows) -> np.ndarray:
-    """(P, q, q) matrices from q rows of q (P, 1) entries."""
-    return np.concatenate([entry for row in rows for entry in row], axis=1).reshape(
-        -1, len(rows), len(rows))
 
 
 #: A solve stops once the max defect of its equations falls below this ...
@@ -270,6 +261,54 @@ def _solve_shifts(sigma, p, w, psi, gamma, lam, free: bool):
     return x, e, tau, res, iters
 
 
+def _affine(sigma, p, w, psi, gamma, lam, e, tau, b) -> np.ndarray:
+    """The affine unknowns (u_s, rho') at the root (e, tau) of ``_solve_shifts``.
+
+    The groups and rows are laid out as there: ``sigma`` (G, atoms), ``p``
+    (G,), ``w`` (P, atoms), psi, gamma, lam (P, 1) and e (P, G); ``tau`` is
+    (P, 1) where it is free and None where it is fixed at 1 (then gamma is
+    1 too), and ``b`` (atoms,) is the target spectrum.  With
+    L = sum_s p_s e_s Sigma_s and K = gamma tau L + lam I, the unknowns solve
+        u_s = psi e_s^2 tr_bar(Sigma_s (gamma tau^2 D + rho I) K^-2),
+        rho = tau^2 tr_bar((gamma rho L^2 + lam^2 D) K^-2)   (tau free only),
+        D = sum_k p_k u_k Sigma_k + b,
+    in the unknown rho' = rho / (gamma tau^2), which stays well conditioned
+    as the penalty and tau vanish together.  This system is the nonlinear
+    stage linearized at its root.  Write that stage in its constants
+    v = (e_s, tau), with equations G_s(v) = 1/e_s - 1 - psi tau tr_bar(Sigma_s K^-1)
+    and G_tau(v) = 1/tau - 1 - tr_bar(L K^-1), and let J = dG/dv.  Then the
+    matrix is S^-1 (-diag(v^2) J) S with S = diag(1, ..., 1, -gamma tau^2 / lam),
+    and the right-hand side is S^-1 diag(v^2) dG/d eps for the source
+    L -> L + eps b, so S (u, rho') = (u_s, -rho / lam) is dv/d eps.
+    Returns (u_s, rho') as (P, G + 1), or u_s as (P, G) where tau is fixed;
+    a row whose matrix is singular is NaN.
+    """
+    sigma, p = np.asarray(sigma, dtype=float), np.asarray(p, dtype=float)
+    groups, free = len(sigma), tau is not None
+    tau = tau if free else 1.0
+    ell = ((p * e)[:, :, None] * sigma).sum(axis=1)
+    inv_k2 = 1.0 / (gamma * tau * ell + lam) ** 2
+    # atom values traced against K^-2: Sigma_s Sigma_k, b Sigma_s, Sigma_s, b
+    values = np.concatenate([(sigma[:, None] * sigma).reshape(groups ** 2, -1),
+                             sigma * b, sigma, b[None]])
+    traces = (w[:, None] * (values * inv_k2[:, None])).sum(axis=-1)
+    at = groups ** 2
+    t2 = traces[:, :at].reshape(-1, groups, groups)
+    tbs, ts, tb = traces[:, at:at + groups], traces[:, at + groups:-1], traces[:, -1:]
+    gt2 = gamma * tau ** 2
+    c = psi * e ** 2 * gt2
+    q = groups + free
+    mat, rhs = np.empty((len(w), q, q)), np.empty((len(w), q))
+    mat[:, :groups, :groups], rhs[:, :groups] = -c[:, :, None] * p * t2, c * tbs
+    if free:
+        lg = lam ** 2 / gamma
+        mat[:, :groups, groups], mat[:, groups, :groups] = -c * ts, -lg * p * ts
+        mat[:, groups, groups:] = -gt2 * (w * (ell * ell * inv_k2)).sum(axis=-1, keepdims=True)
+        rhs[:, groups:] = lg * tb
+    mat.reshape(len(w), -1)[:, ::q + 1] += 1.0
+    return _solve(mat, rhs)
+
+
 # ---------------------------------------------------------------------------
 # Random-projection model, single model trained on the group mixture.
 # ---------------------------------------------------------------------------
@@ -278,9 +317,9 @@ def _solve_shifts(sigma, p, w, psi, gamma, lam, free: bool):
 class RPJointConstants:
     """Constants of the joint random-projection equivalent, (P,) arrays.
 
-    (e1, e2, tau) solve the nonlinear stage; (u1, u2, rho) solve the affine
-    stage for the recorded target spectrum b (atom values).  rho_prime =
-    rho / (gamma tau^2) is the numerically natural scaling of rho.
+    (e1, e2, tau) solve the nonlinear stage; (u1, u2, rho) solve its
+    linearization at that root (``_affine``) for the recorded target
+    spectrum b (atom values).
     """
 
     e1: np.ndarray
@@ -289,7 +328,6 @@ class RPJointConstants:
     u1: np.ndarray
     u2: np.ndarray
     rho: np.ndarray
-    rho_prime: np.ndarray
     b: np.ndarray
 
 
@@ -315,48 +353,21 @@ def solve_rp_joint_linear(spectrum: JointSpectrum, regime: ScalingRegime,
                           lam, e1, e2, tau, b: np.ndarray) -> RPJointConstants:
     """Solve the affine stage for (u1, u2, rho) given (e1, e2, tau) and target b.
 
-    The defining equations,
-        u_s = psi e_s^2 tr_bar(Sigma_s (gamma tau^2 D + rho I) K^-2),
-        rho = tau^2 tr_bar((gamma rho L^2 + lam^2 D) K^-2),
-        D = p1 u1 Sigma1 + p2 u2 Sigma2 + b,
-    are affine in (u1, u2, rho).  They are assembled in the rescaled unknown
-    rho' = rho / (gamma tau^2), which stays well conditioned as the penalty
-    and tau vanish together.
+    Its equations, in ``_affine``, are affine in (u1, u2, rho), and their
+    matrix is the linearization of ``solve_rp_joint_nonlinear``'s equations
+    at its root (e1, e2, tau): ``_affine`` with both groups, their shares p_s,
+    psi, gamma, tau free and target b.
     """
     b = np.asarray(b, dtype=float)
     if b.shape != spectrum.sigma1.shape or np.any(b < 0):
         raise ValueError("target spectrum b must be nonnegative, one entry per atom")
     w, psi, gamma, lam, e1, e2, tau = _batch(
         spectrum.weights, regime.psi, regime.gamma, _effective_lambda(lam), e1, e2, tau)
-    s1, s2, tr = spectrum.sigma1, spectrum.sigma2, _trace(w)
-    p1, p2 = regime.p1, regime.p2
-
-    ell = p1 * e1 * s1 + p2 * e2 * s2
-    k = gamma * tau * ell + lam
-    inv_k2 = 1.0 / k ** 2
-
-    def tr2(a, c):
-        return tr(a * c * inv_k2)
-
-    t11, t12, t22 = tr2(s1, s1), tr2(s1, s2), tr2(s2, s2)
-    t1, t2 = tr(s1 * inv_k2), tr(s2 * inv_k2)
-    tb1, tb2, tb = tr2(b, s1), tr2(b, s2), tr(b * inv_k2)
-    tll = tr(ell * ell * inv_k2)
-
-    gt2 = gamma * tau ** 2
-    c1 = psi * e1 ** 2
-    c2 = psi * e2 ** 2
-    lg = lam ** 2 / gamma
-    # Unknowns (u1, u2, rho'); rho = gamma tau^2 rho'.
-    mat = _matrix([
-        [1.0 - c1 * gt2 * p1 * t11, -c1 * gt2 * p2 * t12, -c1 * gt2 * t1],
-        [-c2 * gt2 * p1 * t12, 1.0 - c2 * gt2 * p2 * t22, -c2 * gt2 * t2],
-        [-lg * p1 * t1, -lg * p2 * t2, 1.0 - gamma * tau ** 2 * tll],
-    ])
-    rhs = np.hstack([c1 * gt2 * tb1, c2 * gt2 * tb2, lg * tb])
-    u1, u2, rho_prime = _solve(mat, rhs).T
-    return RPJointConstants(e1[:, 0], e2[:, 0], tau[:, 0], u1, u2, gt2[:, 0] * rho_prime,
-                            rho_prime, b=b)
+    u1, u2, rho_prime = _affine(np.stack([spectrum.sigma1, spectrum.sigma2]),
+                                [regime.p1, regime.p2], w, psi, gamma, lam,
+                                np.hstack([e1, e2]), tau, b).T
+    return RPJointConstants(e1[:, 0], e2[:, 0], tau[:, 0], u1, u2,
+                            (gamma * tau ** 2)[:, 0] * rho_prime, b=b)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +383,6 @@ class RPSeparateConstants:
     tau: np.ndarray
     u: np.ndarray
     rho: np.ndarray
-    rho_prime: np.ndarray
     residual: np.ndarray
     iters: np.ndarray
 
@@ -388,27 +398,15 @@ def solve_rp_separate(spectrum: JointSpectrum, regime: ScalingRegime, s: int,
     through the product e tau, so they are one equation in x = gamma e tau / lam,
     the reciprocal of the effective shift: ``_solve_shifts`` with group s
     alone, p = 1, psi_s, gamma and tau free.  Then (u_s, rho_s) solve an
-    exact 2x2 affine system (assembled in rho' = rho / (gamma tau^2)).
+    affine system whose matrix is that stage's linearization at its root:
+    ``_affine`` with the same group and target b = Sigma_s.
     """
     w, psi_s, gamma, lam = _batch(spectrum.weights, regime.psi_s(s), regime.gamma,
                                   _effective_lambda(lam_s))
     sig = spectrum.sigma(s)
     _, e, tau, res, iters = _solve_shifts(sig[None], [1.0], w, psi_s, gamma, lam, True)
-    tr = _trace(w)
-
-    k = gamma * tau * e * sig + lam
-    inv_k2 = 1.0 / k ** 2
-    s2k = tr(sig * sig * inv_k2)
-    s1k = tr(sig * inv_k2)
-    gt2 = gamma * tau ** 2
-    ce = psi_s * e ** 2
-    lg = lam ** 2 / gamma
-    # Unknowns (u, rho'); rho = gamma tau^2 rho'.
-    mat = _matrix([[1.0 - ce * gt2 * s2k, -ce * gt2 * s1k],
-                   [-lg * s1k, 1.0 - gamma * (tau * e) ** 2 * s2k]])
-    rhs = np.hstack([ce * gt2 * s2k, lg * s1k])
-    u, rho_prime = _solve(mat, rhs).T
-    return RPSeparateConstants(s, e[:, 0], tau[:, 0], u, gt2[:, 0] * rho_prime, rho_prime,
+    u, rho_prime = _affine(sig[None], [1.0], w, psi_s, gamma, lam, e, tau, sig).T
+    return RPSeparateConstants(s, e[:, 0], tau[:, 0], u, (gamma * tau ** 2)[:, 0] * rho_prime,
                                res, iters)
 
 
@@ -432,24 +430,17 @@ def solve_classical_joint_nonlinear(spectrum: JointSpectrum, regime: ScalingRegi
 
 def solve_classical_joint_linear(spectrum: JointSpectrum, regime: ScalingRegime,
                                  lam, e1, e2, s: int):
-    """Exact 2x2 solve for (u1, u2) targeting evaluation group s."""
-    w, phi, lam, e1, e2 = _batch(spectrum.weights, regime.phi, _effective_lambda(lam), e1, e2)
-    s1, s2, tr = spectrum.sigma1, spectrum.sigma2, _trace(w)
-    p1, p2 = regime.p1, regime.p2
-    k = p1 * e1 * s1 + p2 * e2 * s2 + lam
-    inv_k2 = 1.0 / k ** 2
-    sig_s = spectrum.sigma(s)
+    """(u1, u2) targeting evaluation group s, given (e1, e2).
 
-    t11 = tr(s1 * s1 * inv_k2)
-    t12 = tr(s1 * s2 * inv_k2)
-    t22 = tr(s2 * s2 * inv_k2)
-    ts1 = tr(sig_s * s1 * inv_k2)
-    ts2 = tr(sig_s * s2 * inv_k2)
-
-    c1, c2 = phi * e1 ** 2, phi * e2 ** 2
-    mat = _matrix([[1.0 - c1 * p1 * t11, -c1 * p2 * t12],
-                   [-c2 * p1 * t12, 1.0 - c2 * p2 * t22]])
-    u1, u2 = _solve(mat, np.hstack([c1 * ts1, c2 * ts2])).T
+    They solve an affine system whose matrix is the linearization of
+    ``solve_classical_joint_nonlinear``'s equations at its root: ``_affine``
+    with both groups, their shares p_s, psi = phi, gamma = 1, tau fixed at 1
+    and target b = Sigma_s.
+    """
+    w, phi, gamma, lam, e1, e2 = _batch(spectrum.weights, regime.phi, 1.0,
+                                        _effective_lambda(lam), e1, e2)
+    u1, u2 = _affine(np.stack([spectrum.sigma1, spectrum.sigma2]), [regime.p1, regime.p2],
+                     w, phi, gamma, lam, np.hstack([e1, e2]), None, spectrum.sigma(s)).T
     return u1, u2
 
 

@@ -140,7 +140,8 @@ def test_criterion_4_shared_covariance_linear_stage():
         reg = ScalingRegime.from_rates(0.5, phi, phi * gamma)
         e1, e2, tau, _, _ = fp.solve_rp_joint_nonlinear(spec, reg, lam)
         c = fp.solve_rp_joint_linear(spec, reg, lam, e1, e2, tau, sig)
-        [u1], [rho_prime] = c.u1, c.rho_prime
+        [u1], [rho] = c.u1, c.rho
+        rho_prime = rho / (gamma * tau[0] ** 2)
         theta = lam / (gamma * tau[0] * e1[0])
         w = spec.weights
         i12, i22 = dof(sig, w, 1, 2, theta), dof(sig, w, 2, 2, theta)

@@ -114,7 +114,7 @@ class TestBatchEqualsPointByPoint:
             one = fp.solve_rp_joint_nonlinear(spec, reg, lam)
             assert row(joint, i) == row(one, 0)
             one_affine = fp.solve_rp_joint_linear(spec, reg, lam, *one[:3], spec.sigma2)
-            for name in ("u1", "u2", "rho", "rho_prime"):
+            for name in ("u1", "u2", "rho"):
                 assert getattr(affine, name)[i] == getattr(one_affine, name)[0]
             for s, sep in zip((1, 2), seps):
                 one_sep = fp.solve_rp_separate(spec, reg, s, lam)
@@ -219,12 +219,12 @@ def rp_joint():
 
 def rp_joint_linear():
     c = fp.solve_rp_joint_linear(SPEC, REG, LAM, *scalars(rp_joint()[0]), SPEC.sigma1)
-    return [c.e1, c.e2, c.tau, c.u1, c.u2, c.rho, c.rho_prime], []
+    return [c.e1, c.e2, c.tau, c.u1, c.u2, c.rho], []
 
 
 def rp_separate():
     c = fp.solve_rp_separate(SPEC, REG, 2, LAM)
-    return [c.e, c.tau, c.u, c.rho, c.rho_prime], [c.residual, c.iters]
+    return [c.e, c.tau, c.u, c.rho], [c.residual, c.iters]
 
 
 def classical_joint():

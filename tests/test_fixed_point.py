@@ -258,7 +258,7 @@ class TestRPJoint:
             den = gamma - phi * z - i22
             assert c.u1 == pytest.approx(c.u2, rel=1e-9)
             assert c.u1 == pytest.approx(phi * z / den, rel=1e-8)
-            assert c.rho_prime == pytest.approx(theta ** 2 * i12 / den, rel=1e-8)
+            assert c.rho / (gamma * c.tau ** 2) == pytest.approx(theta ** 2 * i12 / den, rel=1e-8)
             # The closed forms satisfy the pair of linear equations.
             u, rp = phi * z / den, theta ** 2 * i12 / den
             assert u == pytest.approx(phi * i22 * (1 + u) + phi * i12 * rp, rel=1e-9)
@@ -374,6 +374,81 @@ class TestClassicalJoint:
             r1 = u1 - reg.phi * e1 ** 2 * float(np.mean(s1 * dee / k ** 2))
             r2 = u2 - reg.phi * e2 ** 2 * float(np.mean(s2 * dee / k ** 2))
             assert np.all(np.abs(np.hstack([r1, r2])) < 1e-10)
+
+
+def stage_equations(sigma, p, w, psi, gamma, lam, b, free):
+    """G(v, eps) of a nonlinear stage, G_i = 1/v_i - 1 - (its trace), complex-safe.
+
+    v = (e_s, tau) if tau is free, else (e_s) with tau = 1; the source eps
+    enters as L -> L + eps b, with L = sum_s p_s e_s Sigma_s and
+    K = gamma tau L + lam I.
+    """
+    def g(v, eps):
+        e, tau = (v[:-1], v[-1]) if free else (v, 1.0)
+        ell = sum(p_s * e_s * sig for p_s, e_s, sig in zip(p, e, sigma)) + eps * b
+        k = gamma * tau * ell + lam
+        out = [1 / e_s - 1 - psi * tau * np.sum(w * sig / k) for e_s, sig in zip(e, sigma)]
+        if free:
+            out.append(1 / tau - 1 - np.sum(w * ell / k))
+        return np.array(out)
+
+    return g
+
+
+LINEARIZATION_POINTS = [  # (spectrum, p1, phi, psi, lam): anisotropic, diatomic, stiff
+    (anisotropic_spectrum(seed=31), 0.4, 0.5, 0.8, 1e-2),
+    (make_diatomic(200, 0.5, 2.0, 1.0, 0.2, 1.0, 0.5), 0.9, 1.0, 2.0, 1e-4),
+    (anisotropic_spectrum(seed=37), 0.6, 2.0, 0.7, 1e-6),
+    (make_diatomic(400, 0.5, 2.0, 2.0, 0.2, 1.0, 0.0), 0.9, 1.0, 0.5, 1e-6),
+]
+
+
+class TestAffineIsLinearization:
+    """Each affine stage is its nonlinear stage linearized at the root.
+
+    With v the stage's constants, J = dG/dv and S = diag(1, ..., 1,
+    -gamma tau^2 / lam) (the identity where tau is fixed), the affine
+    solution y = (u_s, rho') satisfies (-diag(v^2) J) S y = S r, where
+    S r = diag(v^2) dG/d eps for the source L -> L + eps b; so S y = dv/d eps.
+    J and dG/d eps are taken here by complex step, which is exact to
+    rounding because G is rational.
+    """
+
+    @staticmethod
+    def check(g, v, sy):
+        h = 1e-30
+        jac = np.stack([g(v + 1j * h * unit, 0.0).imag / h for unit in np.eye(len(v))], axis=1)
+        dg = g(v.astype(complex), 1j * h).imag / h
+        lhs, rhs = -(v ** 2)[:, None] * jac * sy, v ** 2 * dg
+        scale = np.abs(lhs).sum(axis=1) + np.abs(rhs)  # each equation's own magnitude
+        assert (np.abs(lhs.sum(axis=1) - rhs) <= 1e-9 * scale).all(), (lhs.sum(axis=1), rhs)
+
+    @pytest.mark.parametrize("spec, p1, phi, psi, lam", LINEARIZATION_POINTS)
+    def test_rp_joint(self, spec, p1, phi, psi, lam):
+        reg = ScalingRegime.from_rates(p1, phi, psi)
+        c = rp_joint(spec, reg, lam, spec.sigma2)
+        g = stage_equations([spec.sigma1, spec.sigma2], [reg.p1, reg.p2], spec.weights,
+                            psi, reg.gamma, lam, spec.sigma2, True)
+        v = np.array([c.e1[0], c.e2[0], c.tau[0]])
+        self.check(g, v, np.array([c.u1[0], c.u2[0], -c.rho[0] / lam]))
+
+    @pytest.mark.parametrize("spec, p1, phi, psi, lam", LINEARIZATION_POINTS)
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_rp_separate(self, spec, p1, phi, psi, lam, s):
+        reg = ScalingRegime.from_rates(p1, phi, psi)
+        c = fp.solve_rp_separate(spec, reg, s, lam)
+        g = stage_equations([spec.sigma(s)], [1.0], spec.weights, reg.psi_s(s), reg.gamma,
+                            lam, spec.sigma(s), True)
+        self.check(g, np.array([c.e[0], c.tau[0]]), np.array([c.u[0], -c.rho[0] / lam]))
+
+    @pytest.mark.parametrize("spec, p1, phi, psi, lam", LINEARIZATION_POINTS)
+    def test_classical_joint(self, spec, p1, phi, psi, lam):
+        reg = ScalingRegime(p1=p1, phi=phi, gamma=1.0)
+        e1, e2, u = classical_joint(spec, reg, lam)
+        for s in (1, 2):
+            g = stage_equations([spec.sigma1, spec.sigma2], [reg.p1, reg.p2], spec.weights,
+                                phi, 1.0, lam, spec.sigma(s), False)
+            self.check(g, np.hstack([e1, e2]), np.hstack(u[s]))
 
 
 class TestTheta0:
