@@ -225,17 +225,22 @@ def _cmd_plot(args) -> int:
         print("CSV has no data rows", file=sys.stderr)
         return 1
     names = set(rows[0])
-    needed = {args.x, *args.y}
+    # in command-line order, so that the first bad column is the one reported
+    needed = dict.fromkeys([args.x, *args.y])
     for y in list(args.y):
         if y.startswith("emp_") and y.endswith("_mean") and y[:-5] + "_std" in names:
-            needed.add(y[:-5] + "_std")
+            needed[y[:-5] + "_std"] = None
     columns = {}
     for name in needed:
         if name not in names:
             print(f"column {name!r} not in CSV", file=sys.stderr)
             return 1
-        columns[name] = [float(r[name]) if r[name] not in ("", None) else float("nan")
-                         for r in rows]
+        try:
+            columns[name] = [float(r[name]) if r[name] not in ("", None) else float("nan")
+                             for r in rows]
+        except ValueError:
+            print(f"column {name!r} is not numeric", file=sys.stderr)
+            return 1
     # as in _draw_figures: a series with no plottable point is left out
     ys = [y for y in args.y
           if any(plottable(xv, yv, args.logx, args.logy)

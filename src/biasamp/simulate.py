@@ -12,6 +12,13 @@ population, the grid points that share a spectrum, n and noise: each
 replicate samples one dataset for all of them and one projection per width,
 so the points' estimates use common random numbers and are correlated.
 
+Only a process that draws loads ``numpy.random``: ``stream`` reaches it as
+``np.random``, which numpy 2 imports on first use.  The workers and calls
+that run in the calling process load it.  The calling process of a pooled
+or theory-only sweep, of ``validate quick`` and of ``plot`` never does, and
+so peaks 6 MB lower: 31.7 against 37.6 MB on a pooled classical sweep.  On
+numpy 1.x, ``import numpy`` loads it anyway.
+
 One ``monte_carlo`` call takes every population of a sweep (or of a
 validation suite), and each replicate of each population is one task.  When
 the call's total work is large, its tasks run in worker processes, one per
@@ -60,7 +67,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .risk import metrics
 from .spectra import JointSpectrum
@@ -74,11 +80,11 @@ class DegenerateGroupsError(RuntimeError):
     """Raised when a replicate draws an empty group twice in a row."""
 
 
-def stream(base_seed: int, replicate: int, purpose: str) -> Generator:
+def stream(base_seed: int, replicate: int, purpose: str) -> np.random.Generator:
     """Independent generator for one (replicate, purpose) pair."""
     idx = PURPOSES.index(purpose)
-    return Generator(Philox(key=(np.uint64(base_seed),
-                                 np.uint64(replicate * len(PURPOSES) + idx))))
+    key = (np.uint64(base_seed), np.uint64(replicate * len(PURPOSES) + idx))
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass
@@ -182,7 +188,7 @@ def fit_classical(dataset: Dataset, subset, lams: Sequence[float]) -> list[np.nd
     return _ridge_solve(dataset.x[rows], dataset.y[rows], lams)
 
 
-def draw_projection(rng: Generator, d: int, m: int) -> np.ndarray:
+def draw_projection(rng: np.random.Generator, d: int, m: int) -> np.ndarray:
     """A d x m projection with N(0, 1/d) entries, or its d x d Bartlett factor when m > d.
 
     For m <= d this is ``rng.standard_normal((d, m)) / sqrt(d)``.  For m > d
@@ -333,7 +339,7 @@ class MonteCarloReport:
 
 
 def run_replicate(data: Dataset, configs: Sequence[SimConfig],
-                  projection: Generator | None) -> list[dict[str, float] | None]:
+                  projection: np.random.Generator | None) -> list[dict[str, float] | None]:
     """Fit every config of one width on one draw; exact risks and gaps per config.
 
     Each subset (joint, group 1, group 2) is fitted once for all the

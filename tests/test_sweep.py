@@ -517,6 +517,23 @@ class TestCLI:
         assert err.startswith("biasamp plot: ") and err.count("\n") == 1
         assert not (tmp_path / "p.svg").exists()
 
+    def test_plot_rejects_a_column_that_is_not_numeric(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(tiny_config().to_json())
+        cli_main(["sweep", str(cfg_path), "--out-dir", str(tmp_path), "--theory-only"])
+        flagged = tmp_path / "flagged.csv"
+        flagged.write_text("psi,theory_odd,flags\n0.5,0.1,\n1.0,0.2,mc-failure\n")
+        capsys.readouterr()
+        out = tmp_path / "p.svg"
+        for path, x, y, column in ((tmp_path / "sweep.csv", "scenario", "theory_odd", "scenario"),
+                                   (flagged, "psi", "flags", "flags")):
+            assert cli_main(["plot", str(path), "--x", x, "--y", y, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == f"column {column!r} is not numeric\n"
+            assert not out.exists()
+        # the x column is checked first, whatever the hash seed
+        assert cli_main(["plot", str(flagged), "--x", "flags", "--y", "nope"]) == 1
+        assert capsys.readouterr().err == "column 'flags' is not numeric\n"
+
     def test_mp_check_small(self, capsys):
         rc = cli_main(["mp-check", "--gamma", "1.0", "--lam", "1.0",
                        "--d", "300", "--seed", "0"])

@@ -1,6 +1,7 @@
 """The Monte-Carlo worker processes: when they start, and what they give back."""
 
 import io
+import json
 import math
 import os
 import subprocess
@@ -221,8 +222,49 @@ def test_the_error_raised_is_the_lowest_numbered_failing_task_that_ran(monkeypat
     assert workers.closed
 
 
-def test_importing_the_command_line_loads_no_scipy():
-    out = _python("-c", f"import sys; sys.path.insert(0, {str(SRC)!r}); import biasamp.cli; "
-                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+#: Runs each stage in one interpreter and prints, after each, the ``scipy`` and
+#: ``numpy.random`` modules loaded beyond those that ``import numpy`` loads,
+#: all as one JSON line at the end.
+WHAT_THE_CALLER_LOADS = f"""
+import json, math, sys
+sys.path.insert(0, {str(SRC)!r})
+import numpy
+baseline = set(sys.modules)
+loaded = {{}}
+
+def note(stage):
+    loaded[stage] = sorted(m for m in set(sys.modules) - baseline
+                           if m.split(".")[0] == "scipy" or m.startswith("numpy.random"))
+
+import biasamp.cli
+from dataclasses import replace
+from biasamp import simulate
+from biasamp.sweep import SweepConfig, run_sweep
+note("import")
+pooled, tiny = SweepConfig.load(sys.argv[1]), SweepConfig.load(sys.argv[2])
+run_sweep(replace(pooled, replicates=0))
+note("theory-only sweep")
+assert biasamp.cli.main(["validate", "quick"]) == 0
+note("validate quick")
+if simulate._cpus() >= 2:
+    run_sweep(pooled)
+    assert simulate._workers is not None, "no workers ran"
+    note("pooled sweep")
+simulate.POOL_MIN_WORK = math.inf
+run_sweep(tiny)
+loaded["numpy.random after an in-process monte_carlo"] = "numpy.random" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_only_a_process_that_draws_loads_the_sampler(tmp_path):
+    pooled, tiny = tmp_path / "pooled.json", tmp_path / "tiny.json"
+    pooled.write_text(POOLED.to_json())
+    tiny.write_text(TINY.to_json())
+    out = _python("-c", WHAT_THE_CALLER_LOADS, pooled, tiny)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    stages = ["import", "theory-only sweep", "validate quick"]
+    stages += ["pooled sweep"] * (sim._cpus() >= 2)
+    expected = {**{stage: [] for stage in stages},
+                "numpy.random after an in-process monte_carlo": True}
+    assert json.loads(out.stdout.splitlines()[-1]) == expected
