@@ -268,7 +268,8 @@ def _affine(sigma, p, w, psi, gamma, lam, e, tau, b) -> np.ndarray:
     (G,), ``w`` (P, atoms), psi, gamma, lam (P, 1) and e (P, G); ``tau`` is
     (P, 1) where it is free and None where it is fixed at 1 (then gamma is
     1 too), and ``b`` (atoms,) is the target spectrum.  With
-    L = sum_s p_s e_s Sigma_s and K = gamma tau L + lam I, the unknowns solve
+    L = sum_s p_s e_s Sigma_s and K = gamma tau L + lam I (an atom with K = 0,
+    a zero atom at a zero penalty, weighs nothing), the unknowns solve
         u_s = psi e_s^2 tr_bar(Sigma_s (gamma tau^2 D + rho I) K^-2),
         rho = tau^2 tr_bar((gamma rho L^2 + lam^2 D) K^-2)   (tau free only),
         D = sum_k p_k u_k Sigma_k + b,
@@ -287,7 +288,8 @@ def _affine(sigma, p, w, psi, gamma, lam, e, tau, b) -> np.ndarray:
     groups, free = len(sigma), tau is not None
     tau = tau if free else 1.0
     ell = ((p * e)[:, :, None] * sigma).sum(axis=1)
-    inv_k2 = 1.0 / (gamma * tau * ell + lam) ** 2
+    kay = gamma * tau * ell + lam
+    inv_k2 = np.divide(1.0, kay ** 2, out=np.zeros_like(kay), where=kay > 0)
     # atom values traced against K^-2: Sigma_s Sigma_k, b Sigma_s, Sigma_s, b
     values = np.concatenate([(sigma[:, None] * sigma).reshape(groups ** 2, -1),
                              sigma * b, sigma, b[None]])
@@ -318,8 +320,7 @@ class RPJointConstants:
     """Constants of the joint random-projection equivalent, (P,) arrays.
 
     (e1, e2, tau) solve the nonlinear stage; (u1, u2, rho) solve its
-    linearization at that root (``_affine``) for the recorded target
-    spectrum b (atom values).
+    linearization at that root (``_affine``) for a target spectrum.
     """
 
     e1: np.ndarray
@@ -328,7 +329,6 @@ class RPJointConstants:
     u1: np.ndarray
     u2: np.ndarray
     rho: np.ndarray
-    b: np.ndarray
 
 
 def solve_rp_joint_nonlinear(spectrum: JointSpectrum, regime: ScalingRegime, lam):
@@ -367,7 +367,7 @@ def solve_rp_joint_linear(spectrum: JointSpectrum, regime: ScalingRegime,
                                 [regime.p1, regime.p2], w, psi, gamma, lam,
                                 np.hstack([e1, e2]), tau, b).T
     return RPJointConstants(e1[:, 0], e2[:, 0], tau[:, 0], u1, u2,
-                            (gamma * tau ** 2)[:, 0] * rho_prime, b=b)
+                            (gamma * tau ** 2)[:, 0] * rho_prime)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +378,6 @@ def solve_rp_joint_linear(spectrum: JointSpectrum, regime: ScalingRegime,
 class RPSeparateConstants:
     """Single-group constants of the separate random-projection equivalent, (P,) arrays."""
 
-    group: int
     e: np.ndarray
     tau: np.ndarray
     u: np.ndarray
@@ -406,7 +405,7 @@ def solve_rp_separate(spectrum: JointSpectrum, regime: ScalingRegime, s: int,
     sig = spectrum.sigma(s)
     _, e, tau, res, iters = _solve_shifts(sig[None], [1.0], w, psi_s, gamma, lam, True)
     u, rho_prime = _affine(sig[None], [1.0], w, psi_s, gamma, lam, e, tau, sig).T
-    return RPSeparateConstants(s, e[:, 0], tau[:, 0], u, (gamma * tau ** 2)[:, 0] * rho_prime,
+    return RPSeparateConstants(e[:, 0], tau[:, 0], u, (gamma * tau ** 2)[:, 0] * rho_prime,
                                res, iters)
 
 

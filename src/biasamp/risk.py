@@ -2,12 +2,16 @@
 
 ``theory_risks`` is the one entry point: it solves the fixed-point stages of
 a model family and assembles its four risks (joint and separate model, each
-group) and their gap ``metrics``.  Each risk formula is a normalized-trace
-expression in the solved constants; with all population matrices sharing an
-eigenbasis, every trace collapses to a weighted sum over the spectrum's atoms
-(``JointSpectrum.tr``).  ``rp_separate_risk_unregularized`` is the closed-form
-zero-penalty reference for the separate random-projection risk, and
-``power_law_limits`` the closed-form gap limits of the power-law scenario.
+group) and their gap ``metrics``.  One assembler, ``_assemble``, serves all
+four risks of both families: one normalized-trace formula in a stage's
+constants (e_k, tau, u_k, rho) over one or two training groups, with
+classical ridge at gamma = tau = 1 and rho = 0.  Its terms are nonnegative
+but for one signed cross term, so none of order 1/lam cancels.  With all
+population matrices sharing an eigenbasis, every trace collapses to a
+weighted sum over the spectrum's atoms (``JointSpectrum.tr``).
+``rp_separate_risk_unregularized`` is the closed-form zero-penalty reference
+for the separate random-projection risk, and ``power_law_limits`` the
+closed-form gap limits of the power-law scenario.
 
 Conventions used throughout:
   * group index s is 1 or 2, and s' = 3 - s;
@@ -118,114 +122,59 @@ def metrics(r1_joint, r2_joint, r1_sep, r2_sep) -> BiasAmpMetrics:
 
 
 # ---------------------------------------------------------------------------
-# Random projections, joint model.
+# One risk formula for every model.
 # ---------------------------------------------------------------------------
 
-def _h_joint(k: int, j: int, a, constants: fp.RPJointConstants,
-             spectrum: JointSpectrum, regime: ScalingRegime, lam):
-    """Auxiliary trace functionals h_j^(1..4) of the joint equivalent.
+def _assemble(spectrum: JointSpectrum, family: str, s: int, shares: dict, e: dict,
+              u: dict, sigma_sqs: tuple, lam, gamma, tau, rho) -> RiskDecomposition:
+    """Test risk of group s for a model trained on the groups of ``shares``.
 
-    ``a`` is the left spectral weight, atom values or a scalar; k >= 2 uses
-    the target spectrum b the affine stage of ``constants`` was solved with.
-    Constants are (P,) arrays, and rates and the penalty scalars or (P,),
-    giving one value per row.
+    ``shares`` maps each training group k (both for the joint model, group s
+    alone for its separate model, with share 1) to p_k, and e and u map it
+    to its solved constants e_k and u_k; the affine stage behind u and rho
+    targets Sigma_s.  Classical ridge is gamma = tau = 1 and rho = 0.  With
+    o = 3 - s, L = sum_k p_k e_k Sigma_k, K = gamma tau L + lam I and
+    D = sum_k p_k u_k Sigma_k + Sigma_s,
+        variance = sum_k sigma_k^2 p_k u_k,
+        bias = tr_bar(Theta_s (lam^2 D + gamma rho L^2) K^-2)
+             + p_o tr_bar(Delta Sigma_o [gamma p_o e_o^2 Sigma_o
+                   (gamma tau^2 (p_s u_s + 1) Sigma_s + rho)
+                   + u_o (gamma tau p_s e_s Sigma_s + lam)^2] K^-2)
+             + [s = 2] 2 p_1 tr_bar(Delta Sigma_1 {lam [gamma tau e_1 (1 + p_2 u_2) Sigma_2
+                   - u_1 (gamma tau p_2 e_2 Sigma_2 + lam)] - gamma rho e_1 L} K^-2),
+    the weight shift's Delta terms for the joint model only.  Every term but
+    the signed group-2 cross term is nonnegative, so no term of order 1/lam
+    cancels.  An atom with K = 0 (a zero atom at a zero effective shift)
+    weighs nothing.
     """
-    jp = 3 - j
-    p_j, p_jp = regime.p(j), regime.p(jp)
-    sig_j, sig_jp = spectrum.sigma(j), spectrum.sigma(jp)
-    e = {1: constants.e1, 2: constants.e2}
-    u = {1: constants.u1, 2: constants.u2}
-    tau, rho, gamma = constants.tau, constants.rho, regime.gamma
-    tau2, e2 = tau ** 2, {j: v ** 2 for j, v in e.items()}
-    c = _col
-
-    ell = c(regime.p1 * e[1]) * spectrum.sigma1 + c(regime.p2 * e[2]) * spectrum.sigma2
-    kay = c(gamma * tau) * ell + c(lam)
-    if k == 1:
-        return p_j * gamma * e[j] * tau * spectrum.tr(a * sig_j / kay)
-
-    b = constants.b
-    inv_k2 = 1.0 / kay ** 2
-    if k == 2:
-        core = (c(gamma * e[j] * tau2) * b
-                + c(p_jp * gamma * tau2) * sig_jp * c(e[j] * u[jp] - e[jp] * u[j])
-                + c(e[j] * rho) - c(lam * u[j] * tau))
-        return p_j * gamma * spectrum.tr(a * sig_j * core * inv_k2)
-    if k == 3:
-        core = (c(gamma * e2[j] * p_j) * sig_j
-                * (c(p_jp * gamma * tau2 * u[jp]) * sig_jp + c(gamma * tau2) * b
-                   + c(rho))
-                + c(u[j]) * (c(p_jp * gamma * e[jp] * tau) * sig_jp + c(lam)) ** 2)
-        return p_j * spectrum.tr(a * sig_j * core * inv_k2)
-    if k == 4:
-        core = (c(gamma * tau2) * (c(e[j] * e[jp]) * b
-                                   - c(p_j * e2[j] * u[jp]) * sig_j
-                                   - c(p_jp * e2[jp] * u[j]) * sig_jp)
-                - c(lam * tau * (e[j] * u[jp] + e[jp] * u[j]))
-                + c(e[j] * e[jp] * rho))
-        return p_j * gamma * p_jp * spectrum.tr(sig_j * sig_jp * a * core * inv_k2)
-    raise ValueError(f"functional index must be 1..4, got {k}")
-
-
-def _rp_joint(spectrum: JointSpectrum, regime: ScalingRegime, lam, sigma_sqs: tuple,
-              s: int, e1, e2, tau) -> RiskDecomposition:
-    """Test risk of the single random-projection model on group s.
-
-    (e1, e2, tau) is the solved nonlinear stage, which does not depend on the
-    evaluation group; the affine stage targets group s.
-    """
-    sig_s = spectrum.sigma(s)
-    consts = fp.solve_rp_joint_linear(spectrum, regime, lam, e1, e2, tau, sig_s)
-
-    def h(k, j, a):
-        return _h_joint(k, j, a, consts, spectrum, regime, lam)
-
-    variance = sum(sigma_sqs[j - 1] * regime.phi * h(2, j, 1.0) for j in (1, 2))
-
-    theta_s = spectrum.theta_s(s)
-    bias = spectrum.tr(theta_s * sig_s)
-    bias += h(3, 1, theta_s) + h(3, 2, theta_s) + 2.0 * h(4, 1, theta_s)
-    bias -= 2.0 * h(1, 1, theta_s * sig_s) + 2.0 * h(1, 2, theta_s * sig_s)
-    bias += h(3, 3 - s, spectrum.delta)
-    if s == 2:
-        bias -= 2.0 * (h(3, 1, spectrum.delta) + h(4, 2, spectrum.delta)
-                       - h(1, 1, spectrum.delta * spectrum.sigma2))
+    c, sig, p = _col, spectrum.sigma, shares
+    g_tau = gamma * tau
+    ell = sum(c(p_k * e[k]) * sig(k) for k, p_k in p.items())
+    kay = c(g_tau) * ell + c(lam)
+    inv_k2 = np.divide(1.0, kay ** 2, out=np.zeros_like(kay), where=kay > 0)
+    dee = sum(c(p_k * u[k]) * sig(k) for k, p_k in p.items()) + sig(s)
+    variance = sum(sigma_sqs[k - 1] * p_k * u[k] for k, p_k in p.items())
+    bias = spectrum.tr(spectrum.theta_s(s) * (c(lam ** 2) * dee + c(gamma * rho) * ell ** 2)
+                       * inv_k2)
+    if len(p) == 2:
+        o = 3 - s
+        bias = bias + p[o] * spectrum.tr(spectrum.delta * sig(o) * (
+            c(gamma * p[o] * e[o] ** 2) * sig(o)
+            * (c(g_tau * tau * (p[s] * u[s] + 1.0)) * sig(s) + c(rho))
+            + c(u[o]) * (c(g_tau * p[s] * e[s]) * sig(s) + c(lam)) ** 2) * inv_k2)
+        if s == 2:
+            bias = bias + 2.0 * p[1] * spectrum.tr(spectrum.delta * sig(1) * (
+                c(lam) * (c(g_tau * e[1] * (1.0 + p[2] * u[2])) * sig(2)
+                          - c(u[1]) * (c(g_tau * p[2] * e[2]) * sig(2) + c(lam)))
+                - c(gamma * rho * e[1]) * ell) * inv_k2)
     return RiskDecomposition(bias=bias, variance=variance, group=s,
-                             mode=MODE_JOINT, family=FAMILY_RP)
+                             mode=MODE_JOINT if len(p) == 2 else MODE_SEPARATE,
+                             family=family)
 
 
 # ---------------------------------------------------------------------------
-# Random projections, separate model per group.
+# Random projections, zero-penalty separate model.
 # ---------------------------------------------------------------------------
-
-def _rp_separate(spectrum: JointSpectrum, regime: ScalingRegime, lam, sigma_s_sq,
-                 c: fp.RPSeparateConstants) -> RiskDecomposition:
-    """Test risk of a random-projection model trained on group c.group alone,
-    from its ``solve_rp_separate`` constants at penalty lam."""
-    s = c.group
-    sig = spectrum.sigma(s)
-    gamma, phi_s = regime.gamma, regime.phi_s(s)
-    kay = _col(gamma * c.tau * c.e) * sig + _col(lam)
-    inv_k2 = 1.0 / kay ** 2
-
-    tau2 = c.tau ** 2
-    h2 = gamma * spectrum.tr(
-        sig * (_col(gamma * c.e * tau2) * sig + _col(c.e * c.rho)
-               - _col(lam * c.u * c.tau))
-        * inv_k2)
-    variance = sigma_s_sq * phi_s * h2
-
-    theta_s = spectrum.theta_s(s)
-    h3 = spectrum.tr(
-        theta_s * sig
-        * (_col(gamma * c.e ** 2) * sig * (_col(gamma * tau2) * sig + _col(c.rho))
-           + _col(lam ** 2 * c.u))
-        * inv_k2)
-    h1 = gamma * c.e * c.tau * spectrum.tr(theta_s * sig * sig / kay)
-    bias = spectrum.tr(theta_s * sig) + h3 - 2.0 * h1
-    return RiskDecomposition(bias=bias, variance=variance, group=s,
-                             mode=MODE_SEPARATE, family=FAMILY_RP)
-
 
 def rp_separate_risk_unregularized(spectrum: JointSpectrum, regime: ScalingRegime,
                                    sigma_s_sq: float, s: int) -> RiskDecomposition:
@@ -260,78 +209,6 @@ def rp_separate_risk_unregularized(spectrum: JointSpectrum, regime: ScalingRegim
                     + t0 * spectrum.tr(theta_s * sig / (sig + t0)) / edge)
     return RiskDecomposition(bias=bias, variance=variance, group=s,
                              mode=MODE_SEPARATE, family=FAMILY_RP)
-
-
-# ---------------------------------------------------------------------------
-# Classical ridge, joint model.
-# ---------------------------------------------------------------------------
-
-def _classical_joint(spectrum: JointSpectrum, regime: ScalingRegime, lam,
-                     sigma_sqs: tuple, s: int, e1, e2) -> RiskDecomposition:
-    """Test risk of the single classical ridge model on group s, from its
-    solved nonlinear stage (e1, e2)."""
-    u1, u2 = fp.solve_classical_joint_linear(spectrum, regime, lam, e1, e2, s)
-
-    s1, s2 = spectrum.sigma1, spectrum.sigma2
-    p1, p2, phi = regime.p1, regime.p2, regime.phi
-    sig = {1: s1, 2: s2}
-    e = {1: e1, 2: e2}
-    u = {1: u1, 2: u2}
-    p = {1: p1, 2: p2}
-    sig_s = sig[s]
-    c = _col
-    kay = c(p1 * e1) * s1 + c(p2 * e2) * s2 + c(lam)
-    inv_k2 = 1.0 / kay ** 2
-
-    variance = 0.0
-    for k in (1, 2):
-        kp = 3 - k
-        core = (c(e[k]) * sig_s - c(lam * u[k])
-                + p[kp] * sig[kp] * c(e[k] * u[kp] - e[kp] * u[k]))
-        variance += (p[k] * sigma_sqs[k - 1] * phi
-                     * spectrum.tr(sig[k] * core * inv_k2))
-
-    sp = 3 - s
-    delta = spectrum.delta
-    # Weight-shift contribution from the other group's share of the design.
-    b1 = p[sp] * spectrum.tr(
-        delta * sig[sp]
-        * (c(p[sp] * (1.0 + p[s] * u[s]) * e[sp] ** 2) * sig[sp] * sig_s
-           + c(u[sp]) * (c(p[s] * e[s]) * sig_s + c(lam)) ** 2) * inv_k2)
-    # Shrinkage contribution through the weight covariance of group s.
-    b3 = lam ** 2 * spectrum.tr(
-        spectrum.theta_s(s) * (c(p1 * u1) * s1 + c(p2 * u2) * s2 + sig_s) * inv_k2)
-    bias = b1 + b3
-    if s == 2:
-        # Cross term between the weight shift and the shrinkage; linear in the
-        # shift spectrum, so it vanishes when the groups share their weights.
-        b2 = p1 * lam * spectrum.tr(
-            delta * s1 * (c((1.0 + p2 * u2) * e1) * s2 - c(u1) * (c(p2 * e2) * s2 + c(lam)))
-            * inv_k2)
-        bias += 2.0 * b2
-    return RiskDecomposition(bias=bias, variance=variance, group=s,
-                             mode=MODE_JOINT, family=FAMILY_CLASSICAL)
-
-
-# ---------------------------------------------------------------------------
-# Classical ridge, separate model per group.
-# ---------------------------------------------------------------------------
-
-def _classical_separate(spectrum: JointSpectrum, phi_s, kappa, sigma_s_sq,
-                        s: int) -> RiskDecomposition:
-    """The classical separate risk of group s at its effective shift kappa."""
-    sig = spectrum.sigma(s)
-    theta_s = spectrum.theta_s(s)
-    with np.errstate(divide="ignore", invalid="ignore"):  # rows that end up inf or 0
-        # zero atoms contribute 0 to df_bar_2, also at kappa = 0
-        df2 = spectrum.tr(np.where(sig > 0, sig ** 2 / (sig + _col(kappa)) ** 2, 0.0))
-        denom = 1.0 - phi_s * df2
-        variance = np.where(denom <= 0, math.inf, sigma_s_sq * phi_s * df2 / denom)
-        bias = np.where(denom <= 0, math.inf, np.where(
-            kappa == 0.0, 0.0,
-            kappa ** 2 * spectrum.tr(theta_s * sig / (sig + _col(kappa)) ** 2) / denom))
-    return RiskDecomposition(bias=bias, variance=variance, group=s,
-                             mode=MODE_SEPARATE, family=FAMILY_CLASSICAL)
 
 
 # ---------------------------------------------------------------------------
@@ -400,25 +277,41 @@ def theory_risks(spectrum: JointSpectrum, regime: ScalingRegime, family: str,
     without it.
     """
     floored = fp._effective_lambda(lam)
+    # per group s: the joint model's (u1, u2), tau, rho with its affine stage
+    # targeting Sigma_s, and the separate model's e, u, penalty, tau, rho
     if family == FAMILY_RP:
+        gamma = regime.gamma
         e1, e2, tau, res, iters = fp.solve_rp_joint_nonlinear(spectrum, regime, floored)
-        r1j, r2j = (_rp_joint(spectrum, regime, floored, sigma_sqs, s, e1, e2, tau)
-                    for s in (1, 2))
+        joint = [fp.solve_rp_joint_linear(spectrum, regime, floored, e1, e2, tau,
+                                          spectrum.sigma(s)) for s in (1, 2)]
+        joint = [((c.u1, c.u2), tau, c.rho) for c in joint]
         seps = [fp.solve_rp_separate(spectrum, regime, s, floored) for s in (1, 2)]
-        r1s, r2s = (_rp_separate(spectrum, regime, floored, sigma_s_sq, c)
-                    for sigma_s_sq, c in zip(sigma_sqs, seps))
+        separate = [(c.e, c.u, floored, c.tau, c.rho) for c in seps]
         diagnostics = [(c.residual, c.iters) for c in seps]
     elif family == FAMILY_CLASSICAL:
+        gamma = 1.0
         e1, e2, res, iters = fp.solve_classical_joint_nonlinear(spectrum, regime, floored)
-        r1j, r2j = (_classical_joint(spectrum, regime, floored, sigma_sqs, s, e1, e2)
-                    for s in (1, 2))
-        kappas = [fp.solve_kappa(spectrum.sigma(s), spectrum.weights, regime.phi_s(s), lam)
-                  for s in (1, 2)]
-        r1s, r2s = (_classical_separate(spectrum, regime.phi_s(s), kappa, sigma_s_sq, s)
-                    for s, (kappa, _, _), sigma_s_sq in zip((1, 2), kappas, sigma_sqs))
-        diagnostics = [k[1:] for k in kappas]
+        joint = [(fp.solve_classical_joint_linear(spectrum, regime, floored, e1, e2, s),
+                  1.0, 0.0) for s in (1, 2)]
+        separate, diagnostics = [], []
+        for s in (1, 2):
+            # The classical forms are homogeneous of degree 0 in (e, lam), so
+            # the separate model is (e, lam) = (1, kappa), a zero kappa included.
+            sig = spectrum.sigma(s)
+            kappa, *diag = fp.solve_kappa(sig, spectrum.weights, regime.phi_s(s), lam)
+            w, phi_s, k = fp._batch(spectrum.weights, regime.phi_s(s), kappa)
+            [u] = fp._affine(sig[None], [1.0], w, phi_s, 1.0, k, np.ones_like(k), None, sig).T
+            separate.append((1.0, u, kappa, 1.0, 0.0))
+            diagnostics.append(diag)
     else:
         raise ValueError(f"unknown model family: {family!r}")
+    both = {1: regime.p1, 2: regime.p2}
+    r1j, r2j = (_assemble(spectrum, family, s, both, {1: e1, 2: e2}, dict(zip((1, 2), u)),
+                          sigma_sqs, floored, gamma, tau, rho)
+                for s, (u, tau, rho) in zip((1, 2), joint))
+    r1s, r2s = (_assemble(spectrum, family, s, {s: 1.0}, {s: e}, {s: u}, sigma_sqs, lam_s,
+                          gamma, tau, rho)
+                for s, (e, u, lam_s, tau, rho) in zip((1, 2), separate))
     (res1, iters1), (res2, iters2) = diagnostics
     res = np.maximum(res, np.maximum(res1, res2))
     iters = iters + iters1 + iters2

@@ -1,4 +1,7 @@
+import functools
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,9 @@ from biasamp import fixed_point as fp
 from biasamp import risk
 from biasamp.spectra import (JointSpectrum, ScalingRegime, make_diatomic,
                              make_isotropic, make_power_law)
+from biasamp.sweep import SweepConfig, run_sweep
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def random_spectrum(seed, d=40, with_delta=True):
@@ -17,16 +23,18 @@ def random_spectrum(seed, d=40, with_delta=True):
                          rng.uniform(0.1, 2.0, d), rng.uniform(0.3, 2.0, d), delta)
 
 
-def joint_constants(spec, reg, lam, b):
-    """Nonlinear, then affine stage of the joint random-projection system."""
-    e1, e2, tau, _, _ = fp.solve_rp_joint_nonlinear(spec, reg, lam)
-    return fp.solve_rp_joint_linear(spec, reg, lam, e1, e2, tau, b)
-
-
 def separate(spec, reg, family, lam_s, s):
     """Group s's separate-model risk at penalty lam_s (unit noise)."""
     th = risk.theory_risks(spec, reg, family, (1.0, 1.0), lam_s)
     return th.r1_sep if s == 1 else th.r2_sep
+
+
+@functools.cache
+def theory_sweep(name):
+    """(phi, psi) grid and rows of a preset's theory-only sweep."""
+    config = replace(SweepConfig.load(ROOT / "configs" / f"{name}.json"), replicates=0)
+    grid = [(phi, psi) for phi in config.phi_grid for psi in config.psi_grid]
+    return grid, run_sweep(config).rows
 
 
 def classical_regime(phi_s):
@@ -34,33 +42,63 @@ def classical_regime(phi_s):
     return ScalingRegime(p1=0.5, phi=0.5 * phi_s, gamma=1.0)
 
 
+class TestJointNullModel:
+    @pytest.mark.parametrize("family", [risk.FAMILY_RP, risk.FAMILY_CLASSICAL])
+    def test_large_penalty_returns_null_model(self, family):
+        spec = random_spectrum(2)
+        reg = ScalingRegime.from_rates(0.5, 0.5, 0.75)
+        th = risk.theory_risks(spec, reg, family, (1.0, 1.0), 1e9)
+        for s, dec in ((1, th.r1_joint), (2, th.r2_joint)):
+            assert dec.variance == pytest.approx(0.0, abs=1e-8)
+            assert dec.bias == pytest.approx(float(np.mean(spec.theta_s(s) * spec.sigma(s))),
+                                             rel=1e-6)
+
+
 class TestHFunctionals:
-    def setup_method(self):
-        self.spec = random_spectrum(2)
-        self.reg = ScalingRegime.from_rates(0.5, 0.5, 0.75)
-        self.lam = 0.01
-        self.consts = joint_constants(self.spec, self.reg, self.lam, self.spec.sigma1)
-
-    def test_zero_left_argument(self):
-        zero = np.zeros(self.spec.d)
-        for k in (1, 2, 3, 4):
-            assert risk._h_joint(k, 1, zero, self.consts, self.spec, self.reg,
-                                 self.lam) == 0.0
-
-    def test_first_functional_vanishes_at_large_penalty(self):
-        lam = 1e9
-        consts = joint_constants(self.spec, self.reg, lam, self.spec.sigma1)
-        val = risk._h_joint(1, 1, np.ones(self.spec.d), consts, self.spec, self.reg, lam)
-        assert abs(val) < 1e-8
-
     def test_group_symmetry(self):
+        # Identical groups in equal shares: the joint model's risk functionals
+        # of group 1 and group 2 are the same numbers, for either family.
         spec = make_isotropic(8, 1.3, 1.3, 1.0, 0.0)
         reg = ScalingRegime.from_rates(0.5, 0.4, 0.8)
-        consts = joint_constants(spec, reg, 0.05, spec.sigma1)
-        for k in (1, 2, 3, 4):
-            h1 = risk._h_joint(k, 1, 1.0, consts, spec, reg, 0.05)
-            h2 = risk._h_joint(k, 2, 1.0, consts, spec, reg, 0.05)
-            assert h1 == pytest.approx(h2, rel=1e-12, abs=1e-15)
+        for family in (risk.FAMILY_RP, risk.FAMILY_CLASSICAL):
+            th = risk.theory_risks(spec, reg, family, (1.0, 1.0), 0.05)
+            r1, r2 = th.r1_joint, th.r2_joint
+            assert r1.bias == pytest.approx(r2.bias, rel=1e-12, abs=1e-15)
+            assert r1.variance == pytest.approx(r2.variance, rel=1e-12, abs=1e-15)
+
+
+class TestWidthLimit:
+    @pytest.mark.parametrize("phi,lam", [(0.5, 1e-2), (2.0, 1e-2), (0.5, 1e-4)])
+    @pytest.mark.parametrize("gamma", [1e2, 1e4, 1e6])
+    def test_tends_to_classical_ridge(self, phi, lam, gamma):
+        # S S^T -> gamma I as the width grows, so random projection at width
+        # ratio gamma and penalty gamma lam tends to classical ridge at lam.
+        spec = make_diatomic(200, 0.3, 1.0, 0.5, 2.0, 1.0, 0.5)
+        rp = risk.theory_risks(spec, ScalingRegime(p1=0.7, phi=phi, gamma=gamma),
+                               risk.FAMILY_RP, (1.0, 0.5), gamma * lam)
+        cl = risk.theory_risks(spec, ScalingRegime(p1=0.7, phi=phi, gamma=1.0),
+                               risk.FAMILY_CLASSICAL, (1.0, 0.5), lam)
+        for name in ("r1_joint", "r2_joint", "r1_sep", "r2_sep"):
+            assert getattr(rp, name).total == pytest.approx(getattr(cl, name).total,
+                                                            rel=2.0 / gamma)
+
+
+class TestPresetCells:
+    @pytest.mark.parametrize("name,phi,psi,cell,reference", [
+        ("diatomic_minority", 0.5, 4.0, "r2_sep", 1.2422716409871248),
+        ("isotropic_sweep", 1.0, 8.0, "r1_sep", 1.5999988408903805),
+        ("isotropic_sweep", 1.0, 4.0, "r1_sep", 1.7142829854304192),
+        ("phase_diagram", 10.0, 5.87802, "r1_joint", 5.1124839467996146),
+        ("phase_diagram", 1.4251, 8.37678, "r2_joint", 3.6492358729447732),
+        ("isotropic_sweep", 2.0, 5.65685, "r1_joint", 1.4424656885296285),
+    ])
+    def test_matches_high_precision_reference(self, name, phi, psi, cell, reference):
+        # References solved and assembled in 60-digit arithmetic.  On these
+        # cells a risk form that cancels terms of order 1/lam is off by up to
+        # 5.7e-9 relative.
+        grid, rows = theory_sweep(name)
+        value = rows[grid.index((phi, psi))].values[f"theory_{cell}"]
+        assert value == pytest.approx(reference, rel=1e-12)
 
 
 class TestRPJointRisk:
@@ -178,6 +216,15 @@ class TestClassicalSeparateRisk:
         dec = separate(spec, classical_regime(phi_s), risk.FAMILY_CLASSICAL, 0.0, 1)
         assert dec.variance == pytest.approx(expected, rel=1e-12)
         assert dec.bias == 0.0
+
+    def test_unregularized_threshold_fails(self):
+        # phi_s = 1 with no penalty: kappa = 0 and the variance phi_s / (1 - phi_s)
+        # diverges, so both separate risks, and with them the row, fail
+        spec = make_isotropic(6, 1.0, 1.0, 1.0, 0.0)
+        th = risk.theory_risks(spec, classical_regime(1.0), risk.FAMILY_CLASSICAL,
+                               (1.0, 1.0), 0.0)
+        assert th.failed.tolist() == [True]
+        assert not np.isfinite([th.r1_sep.total, th.r2_sep.total]).any()
 
     def test_large_penalty_returns_null_model(self):
         spec = random_spectrum(16)
