@@ -13,7 +13,7 @@ import numpy as np
 
 from . import fixed_point as fp
 from . import risk
-from .simulate import Population, SimConfig, monte_carlo, sampled_resolvent
+from .simulate import Population, monte_carlo, sampled_resolvent
 from .spectra import JointSpectrum, ScalingRegime, make_isotropic
 from .svg import emit_svg, plottable, render_plot
 from .sweep import FIGURES, SweepConfig, SweepResult, default_out_dir, emit_csv, run_sweep
@@ -167,9 +167,8 @@ def simulation_checks(base_seed: int, replicates: int):
                                family, (1.0, 1e-5), lam)
         theories.update((i, (th, j)) for j, i in enumerate(rows))
     populations = [
-        Population([SimConfig(spectrum=spec, n=n, p1=0.5, sigma1_sq=1.0, sigma2_sq=1e-5,
-                              family=family, lam=lam, m=None if psi is None else int(mc))],
-                   base_seed + offset)
+        Population(spec, n, 0.5, (1.0, 1e-5), family, base_seed + offset,
+                   [(lam, None if psi is None else int(mc))])
         for (family, _, psi, offset), spec, mc in zip(SIMULATION_CASES, spectra, m)]
     reports = monte_carlo(populations, replicates)
     for i, ((_, phi, psi, _), [rep]) in enumerate(zip(SIMULATION_CASES, reports)):

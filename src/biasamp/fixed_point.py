@@ -489,7 +489,6 @@ REGIME_OVERPARAM = "overparam"
 class UnregularizedRPConstants:
     """Zero-penalty limits of the separate random-projection constants."""
 
-    group: int
     regime_tag: str
     theta0: float
     eta0: float
@@ -511,7 +510,7 @@ def classify_unregularized_regime(psi_s: float, gamma: float) -> str:
 
 
 def solve_theta0(eigs: np.ndarray, weights: np.ndarray, phi_s: float, psi_s: float,
-                 gamma: float, group: int = 1) -> UnregularizedRPConstants:
+                 gamma: float) -> UnregularizedRPConstants:
     """Zero-penalty spectral shift theta0 with eta0 = I_{1,1}(theta0).
 
     The target value of eta0 depends on the parameterization regime:
@@ -538,8 +537,7 @@ def solve_theta0(eigs: np.ndarray, weights: np.ndarray, phi_s: float, psi_s: flo
     eta0 = dof(eigs, weights, 1, 1, theta0)
     e0 = max(1.0 - phi_s * eta0, 0.0)
     tau0 = max(1.0 - eta0 / gamma, 0.0)
-    return UnregularizedRPConstants(group=group, regime_tag=tag, theta0=theta0,
-                                    eta0=eta0, e0=e0, tau0=tau0)
+    return UnregularizedRPConstants(regime_tag=tag, theta0=theta0, eta0=eta0, e0=e0, tau0=tau0)
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,6 @@ import numpy as np
 from . import fixed_point as fp
 from .spectra import JointSpectrum, ScalingRegime, dof
 
-MODE_JOINT = "joint"
-MODE_SEPARATE = "separate"
 FAMILY_CLASSICAL = "classical"
 FAMILY_RP = "random-projection"
 
@@ -59,7 +57,7 @@ def _clamp_nonneg(value, scale):
 
 @dataclass(frozen=True)
 class RiskDecomposition:
-    """Bias/variance split of one group's test risk under one training mode.
+    """Bias/variance split of one group's test risk.
 
     bias and variance are given as scalars or (P,) arrays, one entry per
     grid point, and kept as (P,) arrays.
@@ -67,9 +65,6 @@ class RiskDecomposition:
 
     bias: np.ndarray
     variance: np.ndarray
-    group: int
-    mode: str
-    family: str
 
     def __post_init__(self):
         scale = np.maximum(1.0, np.abs(self.bias) + np.abs(self.variance))
@@ -125,7 +120,7 @@ def metrics(r1_joint, r2_joint, r1_sep, r2_sep) -> BiasAmpMetrics:
 # One risk formula for every model.
 # ---------------------------------------------------------------------------
 
-def _assemble(spectrum: JointSpectrum, family: str, s: int, shares: dict, e: dict,
+def _assemble(spectrum: JointSpectrum, s: int, shares: dict, e: dict,
               u: dict, sigma_sqs: tuple, lam, gamma, tau, rho) -> RiskDecomposition:
     """Test risk of group s for a model trained on the groups of ``shares``.
 
@@ -167,9 +162,7 @@ def _assemble(spectrum: JointSpectrum, family: str, s: int, shares: dict, e: dic
                 c(lam) * (c(g_tau * e[1] * (1.0 + p[2] * u[2])) * sig(2)
                           - c(u[1]) * (c(g_tau * p[2] * e[2]) * sig(2) + c(lam)))
                 - c(gamma * rho * e[1]) * ell) * inv_k2)
-    return RiskDecomposition(bias=bias, variance=variance, group=s,
-                             mode=MODE_JOINT if len(p) == 2 else MODE_SEPARATE,
-                             family=family)
+    return RiskDecomposition(bias=bias, variance=variance)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +180,7 @@ def rp_separate_risk_unregularized(spectrum: JointSpectrum, regime: ScalingRegim
     sig = spectrum.sigma(s)
     theta_s = spectrum.theta_s(s)
     phi_s, psi_s, gamma = regime.phi_s(s), regime.psi_s(s), regime.gamma
-    c = fp.solve_theta0(sig, spectrum.weights, phi_s, psi_s, gamma, group=s)
+    c = fp.solve_theta0(sig, spectrum.weights, phi_s, psi_s, gamma)
     t0 = c.theta0
 
     if c.regime_tag == fp.REGIME_UNDERPARAM_LOW_GAMMA:
@@ -207,8 +200,7 @@ def rp_separate_risk_unregularized(spectrum: JointSpectrum, regime: ScalingRegim
             variance = (sigma_s_sq * phi_s * i22 / denom + sigma_s_sq / edge)
             bias = (t0 ** 2 * spectrum.tr(theta_s * sig / (sig + t0) ** 2) / denom
                     + t0 * spectrum.tr(theta_s * sig / (sig + t0)) / edge)
-    return RiskDecomposition(bias=bias, variance=variance, group=s,
-                             mode=MODE_SEPARATE, family=FAMILY_RP)
+    return RiskDecomposition(bias=bias, variance=variance)
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +298,10 @@ def theory_risks(spectrum: JointSpectrum, regime: ScalingRegime, family: str,
     else:
         raise ValueError(f"unknown model family: {family!r}")
     both = {1: regime.p1, 2: regime.p2}
-    r1j, r2j = (_assemble(spectrum, family, s, both, {1: e1, 2: e2}, dict(zip((1, 2), u)),
+    r1j, r2j = (_assemble(spectrum, s, both, {1: e1, 2: e2}, dict(zip((1, 2), u)),
                           sigma_sqs, floored, gamma, tau, rho)
                 for s, (u, tau, rho) in zip((1, 2), joint))
-    r1s, r2s = (_assemble(spectrum, family, s, {s: 1.0}, {s: e}, {s: u}, sigma_sqs, lam_s,
+    r1s, r2s = (_assemble(spectrum, s, {s: 1.0}, {s: e}, {s: u}, sigma_sqs, lam_s,
                           gamma, tau, rho)
                 for s, (e, u, lam_s, tau, rho) in zip((1, 2), separate))
     (res1, iters1), (res2, iters2) = diagnostics

@@ -41,10 +41,11 @@ values of these variables in the workers only; the calling process, and the
 calls that run in it, keep their allocator as it is.  Only glibc reads the
 heap variable, when a process starts; other C libraries ignore it.
 
-Each config has one ridge penalty, which serves the joint model and both
-separate models, as in ``risk.theory_risks``.  Every fit takes a sequence of
-penalties and returns one ambient weight vector per penalty, from one gram,
-or None where that system is singular or the weights are not finite.
+Each (lam, m) point of a ``Population`` has one ridge penalty, which serves
+the joint model and both separate models, as in ``risk.theory_risks``.
+Every fit takes a sequence of penalties and returns one ambient weight
+vector per penalty, from one gram, or None where that system is singular or
+the weights are not finite.
 
 A random-projection ridge fit depends on its d x m map S only through
 A = S S^T, by the push-through identity
@@ -63,12 +64,12 @@ import selectors
 import subprocess
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .risk import metrics
+from .risk import FAMILY_CLASSICAL, FAMILY_RP, metrics
 from .spectra import JointSpectrum
 
 PURPOSES = ("group", "weights", "features", "noise", "projection", "group-retry")
@@ -245,61 +246,54 @@ def exact_risk(w_hat: np.ndarray, spectrum: JointSpectrum, s: int,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SimConfig:
-    """Everything one replicate needs: population, sizes and penalty.
+class Population:
+    """One simulated population: its draw, its (lam, m) points and the seeds of their streams.
 
-    One penalty ``lam`` serves the joint model and both separate models.
+    Each replicate samples one dataset of the spectrum, n, p1 and the noise
+    variances ``sigma_sqs`` from streams keyed by ``base_seed``, and fits
+    every point on it.  A point is a ridge penalty lam, which serves the
+    joint model and both separate models, and a projection width m (None
+    for classical ridge).  The points of one width share one projection
+    from the stream keyed by that width's ``projection_seeds`` entry, or by
+    ``base_seed`` when it has none.  So the estimates of one population use
+    common random numbers and are correlated.  n and p1 are checked where
+    the data is drawn (``sample_dataset``).
     """
 
     spectrum: JointSpectrum
     n: int
     p1: float
-    sigma1_sq: float
-    sigma2_sq: float
+    sigma_sqs: tuple[float, float]
     family: str                 # "classical" | "random-projection"
-    lam: float
-    m: int | None = None        # required for the random-projection family
-
-    def __post_init__(self):
-        if self.family not in ("classical", "random-projection"):
-            raise ValueError(f"unknown family {self.family!r}")
-        if not (math.isfinite(self.lam) and self.lam > 0):
-            raise ValueError(f"lam must be finite and positive, got {self.lam}")
-        if self.family == "random-projection" and (self.m is None or self.m < 1):
-            raise ValueError("random-projection family needs a positive width m")
-
-
-@dataclass
-class Population:
-    """Configs simulated from one dataset per replicate, and the seeds of their streams.
-
-    The configs share spectrum (one object), n, p1, noise and family; they
-    differ in width and penalty.  Each replicate samples one dataset from
-    streams keyed by ``base_seed``, and the configs of one width share one
-    projection from the stream keyed by the ``projection_seeds`` entry of
-    their first config (``base_seed`` when omitted).  So the estimates of
-    one population use common random numbers and are correlated.
-    """
-
-    configs: Sequence[SimConfig]
     base_seed: int
-    projection_seeds: Sequence[int] | None = None
+    points: Sequence[tuple[float, int | None]]
+    projection_seeds: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        first = self.configs[0]
-        shared = (first.n, first.p1, first.sigma1_sq, first.sigma2_sq, first.family)
-        if any(c.spectrum is not first.spectrum
-               or (c.n, c.p1, c.sigma1_sq, c.sigma2_sq, c.family) != shared
-               for c in self.configs):
-            raise ValueError("configs must share one population: spectrum, n, p1, "
-                             "noise and family")
-        if self.projection_seeds is None:
-            self.projection_seeds = [self.base_seed] * len(self.configs)
+        if self.family not in (FAMILY_CLASSICAL, FAMILY_RP):
+            raise ValueError(f"unknown family {self.family!r}")
+        if not self.points:
+            raise ValueError("a population needs at least one (lam, m) point")
+        projected = self.family == FAMILY_RP
+        for lam, m in self.points:
+            if not (math.isfinite(lam) and lam > 0):
+                raise ValueError(f"lam must be finite and positive, got {lam}")
+            if projected and (m is None or m < 1):
+                raise ValueError(f"random-projection points need a positive width m, got {m}")
+            if not projected and m is not None:
+                raise ValueError(f"classical points take no width, got m = {m}")
+
+    def widths(self) -> dict[int | None, list[int]]:
+        """Indices of the points of each projection width, in order of first use."""
+        widths: dict[int | None, list[int]] = {}
+        for i, (_, m) in enumerate(self.points):
+            widths.setdefault(m, []).append(i)
+        return widths
 
     def work(self) -> int:
-        """Cost of one replicate: n x (the sum over the configs of min(d, m, n)^2)."""
-        d, n = self.configs[0].spectrum.d, self.configs[0].n
-        return n * sum(min(d, c.m or d, n) ** 2 for c in self.configs)
+        """Cost of one replicate: n x (the sum over the points of min(d, m, n)^2)."""
+        d, n = self.spectrum.d, self.n
+        return n * sum(min(d, m or d, n) ** 2 for _, m in self.points)
 
 
 @dataclass(frozen=True)
@@ -331,82 +325,61 @@ class MonteCarloReport:
     """
 
     quantities: dict[str, SummaryStat]
-    seed_ledger: dict
     failure: str | None = None
 
     def __getitem__(self, key: str) -> SummaryStat:
         return self.quantities[key]
 
 
-def run_replicate(data: Dataset, configs: Sequence[SimConfig],
-                  projection: np.random.Generator | None) -> list[dict[str, float] | None]:
-    """Fit every config of one width on one draw; exact risks and gaps per config.
+def run_replicate(data: Dataset, spectrum: JointSpectrum, lams: Sequence[float],
+                  m: int | None, projection: np.random.Generator | None) -> np.ndarray:
+    """Fit every penalty of one width on one draw: the exact risks, (penalties, 4).
 
-    Each subset (joint, group 1, group 2) is fitted once for all the
-    configs' penalties, from one gram.  Random-projection configs share one
-    ``draw_projection`` from ``projection`` (the d x m map, or its d x d
-    Bartlett factor when m > d) and one product x @ P.  A config with a
-    failed fit gets None.
+    The columns are r1_joint, r2_joint, r1_sep and r2_sep, and a penalty
+    with a failed fit has a NaN row.  Each subset (joint, group 1, group 2)
+    is fitted once for all the penalties, from one gram.  Random projection
+    (m given) draws one ``draw_projection`` from ``projection`` (the d x m
+    map, or its d x d Bartlett factor when m > d) and forms one product
+    x @ P for every fit; classical ridge (m None) fits the features as they
+    are.
     """
-    first = configs[0]
-    lams = [c.lam for c in configs]
-    if first.family == "random-projection":
-        proj = draw_projection(projection, data.d, first.m)
+    if m is not None:
+        proj = draw_projection(projection, data.d, m)
         z = data.x @ proj
         fits = [fit_rp(data, s, lams, proj, z) for s in (TRAIN_BOTH, 1, 2)]
     else:
         fits = [fit_classical(data, s, lams) for s in (TRAIN_BOTH, 1, 2)]
-
-    rows: list[dict[str, float] | None] = [
-        None if joint is None or sep1 is None or sep2 is None else {
-            "r1_joint": exact_risk(joint, first.spectrum, 1, data.w1),
-            "r2_joint": exact_risk(joint, first.spectrum, 2, data.w2),
-            "r1_sep": exact_risk(sep1, first.spectrum, 1, data.w1),
-            "r2_sep": exact_risk(sep2, first.spectrum, 2, data.w2),
-        } for joint, sep1, sep2 in zip(*fits)]
-    done = [row for row in rows if row is not None]
-    if done:  # the gaps of every fitted config at once
-        gaps = metrics(**{k: np.array([row[k] for row in done]) for k in done[0]}).columns()
-        for j, row in enumerate(done):
-            row.update({k: v[j] for k, v in gaps.items()})
-    return rows
+    risks = np.full((len(lams), 4), np.nan)
+    for i, (joint, sep1, sep2) in enumerate(zip(*fits)):
+        if joint is not None and sep1 is not None and sep2 is not None:
+            risks[i] = (exact_risk(joint, spectrum, 1, data.w1),
+                        exact_risk(joint, spectrum, 2, data.w2),
+                        exact_risk(sep1, spectrum, 1, data.w1),
+                        exact_risk(sep2, spectrum, 2, data.w2))
+    return risks
 
 
 QUANTITIES = ("r1_joint", "r2_joint", "r1_sep", "r2_sep",
               "odd", "edd", "add", "odd_signed", "edd_signed")
 
 
-def _widths(configs: Sequence[SimConfig]) -> dict[int | None, list[int]]:
-    """Indices of the configs of each projection width, in order of first use."""
-    widths: dict[int | None, list[int]] = {}
-    for i, c in enumerate(configs):
-        widths.setdefault(c.m, []).append(i)
-    return widths
+def _simulate_replicate(population: Population, rep: int) -> tuple[str | None, np.ndarray | None]:
+    """One replicate of a population: a failed draw's message, or its points' risks.
 
-
-def _simulate_replicate(configs: Sequence[SimConfig], rep: int, base_seed: int,
-                        projection_seeds: Sequence[int],
-                        ) -> tuple[str | None, list[list[float] | None]]:
-    """One replicate of a population: a failed draw's message, or per config its values.
-
-    The values are the config's ``QUANTITIES`` in order, None where its fit
-    failed.  The dataset comes from streams keyed by ``base_seed`` and each
-    width's projection from the stream keyed by its first config's seed.
+    The risks are ``run_replicate``'s four per point, (points, 4), with a
+    NaN row where a fit failed.
     """
-    first = configs[0]
+    p = population
     try:
-        data = sample_dataset(first.spectrum, first.n, first.p1,
-                              (first.sigma1_sq, first.sigma2_sq), base_seed, rep)
+        data = sample_dataset(p.spectrum, p.n, p.p1, p.sigma_sqs, p.base_seed, rep)
     except DegenerateGroupsError as exc:
-        return str(exc), []
-    rows: list[list[float] | None] = [None] * len(configs)
-    for idx in _widths(configs).values():
-        rng = (stream(projection_seeds[idx[0]], rep, "projection")
-               if first.family == "random-projection" else None)
-        for i, row in zip(idx, run_replicate(data, [configs[i] for i in idx], rng)):
-            if row is not None:
-                rows[i] = [row[k] for k in QUANTITIES]
-    return None, rows
+        return str(exc), None
+    risks = np.empty((len(p.points), 4))
+    for m, idx in p.widths().items():
+        rng = (None if m is None else
+               stream(p.projection_seeds.get(m, p.base_seed), rep, "projection"))
+        risks[idx] = run_replicate(data, p.spectrum, [p.points[i][0] for i in idx], m, rng)
+    return None, risks
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +565,7 @@ def _pool_map(tasks: list[tuple], order: Sequence[int]) -> list:
 
 def monte_carlo(populations: Sequence[Population],
                 replicates: int) -> list[list[MonteCarloReport]]:
-    """Per population, one report per config, from ``replicates`` shared draws.
+    """Per population, one report per point, from ``replicates`` shared draws.
 
     Each replicate of each population is one task, numbered population by
     population and then by replicate.  The tasks run in the worker
@@ -602,15 +575,14 @@ def monte_carlo(populations: Sequence[Population],
     results are reduced in replicate order, so the send order changes no bit.
 
     A failed draw (a group left empty twice: ``DegenerateGroupsError``)
-    fails every config of its own population and no other; a failed fit
-    fails its own config only.  An exception raised in a replicate reaches
+    fails every point of its own population and no other; a failed fit
+    fails its own point only.  An exception raised in a replicate reaches
     the caller: the one of the lowest-numbered failing task among those that
     ran, whatever order they were sent in.
     """
     if replicates < 2:
         raise ValueError(f"need at least two replicates, got {replicates}")
-    tasks = [(p.configs, rep, p.base_seed, p.projection_seeds)
-             for p in populations for rep in range(replicates)]
+    tasks = [(p, rep) for p in populations for rep in range(replicates)]
     work = [w for p in populations for w in [p.work()] * replicates]
     if _cpus() >= 2 and sum(work) >= POOL_MIN_WORK:
         reply = _pool_map(tasks, sorted(range(len(tasks)), key=lambda k: -work[k])).__getitem__
@@ -624,43 +596,33 @@ def monte_carlo(populations: Sequence[Population],
 def _reports(population: Population, replicates: int, replies) -> list[MonteCarloReport]:
     """A population's reports from its replicates' results, taken in replicate order.
 
-    The results after a failed draw are not taken.
+    The results after a failed draw are not taken.  The gaps of every
+    (replicate, point) are formed by one ``metrics`` call.
     """
-    configs, seeds = population.configs, population.projection_seeds
-    values = np.full((len(configs), replicates, len(QUANTITIES)), np.nan)
-    failure: list[str | None] = [None] * len(configs)
-    for rep, (draw_failure, rows) in enumerate(replies):
+    points = len(population.points)
+    risks = np.full((replicates, points, 4), np.nan)
+    failure: list[str | None] = [None] * points
+    for rep, (draw_failure, rep_risks) in enumerate(replies):
         if draw_failure is not None:
-            failure = [draw_failure] * len(configs)
+            failure = [draw_failure] * points
             break
-        for i, row in enumerate(rows):
-            if row is not None:
-                values[i, rep] = row
-            elif failure[i] is None:
-                failure[i] = (f"replicate {rep} failed: singular system or "
-                              "non-finite weights")
+        risks[rep] = rep_risks
+        for i in np.flatnonzero(np.isnan(rep_risks).all(axis=1)):
+            failure[i] = failure[i] or (f"replicate {rep} failed: singular system or "
+                                        "non-finite weights")
+    risks[:, [f is not None for f in failure]] = np.nan
+    flat = dict(zip(QUANTITIES, risks.reshape(-1, 4).T))
+    flat.update(metrics(**flat).columns())
+    values = np.stack([flat[k] for k in QUANTITIES], axis=-1).reshape(replicates, points, -1)
 
-    widths = _widths(configs)
     reports = []
-    for i, c in enumerate(configs):
-        if failure[i] is not None:
-            values[i] = np.nan
+    for i in range(points):
         quantities = {}
         for j, key in enumerate(QUANTITIES):
-            finite = values[i, :, j][np.isfinite(values[i, :, j])]
+            finite = values[:, i, j][np.isfinite(values[:, i, j])]
             quantities[key] = SummaryStat(
                 mean=float(np.mean(finite)) if finite.size else float("nan"),
                 std=float(np.std(finite, ddof=1)) if finite.size > 1 else float("nan"),
                 count=int(finite.size))
-        ledger = {"base_seed": population.base_seed, "replicates": replicates,
-                  "rng": "philox keyed by (seed, replicate * n_purposes + purpose); "
-                         "base_seed keys the data streams, shared by every config of "
-                         "the population (common random numbers: their estimates "
-                         "are correlated)"}
-        if c.family == "random-projection":
-            ledger.update(projection_seed=seeds[widths[c.m][0]],
-                          projection="d × m Gaussian, or its d × d Bartlett factor when "
-                                     "m > d; keyed by projection_seed and shared by the "
-                                     "configs of width m")
-        reports.append(MonteCarloReport(quantities, ledger, failure[i]))
+        reports.append(MonteCarloReport(quantities, failure[i]))
     return reports

@@ -167,34 +167,27 @@ def dof(eigs: np.ndarray, weights: np.ndarray, a: int, b: int, t: float) -> floa
 
 @dataclass(frozen=True)
 class ScalingRegime:
-    """Rates of the proportionate limit, plus the finite sizes when known.
+    """Rates of the proportionate limit.
 
     phi = features/samples, psi = parameters/samples, gamma = psi/phi.
     Per-group rates divide by the group proportion: phi_s = phi / p_s.
-    phi, gamma, d and m may be arrays of shape (P,), one entry per row of a
-    batch; p1 and n are shared.
+    phi and gamma may be arrays of shape (P,), one entry per row of a
+    batch; p1 is shared.
     """
 
     p1: float
     phi: float
     gamma: float
-    n: int | None = None
-    d: int | None = None
-    m: int | None = None
 
     def __post_init__(self):
         if not 0.0 < self.p1 < 1.0:
             raise ValueError(f"p1 must lie in (0, 1), got {self.p1}")
         if np.any(np.asarray(self.phi) <= 0) or np.any(np.asarray(self.gamma) <= 0):
             raise ValueError(f"phi and gamma must be positive, got {self.phi}, {self.gamma}")
-        for name in ("n", "d", "m"):
-            v = getattr(self, name)
-            if v is not None and np.any(np.asarray(v) < 1):
-                raise ValueError(f"{name} must be a positive count, got {v}")
 
     @classmethod
     def from_counts(cls, n: int, d: int, m: int, p1: float) -> "ScalingRegime":
-        return cls(p1=p1, phi=d / n, gamma=m / d, n=n, d=d, m=m)
+        return cls(p1=p1, phi=d / n, gamma=m / d)
 
     @classmethod
     def from_rates(cls, p1: float, phi: float, psi: float) -> "ScalingRegime":

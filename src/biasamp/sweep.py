@@ -20,7 +20,7 @@ import numpy as np
 
 from . import fixed_point as fp
 from . import risk
-from .simulate import QUANTITIES, MonteCarloReport, Population, SimConfig, monte_carlo
+from .simulate import QUANTITIES, MonteCarloReport, Population, monte_carlo
 from .spectra import (JointSpectrum, ScalingRegime, make_diatomic, make_isotropic,
                       make_power_law)
 
@@ -290,7 +290,7 @@ def _theory_rows(config: SweepConfig, grid: list[dict]) -> list[tuple[dict, list
             m = np.array([_size(grid[i]["psi"], n) for i in rows])
             regime = ScalingRegime.from_counts(n, dims, m, config.p1)
         else:
-            regime = ScalingRegime(p1=config.p1, phi=dims / n, gamma=1.0, n=n, d=dims)
+            regime = ScalingRegime(p1=config.p1, phi=dims / n, gamma=1.0)
         sigma2_sq = (config.sigma1_sq * np.array([grid[i]["c"] for i in rows])
                      if config.c_grid else config.sigma2_sq)
         th = risk.theory_risks(spectrum, regime, config.family,
@@ -332,22 +332,21 @@ def _monte_carlo_rows(config: SweepConfig, grid: list[dict],
         groups.setdefault((p["phi"], p["c"]), []).append(i)
     populations, simulated_rows = [], []
     for rows in groups.values():
-        phi, c = grid[rows[0]]["phi"], grid[rows[0]]["c"]
-        spectrum = config.build_spectrum(_size(phi, n))
-        sigma2_sq = config.sigma1_sq * c if c is not None else config.sigma2_sq
-        width = {i: _size(grid[i]["psi"], n) if config.family == risk.FAMILY_RP else None
-                 for i in rows}
-        first_of_width: dict[int | None, int] = {}
-        for i in rows:
-            first_of_width.setdefault(width[i], i)
         simulated = [i for i in rows if "solver-failure" not in theory[i][1]]
         if not simulated:
             continue
-        sims = [SimConfig(spectrum=spectrum, n=n, p1=config.p1, sigma1_sq=config.sigma1_sq,
-                          sigma2_sq=sigma2_sq, family=config.family,
-                          lam=grid[i]["lam"], m=width[i]) for i in simulated]
-        populations.append(Population(sims, key + rows[0],
-                                      [key + first_of_width[width[i]] for i in simulated]))
+        phi, c = grid[rows[0]]["phi"], grid[rows[0]]["c"]
+        width = {i: _size(grid[i]["psi"], n) if config.family == risk.FAMILY_RP else None
+                 for i in rows}
+        seeds: dict[int, int] = {}  # each width's projection seed: its first row's key
+        for i in rows:
+            if width[i] is not None:
+                seeds.setdefault(width[i], key + i)
+        sigma2_sq = config.sigma1_sq * c if c is not None else config.sigma2_sq
+        populations.append(Population(
+            config.build_spectrum(_size(phi, n)), n, config.p1, (config.sigma1_sq, sigma2_sq),
+            config.family, key + rows[0], [(grid[i]["lam"], width[i]) for i in simulated],
+            seeds))
         simulated_rows.append(simulated)
     for rows, reports in zip(simulated_rows, monte_carlo(populations, config.replicates)):
         for i, report in zip(rows, reports):

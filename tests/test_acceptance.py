@@ -43,9 +43,9 @@ def test_criterion_1_closed_form_variance():
 
         d = round(phi_s * n * 0.5)  # two balanced groups: phi_s = d / (n/2)
         spec = make_isotropic(d, 1.0, 1.0, 1.0, 0.0)
-        cfg = sim.SimConfig(spectrum=spec, n=n, p1=0.5, sigma1_sq=1.0,
-                            sigma2_sq=1.0, family="classical", lam=1e-8)
-        [[rep]] = sim.monte_carlo([sim.Population([cfg], seed)], reps)
+        population = sim.Population(spec, n, 0.5, (1.0, 1.0), "classical", seed,
+                                    [(1e-8, None)])
+        [[rep]] = sim.monte_carlo([population], reps)
         z = rep["r1_sep"].z(total)
         ok &= abs(z) <= 3.0
         details.append(f"phi_s={phi_s}: V={variance:.6f} (rel {rel:.1e}), mc z={z:+.2f}")
@@ -253,9 +253,8 @@ def test_criterion_9_symmetric_groups_zero_gaps():
     [odd], [edd] = gaps.odd, gaps.edd
     theory_ok = odd <= 1e-12 and edd <= 1e-12
 
-    cfg = sim.SimConfig(spectrum=spec, n=n, p1=0.5, sigma1_sq=1.0, sigma2_sq=1.0,
-                        family=risk.FAMILY_RP, lam=lam, m=m)
-    [[rep]] = sim.monte_carlo([sim.Population([cfg], 99)], reps)
+    population = sim.Population(spec, n, 0.5, (1.0, 1.0), risk.FAMILY_RP, 99, [(lam, m)])
+    [[rep]] = sim.monte_carlo([population], reps)
     # symmetric groups share weights and covariance, so the joint model's two
     # risks are the same quadratic form: its gap is identically zero (std 0)
     zs = {key: rep[key].z(0.0) for key in ("odd_signed", "edd_signed")}

@@ -45,7 +45,7 @@ def in_family(config, family):
 def regime_of(config, d, m):
     if config.family == risk.FAMILY_RP:
         return ScalingRegime.from_counts(config.n, d, m, config.p1)
-    return ScalingRegime(p1=config.p1, phi=d / config.n, gamma=1.0, n=config.n, d=d)
+    return ScalingRegime(p1=config.p1, phi=d / config.n, gamma=1.0)
 
 
 def one_point_theory(config, values):
@@ -190,9 +190,7 @@ class TestIsolatedFailures:
             assert same(u1[i], one_u1[0]) and same(u2[i], one_u2[0])
 
     def test_negative_term_marks_its_row(self):
-        dec = risk.RiskDecomposition(bias=np.array([0.5, -1e-3, -1e-12]),
-                                     variance=np.ones(3), group=1, mode="joint",
-                                     family="classical")
+        dec = risk.RiskDecomposition(bias=np.array([0.5, -1e-3, -1e-12]), variance=np.ones(3))
         assert np.isnan(dec.bias[1]) and dec.bias[0] == 0.5 and dec.bias[2] == 0.0
         gaps = risk.metrics(dec, np.full(3, 2.0), np.ones(3), np.full(3, 3.0))
         assert np.isnan(gaps.odd[1]) and gaps.odd[0] == 0.5

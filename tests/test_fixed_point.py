@@ -518,7 +518,7 @@ class TestSolverBehaviour:
         # the contraction rate of the fixed-point map is close to one.
         lam = 1e-6
         spec = make_isotropic(100, 2.0, 1.0, 2.0, 1.0)
-        reg = ScalingRegime(p1=0.5, phi=0.01, gamma=1.0, n=10_000, d=100, m=100)
+        reg = ScalingRegime(p1=0.5, phi=0.01, gamma=1.0)
         [e1], [e2], [tau], [res], [iters] = fp.solve_rp_joint_nonlinear(spec, reg, lam)
         assert res < 1e-12 and iters <= 50
         x = np.array([e1, e2, tau])
@@ -531,7 +531,7 @@ class TestSolverBehaviour:
         # shifts must be halved before the residual falls, and the solve takes
         # 17 steps (149 in the unknowns (e1, e2, tau) from (1, 1, 1)).
         spec = make_diatomic(400, 0.5, 2.0, 2.0, 0.2, 1.0, 0.0)
-        reg = ScalingRegime(p1=0.9, phi=1.0, gamma=0.5, n=400, d=400, m=200)
+        reg = ScalingRegime(p1=0.9, phi=1.0, gamma=0.5)
         e1, e2, tau, res, _ = fp.solve_rp_joint_nonlinear(spec, reg, 1e-6)
         assert res < 1e-12
         assert 0 < e1 <= 1 and 0 < e2 <= 1 and 0 < tau <= 1

@@ -375,13 +375,11 @@ class TestInvariants:
 
     def test_clamp_rejects_large_negative(self):
         # a negative term beyond the slack marks its row NaN and raises nothing
-        dec = risk.RiskDecomposition(bias=-1e-3, variance=1.0, group=1,
-                                     mode="joint", family="classical")
+        dec = risk.RiskDecomposition(bias=-1e-3, variance=1.0)
         assert dec.bias.shape == (1,) and np.isnan(dec.bias[0]) and dec.variance[0] == 1.0
         gaps = risk.metrics(1.0, dec, 1.0, 2.0)
         assert all(np.isnan(v).tolist() == [True] for v in gaps.columns().values())
 
     def test_clamp_accepts_tiny_negative(self):
-        dec = risk.RiskDecomposition(bias=-1e-12, variance=1.0, group=1,
-                                     mode="joint", family="classical")
+        dec = risk.RiskDecomposition(bias=-1e-12, variance=1.0)
         assert dec.bias == 0.0

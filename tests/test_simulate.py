@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from biasamp import simulate as sim
+from biasamp.risk import metrics
 from biasamp.spectra import JointSpectrum, make_isotropic
 
 
@@ -293,53 +294,76 @@ def test_summary_z(mean, std, count, z):
 
 
 class TestMonteCarlo:
-    def config(self, family="classical", m=None, **kw):
-        spec = kw.pop("spectrum", small_spectrum())
-        base = dict(spectrum=spec, n=60, p1=0.5, sigma1_sq=1.0, sigma2_sq=0.5,
-                    family=family, lam=0.1, m=m)
-        base.update(kw)
-        return sim.SimConfig(**base)
+    def population(self, family="classical", points=((0.1, None),), **kw):
+        base = dict(spectrum=small_spectrum(), n=60, p1=0.5, sigma_sqs=(1.0, 0.5),
+                    family=family, base_seed=0, points=list(points))
+        return sim.Population(**{**base, **kw})
 
     def test_report_is_deterministic(self):
-        cfg = self.config()
-        [[a]] = sim.monte_carlo([sim.Population([cfg], 42)], replicates=4)
-        [[b]] = sim.monte_carlo([sim.Population([cfg], 42)], replicates=4)
+        population = self.population(base_seed=42)
+        [[a]] = sim.monte_carlo([population], replicates=4)
+        [[b]] = sim.monte_carlo([population], replicates=4)
         for key in sim.QUANTITIES:
             assert a[key] == b[key]
 
     def test_noiseless_shared_problem_has_tiny_risks(self):
-        spec = make_isotropic(4, 1.0, 1.0, 1.0, 0.0)
-        cfg = self.config(spectrum=spec, sigma1_sq=0.0, sigma2_sq=0.0,
-                          lam=1e-10, n=200)
-        [[rep]] = sim.monte_carlo([sim.Population([cfg], 0)], replicates=3)
+        population = self.population(spectrum=make_isotropic(4, 1.0, 1.0, 1.0, 0.0),
+                                     sigma_sqs=(0.0, 0.0), points=[(1e-10, None)], n=200)
+        [[rep]] = sim.monte_carlo([population], replicates=3)
         for key in ("r1_joint", "r2_joint", "r1_sep", "r2_sep"):
             assert rep[key].mean < 1e-12
+
+    def test_gaps_are_the_metrics_of_each_replicates_risks(self):
+        # noiseless: at lam = 1e-10 both separate fits are near exact, so edd is
+        # below risk.EDD_SINGULAR and add is undefined in every replicate
+        population = self.population(spectrum=make_isotropic(4, 1.0, 1.0, 1.0, 0.0),
+                                     sigma_sqs=(0.0, 0.0), n=200,
+                                     points=[(1e-10, None), (0.1, None)])
+        reports = sim.monte_carlo([population], replicates=3)[0]
+        risks = [sim._simulate_replicate(population, rep)[1] for rep in range(3)]
+        for i, report in enumerate(reports):
+            gaps = [metrics(*r[i]).columns() for r in risks]
+            for key in gaps[0]:
+                values = np.array([g[key][0] for g in gaps])
+                finite = values[np.isfinite(values)]
+                assert report[key].count == finite.size
+                if finite.size:
+                    assert report[key].mean == np.mean(finite)
+                if finite.size > 1:
+                    assert report[key].std == np.std(finite, ddof=1)
+        assert [report["add"].count for report in reports] == [0, 3]
 
     @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
     def test_bad_penalty_rejected_at_config(self, lam):
         with pytest.raises(ValueError, match="lam must be finite and positive"):
-            self.config(lam=lam)
+            self.population(points=[(0.1, None), (lam, None)])
 
-    def test_configs_must_share_one_population(self):
-        cfg = self.config()
-        with pytest.raises(ValueError, match="one population"):
-            sim.Population([cfg, replace(cfg, sigma2_sq=1.0)], 0)
-        with pytest.raises(ValueError, match="one population"):
-            sim.Population([cfg, replace(cfg, spectrum=small_spectrum())], 0)
+    @pytest.mark.parametrize("family, points, match", [
+        ("classical", [], "at least one"),
+        ("classical", [(0.1, None), (0.1, 8)], "classical points take no width"),
+        ("random-projection", [(0.1, 8), (0.1, None)], "need a positive width"),
+        ("random-projection", [(0.1, 0)], "need a positive width"),
+        ("ridge", [(0.1, None)], "unknown family"),
+    ])
+    def test_bad_points_rejected_at_population(self, family, points, match):
+        with pytest.raises(ValueError, match=match):
+            self.population(family=family, points=points)
 
     def test_population_call_repeats_each_one_point_call(self):
-        # data keyed by base_seed; each width's projection by its first config's seed
-        cfg = self.config(family="random-projection", m=30)
-        configs = [cfg, replace(cfg, lam=0.5), replace(cfg, m=8), replace(cfg, m=8, lam=0.01)]
-        [reports] = sim.monte_carlo([sim.Population(configs, 5, [5, 6, 9, 10])], replicates=3)
-        for c, seed, report in zip(configs, [5, 5, 9, 9], reports):
-            [[alone]] = sim.monte_carlo([sim.Population([c], 5, [seed])], replicates=3)
-            assert report.quantities == alone.quantities
+        # data keyed by base_seed; each width's projection by its projection_seeds
+        # entry, or by base_seed when it has none
+        points = [(0.1, 30), (0.5, 30), (0.1, 8), (0.01, 8)]
+        population = self.population("random-projection", points, base_seed=5,
+                                     projection_seeds={8: 9})
+        [reports] = sim.monte_carlo([population], replicates=3)
+        for point, seed, report in zip(points, [5, 5, 9, 9], reports):
+            alone = replace(population, points=[point], projection_seeds={point[1]: seed})
+            [[expected]] = sim.monte_carlo([alone], replicates=3)
+            assert report.quantities == expected.quantities
             assert report.failure is None
-            assert report.seed_ledger["projection_seed"] == seed
 
     def test_rp_family_runs_and_records_counts(self):
-        cfg = self.config(family="random-projection", m=30)
-        [[rep]] = sim.monte_carlo([sim.Population([cfg], 1)], replicates=3)
+        population = self.population("random-projection", [(0.1, 30)], base_seed=1)
+        [[rep]] = sim.monte_carlo([population], replicates=3)
         assert rep["r1_joint"].count == 3
         assert np.isfinite(rep["odd"].mean)

@@ -251,11 +251,11 @@ class TestPopulations:
     CLASSICAL = dict(family="classical", psi_grid=None)
 
     def _one_point(self, cfg, row, base_seed, projection_seed):
-        c = sim.SimConfig(spectrum=cfg.build_spectrum(row["d"]), n=cfg.n, p1=cfg.p1,
-                          sigma1_sq=cfg.sigma1_sq, sigma2_sq=cfg.sigma2_sq,
-                          family=cfg.family, lam=row["lambda"], m=row["m"] or None)
-        [[report]] = sim.monte_carlo([sim.Population([c], base_seed, [projection_seed])],
-                                     cfg.replicates)
+        m = row["m"] or None
+        population = sim.Population(cfg.build_spectrum(row["d"]), cfg.n, cfg.p1,
+                                    (cfg.sigma1_sq, cfg.sigma2_sq), cfg.family, base_seed,
+                                    [(row["lambda"], m)], {m: projection_seed} if m else {})
+        [[report]] = sim.monte_carlo([population], cfg.replicates)
         return {**{f"emp_{k}_mean": report[k].mean for k in sim.QUANTITIES},
                 **{f"emp_{k}_std": report[k].std for k in sim.QUANTITIES}}
 
@@ -562,7 +562,7 @@ class TestCLI:
         monkeypatch.setattr(cli, "SIMULATION_CASES", cli.SIMULATION_CASES[:1])
         exact = sim.SummaryStat(mean=5.0, std=0.0, count=3)
         monkeypatch.setattr(cli, "monte_carlo", lambda populations, replicates: [
-            [sim.MonteCarloReport({k: exact for k in sim.QUANTITIES}, {})]])
+            [sim.MonteCarloReport({k: exact for k in sim.QUANTITIES})]])
         assert cli_main(["validate", "fig2", "--replicates", "3"]) == 1
         out = capsys.readouterr().out
         assert out.count("FAIL") == 4 and out.count("z=+inf") == 4

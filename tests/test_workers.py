@@ -76,14 +76,10 @@ def _spy_on_pool(monkeypatch) -> list[list[int]]:
     return calls
 
 
-def _rp_config(**kw) -> sim.SimConfig:
-    base = dict(spectrum=TINY.build_spectrum(20), n=40, p1=0.5, sigma1_sq=1.0,
-                sigma2_sq=0.5, family="random-projection", lam=0.1, m=10)
-    return sim.SimConfig(**{**base, **kw})
-
-
-def _population(seed=0, **kw) -> sim.Population:
-    return sim.Population([_rp_config(**kw)], seed)
+def _population(seed=0, m=10, **kw) -> sim.Population:
+    base = dict(spectrum=TINY.build_spectrum(20), n=40, p1=0.5, sigma_sqs=(1.0, 0.5),
+                family="random-projection", base_seed=seed, points=[(0.1, m)])
+    return sim.Population(**{**base, **kw})
 
 
 class _ExitOnLoad:
@@ -192,9 +188,8 @@ def test_a_failed_draw_fails_only_its_own_population(monkeypatch, pooled):
     monkeypatch.setattr(sim, "POOL_MIN_WORK", 0.0 if pooled else math.inf)
     calls = _spy_on_pool(monkeypatch)
     # at n = 20 and p1 = 0.97, replicate 4 of seed 0 leaves a group empty twice
-    spectrum = TINY.build_spectrum(10)
-    degenerate = sim.Population([_rp_config(spectrum=spectrum, n=20, p1=0.97, m=5),
-                                 _rp_config(spectrum=spectrum, n=20, p1=0.97, m=8)], 0)
+    degenerate = _population(spectrum=TINY.build_spectrum(10), n=20, p1=0.97,
+                             points=[(0.1, 5), (0.1, 8)])
     reports = sim.monte_carlo([_population(1), degenerate, _population(2)], replicates=6)
     assert [len(order) for order in calls] == ([18] if pooled else [])
     assert [r.failure for r in reports[1]] == [reports[1][0].failure] * 2
@@ -215,7 +210,7 @@ def test_the_error_raised_is_the_lowest_numbered_failing_task_that_ran(monkeypat
 
     # two workers are sent tasks 2 and 1, both fail, and task 0 is never sent:
     # task 1's error is raised though task 2 went first
-    tasks = [([_rp_config(p1=p1)], 0, 0, [0]) for p1 in (0.5, 1.5, 2.0)]
+    tasks = [(_population(p1=p1), 0) for p1 in (0.5, 1.5, 2.0)]
     workers = sim._Workers(2)
     with pytest.raises(ValueError, match=r"got 1.5"):
         workers.map(tasks, [2, 1, 0])
