@@ -42,10 +42,11 @@ calls that run in it, keep their allocator as it is.  Only glibc reads the
 heap variable, when a process starts; other C libraries ignore it.
 
 Each (lam, m) point of a ``Population`` has one ridge penalty, which serves
-the joint model and both separate models, as in ``risk.theory_risks``.
-Every fit takes a sequence of penalties and returns one ambient weight
-vector per penalty, from one gram, or None where that system is singular or
-the weights are not finite.
+the joint model and both separate models, as in ``risk.theory_risks``.  A
+draw stores its rows group by group, so one pass per width fits all three
+training sets from shared grams (``_fit``), with one ambient weight vector
+per penalty, or None where that system is singular or the weights are not
+finite.
 
 A random-projection ridge fit depends on its d x m map S only through
 A = S S^T, by the push-through identity
@@ -74,8 +75,6 @@ from .spectra import JointSpectrum
 
 PURPOSES = ("group", "weights", "features", "noise", "projection", "group-retry")
 
-TRAIN_BOTH = "both"
-
 
 class DegenerateGroupsError(RuntimeError):
     """Raised when a replicate draws an empty group twice in a row."""
@@ -93,23 +92,11 @@ class Dataset:
     """One finite-size draw from the two-group mixture, in the eigenbasis."""
 
     d: int
-    groups: np.ndarray          # n entries in {1, 2}
+    n1: int                     # rows of group 1, stored first
     x: np.ndarray               # n x d features
     y: np.ndarray               # n labels
     w1: np.ndarray              # ground-truth weights, group 1
     w2: np.ndarray              # ground-truth weights, group 2
-
-    def rows(self, subset) -> slice | np.ndarray:
-        """Index of the training rows for a subset spec.
-
-        All rows as a slice, so that indexing with it copies nothing; one
-        group as a boolean mask.
-        """
-        if subset == TRAIN_BOTH:
-            return slice(None)
-        if subset in (1, 2):
-            return self.groups == subset
-        raise ValueError(f"subset must be 'both', 1 or 2, got {subset!r}")
 
 
 def sample_dataset(spectrum: JointSpectrum, n: int, p1: float,
@@ -117,8 +104,10 @@ def sample_dataset(spectrum: JointSpectrum, n: int, p1: float,
                    replicate: int = 0) -> Dataset:
     """Draw groups, weights, features and noisy labels for one replicate.
 
-    A draw leaving either group empty is retried once from a dedicated
-    stream, then rejected.
+    Row i of the ``features`` and ``noise`` draws is in group 1 when the i-th
+    ``group`` draw is below p1, and the rows are stored stably reordered,
+    group 1 first.  A draw leaving either group empty is retried once from a
+    dedicated stream, then rejected.
     """
     if n < 2:
         raise ValueError(f"need at least two samples, got {n}")
@@ -141,52 +130,67 @@ def sample_dataset(spectrum: JointSpectrum, n: int, p1: float,
     w1 = rng_w.standard_normal(d) * np.sqrt(theta / d)
     w2 = w1 + rng_w.standard_normal(d) * np.sqrt(delta / d)
 
-    # Scaled in place, and each n x d temporary freed before the next is made.
-    x = stream(base_seed, replicate, "features").standard_normal((n, d))
-    x *= sqrt_sigma[groups - 1]
-    noise_sd = np.sqrt(np.where(groups == 1, sigma_sqs[0], sigma_sqs[1]))
-    y = np.einsum("ij,ij->i", x, np.stack([w1, w2])[groups - 1])
-    y = y + stream(base_seed, replicate, "noise").standard_normal(n) * noise_sd
-    return Dataset(d=d, groups=groups, x=x, y=y, w1=w1, w2=w2)
+    # the reordering is the one n x d copy; each block is scaled in place
+    order = np.argsort(groups, kind="stable")
+    n1 = int(np.count_nonzero(groups == 1))
+    x = stream(base_seed, replicate, "features").standard_normal((n, d))[order]
+    x[:n1] *= sqrt_sigma[0]
+    x[n1:] *= sqrt_sigma[1]
+    y = np.concatenate([x[:n1] @ w1, x[n1:] @ w2])
+    noise_sd = np.sqrt(np.repeat(sigma_sqs, (n1, n - n1)))
+    y += stream(base_seed, replicate, "noise").standard_normal(n)[order] * noise_sd
+    return Dataset(d=d, n1=n1, x=x, y=y, w1=w1, w2=w2)
 
 
-def _ridge_solve(design: np.ndarray, y: np.ndarray, lams: Sequence[float],
-                 back: np.ndarray | None = None) -> list[np.ndarray | None]:
-    """argmin over v of |design v - y|^2 / r + lam |v|^2 for each penalty, r rows.
+def _fit(design: np.ndarray, y: np.ndarray, n1: int,
+         lams: Sequence[float]) -> list[list[np.ndarray | None]]:
+    """Ridge fits of the joint set and of each group: ``[joint, group 1, group 2]``.
 
-    Solved in the cheaper dimension; one gram serves every penalty.  Each
-    solution is mapped by ``back`` when given, and is None where its system is
-    singular or it is not finite.  The last penalty is added to the gram
-    itself, so that a single penalty allocates no second gram-sized array.
+    The first ``n1`` rows of ``design`` (n x q) are group 1's.  For a set of
+    r rows, each entry holds per penalty lam the argmin over v of
+    |design v - y|^2 / r + lam |v|^2 over those rows, or None where its
+    system is singular or v is not finite.  A set is solved in the primal
+    (q x q) when q < r and else in the dual (r x r), so a tie goes to the
+    dual.  The joint primal gram is the sum of the groups' primal grams; when
+    the joint set is dual, so are both groups, and their dual grams are
+    diagonal blocks of the joint one.  One gram serves every penalty.
     """
-    r, q = design.shape
-    primal = q <= r
-    gram = design.T @ design if primal else design @ design.T
-    rhs = design.T @ y if primal else y
-    diagonal = np.diag_indices_from(gram)
+    n, q = design.shape
+    sets = [(design, y), (design[:n1], y[:n1]), (design[n1:], y[n1:])]
+    if q >= n:
+        gram = design @ design.T
+        grams = [gram, gram[:n1, :n1], gram[n1:, n1:]]
+    else:
+        g1, g2 = (a.T @ a for a, _ in sets[1:])
+        grams = [g1 + g2] + [g if q < len(a) else a @ a.T
+                             for g, (a, _) in zip((g1, g2), sets[1:])]
     out = []
-    for k, lam in enumerate(lams):
-        system = gram if k == len(lams) - 1 else gram.copy()
-        system[diagonal] += r * lam
-        try:
-            v = np.linalg.solve(system, rhs)
-        except np.linalg.LinAlgError:
-            out.append(None)
-            continue
-        w = v if primal else design.T @ v
-        w = w if back is None else back @ w
-        out.append(w if np.all(np.isfinite(w)) else None)
+    for gram, (a, b) in zip(grams, sets):
+        r = len(a)
+        primal = q < r
+        rhs = a.T @ b if primal else b
+        fits = []
+        for lam in lams:
+            system = gram.copy()
+            system[np.diag_indices_from(system)] += r * lam
+            try:
+                v = np.linalg.solve(system, rhs)
+            except np.linalg.LinAlgError:
+                fits.append(None)
+                continue
+            w = v if primal else a.T @ v
+            fits.append(w if np.all(np.isfinite(w)) else None)
+        out.append(fits)
     return out
 
 
-def fit_classical(dataset: Dataset, subset, lams: Sequence[float]) -> list[np.ndarray | None]:
-    """Ridge fits in the ambient feature space; objective normalized by its row count.
+def fit_classical(dataset: Dataset, lams: Sequence[float]) -> list[list[np.ndarray | None]]:
+    """Ridge fits in the ambient feature space; each objective normalized by its row count.
 
-    One weight vector per penalty of ``lams``, all from one gram; None where
-    that fit's system is singular or its weights are not finite.
+    ``[joint, group 1, group 2]``, each one weight vector per penalty of
+    ``lams`` (None where that fit failed), as ``_fit`` gives them.
     """
-    rows = dataset.rows(subset)
-    return _ridge_solve(dataset.x[rows], dataset.y[rows], lams)
+    return _fit(dataset.x, dataset.y, dataset.n1, lams)
 
 
 def draw_projection(rng: np.random.Generator, d: int, m: int) -> np.ndarray:
@@ -208,21 +212,18 @@ def draw_projection(rng: np.random.Generator, d: int, m: int) -> np.ndarray:
     return factor
 
 
-def fit_rp(dataset: Dataset, subset, lams: Sequence[float], projection: np.ndarray,
-           features: np.ndarray) -> list[np.ndarray | None]:
+def fit_rp(dataset: Dataset, lams: Sequence[float],
+           projection: np.ndarray) -> list[list[np.ndarray | None]]:
     """Ridge fits on randomly projected features; weights mapped back to ambient space.
 
     ``projection`` is a ``draw_projection`` result: the d x m map S, or its
     d x d Bartlett factor P when m > d (the fit depends on S only through
-    S S^T = P P^T).  ``features`` is ``dataset.x @ projection`` over all rows,
-    formed once for the fits of every subset.  One weight vector per penalty
-    of ``lams``, as in ``fit_classical``.
+    S S^T = P P^T).  The features ``dataset.x @ projection`` are formed once
+    for all three training sets; the result is laid out as in
+    ``fit_classical``.
     """
-    if projection.shape != (dataset.d, features.shape[1]):
-        raise ValueError(f"projection must be {dataset.d} x {features.shape[1]} to match "
-                         f"the features, got {projection.shape}")
-    rows = dataset.rows(subset)
-    return _ridge_solve(features[rows], dataset.y[rows], lams, back=projection)
+    return [[None if v is None else projection @ v for v in fits]
+            for fits in _fit(dataset.x @ projection, dataset.y, dataset.n1, lams)]
 
 
 def sampled_resolvent(n: int, d: int, lam: float, seed: int) -> float:
@@ -336,19 +337,14 @@ def run_replicate(data: Dataset, spectrum: JointSpectrum, lams: Sequence[float],
     """Fit every penalty of one width on one draw: the exact risks, (penalties, 4).
 
     The columns are r1_joint, r2_joint, r1_sep and r2_sep, and a penalty
-    with a failed fit has a NaN row.  Each subset (joint, group 1, group 2)
-    is fitted once for all the penalties, from one gram.  Random projection
-    (m given) draws one ``draw_projection`` from ``projection`` (the d x m
-    map, or its d x d Bartlett factor when m > d) and forms one product
-    x @ P for every fit; classical ridge (m None) fits the features as they
-    are.
+    with a failed fit has a NaN row.  The three training sets (joint, group
+    1, group 2) are fitted in one pass for all the penalties.  Random
+    projection (m given) draws one ``draw_projection`` from ``projection``
+    (the d x m map, or its d x d Bartlett factor when m > d); classical ridge
+    (m None) fits the features as they are.
     """
-    if m is not None:
-        proj = draw_projection(projection, data.d, m)
-        z = data.x @ proj
-        fits = [fit_rp(data, s, lams, proj, z) for s in (TRAIN_BOTH, 1, 2)]
-    else:
-        fits = [fit_classical(data, s, lams) for s in (TRAIN_BOTH, 1, 2)]
+    fits = (fit_classical(data, lams) if m is None else
+            fit_rp(data, lams, draw_projection(projection, data.d, m)))
     risks = np.full((len(lams), 4), np.nan)
     for i, (joint, sep1, sep2) in enumerate(zip(*fits)):
         if joint is not None and sep1 is not None and sep2 is not None:
@@ -388,16 +384,17 @@ def _simulate_replicate(population: Population, rep: int) -> tuple[str | None, n
 
 #: A ``monte_carlo`` call runs in the workers when the sum over its tasks of
 #: ``Population.work`` reaches this.  Measured on a 2-vCPU Xeon (Python 3.11,
-#: numpy 2.4 with OpenBLAS) with one call over 3 or 4 classical diatomic
-#: populations (n = 400, 4 penalties, d from 50 to 400, 10 replicates;
-#: medians of 3 fresh interpreters), this process at two BLAS threads against
-#: two workers with ``WORKER_ENV``, for a process's first call (the workers'
-#: start included) and a later one: 0.22 s against 0.28 s and 0.19 s against
-#: 0.08 s at 6.0e8; 0.30 / 0.34 s and 0.25 / 0.12 s at 1.2e9; 0.38 / 0.37 s
-#: and 0.33 / 0.16 s at 1.5e9; 0.43 / 0.35 s and 0.39 / 0.17 s at 2.2e9;
-#: 0.73 / 0.48 s and 0.69 / 0.27 s at 5.0e9.  So a first call breaks even
-#: near 1.5e9, and a later one below 6e8; 2e9 keeps small sweeps in-process
-#: and lets every larger call share the start.
+#: numpy 2.4 with OpenBLAS) with one call over 3 classical diatomic
+#: populations (n = 400, p1 = 0.7, 4 penalties, d from 75 to 400, 10
+#: replicates; medians of 3 fresh interpreters, 5 at 1.8e9), this process at
+#: two BLAS threads against two workers with ``WORKER_ENV``, for a process's
+#: first call (the workers' start included) and a later one: 0.16 / 0.25 s
+#: and 0.15 / 0.07 s at 6.1e8; 0.21 / 0.26 s and 0.20 / 0.09 s at 1.2e9;
+#: 0.24 / 0.28 s and 0.23 / 0.11 s at 1.4e9; 0.30 / 0.31 s and 0.28 / 0.12 s
+#: at 1.8e9; 0.35 / 0.32 s and 0.32 / 0.16 s at 2.2e9; 0.60 / 0.48 s and
+#: 0.57 / 0.26 s at 5.0e9.  So a first call breaks even near 1.9e9, and a
+#: later one below 6e8; 2e9 keeps small sweeps in-process and lets every
+#: larger call share the start.
 POOL_MIN_WORK = 2e9
 
 #: Added to each worker's environment (see the module docstring).  The one

@@ -28,11 +28,6 @@ def expand(spec, atoms):
     return np.repeat(atoms, spec.counts)
 
 
-def fit_projected(data, subset, lams, projection):
-    """``sim.fit_rp`` on features projected here, as ``run_replicate`` projects them."""
-    return sim.fit_rp(data, subset, lams, projection, data.x @ projection)
-
-
 class TestSampling:
     def test_same_seed_is_bit_identical(self):
         spec = small_spectrum()
@@ -40,7 +35,7 @@ class TestSampling:
         b = sim.sample_dataset(spec, 50, 0.5, (1.0, 0.5), base_seed=7)
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.y, b.y)
-        assert np.array_equal(a.groups, b.groups)
+        assert a.n1 == b.n1
         assert np.array_equal(a.w1, b.w1)
 
     def test_different_replicates_differ(self):
@@ -57,15 +52,28 @@ class TestSampling:
     def test_noiseless_labels_are_exact(self):
         spec = small_spectrum()
         data = sim.sample_dataset(spec, 30, 0.5, (0.0, 0.0), base_seed=2)
-        w_rows = np.where((data.groups == 1)[:, None], data.w1, data.w2)
-        assert np.allclose(data.y, np.einsum("ij,ij->i", data.x, w_rows),
+        n1 = data.n1
+        assert np.allclose(data.y, np.concatenate([data.x[:n1] @ data.w1,
+                                                   data.x[n1:] @ data.w2]),
                            rtol=0, atol=0)
 
     def test_group_counts_partition(self):
         spec = small_spectrum()
         data = sim.sample_dataset(spec, 41, 0.3, (1.0, 1.0), base_seed=3)
-        assert data.groups.shape == (41,)
-        assert set(data.groups.tolist()) == {1, 2}
+        assert data.n1 == np.count_nonzero(sim.stream(3, 0, "group").random(41) < 0.3)
+        assert 0 < data.n1 < 41
+        assert data.x.shape == (41, spec.d) and data.y.shape == (41,)
+
+    def test_rows_are_the_feature_draw_in_group_order(self):
+        spec = atom_spectrum()
+        n, p1, seed, rep = 40, 0.3, 21, 1
+        data = sim.sample_dataset(spec, n, p1, (1.0, 0.5), base_seed=seed, replicate=rep)
+        groups = 1 + (sim.stream(seed, rep, "group").random(n) >= p1)
+        raw = sim.stream(seed, rep, "features").standard_normal((n, spec.d))
+        scale = np.sqrt(np.stack([expand(spec, spec.sigma1), expand(spec, spec.sigma2)]))
+        want = (raw * scale[groups - 1])[np.argsort(groups, kind="stable")]
+        assert data.x.tobytes() == want.tobytes()
+        assert data.n1 == np.count_nonzero(groups == 1)
 
     def test_atoms_sample_like_their_expansion(self):
         spec = atom_spectrum()
@@ -73,7 +81,7 @@ class TestSampling:
             spec.sigma1, spec.sigma2, spec.theta, spec.delta)))
         a = sim.sample_dataset(spec, 40, 0.5, (1.0, 0.5), base_seed=9, replicate=2)
         b = sim.sample_dataset(flat, 40, 0.5, (1.0, 0.5), base_seed=9, replicate=2)
-        for name in ("groups", "x", "y", "w1", "w2"):
+        for name in ("n1", "x", "y", "w1", "w2"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_sampling_holds_at_most_two_feature_sized_arrays(self):
@@ -99,7 +107,7 @@ class TestFits:
         spec = small_spectrum(d=10)
         data = sim.sample_dataset(spec, 50, 0.5, (1.0, 1.0), base_seed=5)
         lam = 0.1
-        [w_hat] = sim.fit_classical(data, sim.TRAIN_BOTH, [lam])
+        [[w_hat], _, _] = sim.fit_classical(data, [lam])
         x, y = data.x, data.y
         lhs = (x.T @ x + 50 * lam * np.eye(10)) @ w_hat
         rhs = x.T @ y
@@ -109,10 +117,9 @@ class TestFits:
         spec = small_spectrum(d=6)
         data = sim.sample_dataset(spec, 60, 0.5, (1.0, 1.0), base_seed=6)
         lam = 0.2
-        [w_hat] = sim.fit_classical(data, 1, [lam])
-        mask = data.groups == 1
-        x, y = data.x[mask], data.y[mask]
-        lhs = (x.T @ x + mask.sum() * lam * np.eye(6)) @ w_hat
+        [_, [w_hat], _] = sim.fit_classical(data, [lam])
+        x, y = data.x[:data.n1], data.y[:data.n1]
+        lhs = (x.T @ x + data.n1 * lam * np.eye(6)) @ w_hat
         assert np.allclose(lhs, x.T @ y, rtol=1e-10)
 
     def test_identity_design_interpolates(self):
@@ -121,16 +128,16 @@ class TestFits:
         data = sim.sample_dataset(spec, d, 0.5, (1.0, 1.0), base_seed=8)
         data.x = np.eye(d)
         data.y = np.arange(1.0, d + 1.0)
-        [w_hat] = sim.fit_classical(data, sim.TRAIN_BOTH, [1e-12])
+        [[w_hat], _, _] = sim.fit_classical(data, [1e-12])
         assert np.allclose(w_hat, data.y, rtol=1e-6)
 
     def test_huge_penalty_shrinks_to_zero(self):
         spec = small_spectrum()
         data = sim.sample_dataset(spec, 40, 0.5, (1.0, 1.0), base_seed=9)
         proj = sim.draw_projection(np.random.default_rng(0), spec.d, 20)
-        for [w_hat] in (sim.fit_classical(data, sim.TRAIN_BOTH, [1e12]),
-                        fit_projected(data, sim.TRAIN_BOTH, [1e12], proj)):
-            assert np.all(np.abs(w_hat) < 1e-8)
+        for fits in (sim.fit_classical(data, [1e12]), sim.fit_rp(data, [1e12], proj)):
+            for [w_hat] in fits:
+                assert np.all(np.abs(w_hat) < 1e-8)
 
     def test_rp_plugback_residual_overparameterized(self):
         spec = small_spectrum(d=15)
@@ -138,7 +145,7 @@ class TestFits:
         m, lam = 40, 0.05
         rng = np.random.default_rng(1)
         s_mat = rng.standard_normal((15, m)) / np.sqrt(15)
-        [w_hat] = fit_projected(data, sim.TRAIN_BOTH, [lam], s_mat)
+        [[w_hat], _, _] = sim.fit_rp(data, [lam], s_mat)
         z = data.x @ s_mat
         # recover eta from w_hat via least squares on the projection
         eta, *_ = np.linalg.lstsq(s_mat, w_hat, rcond=None)
@@ -150,61 +157,101 @@ class TestFits:
         spec = small_spectrum(d=10)
         data = sim.sample_dataset(spec, 80, 0.5, (0.5, 0.5), base_seed=11)
         lam = 1e-6
-        [classical] = sim.fit_classical(data, sim.TRAIN_BOTH, [lam])
-        [rp] = fit_projected(data, sim.TRAIN_BOTH, [lam],
-                             sim.draw_projection(np.random.default_rng(2), 10, 50 * 10))
+        [[classical], _, _] = sim.fit_classical(data, [lam])
+        [[rp], _, _] = sim.fit_rp(data, [lam],
+                                  sim.draw_projection(np.random.default_rng(2), 10, 50 * 10))
         r_c = sim.exact_risk(classical, spec, 1, data.w1)
         r_p = sim.exact_risk(rp, spec, 1, data.w1)
         assert r_p == pytest.approx(r_c, rel=0.10)
 
 
 class TestPenaltyPaths:
-    """A list of penalties shares one gram per subset and matches one-penalty fits."""
+    """A list of penalties shares one gram per training set and matches one-penalty fits."""
 
     @pytest.mark.parametrize("n", [10, 80])
     def test_each_penalty_matches_its_own_fit(self, n):
         d, m, lams = 6, 30, [0.3, 1e-3, 0.05]
         data = sim.sample_dataset(small_spectrum(d=d), n, 0.5, (1.0, 0.5), base_seed=14)
         s_mat = np.random.default_rng(4).standard_normal((d, m)) / np.sqrt(d)
-        for subset in (sim.TRAIN_BOTH, 1, 2):
-            for fit in (sim.fit_classical, lambda *a: fit_projected(*a, s_mat)):
-                path = fit(data, subset, lams)
+        for fit in (sim.fit_classical, lambda data, lams: sim.fit_rp(data, lams, s_mat)):
+            paths = fit(data, lams)
+            assert len(paths) == 3
+            for k, path in enumerate(paths):
                 assert len(path) == len(lams)
                 for v, w_hat in zip(lams, path):
-                    [single] = fit(data, subset, [v])
+                    [single] = fit(data, [v])[k]
                     assert w_hat.tobytes() == single.tobytes()
 
     def test_a_failed_penalty_is_none(self, monkeypatch):
         data = sim.sample_dataset(small_spectrum(d=6), 40, 0.5, (1.0, 1.0), base_seed=15)
         real, calls = np.linalg.solve, []
 
-        def singular_second(system, rhs):  # the penalties are solved in order
+        def singular_second(system, rhs):  # the joint set's penalties are solved first
             calls.append(system)
             if len(calls) == 2:
                 raise np.linalg.LinAlgError("Singular matrix")
             return real(system, rhs)
 
         monkeypatch.setattr(np.linalg, "solve", singular_second)
-        fits = sim.fit_classical(data, sim.TRAIN_BOTH, [0.1, 0.5, 1.0])
+        fits = sim.fit_classical(data, [0.1, 0.5, 1.0])[0]
         assert fits[1] is None and fits[0] is not None and fits[2] is not None
         monkeypatch.undo()
-        data.y[0] = np.inf  # weights that are not finite
-        assert sim.fit_classical(data, sim.TRAIN_BOTH, [0.1, 1.0]) == [None, None]
+        data.y[0] = np.inf  # weights that are not finite; row 0 is in group 1
+        joint, group1, group2 = sim.fit_classical(data, [0.1, 1.0])
+        assert joint == group1 == [None, None]
+        assert all(w is not None for w in group2)
+
+
+#: A draw of n = 30 rows with n2 = 12 < n1 = 18 (seed 4, p1 = 0.6), and the
+#: width q of each regime of q against n2 < n1 < n.
+REGIME_DRAW = dict(n=30, p1=0.6, base_seed=4)
+REGIMES = {"below n2": 9, "n2": 12, "n2 to n1": 15, "n1": 18, "n1 to n": 24, "n": 30,
+           "above n": 35}
+
+
+class TestDimensionRegimes:
+    """A set of r rows is solved in the primal when q < r, else in the dual."""
+
+    @pytest.mark.parametrize("family", ["classical", "random-projection"])
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_each_fit_solves_its_own_normal_equations(self, regime, family):
+        q, lams = REGIMES[regime], [0.05, 0.3]
+        classical = family == "classical"
+        d = q if classical else 40
+        data = sim.sample_dataset(small_spectrum(d=d), sigma_sqs=(1.0, 0.5), **REGIME_DRAW)
+        n1 = data.n1
+        assert (n1, len(data.y)) == (18, 30)
+        if classical:
+            projection = np.eye(d)
+            fits = sim.fit_classical(data, lams)
+        else:
+            projection = sim.draw_projection(np.random.default_rng(6), d, q)
+            fits = sim.fit_rp(data, lams, projection)
+        z = data.x @ projection
+        for rows, path in zip((slice(None), slice(None, n1), slice(n1, None)), fits):
+            a, b = z[rows], data.y[rows]
+            r = len(a)
+            for lam, w_hat in zip(lams, path):
+                if q < r:  # fitted in the primal: the dual normal equations
+                    v = a.T @ np.linalg.solve(a @ a.T + r * lam * np.eye(r), b)
+                else:      # fitted in the dual: the primal normal equations
+                    v = np.linalg.solve(a.T @ a + r * lam * np.eye(q), a.T @ b)
+                want = projection @ v
+                assert np.linalg.norm(w_hat - want) <= 1e-9 * np.linalg.norm(want)
 
 
 class TestProjectionDraw:
     @pytest.mark.parametrize("n", [10, 80])
     def test_push_through_is_exact(self, n):
-        # d = 6, m = 30: at n = 80 every design is primal (q <= rows); at
+        # d = 6, m = 30: at n = 80 every design is primal (q < rows); at
         # n = 10 the width-m designs and the group-only width-d designs are dual
         d, m, lam = 6, 30, 0.1
         spec = small_spectrum(d=d)
         data = sim.sample_dataset(spec, n, 0.5, (1.0, 0.5), base_seed=12)
         s_mat = np.random.default_rng(3).standard_normal((d, m)) / np.sqrt(d)
         factor = np.linalg.cholesky(s_mat @ s_mat.T)
-        for subset in (sim.TRAIN_BOTH, 1, 2):
-            [wide] = fit_projected(data, subset, [lam], s_mat)
-            [square] = fit_projected(data, subset, [lam], factor)
+        for [wide], [square] in zip(sim.fit_rp(data, [lam], s_mat),
+                                    sim.fit_rp(data, [lam], factor)):
             assert np.linalg.norm(square - wide) <= 1e-9 * np.linalg.norm(wide)
 
     def test_bartlett_factor_has_the_wishart_law(self):
@@ -242,13 +289,6 @@ class TestProjectionDraw:
         got = sim.draw_projection(sim.stream(7, 3, "projection"), d, m)
         want = sim.stream(7, 3, "projection").standard_normal((d, m)) / np.sqrt(d)
         assert got.tobytes() == want.tobytes()
-
-    def test_square_projection_needs_m_above_d(self):
-        # features of width m = 4 <= d = 6 come from a 6 x 4 map, not a square factor
-        data = sim.sample_dataset(small_spectrum(d=6), 20, 0.5, (1.0, 1.0), base_seed=13)
-        features = data.x @ sim.draw_projection(np.random.default_rng(5), 6, 4)
-        with pytest.raises(ValueError, match="projection must be 6 x 4 to match the features"):
-            sim.fit_rp(data, sim.TRAIN_BOTH, [0.1], np.eye(6), features)
 
 
 class TestRisks:

@@ -282,15 +282,16 @@ class TestPopulations:
     def test_a_failed_fit_flags_only_its_row(self, monkeypatch, overrides, bad):
         cfg = tiny_config(lambda_grid=(1e-2, 0.5), replicates=3, **overrides)
         clean = run_sweep(cfg).rows
-        real = sim._ridge_solve
+        real = sim._fit
 
-        def fails_at_half(design, y, lams, back=None):
+        def fails_at_half(design, y, n1, lams):
             if bad is None:  # a singular system
-                return [None if v == 0.5 else w for v, w in zip(lams, real(design, y, lams, back))]
+                return [[None if v == 0.5 else w for v, w in zip(lams, path)]
+                        for path in real(design, y, n1, lams)]
             # a NaN penalty makes the solved weights NaN, which the fit turns to None
-            return real(design, y, [bad if v == 0.5 else v for v in lams], back)
+            return real(design, y, n1, [bad if v == 0.5 else v for v in lams])
 
-        monkeypatch.setattr(sim, "_ridge_solve", fails_at_half)
+        monkeypatch.setattr(sim, "_fit", fails_at_half)
         for before, row in zip(clean, run_sweep(cfg).rows):
             if row.values["lambda"] == 0.5:
                 assert row.flags == ["mc-failure"]
