@@ -14,7 +14,7 @@ import numpy as np
 from . import fixed_point as fp
 from . import risk
 from .simulate import Population, monte_carlo, sampled_resolvent
-from .spectra import JointSpectrum, ScalingRegime, make_isotropic
+from .spectra import ScalingRegime, make_isotropic
 from .svg import emit_svg, plottable, render_plot
 from .sweep import FIGURES, SweepConfig, SweepResult, default_out_dir, emit_csv, run_sweep
 
@@ -149,27 +149,26 @@ SIMULATION_CASES = (
 def simulation_checks(base_seed: int, replicates: int):
     """Yield (name, theory, simulated mean, z) for each check of ``SIMULATION_CASES``.
 
-    The theory of each family's cases is one batch, as in a sweep: every
-    case's spectrum has the same atom.  A case's Monte Carlo is seeded with
-    ``base_seed`` plus its offset; every case is one population of a single
-    ``monte_carlo`` call.
+    The theory of each family's cases is one batch, as in a sweep: one
+    isotropic spectrum stack over their dimensions.  A case's Monte Carlo
+    is seeded with ``base_seed`` plus its offset; every case is one
+    population of a single ``monte_carlo`` call.
     """
     n, lam = 400, 1e-6
     d = np.array([round(phi * n) for _, phi, _, _ in SIMULATION_CASES])
     m = np.array([dc if psi is None else round(psi * n)
                   for dc, (_, _, psi, _) in zip(d, SIMULATION_CASES)])
-    spectra = [make_isotropic(dc, 0.5, 1.0, 2.0, 1.0) for dc in d]
     theories = {}  # case index: (its family's batch, its row there)
     for family in dict.fromkeys(case[0] for case in SIMULATION_CASES):
         rows = [i for i, case in enumerate(SIMULATION_CASES) if case[0] == family]
-        th = risk.theory_risks(JointSpectrum.stack([spectra[i] for i in rows]),
+        th = risk.theory_risks(make_isotropic(d[rows], 0.5, 1.0, 2.0, 1.0),
                                ScalingRegime.from_counts(n, d[rows], m[rows], 0.5),
                                family, (1.0, 1e-5), lam)
         theories.update((i, (th, j)) for j, i in enumerate(rows))
     populations = [
-        Population(spec, n, 0.5, (1.0, 1e-5), family, base_seed + offset,
-                   [(lam, None if psi is None else int(mc))])
-        for (family, _, psi, offset), spec, mc in zip(SIMULATION_CASES, spectra, m)]
+        Population(make_isotropic(dc, 0.5, 1.0, 2.0, 1.0), n, 0.5, (1.0, 1e-5), family,
+                   base_seed + offset, [(lam, None if psi is None else int(mc))])
+        for (family, _, psi, offset), dc, mc in zip(SIMULATION_CASES, d, m)]
     reports = monte_carlo(populations, replicates)
     for i, ((_, phi, psi, _), [rep]) in enumerate(zip(SIMULATION_CASES, reports)):
         th, j = theories[i]
@@ -217,9 +216,19 @@ def _cmd_mp_check(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    with open(args.csv, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
+    try:
+        with open(args.csv, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        print(f"biasamp plot: cannot read {args.csv}: {getattr(exc, 'strerror', None) or exc}",
+              file=sys.stderr)
+        return 1
+    # DictReader files the cells beyond the header under None
+    long = [i for i, r in enumerate(rows, 1) if None in r]
+    if long:
+        print(f"biasamp plot: {args.csv} data row {long[0]} has more cells than its header",
+              file=sys.stderr)
+        return 1
     if not rows:
         print("CSV has no data rows", file=sys.stderr)
         return 1

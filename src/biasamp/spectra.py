@@ -9,11 +9,12 @@ spectra are one atom and diatomic (two-block) spectra two, so their theory
 costs the same at any d; a power-law spectrum is d atoms.  Only the simulator
 expands atoms, with ``np.repeat(atoms, counts)``.
 
-A stack of P spectra over the same atoms (say, the diatomic spectra of a
-sweep's grid, whose block sizes vary with d) is one ``JointSpectrum``
-(``JointSpectrum.stack``) with counts of shape (P, atoms); its d, weights
-and traces then carry a leading axis of P rows, which is how the theory
-solves a whole grid at once.
+A stack of P spectra over the same atoms is one ``JointSpectrum`` with
+counts of shape (P, atoms); its d, weights and traces then carry a leading
+axis of P rows, which is how the theory solves a whole grid at once.  Each
+builder returns that stack when given an array of P dimensions: the
+diatomic block sizes vary per row, and the power-law rows share the atoms
+k = 1 .. max d, with count 0 on the atoms above their own d.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ class JointSpectrum:
     """Atoms of the four population matrices in their common basis.
 
     counts: multiplicity of each atom, shape (atoms,), or (P, atoms) for a
-        stack of P spectra; d = counts.sum(-1).
+        stack of P spectra; nonnegative integers, each row summing to
+        d = counts.sum(-1) >= 1.  A zero-count atom weighs nothing.
     sigma1, sigma2: group feature covariances (may contain zeros).
     theta: covariance of the shared ground-truth weights (scaled by 1/d).
     delta: covariance of the group-2 weight shift (scaled by 1/d).
@@ -46,9 +48,9 @@ class JointSpectrum:
     def __post_init__(self):
         counts = np.asarray(self.counts)
         if (counts.ndim not in (1, 2) or counts.size == 0 or counts.dtype.kind not in "iu"
-                or np.any(counts < 1)):
+                or np.any(counts < 0) or np.any(counts.sum(axis=-1) < 1)):
             raise ValueError("counts must be a nonempty list (or stack of lists) of "
-                             f"positive integers: {counts}")
+                             f"nonnegative integers, each summing to at least 1: {counts}")
         object.__setattr__(self, "counts", counts)
         atoms = counts.shape[-1:]
         for name in ("sigma1", "sigma2", "theta", "delta"):
@@ -64,14 +66,6 @@ class JointSpectrum:
         d = counts.sum(axis=-1)
         object.__setattr__(self, "d", int(d) if counts.ndim == 1 else d)
         object.__setattr__(self, "weights", counts / np.expand_dims(d, -1))
-
-    @classmethod
-    def stack(cls, spectra) -> JointSpectrum:
-        """One stack of these spectra, which must share their atom values."""
-        atoms = [(s.sigma1, s.sigma2, s.theta, s.delta) for s in spectra]
-        if any(not np.array_equal(a, atoms[0]) for a in atoms[1:]):
-            raise ValueError("only spectra with the same atom values can be stacked")
-        return cls(np.stack([s.counts for s in spectra]), *atoms[0])
 
     def tr(self, values):
         """Normalized trace of the diagonal matrix with these atom values.
@@ -98,52 +92,56 @@ class JointSpectrum:
         raise ValueError(f"group index must be 1 or 2, got {s}")
 
 
-def make_isotropic(d: int, a1: float, a2: float, theta_scale: float,
+def make_isotropic(d: int | np.ndarray, a1: float, a2: float, theta_scale: float,
                    delta_scale: float) -> JointSpectrum:
     """Isotropic setup: every matrix is a multiple of the identity (one atom)."""
-    return JointSpectrum(np.array([d]), [a1], [a2], [theta_scale], [delta_scale])
+    return JointSpectrum(np.expand_dims(d, -1), [a1], [a2], [theta_scale], [delta_scale])
 
 
-def diatomic_core_size(d: int, pi_frac: float) -> int:
-    """Number of core features: nearest integer to pi_frac * d."""
+def diatomic_core_size(d: int | np.ndarray, pi_frac: float) -> int | np.ndarray:
+    """Number of core features: nearest integer to pi_frac * d (ties to even), per entry."""
     if not 0.0 < pi_frac < 1.0:
         raise ValueError(f"core fraction must lie in (0, 1), got {pi_frac}")
-    core = int(round(pi_frac * d))
-    if core == 0 or core == d:
-        raise ValueError(
-            f"core block is degenerate: round({pi_frac} * {d}) = {core}")
+    core = np.rint(pi_frac * np.asarray(d)).astype(int)
+    bad = np.flatnonzero((core == 0) | (core == d))
+    if bad.size:
+        raise ValueError(f"core block is degenerate: round({pi_frac} * {np.ravel(d)[bad[0]]}) "
+                         f"= {np.ravel(core)[bad[0]]}")
     return core
 
 
-def make_diatomic(d: int, pi_frac: float, a1: float, a2: float, b2: float,
+def make_diatomic(d: int | np.ndarray, pi_frac: float, a1: float, a2: float, b2: float,
                   theta_scale: float, delta_scale: float) -> JointSpectrum:
     """Two-block setup: shared core features plus group-2-only extraneous ones.
 
     Two atoms: the core block carries a1 for group 1 and a2 for group 2,
     the extraneous block 0 and b2.  The core size is the nearest integer to
     pi_frac * d, and the simulator inherits the identical split because it
-    expands these atoms.
+    expands these atoms.  An array of P dimensions gives the stack of their
+    spectra, whose block sizes vary per row.
     """
     core = diatomic_core_size(d, pi_frac)
-    return JointSpectrum(np.array([core, d - core]), [a1, 0.0], [a2, b2],
+    return JointSpectrum(np.stack([core, d - core], axis=-1), [a1, 0.0], [a2, b2],
                          [theta_scale] * 2, [delta_scale] * 2)
 
 
-def make_power_law(d: int, beta1: float, beta2: float, alpha: float,
+def make_power_law(d: int | np.ndarray, beta1: float, beta2: float, alpha: float,
                    theta_scale: float) -> JointSpectrum:
     """Power-law spectra sigma_s[k] = k^-beta_s, delta[k] = k^-alpha, k = 1..d.
 
     Every coordinate is its own atom.  Group 1 must decay faster than
     group 2 (beta1 > beta2 > 0) so its signal concentrates in fewer
-    directions.
+    directions.  An array of P dimensions gives their stack over the atoms
+    k = 1 .. max d, a row's atoms above its own d having count 0; the theory
+    of such a stack costs P * max d atoms rather than the sum of the d.
     """
     if not beta1 > beta2 > 0:
         raise ValueError(f"need beta1 > beta2 > 0, got beta1={beta1}, beta2={beta2}")
     if alpha <= 0:
         raise ValueError(f"need alpha > 0, got {alpha}")
-    k = np.arange(1, d + 1, dtype=float)
-    return JointSpectrum(np.ones(d, dtype=int), k ** -beta1, k ** -beta2,
-                         theta_scale * np.ones(d), k ** -alpha)
+    k = np.arange(1, np.max(d) + 1, dtype=float)
+    return JointSpectrum((k <= np.expand_dims(d, -1)).astype(int), k ** -beta1, k ** -beta2,
+                         theta_scale * np.ones(k.size), k ** -alpha)
 
 
 def dof(eigs: np.ndarray, weights: np.ndarray, a: int, b: int, t: float) -> float:

@@ -168,13 +168,12 @@ class SweepConfig:
         if self.replicates > 0 and 0.0 in (self.lambda_grid or (self.lam,)):
             raise ValueError(f"{name} must be positive when replicates > 0 (the "
                              f"simulated ridge fits need a penalty), got 0")
-        for d in sorted({_size(phi, self.n) for phi in self.phi_grid}):
-            try:
-                self.build_spectrum(d)
-            except ValueError as exc:
-                keys = ", ".join(SPECTRUM_KEYS[self.spectrum])
-                raise ValueError(f"{self.spectrum} spectrum ({keys}) is invalid "
-                                 f"at d = {d}: {exc}") from exc
+        dims = sorted({_size(phi, self.n) for phi in self.phi_grid})
+        try:
+            self.build_spectrum(np.array(dims))
+        except ValueError as exc:
+            keys = ", ".join(SPECTRUM_KEYS[self.spectrum])
+            raise ValueError(f"{self.spectrum} spectrum ({keys}) is invalid: {exc}") from exc
 
     def to_json(self) -> str:
         doc = {}
@@ -203,7 +202,8 @@ class SweepConfig:
     def load(cls, path) -> "SweepConfig":
         return cls.from_json(Path(path).read_text())
 
-    def build_spectrum(self, d: int) -> JointSpectrum:
+    def build_spectrum(self, d: int | np.ndarray) -> JointSpectrum:
+        """The spectrum at dimension d, or the stack of spectra at an array of them."""
         make = {"isotropic": make_isotropic, "diatomic": make_diatomic,
                 "power-law": make_power_law}[self.spectrum]
         return make(d, *(getattr(self, k) for k in SPECTRUM_KEYS[self.spectrum]))
@@ -267,46 +267,34 @@ def _size(rate: float, n: int) -> int:
 def _theory_rows(config: SweepConfig, grid: list[dict]) -> list[tuple[dict, list[str]]]:
     """Per grid point: its theory and solver cells, and its flags.
 
-    Points whose spectra share atom values are solved as one batch: every
-    isotropic point, every diatomic point (block sizes, hence weights, vary
-    per row) and the power-law points of one d.  The penalties are floored
-    once here, so a zero penalty warns once.
+    The whole grid is one batch: one spectrum stack over the points'
+    dimensions and one ``theory_risks`` call, whose rows are solved
+    independently, so a row that fails fails alone.  The penalties are
+    floored once here, so a zero penalty warns once.
     """
     n = config.n
-    floored = fp._effective_lambda([p["lam"] for p in grid])
-    d = [_size(p["phi"], n) for p in grid]
-    spectra = {size: config.build_spectrum(size) for size in set(d)}
-    atoms = {size: np.stack([s.sigma1, s.sigma2, s.theta, s.delta]).tobytes()
-             for size, s in spectra.items()}
-    batches: dict[bytes, list[int]] = {}
-    for i, size in enumerate(d):
-        batches.setdefault(atoms[size], []).append(i)
-
-    out: list[tuple[dict, list[str]]] = [({}, [])] * len(grid)
-    for rows in batches.values():
-        spectrum = JointSpectrum.stack([spectra[d[i]] for i in rows])
-        dims = np.array([d[i] for i in rows])
-        if config.family == risk.FAMILY_RP:
-            m = np.array([_size(grid[i]["psi"], n) for i in rows])
-            regime = ScalingRegime.from_counts(n, dims, m, config.p1)
-        else:
-            regime = ScalingRegime(p1=config.p1, phi=dims / n, gamma=1.0)
-        sigma2_sq = (config.sigma1_sq * np.array([grid[i]["c"] for i in rows])
-                     if config.c_grid else config.sigma2_sq)
-        th = risk.theory_risks(spectrum, regime, config.family,
-                               (config.sigma1_sq, sigma2_sq), floored[rows])
-        columns = {"r1_joint": th.r1_joint.total, "r2_joint": th.r2_joint.total,
-                   "r1_sep": th.r1_sep.total, "r2_sep": th.r2_sep.total,
-                   **th.gaps.columns()}
-        columns = {f"theory_{k}": v.tolist() for k, v in columns.items()}
-        failed = th.failed.tolist()
-        residual, iters = th.residual.tolist(), th.iters.tolist()
-        for j, i in enumerate(rows):
-            cells = {k: math.nan if failed[j] else v[j] for k, v in columns.items()}
-            cells.update(solver_residual=residual[j], solver_iters=iters[j])
-            flags = (["solver-failure"] if failed[j] else
-                     ["add-undefined"] if math.isnan(cells["theory_add"]) else [])
-            out[i] = (cells, flags)
+    d = np.array([_size(p["phi"], n) for p in grid])
+    if config.family == risk.FAMILY_RP:
+        m = np.array([_size(p["psi"], n) for p in grid])
+        regime = ScalingRegime.from_counts(n, d, m, config.p1)
+    else:
+        regime = ScalingRegime(p1=config.p1, phi=d / n, gamma=1.0)
+    sigma2_sq = (config.sigma1_sq * np.array([p["c"] for p in grid])
+                 if config.c_grid else config.sigma2_sq)
+    th = risk.theory_risks(config.build_spectrum(d), regime, config.family,
+                           (config.sigma1_sq, sigma2_sq),
+                           fp._effective_lambda([p["lam"] for p in grid]))
+    columns = {"r1_joint": th.r1_joint.total, "r2_joint": th.r2_joint.total,
+               "r1_sep": th.r1_sep.total, "r2_sep": th.r2_sep.total, **th.gaps.columns()}
+    columns = {f"theory_{k}": v.tolist() for k, v in columns.items()}
+    out = []
+    for i, (failed, residual, iters) in enumerate(
+            zip(th.failed.tolist(), th.residual.tolist(), th.iters.tolist())):
+        cells = {k: math.nan if failed else v[i] for k, v in columns.items()}
+        cells.update(solver_residual=residual, solver_iters=iters)
+        flags = (["solver-failure"] if failed else
+                 ["add-undefined"] if math.isnan(cells["theory_add"]) else [])
+        out.append((cells, flags))
     return out
 
 

@@ -114,6 +114,46 @@ class TestBuilders:
         assert np.all(s2 > 0)
 
 
+#: Each builder with its parameters after d.
+BUILDERS = {
+    "isotropic": (make_isotropic, (1.5, 1.0, 2.0, 1.0)),
+    "diatomic": (make_diatomic, (0.3, 2.0, 2.0, 0.2, 1.0, 0.5)),
+    "power-law": (make_power_law, (2.0, 1.0, 0.7, 1.5)),
+}
+
+
+@pytest.mark.parametrize("builder", list(BUILDERS))
+def test_builder_stack_rows_match_scalar_builds(builder):
+    make, params = BUILDERS[builder]
+    dims = np.array([10, 3, 25, 10])
+    spec = make(dims, *params)
+    assert spec.counts.shape[0] == dims.size
+    assert np.array_equal(spec.d, dims)
+    for i, d in enumerate(dims):
+        one = make(int(d), *params)
+        assert one.d == d
+        # the row's nonzero atoms are the scalar build's atoms, with its weights
+        nonzero = spec.counts[i] > 0
+        for name in ("sigma1", "sigma2", "theta", "delta"):
+            assert np.array_equal(getattr(spec, name)[nonzero], getattr(one, name)), name
+        assert np.array_equal(spec.weights[i][nonzero], one.weights)
+        if builder == "power-law":  # atoms k > d carry count 0
+            assert np.array_equal(spec.counts[i], np.arange(1, dims.max() + 1) <= d)
+        else:
+            assert nonzero.all()
+
+
+def test_diatomic_stack_names_the_first_degenerate_dimension():
+    with pytest.raises(ValueError, match=r"round\(0.1 \* 4\) = 0"):
+        make_diatomic(np.array([40, 4, 3]), 0.1, 1.0, 1.0, 0.5, 1.0, 0.0)
+
+
+def test_diatomic_core_rounds_half_to_even():
+    dims = np.array([6, 10, 14, 18])  # pi_frac * d = 1.5, 2.5, 3.5, 4.5
+    assert diatomic_core_size(dims, 0.25).tolist() == [2, 2, 4, 4]
+    assert [diatomic_core_size(int(d), 0.25) for d in dims] == [2, 2, 4, 4]
+
+
 class TestSpectrumType:
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
@@ -133,28 +173,26 @@ class TestSpectrumType:
             JointSpectrum(np.array([2, 5]), np.ones(2), np.ones(2), np.ones(2),
                           np.zeros(7))
 
-    @pytest.mark.parametrize("counts", [[0, 3], [2, -1], [1.5, 2.0], [1.0, 2.0], [],
-                                        [[1, 2]], [True, True]])
+    @pytest.mark.parametrize("counts", [[0, 0], [2, -1], [1.5, 2.0], [1.0, 2.0], [],
+                                        [[1, 2]], [True, True], [[1, 2], [0, 0]]])
     def test_rejects_bad_counts(self, counts):
         n = max(len(counts), 1)
         with pytest.raises(ValueError, match="counts"):
             JointSpectrum(np.array(counts), np.ones(n), np.ones(n), np.ones(n),
                           np.zeros(n))
 
+    def test_zero_count_atom_weighs_nothing(self):
+        spec = JointSpectrum(np.array([0, 3]), [5.0, 1.0], [1.0, 1.0], [1.0, 1.0],
+                             [0.0, 0.0])
+        assert spec.d == 3
+        assert np.array_equal(spec.weights, [0.0, 1.0])
+        assert spec.tr(spec.sigma1) == 1.0
+
     def test_dimension_and_weights_follow_counts(self):
         spec = JointSpectrum(np.array([1, 3]), [1.0, 2.0], [1.0, 1.0], [1.0, 1.0],
                              [0.0, 0.0])
         assert spec.d == 4
         assert np.array_equal(spec.weights, [0.25, 0.75])
-
-    def test_stack_keeps_each_row_and_rejects_other_atoms(self):
-        rows = [make_diatomic(d, 0.5, 2.0, 2.0, 0.2, 1.0, 0.0) for d in (10, 40)]
-        spec = JointSpectrum.stack(rows)
-        assert np.array_equal(spec.d, [10, 40])
-        assert np.array_equal(spec.weights, [r.weights for r in rows])
-        with pytest.raises(ValueError, match="atom values"):
-            JointSpectrum.stack([make_isotropic(10, 1.0, 1.0, 1.0, 0.0),
-                                 make_isotropic(10, 2.0, 1.0, 1.0, 0.0)])
 
     def test_group_two_weight_covariance_adds_shift(self):
         spec = make_isotropic(3, 1.0, 1.0, 2.0, 0.5)

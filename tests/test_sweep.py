@@ -535,6 +535,23 @@ class TestCLI:
         assert cli_main(["plot", str(flagged), "--x", "flags", "--y", "nope"]) == 1
         assert capsys.readouterr().err == "column 'flags' is not numeric\n"
 
+    def test_plot_reports_a_missing_csv_in_one_line(self, tmp_path, capsys):
+        missing = tmp_path / "nope.csv"
+        assert cli_main(["plot", str(missing), "--x", "psi", "--y", "theory_odd",
+                         "--out", str(tmp_path / "p.svg")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"biasamp plot: cannot read {missing}: ") and err.count("\n") == 1
+        assert not (tmp_path / "p.svg").exists()
+
+    def test_plot_rejects_a_row_longer_than_its_header(self, tmp_path, capsys):
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text("psi,theory_odd\n0.5,0.1\n1.0,0.2,0.3\n")
+        assert cli_main(["plot", str(ragged), "--x", "psi", "--y", "theory_odd",
+                         "--out", str(tmp_path / "p.svg")]) == 1
+        assert capsys.readouterr().err == (f"biasamp plot: {ragged} data row 2 has more cells "
+                                           "than its header\n")
+        assert not (tmp_path / "p.svg").exists()
+
     def test_mp_check_small(self, capsys):
         rc = cli_main(["mp-check", "--gamma", "1.0", "--lam", "1.0",
                        "--d", "300", "--seed", "0"])

@@ -217,9 +217,10 @@ def test_the_error_raised_is_the_lowest_numbered_failing_task_that_ran(monkeypat
     assert workers.closed
 
 
-#: Runs each stage in one interpreter and prints, after each, the ``scipy`` and
-#: ``numpy.random`` modules loaded beyond those that ``import numpy`` loads,
-#: all as one JSON line at the end.
+#: Runs each stage in one interpreter and prints, after each, the ``scipy``,
+#: ``numpy.random`` and ``numpy.ma`` modules loaded beyond those that
+#: ``import numpy`` loads, all as one JSON line at the end.  (``np.unique``
+#: loads ``numpy.ma``, which adds 1.5 MB to a sweep's peak RSS.)
 WHAT_THE_CALLER_LOADS = f"""
 import json, math, sys
 sys.path.insert(0, {str(SRC)!r})
@@ -229,7 +230,8 @@ loaded = {{}}
 
 def note(stage):
     loaded[stage] = sorted(m for m in set(sys.modules) - baseline
-                           if m.split(".")[0] == "scipy" or m.startswith("numpy.random"))
+                           if m.split(".")[0] == "scipy"
+                           or m.startswith(("numpy.random", "numpy.ma")))
 
 import biasamp.cli
 from dataclasses import replace
