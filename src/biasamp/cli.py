@@ -230,7 +230,7 @@ def _cmd_plot(args) -> int:
               file=sys.stderr)
         return 1
     if not rows:
-        print("CSV has no data rows", file=sys.stderr)
+        print(f"biasamp plot: {args.csv} has no data rows", file=sys.stderr)
         return 1
     names = set(rows[0])
     # in command-line order, so that the first bad column is the one reported
@@ -241,14 +241,14 @@ def _cmd_plot(args) -> int:
     columns = {}
     for name in needed:
         if name not in names:
-            print(f"column {name!r} not in CSV", file=sys.stderr)
-            return 1
+            print(f"biasamp plot: column {name!r} not in {args.csv}", file=sys.stderr)
+            return 2
         try:
             columns[name] = [float(r[name]) if r[name] not in ("", None) else float("nan")
                              for r in rows]
         except ValueError:
-            print(f"column {name!r} is not numeric", file=sys.stderr)
-            return 1
+            print(f"biasamp plot: column {name!r} is not numeric", file=sys.stderr)
+            return 2
     # as in _draw_figures: a series with no plottable point is left out
     ys = [y for y in args.y
           if any(plottable(xv, yv, args.logx, args.logy)

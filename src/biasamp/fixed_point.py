@@ -6,14 +6,17 @@ fixed-point equations over normalized spectral traces.  The nonlinear ones
 are one system in the reciprocal effective shifts x_s of one or two groups,
 with M = I + sum_s x_s Sigma_s: the joint and separate random-projection
 constants (e_s, tau), the classical joint e_s and the classical effective
-shift kappa all follow from x in closed form, and each stage states its
-mapping onto that system.  It is solved by ``_solve_shifts``: one
-safeguarded Newton iteration with an analytic Jacobian (each entry is one
-more normalized trace), one start and one recovery of the constants.  Once
-those constants are known, the remaining unknowns (u_s, rho) solve one
-affine system, ``_affine``: the nonlinear stage linearized at its root,
-whose solution is the derivative of the constants under a source in the
-target spectrum.
+shift kappa all follow from x in closed form.  It is written per row in
+the feature rate phi, the inverse width ratio 1/gamma and the penalty
+lam / gamma, so that classical ridge, the limit of random projection as
+1/gamma -> 0, is the ordinary row 1/gamma = 0, where tau = 1: a stage of
+either family only chooses its rows, and one batch may hold both.  It is
+solved by ``_solve_shifts``: one safeguarded Newton iteration with an
+analytic Jacobian (each entry is one more normalized trace), one start and
+one recovery of the constants.  Once those constants are known, the
+remaining unknowns (u_s, rho) solve one affine system, ``_affine``: the
+nonlinear stage linearized at its root, whose solution is the derivative of
+the constants under a source in the target spectrum.
 
 Every stage solves a batch of P systems at once.  Its per-row inputs (the
 rates of ``ScalingRegime``, the penalty, earlier constants) are scalars or
@@ -185,39 +188,40 @@ def _newton(fun, x0: np.ndarray, params: list) -> tuple[np.ndarray, np.ndarray, 
 # The groups' reciprocal effective shifts: every nonlinear stage.
 # ---------------------------------------------------------------------------
 
-def _solve_shifts(sigma, p, w, psi, gamma, lam, free: bool):
+def _solve_shifts(sigma, p, w, phi, inv_gamma, lam):
     """Reciprocal effective shifts x_s of G = 1 or 2 groups, and their constants.
 
     ``sigma`` (G, atoms) holds the groups' atom values and ``p`` (G,) their
-    shares; ``w`` (P, atoms) and psi, gamma, lam (P, 1) are the rows'
-    weights, rates and penalties, as ``_batch`` returns them.  With
-    M = I + sum_s x_s Sigma_s, t_s = tr_bar(Sigma_s M^-1),
+    shares; ``w`` (P, atoms) and phi, inv_gamma, lam (P, 1) are the rows'
+    weights, feature rates, inverse width ratios 1/gamma and penalties
+    lam = lam_rp / gamma, as ``_batch`` returns them.  Classical ridge is the
+    row 1/gamma = 0.  With M = I + sum_s x_s Sigma_s, t_s = tr_bar(Sigma_s M^-1),
     q_k = tr_bar(Sigma_k M^-2) and T_sk = tr_bar(Sigma_s Sigma_k M^-2), the
     constants are
-        e_s = 1 - psi x_s t_s / (gamma p_s),
-        tau = 1 - sum_s x_s t_s / gamma if ``free``, else tau = 1,
+        e_s = 1 - phi x_s t_s / p_s,   tau = 1 - (1/gamma) sum_s x_s t_s,
     and x is solved through ``_newton`` from
-        F_s = lam x_s / (gamma p_s) - e_s tau,
-        J_sk = (lam delta_sk + [free] q_k p_s e_s + psi tau (delta_sk t_s - x_s T_sk))
-               / (gamma p_s),
-    starting at x_s = gamma p_s / (lam + (psi + [free]) tr_bar(Sigma_s)).
-    Where tau is free and tau <= 0 or an e_s <= 0, F has spurious roots
+        F_s = lam x_s / p_s - e_s tau,
+        J_sk = (lam delta_sk + (1/gamma) q_k p_s e_s + phi tau (delta_sk t_s - x_s T_sk))
+               / p_s,
+    starting at x_s = p_s / (lam + (phi + 1/gamma) tr_bar(Sigma_s)).
+    Where 1/gamma > 0 and tau <= 0 or an e_s <= 0, F has spurious roots
     (e_s tau > 0 with both factors negative), so such points report an
-    infinite residual and are never stepped to.  After one more Newton step
-    the products e_s tau = lam x_s / (gamma p_s) are exact, and the smaller
-    constants are taken from them: tau as the product over the larger e when
-    it is below that e, then each e_s below tau as its product over tau.  The
-    subtractions alone would keep only a few digits of a constant near zero.
-    Returns (x, e, tau, residual, iters): x and e (P, G), tau (P, 1) if it
-    is free and 1.0 if not, and per row the residual max |F_s| and the
-    Newton steps.
+    infinite residual and are never stepped to; where 1/gamma = 0, tau is 1
+    and F has no such roots.  After one more Newton step the products
+    e_s tau = lam x_s / p_s are exact, and the smaller constants are taken
+    from them: tau as the product over the larger e when it is below that e,
+    then each e_s below tau as its product over tau (where tau = 1, only the
+    second applies).  The subtractions alone would keep only a few digits of
+    a constant near zero.
+    Returns (x, e, tau, residual, iters): x and e (P, G), tau (P, 1), and per
+    row the residual max |F_s| and the Newton steps.
     """
     sigma, p = np.asarray(sigma, dtype=float), np.asarray(p, dtype=float)
     groups = len(sigma)
     # atom values traced against M^-2: q, then T row by row
     by_m2 = np.concatenate([sigma, (sigma[:, None] * sigma).reshape(groups ** 2, -1)])
 
-    def constants(x, w, psi, gamma):
+    def constants(x, w, phi, inv_gamma):
         """(e, tau) at x, with t and the weights times M^-2."""
         m = 1.0  # 1 + x1 Sigma1 + x2 Sigma2 in this order, with no BLAS call to vary it
         for term in x.T[:, :, None] * sigma[:, None]:
@@ -225,70 +229,62 @@ def _solve_shifts(sigma, p, w, psi, gamma, lam, free: bool):
         inv = 1.0 / m
         wm = w * inv
         t = (wm[:, None, :] * sigma).sum(axis=-1)
-        d = x * t / gamma  # its row sum is df / gamma, df = 1 - tr_bar(M^-1)
-        tau = 1.0 - d.sum(axis=1, keepdims=True) if free else 1.0
-        return 1.0 - psi * d / p, tau, t, wm * inv
+        d = x * t  # its row sum is df = 1 - tr_bar(M^-1)
+        return 1.0 - phi * d / p, 1.0 - inv_gamma * d.sum(axis=1, keepdims=True), t, wm * inv
 
-    def fun(x, w, psi, gamma, lam):
-        e, tau, t, wm2 = constants(x, w, psi, gamma)
-        gp = gamma * p
-        f = lam * x / gp - e * tau
-        res = np.where(np.minimum(e, tau) > 0, np.abs(f), np.inf) if free else np.abs(f)
+    def fun(x, w, phi, inv_gamma, lam):
+        e, tau, t, wm2 = constants(x, w, phi, inv_gamma)
+        f = lam * x / p - e * tau
+        res = np.where((inv_gamma == 0.0) | (np.minimum(e, tau) > 0), np.abs(f), np.inf)
         traces = (wm2[:, None, :] * by_m2).sum(axis=-1)
         q, t_diag = traces[:, :groups], traces[:, groups::groups + 1]
-        c = psi * tau
-        jac = -(c * x)[:, :, None] * traces[:, groups:].reshape(-1, groups, groups)
-        shift = lam
-        if free:
-            pe = p * e
-            jac += q[:, None, :] * pe[:, :, None]
-            shift = lam + q * pe
-        jac.reshape(len(x), -1)[:, ::groups + 1] = shift + c * (t - x * t_diag)  # diagonal
-        return f, res.max(axis=1), jac / gp[:, :, None]
+        c, pe = phi * tau, inv_gamma * p * e
+        jac = (q[:, None, :] * pe[:, :, None]
+               - (c * x)[:, :, None] * traces[:, groups:].reshape(-1, groups, groups))
+        jac.reshape(len(x), -1)[:, ::groups + 1] = lam + q * pe + c * (t - x * t_diag)
+        return f, res.max(axis=1), jac / p[:, None]
 
-    x0 = gamma * p / (lam + (psi + 1.0 if free else psi) * (w[:, None, :] * sigma).sum(axis=-1))
-    params = [w, psi, gamma, lam]
+    x0 = p / (lam + (phi + inv_gamma) * (w[:, None, :] * sigma).sum(axis=-1))
+    params = [w, phi, inv_gamma, lam]
     x, res, iters = _newton(fun, x0, params)
     f, _, jac = fun(x, *params)
     x = x - _solve(jac, f)
-    e, tau = constants(x, w, psi, gamma)[:2]
-    prod = lam * x / (gamma * p)
-    if free:
-        top = e.max(axis=1, keepdims=True)
-        at_top = np.take_along_axis(prod, e.argmax(axis=1)[:, None], axis=1)
-        tau = np.where(tau < top, at_top / top, tau)
+    e, tau = constants(x, w, phi, inv_gamma)[:2]
+    prod = lam * x / p
+    top = e.max(axis=1, keepdims=True)
+    at_top = np.take_along_axis(prod, e.argmax(axis=1)[:, None], axis=1)
+    tau = np.divide(at_top, top, out=tau, where=tau < top)
     e = np.where(e < tau, prod / tau, e)
     return x, e, tau, res, iters
 
 
-def _affine(sigma, p, w, psi, gamma, lam, e, tau, b) -> np.ndarray:
+def _affine(sigma, p, w, phi, inv_gamma, lam, e, tau, b) -> np.ndarray:
     """The affine unknowns (u_s, rho') at the root (e, tau) of ``_solve_shifts``.
 
     The groups and rows are laid out as there: ``sigma`` (G, atoms), ``p``
-    (G,), ``w`` (P, atoms), psi, gamma, lam (P, 1) and e (P, G); ``tau`` is
-    (P, 1) where it is free and None where it is fixed at 1 (then gamma is
-    1 too), and ``b`` (atoms,) is the target spectrum.  With
-    L = sum_s p_s e_s Sigma_s and K = gamma tau L + lam I (an atom with K = 0,
-    a zero atom at a zero penalty, weighs nothing), the unknowns solve
-        u_s = psi e_s^2 tr_bar(Sigma_s (gamma tau^2 D + rho I) K^-2),
-        rho = tau^2 tr_bar((gamma rho L^2 + lam^2 D) K^-2)   (tau free only),
+    (G,), ``w`` (P, atoms), phi, inv_gamma, lam and tau (P, 1) and e (P, G),
+    with lam = lam_rp / gamma; ``b`` (atoms,) is the target spectrum.  With
+    L = sum_s p_s e_s Sigma_s and K = tau L + lam I (an atom with K = 0, a
+    zero atom at a zero penalty, weighs nothing), the unknowns solve
+        u_s = phi e_s^2 tau^2 tr_bar(Sigma_s (D + rho' I) K^-2),
+        rho' = (1/gamma) tr_bar((tau^2 rho' L^2 + lam^2 D) K^-2),
         D = sum_k p_k u_k Sigma_k + b,
-    in the unknown rho' = rho / (gamma tau^2), which stays well conditioned
-    as the penalty and tau vanish together.  This system is the nonlinear
-    stage linearized at its root.  Write that stage in its constants
-    v = (e_s, tau), with equations G_s(v) = 1/e_s - 1 - psi tau tr_bar(Sigma_s K^-1)
-    and G_tau(v) = 1/tau - 1 - tr_bar(L K^-1), and let J = dG/dv.  Then the
-    matrix is S^-1 (-diag(v^2) J) S with S = diag(1, ..., 1, -gamma tau^2 / lam),
+    where rho' = rho / (gamma tau^2) stays well conditioned as the penalty
+    and tau vanish together.  At 1/gamma = 0 (classical ridge) the last
+    equation reads rho' = 0, and the u_s solve the classical system.  This
+    system is the nonlinear stage linearized at its root.  Write that stage
+    in its constants v = (e_s, tau), with equations
+    G_s(v) = 1/e_s - 1 - phi tau tr_bar(Sigma_s K^-1) and
+    G_tau(v) = 1/tau - 1 - (1/gamma) tr_bar(L K^-1), and let J = dG/dv.
+    Then the matrix is S^-1 (-diag(v^2) J) S with S = diag(1, ..., 1, -tau^2 / lam),
     and the right-hand side is S^-1 diag(v^2) dG/d eps for the source
-    L -> L + eps b, so S (u, rho') = (u_s, -rho / lam) is dv/d eps.
-    Returns (u_s, rho') as (P, G + 1), or u_s as (P, G) where tau is fixed;
-    a row whose matrix is singular is NaN.
+    L -> L + eps b, so S (u, rho') = (u_s, -rho / (gamma lam)) is dv/d eps.
+    Returns (u_s, rho') as (P, G + 1); a row whose matrix is singular is NaN.
     """
     sigma, p = np.asarray(sigma, dtype=float), np.asarray(p, dtype=float)
-    groups, free = len(sigma), tau is not None
-    tau = tau if free else 1.0
+    groups = len(sigma)
     ell = ((p * e)[:, :, None] * sigma).sum(axis=1)
-    kay = gamma * tau * ell + lam
+    kay = tau * ell + lam
     inv_k2 = np.divide(1.0, kay ** 2, out=np.zeros_like(kay), where=kay > 0)
     # atom values traced against K^-2: Sigma_s Sigma_k, b Sigma_s, Sigma_s, b
     values = np.concatenate([(sigma[:, None] * sigma).reshape(groups ** 2, -1),
@@ -297,16 +293,14 @@ def _affine(sigma, p, w, psi, gamma, lam, e, tau, b) -> np.ndarray:
     at = groups ** 2
     t2 = traces[:, :at].reshape(-1, groups, groups)
     tbs, ts, tb = traces[:, at:at + groups], traces[:, at + groups:-1], traces[:, -1:]
-    gt2 = gamma * tau ** 2
-    c = psi * e ** 2 * gt2
-    q = groups + free
+    c, lg = phi * e ** 2 * tau ** 2, inv_gamma * lam ** 2
+    q = groups + 1
     mat, rhs = np.empty((len(w), q, q)), np.empty((len(w), q))
     mat[:, :groups, :groups], rhs[:, :groups] = -c[:, :, None] * p * t2, c * tbs
-    if free:
-        lg = lam ** 2 / gamma
-        mat[:, :groups, groups], mat[:, groups, :groups] = -c * ts, -lg * p * ts
-        mat[:, groups, groups:] = -gt2 * (w * (ell * ell * inv_k2)).sum(axis=-1, keepdims=True)
-        rhs[:, groups:] = lg * tb
+    mat[:, :groups, groups], mat[:, groups, :groups] = -c * ts, -lg * p * ts
+    mat[:, groups, groups:] = -(inv_gamma * tau ** 2) * (w * (ell * ell * inv_k2)).sum(
+        axis=-1, keepdims=True)
+    rhs[:, groups:] = lg * tb
     mat.reshape(len(w), -1)[:, ::q + 1] += 1.0
     return _solve(mat, rhs)
 
@@ -339,13 +333,14 @@ def solve_rp_joint_nonlinear(spectrum: JointSpectrum, regime: ScalingRegime, lam
     with L = p1 e1 Sigma1 + p2 e2 Sigma2 and K = gamma tau L + lam I.  They
     depend on (e1, e2, tau) only through the groups' reciprocal shifts
     x_s = gamma tau p_s e_s / lam, with K = lam M: they are ``_solve_shifts``
-    with both groups, their shares p_s, psi, gamma and tau free.
+    with both groups, their shares p_s, phi, 1/gamma and lam / gamma.
     Returns (e1, e2, tau, residual, iters), the residual being max |F_s|.
     """
-    w, psi, gamma, lam = _batch(spectrum.weights, regime.psi, regime.gamma,
+    w, phi, gamma, lam = _batch(spectrum.weights, regime.phi, regime.gamma,
                                 _effective_lambda(lam))
     _, e, tau, res, iters = _solve_shifts(np.stack([spectrum.sigma1, spectrum.sigma2]),
-                                          [regime.p1, regime.p2], w, psi, gamma, lam, True)
+                                          [regime.p1, regime.p2], w, phi, 1.0 / gamma,
+                                          lam / gamma)
     return e[:, 0], e[:, 1], tau[:, 0], res, iters
 
 
@@ -356,15 +351,15 @@ def solve_rp_joint_linear(spectrum: JointSpectrum, regime: ScalingRegime,
     Its equations, in ``_affine``, are affine in (u1, u2, rho), and their
     matrix is the linearization of ``solve_rp_joint_nonlinear``'s equations
     at its root (e1, e2, tau): ``_affine`` with both groups, their shares p_s,
-    psi, gamma, tau free and target b.
+    phi, 1/gamma, lam / gamma, tau and target b.
     """
     b = np.asarray(b, dtype=float)
     if b.shape != spectrum.sigma1.shape or np.any(b < 0):
         raise ValueError("target spectrum b must be nonnegative, one entry per atom")
-    w, psi, gamma, lam, e1, e2, tau = _batch(
-        spectrum.weights, regime.psi, regime.gamma, _effective_lambda(lam), e1, e2, tau)
+    w, phi, gamma, lam, e1, e2, tau = _batch(
+        spectrum.weights, regime.phi, regime.gamma, _effective_lambda(lam), e1, e2, tau)
     u1, u2, rho_prime = _affine(np.stack([spectrum.sigma1, spectrum.sigma2]),
-                                [regime.p1, regime.p2], w, psi, gamma, lam,
+                                [regime.p1, regime.p2], w, phi, 1.0 / gamma, lam / gamma,
                                 np.hstack([e1, e2]), tau, b).T
     return RPJointConstants(e1[:, 0], e2[:, 0], tau[:, 0], u1, u2,
                             (gamma * tau ** 2)[:, 0] * rho_prime)
@@ -396,15 +391,16 @@ def solve_rp_separate(spectrum: JointSpectrum, regime: ScalingRegime, s: int,
     with K = gamma tau e Sigma_s + lam I.  Both depend on (e, tau) only
     through the product e tau, so they are one equation in x = gamma e tau / lam,
     the reciprocal of the effective shift: ``_solve_shifts`` with group s
-    alone, p = 1, psi_s, gamma and tau free.  Then (u_s, rho_s) solve an
+    alone, p = 1, phi_s, 1/gamma and lam / gamma.  Then (u_s, rho_s) solve an
     affine system whose matrix is that stage's linearization at its root:
     ``_affine`` with the same group and target b = Sigma_s.
     """
-    w, psi_s, gamma, lam = _batch(spectrum.weights, regime.psi_s(s), regime.gamma,
+    w, phi_s, gamma, lam = _batch(spectrum.weights, regime.phi_s(s), regime.gamma,
                                   _effective_lambda(lam_s))
     sig = spectrum.sigma(s)
-    _, e, tau, res, iters = _solve_shifts(sig[None], [1.0], w, psi_s, gamma, lam, True)
-    u, rho_prime = _affine(sig[None], [1.0], w, psi_s, gamma, lam, e, tau, sig).T
+    rates = [w, phi_s, 1.0 / gamma, lam / gamma]
+    _, e, tau, res, iters = _solve_shifts(sig[None], [1.0], *rates)
+    u, rho_prime = _affine(sig[None], [1.0], *rates, e, tau, sig).T
     return RPSeparateConstants(e[:, 0], tau[:, 0], u, (gamma * tau ** 2)[:, 0] * rho_prime,
                                res, iters)
 
@@ -418,12 +414,12 @@ def solve_classical_joint_nonlinear(spectrum: JointSpectrum, regime: ScalingRegi
 
     With the groups' reciprocal shifts x_s = p_s e_s / lam, K = lam M and
     e_s = 1 - phi x_s t_s / p_s: this is ``_solve_shifts`` with both groups,
-    their shares p_s, psi = phi, gamma = 1 and tau fixed at 1.
+    their shares p_s, phi and 1/gamma = 0, where tau is 1.
     Returns (e1, e2, residual, iters).
     """
-    w, phi, gamma, lam = _batch(spectrum.weights, regime.phi, 1.0, _effective_lambda(lam))
+    w, phi, inv_gamma, lam = _batch(spectrum.weights, regime.phi, 0.0, _effective_lambda(lam))
     _, e, _, res, iters = _solve_shifts(np.stack([spectrum.sigma1, spectrum.sigma2]),
-                                        [regime.p1, regime.p2], w, phi, gamma, lam, False)
+                                        [regime.p1, regime.p2], w, phi, inv_gamma, lam)
     return e[:, 0], e[:, 1], res, iters
 
 
@@ -433,13 +429,13 @@ def solve_classical_joint_linear(spectrum: JointSpectrum, regime: ScalingRegime,
 
     They solve an affine system whose matrix is the linearization of
     ``solve_classical_joint_nonlinear``'s equations at its root: ``_affine``
-    with both groups, their shares p_s, psi = phi, gamma = 1, tau fixed at 1
-    and target b = Sigma_s.
+    with both groups, their shares p_s, phi, 1/gamma = 0, tau = 1 and target
+    b = Sigma_s, where rho' is 0.
     """
-    w, phi, gamma, lam, e1, e2 = _batch(spectrum.weights, regime.phi, 1.0,
-                                        _effective_lambda(lam), e1, e2)
-    u1, u2 = _affine(np.stack([spectrum.sigma1, spectrum.sigma2]), [regime.p1, regime.p2],
-                     w, phi, gamma, lam, np.hstack([e1, e2]), None, spectrum.sigma(s)).T
+    w, phi, inv_gamma, lam, e1, e2, tau = _batch(spectrum.weights, regime.phi, 0.0,
+                                                 _effective_lambda(lam), e1, e2, 1.0)
+    u1, u2, _ = _affine(np.stack([spectrum.sigma1, spectrum.sigma2]), [regime.p1, regime.p2],
+                        w, phi, inv_gamma, lam, np.hstack([e1, e2]), tau, spectrum.sigma(s)).T
     return u1, u2
 
 
@@ -453,25 +449,24 @@ def solve_kappa(eigs: np.ndarray, weights: np.ndarray, phi_s, lam_s):
     ``weights`` are (atoms,) or (P, atoms), phi_s and lam_s scalars or (P,).
     In x = 1 / kappa it reads x (lam + phi tr_bar(E (I + x E)^-1)) = 1, that is
     e = 1 - phi x t = lam x: ``_solve_shifts`` with one group of atom values
-    eigs, p = 1, psi = phi_s, gamma = 1 and tau fixed at 1, one formula at any
-    penalty, zero included.  F is then increasing and concave, and kappa
-    never exceeds lam + phi mean_eig, so Newton climbs from its start to the
-    root without overshooting.  An unregularized row that is
-    underparameterized (phi_s <= 1 over the positive mass) has kappa = 0 and
-    is not solved.
+    eigs, p = 1, phi_s and 1/gamma = 0, one formula at any penalty, zero
+    included.  F is then increasing and concave, and kappa never exceeds
+    lam + phi mean_eig, so Newton climbs from its start to the root without
+    overshooting.  An unregularized row that is underparameterized
+    (phi_s <= 1 over the positive mass) has kappa = 0 and is not solved.
     Returns (kappa, residual, iters), the residual being |F| where ``_newton``
     stopped.
     """
     eigs = np.asarray(eigs, dtype=float)
     if np.any(np.asarray(lam_s) < 0) or np.any(np.asarray(phi_s) <= 0):
         raise ValueError("need lam_s >= 0 and phi_s > 0")
-    w, phi, gamma, lam = _batch(weights, phi_s, 1.0, lam_s)
+    w, phi, inv_gamma, lam = _batch(weights, phi_s, 0.0, lam_s)
     kappa, res = np.zeros(len(w)), np.zeros(len(w))
     iters = np.zeros(len(w), dtype=int)
     rows = np.flatnonzero((lam[:, 0] > 0) | (phi[:, 0] * w[:, eigs > 0].sum(axis=1) > 1.0))
     if rows.size:
         x, _, _, res[rows], iters[rows] = _solve_shifts(
-            eigs[None], [1.0], w[rows], phi[rows], gamma[rows], lam[rows], False)
+            eigs[None], [1.0], w[rows], phi[rows], inv_gamma[rows], lam[rows])
         kappa[rows] = 1.0 / x[:, 0]
     return kappa, res, iters
 

@@ -4,8 +4,9 @@
 a model family and assembles its four risks (joint and separate model, each
 group) and their gap ``metrics``.  One assembler, ``_assemble``, serves all
 four risks of both families: one normalized-trace formula in a stage's
-constants (e_k, tau, u_k, rho) over one or two training groups, with
-classical ridge at gamma = tau = 1 and rho = 0.  Its terms are nonnegative
+constants (e_k, tau, u_k, rho) over one or two training groups, written in
+the penalty lam / gamma as the solvers are, so that classical ridge is its
+case tau = 1, rho = 0 (1/gamma = 0).  Its terms are nonnegative
 but for one signed cross term, so none of order 1/lam cancels.  With all
 population matrices sharing an eigenbasis, every trace collapses to a
 weighted sum over the spectrum's atoms (``JointSpectrum.tr``).
@@ -121,47 +122,44 @@ def metrics(r1_joint, r2_joint, r1_sep, r2_sep) -> BiasAmpMetrics:
 # ---------------------------------------------------------------------------
 
 def _assemble(spectrum: JointSpectrum, s: int, shares: dict, e: dict,
-              u: dict, sigma_sqs: tuple, lam, gamma, tau, rho) -> RiskDecomposition:
+              u: dict, sigma_sqs: tuple, lam, tau, rho) -> RiskDecomposition:
     """Test risk of group s for a model trained on the groups of ``shares``.
 
     ``shares`` maps each training group k (both for the joint model, group s
     alone for its separate model, with share 1) to p_k, and e and u map it
     to its solved constants e_k and u_k; the affine stage behind u and rho
-    targets Sigma_s.  Classical ridge is gamma = tau = 1 and rho = 0.  With
-    o = 3 - s, L = sum_k p_k e_k Sigma_k, K = gamma tau L + lam I and
-    D = sum_k p_k u_k Sigma_k + Sigma_s,
+    targets Sigma_s.  A random-projection model at width ratio gamma passes
+    its penalty and rho divided by gamma; classical ridge passes its penalty,
+    tau = 1 and rho = 0.  With o = 3 - s, L = sum_k p_k e_k Sigma_k,
+    K = tau L + lam I and D = sum_k p_k u_k Sigma_k + Sigma_s,
         variance = sum_k sigma_k^2 p_k u_k,
-        bias = tr_bar(Theta_s (lam^2 D + gamma rho L^2) K^-2)
-             + p_o tr_bar(Delta Sigma_o [gamma p_o e_o^2 Sigma_o
-                   (gamma tau^2 (p_s u_s + 1) Sigma_s + rho)
-                   + u_o (gamma tau p_s e_s Sigma_s + lam)^2] K^-2)
-             + [s = 2] 2 p_1 tr_bar(Delta Sigma_1 {lam [gamma tau e_1 (1 + p_2 u_2) Sigma_2
-                   - u_1 (gamma tau p_2 e_2 Sigma_2 + lam)] - gamma rho e_1 L} K^-2),
+        bias = tr_bar(Theta_s (lam^2 D + rho L^2) K^-2)
+             + p_o tr_bar(Delta Sigma_o [p_o e_o^2 Sigma_o (tau^2 (p_s u_s + 1) Sigma_s + rho)
+                   + u_o (tau p_s e_s Sigma_s + lam)^2] K^-2)
+             + [s = 2] 2 p_1 tr_bar(Delta Sigma_1 {lam [tau e_1 (1 + p_2 u_2) Sigma_2
+                   - u_1 (tau p_2 e_2 Sigma_2 + lam)] - rho e_1 L} K^-2),
     the weight shift's Delta terms for the joint model only.  Every term but
     the signed group-2 cross term is nonnegative, so no term of order 1/lam
     cancels.  An atom with K = 0 (a zero atom at a zero effective shift)
     weighs nothing.
     """
     c, sig, p = _col, spectrum.sigma, shares
-    g_tau = gamma * tau
     ell = sum(c(p_k * e[k]) * sig(k) for k, p_k in p.items())
-    kay = c(g_tau) * ell + c(lam)
+    kay = c(tau) * ell + c(lam)
     inv_k2 = np.divide(1.0, kay ** 2, out=np.zeros_like(kay), where=kay > 0)
     dee = sum(c(p_k * u[k]) * sig(k) for k, p_k in p.items()) + sig(s)
     variance = sum(sigma_sqs[k - 1] * p_k * u[k] for k, p_k in p.items())
-    bias = spectrum.tr(spectrum.theta_s(s) * (c(lam ** 2) * dee + c(gamma * rho) * ell ** 2)
-                       * inv_k2)
+    bias = spectrum.tr(spectrum.theta_s(s) * (c(lam ** 2) * dee + c(rho) * ell ** 2) * inv_k2)
     if len(p) == 2:
         o = 3 - s
         bias = bias + p[o] * spectrum.tr(spectrum.delta * sig(o) * (
-            c(gamma * p[o] * e[o] ** 2) * sig(o)
-            * (c(g_tau * tau * (p[s] * u[s] + 1.0)) * sig(s) + c(rho))
-            + c(u[o]) * (c(g_tau * p[s] * e[s]) * sig(s) + c(lam)) ** 2) * inv_k2)
+            c(p[o] * e[o] ** 2) * sig(o) * (c(tau ** 2 * (p[s] * u[s] + 1.0)) * sig(s) + c(rho))
+            + c(u[o]) * (c(tau * p[s] * e[s]) * sig(s) + c(lam)) ** 2) * inv_k2)
         if s == 2:
             bias = bias + 2.0 * p[1] * spectrum.tr(spectrum.delta * sig(1) * (
-                c(lam) * (c(g_tau * e[1] * (1.0 + p[2] * u[2])) * sig(2)
-                          - c(u[1]) * (c(g_tau * p[2] * e[2]) * sig(2) + c(lam)))
-                - c(gamma * rho * e[1]) * ell) * inv_k2)
+                c(lam) * (c(tau * e[1] * (1.0 + p[2] * u[2])) * sig(2)
+                          - c(u[1]) * (c(tau * p[2] * e[2]) * sig(2) + c(lam)))
+                - c(rho * e[1]) * ell) * inv_k2)
     return RiskDecomposition(bias=bias, variance=variance)
 
 
@@ -270,18 +268,20 @@ def theory_risks(spectrum: JointSpectrum, regime: ScalingRegime, family: str,
     """
     floored = fp._effective_lambda(lam)
     # per group s: the joint model's (u1, u2), tau, rho with its affine stage
-    # targeting Sigma_s, and the separate model's e, u, penalty, tau, rho
+    # targeting Sigma_s, and the separate model's e, u, penalty, tau, rho;
+    # penalties and rho in the solvers' scale, divided by gamma
     if family == FAMILY_RP:
         gamma = regime.gamma
+        lam_c = floored / gamma
         e1, e2, tau, res, iters = fp.solve_rp_joint_nonlinear(spectrum, regime, floored)
         joint = [fp.solve_rp_joint_linear(spectrum, regime, floored, e1, e2, tau,
                                           spectrum.sigma(s)) for s in (1, 2)]
-        joint = [((c.u1, c.u2), tau, c.rho) for c in joint]
+        joint = [((c.u1, c.u2), tau, c.rho / gamma) for c in joint]
         seps = [fp.solve_rp_separate(spectrum, regime, s, floored) for s in (1, 2)]
-        separate = [(c.e, c.u, floored, c.tau, c.rho) for c in seps]
+        separate = [(c.e, c.u, lam_c, c.tau, c.rho / gamma) for c in seps]
         diagnostics = [(c.residual, c.iters) for c in seps]
     elif family == FAMILY_CLASSICAL:
-        gamma = 1.0
+        lam_c = floored
         e1, e2, res, iters = fp.solve_classical_joint_nonlinear(spectrum, regime, floored)
         joint = [(fp.solve_classical_joint_linear(spectrum, regime, floored, e1, e2, s),
                   1.0, 0.0) for s in (1, 2)]
@@ -291,18 +291,17 @@ def theory_risks(spectrum: JointSpectrum, regime: ScalingRegime, family: str,
             # the separate model is (e, lam) = (1, kappa), a zero kappa included.
             sig = spectrum.sigma(s)
             kappa, *diag = fp.solve_kappa(sig, spectrum.weights, regime.phi_s(s), lam)
-            w, phi_s, k = fp._batch(spectrum.weights, regime.phi_s(s), kappa)
-            [u] = fp._affine(sig[None], [1.0], w, phi_s, 1.0, k, np.ones_like(k), None, sig).T
+            w, phi_s, k, ones = fp._batch(spectrum.weights, regime.phi_s(s), kappa, 1.0)
+            u = fp._affine(sig[None], [1.0], w, phi_s, 0.0, k, ones, ones, sig)[:, 0]
             separate.append((1.0, u, kappa, 1.0, 0.0))
             diagnostics.append(diag)
     else:
         raise ValueError(f"unknown model family: {family!r}")
     both = {1: regime.p1, 2: regime.p2}
     r1j, r2j = (_assemble(spectrum, s, both, {1: e1, 2: e2}, dict(zip((1, 2), u)),
-                          sigma_sqs, floored, gamma, tau, rho)
+                          sigma_sqs, lam_c, tau, rho)
                 for s, (u, tau, rho) in zip((1, 2), joint))
-    r1s, r2s = (_assemble(spectrum, s, {s: 1.0}, {s: e}, {s: u}, sigma_sqs, lam_s,
-                          gamma, tau, rho)
+    r1s, r2s = (_assemble(spectrum, s, {s: 1.0}, {s: e}, {s: u}, sigma_sqs, lam_s, tau, rho)
                 for s, (e, u, lam_s, tau, rho) in zip((1, 2), separate))
     (res1, iters1), (res2, iters2) = diagnostics
     res = np.maximum(res, np.maximum(res1, res2))

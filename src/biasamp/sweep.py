@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fixed_point as fp
 from . import risk
 from .simulate import QUANTITIES, MonteCarloReport, Population, monte_carlo
 from .spectra import (JointSpectrum, ScalingRegime, make_diatomic, make_isotropic,
@@ -269,8 +268,9 @@ def _theory_rows(config: SweepConfig, grid: list[dict]) -> list[tuple[dict, list
 
     The whole grid is one batch: one spectrum stack over the points'
     dimensions and one ``theory_risks`` call, whose rows are solved
-    independently, so a row that fails fails alone.  The penalties are
-    floored once here, so a zero penalty warns once.
+    independently, so a row that fails fails alone.  ``theory_risks``
+    floors the penalties once, so a zero penalty warns once, and its
+    classical separate models solve a zero penalty exactly.
     """
     n = config.n
     d = np.array([_size(p["phi"], n) for p in grid])
@@ -283,7 +283,7 @@ def _theory_rows(config: SweepConfig, grid: list[dict]) -> list[tuple[dict, list
                  if config.c_grid else config.sigma2_sq)
     th = risk.theory_risks(config.build_spectrum(d), regime, config.family,
                            (config.sigma1_sq, sigma2_sq),
-                           fp._effective_lambda([p["lam"] for p in grid]))
+                           np.array([p["lam"] for p in grid]))
     columns = {"r1_joint": th.r1_joint.total, "r2_joint": th.r2_joint.total,
                "r1_sep": th.r1_sep.total, "r2_sep": th.r2_sep.total, **th.gaps.columns()}
     columns = {f"theory_{k}": v.tolist() for k, v in columns.items()}

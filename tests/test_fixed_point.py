@@ -536,17 +536,19 @@ class TestSolverBehaviour:
         assert res < 1e-12
         assert 0 < e1 <= 1 and 0 < e2 <= 1 and 0 < tau <= 1
 
-    @pytest.mark.parametrize("groups, free", [(1, True), (1, False), (2, True), (2, False)])
-    def test_shift_jacobian_matches_central_differences(self, monkeypatch, groups, free):
+    @pytest.mark.parametrize("groups, projected", [(1, True), (1, False), (2, True), (2, False)])
+    def test_shift_jacobian_matches_central_differences(self, monkeypatch, groups, projected):
         # A wrong Jacobian entry only slows Newton down, so no root test sees
-        # it.  Points: between zero and the start, where e_s, tau > 0, and
-        # the root.
-        rng = np.random.default_rng(10 * groups + free)
+        # it.  Rows at 1/gamma > 0 (random projection) or 1/gamma = 0
+        # (classical ridge); points between zero and the start, where
+        # e_s, tau > 0, and the root.
+        rng = np.random.default_rng(10 * groups + projected)
         atoms, rows = 6, 8
         sigma = rng.uniform(0.05, 3.0, (groups, atoms))
         p = rng.dirichlet(np.ones(groups))
+        inv_gamma = 1.0 / rng.uniform(0.2, 3.0, rows) if projected else np.zeros(rows)
         params = fp._batch(rng.dirichlet(np.ones(atoms), rows), rng.uniform(0.1, 3.0, rows),
-                           rng.uniform(0.2, 3.0, rows), 10.0 ** rng.uniform(-3, 0, rows))
+                           inv_gamma, 10.0 ** rng.uniform(-3, 0, rows))
         systems, newton = [], fp._newton
 
         def spy(fun, x0, args):
@@ -554,7 +556,7 @@ class TestSolverBehaviour:
             return newton(fun, x0, args)
 
         monkeypatch.setattr(fp, "_newton", spy)
-        root = fp._solve_shifts(sigma, p, *params, free)[0]
+        root = fp._solve_shifts(sigma, p, *params)[0]
         [(fun, x0)] = systems
         for x in (x0 * rng.uniform(0.1, 1.0, x0.shape), root):
             _, res, jac = fun(x, *params)
@@ -565,6 +567,46 @@ class TestSolverBehaviour:
                           axis=2)
             scale = np.abs(jac).max(axis=(1, 2))[:, None, None]
             assert (np.abs(jac - fd) <= 1e-6 * scale).all(), (jac, fd)
+
+    @pytest.mark.parametrize("groups", [1, 2])
+    def test_classical_and_projected_rows_share_a_batch(self, monkeypatch, groups):
+        # Classical ridge is the row 1/gamma = 0 of the shift system: one
+        # batch mixes both families, each row as its own one-row solve.
+        rng = np.random.default_rng(groups)
+        atoms, rows = 6, 8
+        sigma = rng.uniform(0.05, 3.0, (groups, atoms))
+        p = rng.dirichlet(np.ones(groups))
+        b = rng.uniform(0.0, 2.0, atoms)
+        inv_gamma = np.where(np.arange(rows) % 2, 1.0 / rng.uniform(0.2, 3.0, rows), 0.0)
+        w, phi, inv_gamma, lam = fp._batch(rng.dirichlet(np.ones(atoms), rows),
+                                           rng.uniform(0.1, 3.0, rows), inv_gamma,
+                                           10.0 ** rng.uniform(-3, 0, rows))
+        systems, newton = [], fp._newton
+
+        def spy(fun, x0, args):
+            systems.append(fun)
+            return newton(fun, x0, args)
+
+        monkeypatch.setattr(fp, "_newton", spy)
+        x, e, tau, res, iters = fp._solve_shifts(sigma, p, w, phi, inv_gamma, lam)
+        y = fp._affine(sigma, p, w, phi, inv_gamma, lam, e, tau, b)
+        classical = inv_gamma[:, 0] == 0.0
+        assert (res < fp._TOL).all()
+        assert (tau[classical] == 1.0).all() and (tau[~classical] < 1.0).all()
+        assert (y[classical, -1] == 0.0).all() and (y[~classical, -1] > 0.0).all()
+        for i in range(rows):
+            one = fp._solve_shifts(sigma, p, w[[i]], phi[[i]], inv_gamma[[i]], lam[[i]])
+            for batched, alone in zip((x, e, tau, res, iters), one):
+                assert (batched[i] == alone[0]).all()
+            alone = fp._affine(sigma, p, w[[i]], phi[[i]], inv_gamma[[i]], lam[[i]],
+                               e[[i]], tau[[i]], b)
+            assert (y[i] == alone[0]).all()
+        # The domain test is per row.  Far out, at phi = 10 and 1/gamma = 2,
+        # some e_s < 0 and tau < 0 in every row, which walls those rows off;
+        # at 1/gamma = 0 only a free tau has spurious roots, so none is.
+        _, far_res, _ = systems[0](1e6 * x, w, np.full_like(phi, 10.0),
+                                   2.0 * (inv_gamma > 0), lam)
+        assert np.isinf(far_res[~classical]).all() and np.isfinite(far_res[classical]).all()
 
     def test_nonconvergence_reports_residual(self, monkeypatch):
         monkeypatch.setattr(fp, "_MAX_ITER", 3)

@@ -216,6 +216,30 @@ class TestRunSweep:
         assert [r.values["lambda"] for r in res.rows] == [0.0] * 3
         assert not any(r.flags for r in res.rows)
 
+    def test_zero_penalty_classical_sweep_matches_theory_risks(self):
+        # The sweep hands the raw penalty to theory_risks, whose classical
+        # separate models solve kappa at lam = 0 exactly: at phi = 0.5
+        # (phi_s = 1) their risk diverges and the row fails, and at phi = 2
+        # the separate variance is sigma_1^2 / (phi_s - 1) plus its bias.
+        cfg = SweepConfig(scenario="custom", family="classical", spectrum="isotropic",
+                          n=400, phi_grid=(0.5, 2.0), a1=0.5, a2=1.0, theta_scale=2.0,
+                          delta_scale=1.0, sigma1_sq=1.0, sigma2_sq=0.5, lam=0.0)
+        rows = run_sweep(cfg).rows
+        d = np.array([r.values["d"] for r in rows])
+        regime = ScalingRegime(p1=cfg.p1, phi=d / cfg.n, gamma=1.0)
+        th = risk.theory_risks(cfg.build_spectrum(d), regime, cfg.family,
+                               (cfg.sigma1_sq, cfg.sigma2_sq), 0.0)
+        columns = {"r1_joint": th.r1_joint.total, "r2_joint": th.r2_joint.total,
+                   "r1_sep": th.r1_sep.total, "r2_sep": th.r2_sep.total,
+                   **th.gaps.columns()}
+        assert th.failed.tolist() == [True, False]
+        assert [r.flags for r in rows] == [["solver-failure"], []]
+        for i, row in enumerate(rows):
+            for k, v in columns.items():
+                cell = row.values[f"theory_{k}"]
+                assert cell == v[i] or math.isnan(cell) and th.failed[i], (k, cell, v[i])
+        assert rows[1].values["theory_r1_sep"] == pytest.approx(13 / 12, rel=1e-12)
+
     def test_classical_risk_tends_to_the_null_risk_at_huge_penalties(self):
         # The null risk is tr(theta Sigma_1) = a1 = 2; the effective shift
         # kappa used to lose its root once lam + phi max_eig rounded to lam.
@@ -528,12 +552,12 @@ class TestCLI:
         out = tmp_path / "p.svg"
         for path, x, y, column in ((tmp_path / "sweep.csv", "scenario", "theory_odd", "scenario"),
                                    (flagged, "psi", "flags", "flags")):
-            assert cli_main(["plot", str(path), "--x", x, "--y", y, "--out", str(out)]) == 1
-            assert capsys.readouterr().err == f"column {column!r} is not numeric\n"
+            assert cli_main(["plot", str(path), "--x", x, "--y", y, "--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"biasamp plot: column {column!r} is not numeric\n"
             assert not out.exists()
         # the x column is checked first, whatever the hash seed
-        assert cli_main(["plot", str(flagged), "--x", "flags", "--y", "nope"]) == 1
-        assert capsys.readouterr().err == "column 'flags' is not numeric\n"
+        assert cli_main(["plot", str(flagged), "--x", "flags", "--y", "nope"]) == 2
+        assert capsys.readouterr().err == "biasamp plot: column 'flags' is not numeric\n"
 
     def test_plot_reports_a_missing_csv_in_one_line(self, tmp_path, capsys):
         missing = tmp_path / "nope.csv"
@@ -550,6 +574,18 @@ class TestCLI:
                          "--out", str(tmp_path / "p.svg")]) == 1
         assert capsys.readouterr().err == (f"biasamp plot: {ragged} data row 2 has more cells "
                                            "than its header\n")
+        assert not (tmp_path / "p.svg").exists()
+
+    def test_plot_exit_status_tells_a_bad_file_from_a_bad_request(self, tmp_path, capsys):
+        # a file it cannot use exits 1, a column it cannot plot exits 2
+        empty, csv_path = tmp_path / "empty.csv", tmp_path / "one.csv"
+        empty.write_text("psi,theory_odd\n")
+        csv_path.write_text("psi,theory_odd\n0.5,0.1\n")
+        plot = ["--x", "psi", "--out", str(tmp_path / "p.svg")]
+        assert cli_main(["plot", str(empty), *plot, "--y", "theory_odd"]) == 1
+        assert capsys.readouterr().err == f"biasamp plot: {empty} has no data rows\n"
+        assert cli_main(["plot", str(csv_path), *plot, "--y", "nope"]) == 2
+        assert capsys.readouterr().err == f"biasamp plot: column 'nope' not in {csv_path}\n"
         assert not (tmp_path / "p.svg").exists()
 
     def test_mp_check_small(self, capsys):
