@@ -1,12 +1,12 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines.  Criterion 6 runs the checks of ``biasamp validate fig2 --seed 7101``
-(``cli.simulation_checks``); ``biasamp validate quick`` repeats the
-closed-form halves of criteria 1, 2, 5 and 9.
+lines.  The closed-form halves of criteria 1, 2, 5 and 9 are rows of
+``cli.CLOSED_FORM_CHECKS``, the table that ``biasamp validate quick`` runs;
+these tests add the sampled and Monte-Carlo halves.  Criterion 6 runs the
+checks of ``biasamp validate fig2 --seed 7101`` (``cli.simulation_checks``).
 """
 
-import math
 import time
 
 import numpy as np
@@ -15,9 +15,8 @@ import pytest
 from biasamp import fixed_point as fp
 from biasamp import risk
 from biasamp import simulate as sim
-from biasamp.cli import simulation_checks
-from biasamp.spectra import (JointSpectrum, ScalingRegime, dof, make_diatomic,
-                             make_isotropic, make_power_law)
+from biasamp.cli import CLOSED_FORM_CHECKS, simulation_checks
+from biasamp.spectra import JointSpectrum, ScalingRegime, dof, make_isotropic, make_power_law
 from biasamp.sweep import SweepConfig, emit_csv, run_sweep
 
 
@@ -29,67 +28,32 @@ def _report(number: int, passed: bool, detail: str) -> None:
 def test_criterion_1_closed_form_variance():
     """Separate classical ridge variance matches phi/(1-phi) and simulation."""
     t0 = time.time()
-    spec_theory = make_isotropic(8, 1.0, 1.0, 1.0, 0.0)
+    ok, closed = CLOSED_FORM_CHECKS["classical separate variance"]()
     n, reps, seed = 400, 25, 2024
     details = []
-    ok = True
-    for phi_s, expected in ((0.25, 1.0 / 3.0), (0.5, 1.0), (0.8, 4.0)):
-        reg = ScalingRegime(p1=0.5, phi=0.5 * phi_s, gamma=1.0)  # halving is exact
-        dec = risk.theory_risks(spec_theory, reg, risk.FAMILY_CLASSICAL, (1.0, 1.0),
-                                1e-8).r1_sep
-        [variance], [total] = dec.variance, dec.total
-        rel = abs(variance - expected) / expected
-        ok &= rel < 1e-4
-
+    for phi_s in (0.25, 0.5, 0.8):
         d = round(phi_s * n * 0.5)  # two balanced groups: phi_s = d / (n/2)
         spec = make_isotropic(d, 1.0, 1.0, 1.0, 0.0)
+        [total] = risk.theory_risks(spec, ScalingRegime.from_counts(n, d, d, 0.5),
+                                    risk.FAMILY_CLASSICAL, (1.0, 1.0), 1e-8).r1_sep.total
         population = sim.Population(spec, n, 0.5, (1.0, 1.0), "classical", seed,
                                     [(1e-8, None)])
         [[rep]] = sim.monte_carlo([population], reps)
         z = rep["r1_sep"].z(total)
         ok &= abs(z) <= 3.0
-        details.append(f"phi_s={phi_s}: V={variance:.6f} (rel {rel:.1e}), mc z={z:+.2f}")
+        details.append(f"phi_s={phi_s}: mc z={z:+.2f}")
     elapsed = time.time() - t0
     ok &= elapsed < 10.0
-    _report(1, ok, "; ".join(details) + f"; {elapsed:.1f}s")
+    _report(1, ok, f"{closed}; " + "; ".join(details) + f"; {elapsed:.1f}s")
 
 
 def test_criterion_2_zero_penalty_oracle_equivalence():
-    """General solver at 1e-8 penalty matches the closed-form zero-penalty risk.
-
-    Spectrum choices keep the closed form's convergence scale well above the
-    pinned penalty: the power-law decay is gentle (the zero-penalty shift
-    scales like d**-beta1) and the diatomic cell evaluates group 2, whose
-    spectrum is strictly positive (group 1's zero block caps the reachable
-    degrees of freedom below the regime targets).
-    """
+    """General solver at 1e-8 penalty matches the closed-form zero-penalty risk
+    in all three parameterization regimes."""
     t0 = time.time()
-    cells = {
-        "isotropic": (make_isotropic(64, 1.5, 1.0, 2.0, 1.0), 1),
-        "diatomic": (make_diatomic(200, 0.9, 2.0, 2.0, 0.2, 1.0, 0.0), 2),
-        "power-law": (make_power_law(64, 1.5, 0.75, 1.0, 1.0), 1),
-    }
-    regimes = set()
-    deviations = []
-    for psi_s in (0.5, 1.5, 3.0):
-        for gamma in (0.5, 1.25, 2.0):
-            regimes.add(fp.classify_unregularized_regime(psi_s, gamma))
-            for name, (spec, s) in cells.items():
-                phi_s = psi_s / gamma
-                reg = ScalingRegime.from_rates(0.5, phi_s * 0.5, psi_s * 0.5)
-                closed = risk.rp_separate_risk_unregularized(spec, reg, 1.0, s)
-                th = risk.theory_risks(spec, reg, risk.FAMILY_RP, (1.0, 1.0), 1e-8)
-                general = th.r1_sep if s == 1 else th.r2_sep
-                for part in ("bias", "variance"):
-                    [cv], [gv] = getattr(closed, part), getattr(general, part)
-                    if cv < 1e-9 and gv < 1e-6:
-                        continue
-                    deviations.append(abs(gv - cv) / abs(cv))
-    worst = np.max(deviations)  # unlike max(), keeps a failed row's NaN, which fails
+    ok, detail = CLOSED_FORM_CHECKS["zero-penalty closed form vs general solver"]()
     elapsed = time.time() - t0
-    ok = worst < 1e-3 and len(regimes) == 3 and elapsed < 30.0
-    _report(2, ok, f"worst relative deviation {worst:.2e} over 27 cells, "
-                   f"{len(regimes)}/3 regimes covered, {elapsed:.1f}s")
+    _report(2, ok and elapsed < 30.0, f"{detail}, {elapsed:.1f}s")
 
 
 def test_criterion_3_joint_to_separate_limit():
@@ -166,12 +130,9 @@ def test_criterion_4_shared_covariance_linear_stage():
 
 def test_criterion_5_white_resolvent_self_test():
     """Fixed point matches the closed form and a sampled 2000-dim matrix."""
-    golden = (math.sqrt(5.0) - 1.0) / 2.0
-    m = fp.solve_mp(1.0, 1.0)
-    ok = abs(m - golden) < 1e-10
-    diff = abs(sim.sampled_resolvent(2000, 2000, 1.0, 5) - m)
-    ok &= diff < 1e-2
-    _report(5, ok, f"m={m:.12f} (closed form {golden:.12f}), sampled diff {diff:.2e}")
+    ok, detail = CLOSED_FORM_CHECKS["white-resolvent closed form"]()
+    diff = abs(sim.sampled_resolvent(2000, 2000, 1.0, 5) - fp.solve_mp(1.0, 1.0))
+    _report(5, ok and diff < 1e-2, f"{detail}, sampled diff {diff:.2e}")
 
 
 def test_criterion_6_theory_vs_simulation_two_noise():
@@ -245,14 +206,10 @@ def test_criterion_8_power_law_noise_ratio_transitions():
 def test_criterion_9_symmetric_groups_zero_gaps():
     """Identical groups: theoretical gaps vanish and simulated signed gaps
     are consistent with zero."""
+    theory_ok, detail = CLOSED_FORM_CHECKS["symmetric groups give zero gaps"]()
     n, reps, lam = 400, 25, 1e-6
-    d, m = 200, 300
+    d, m = 200, 300  # phi = 0.5, gamma = 1.5, the row's point
     spec = make_isotropic(d, 1.0, 1.0, 1.0, 0.0)
-    reg = ScalingRegime.from_counts(n, d, m, 0.5)
-    gaps = risk.theory_risks(spec, reg, risk.FAMILY_RP, (1.0, 1.0), lam).gaps
-    [odd], [edd] = gaps.odd, gaps.edd
-    theory_ok = odd <= 1e-12 and edd <= 1e-12
-
     population = sim.Population(spec, n, 0.5, (1.0, 1.0), risk.FAMILY_RP, 99, [(lam, m)])
     [[rep]] = sim.monte_carlo([population], reps)
     # symmetric groups share weights and covariance, so the joint model's two
@@ -260,8 +217,7 @@ def test_criterion_9_symmetric_groups_zero_gaps():
     zs = {key: rep[key].z(0.0) for key in ("odd_signed", "edd_signed")}
     mc_ok = all(abs(z) <= 3.0 for z in zs.values())
     _report(9, theory_ok and mc_ok,
-            f"theory odd={odd:.2e} edd={edd:.2e}; "
-            f"simulated signed-gap z-scores "
+            f"theory {detail}; simulated signed-gap z-scores "
             + ", ".join(f"{k}={v:+.2f}" for k, v in zs.items()))
 
 

@@ -41,8 +41,8 @@ def classical_joint(spec, reg, lam):
 
 
 class TestWhiteResolvent:
-    def test_golden_ratio_point(self):
-        assert fp.solve_mp(1.0, 1.0) == pytest.approx((math.sqrt(5) - 1) / 2, abs=1e-10)
+    """The closed-form point solve_mp(1, 1) = (sqrt(5) - 1) / 2 is a row of
+    ``cli.CLOSED_FORM_CHECKS``."""
 
     def test_large_penalty_behaves_like_inverse(self):
         lam = 1e6

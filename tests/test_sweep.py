@@ -2,6 +2,7 @@ import json
 import math
 import re
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,30 @@ SCENARIO_FIGURES = {
                               ["odd", "edd", "add"]),
     "custom": ({}, ["odd_edd"]),
 }
+
+
+def _break_row(monkeypatch, row):
+    """Put the solver behind one ``cli.CLOSED_FORM_CHECKS`` row, and only that
+    row, off by more than the row's tolerance."""
+    if row == "white-resolvent closed form":
+        monkeypatch.setattr(fp, "solve_mp", lambda gamma, lam: 0.6)
+    elif row == "classical separate variance":  # the table's one classical solve
+        theory = risk.theory_risks
+
+        def off(spectrum, regime, family, *rest):
+            th = theory(spectrum, regime, family, *rest)
+            if family != risk.FAMILY_CLASSICAL:
+                return th
+            return replace(th, r1_sep=replace(th.r1_sep, variance=1.01 * th.r1_sep.variance))
+        monkeypatch.setattr(risk, "theory_risks", off)
+    elif row == "zero-penalty closed form vs general solver":
+        closed = risk.rp_separate_risk_unregularized
+        monkeypatch.setattr(risk, "rp_separate_risk_unregularized", lambda *args: replace(
+            closed(*args), variance=1.01 * closed(*args).variance))
+    else:  # only the symmetric-groups row reads the gaps
+        gaps = risk.metrics
+        monkeypatch.setattr(risk, "metrics", lambda *risks: replace(
+            gaps(*risks), odd=gaps(*risks).odd + 1e-9))
 
 
 def tiny_config(**overrides):
@@ -506,6 +531,46 @@ class TestCLI:
         assert rc in (0, 1)
         assert capsys.readouterr().out.startswith(("PASS", "FAIL"))
 
+    @pytest.mark.parametrize("blocked", ["out-dir-is-a-file", "csv-is-a-directory"])
+    def test_sweep_that_cannot_write_exits_2_before_it_runs(self, tmp_path, monkeypatch,
+                                                            capsys, blocked):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(tiny_config().to_json())
+        if blocked == "out-dir-is-a-file":
+            (tmp_path / "file").write_text("")
+            out_dir = tmp_path / "file" / "sub"
+        else:
+            out_dir = tmp_path
+            (out_dir / "sweep.csv").mkdir()
+
+        def refuse(config):
+            raise AssertionError("the sweep ran")
+        monkeypatch.setattr(cli, "run_sweep", refuse)
+        assert cli_main(["sweep", str(cfg_path), "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"biasamp sweep: cannot write {out_dir / 'sweep.csv'}: ")
+        assert err.count("\n") == 1
+
+    def test_sweep_write_that_fails_after_the_sweep_is_one_line_and_exit_1(self, tmp_path,
+                                                                           capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(tiny_config(replicates=0).to_json())
+        figure = tmp_path / "sweep_odd_edd.svg"
+        figure.mkdir()
+        assert cli_main(["sweep", str(cfg_path), "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"biasamp sweep: cannot write {figure}: ")
+        assert (tmp_path / "sweep.csv").exists()
+
+    def test_theory_only_and_replicates_exclude_each_other(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(tiny_config().to_json())
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["sweep", str(cfg_path), "--out-dir", str(tmp_path),
+                      "--replicates", "50", "--theory-only"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err.splitlines()[-1]
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_theory_only_flag_blanks_empirics(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(tiny_config().to_json())
@@ -577,13 +642,19 @@ class TestCLI:
         assert not (tmp_path / "p.svg").exists()
 
     def test_plot_exit_status_tells_a_bad_file_from_a_bad_request(self, tmp_path, capsys):
-        # a file it cannot use exits 1, a column it cannot plot exits 2
+        # a file it cannot use or write exits 1, a column it cannot plot exits 2
         empty, csv_path = tmp_path / "empty.csv", tmp_path / "one.csv"
         empty.write_text("psi,theory_odd\n")
         csv_path.write_text("psi,theory_odd\n0.5,0.1\n")
         plot = ["--x", "psi", "--out", str(tmp_path / "p.svg")]
         assert cli_main(["plot", str(empty), *plot, "--y", "theory_odd"]) == 1
         assert capsys.readouterr().err == f"biasamp plot: {empty} has no data rows\n"
+        unwritable = empty / "p.svg"  # below a regular file
+        assert cli_main(["plot", str(csv_path), "--x", "psi", "--y", "theory_odd",
+                         "--out", str(unwritable)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"biasamp plot: cannot write {unwritable}: ")
+        assert err.count("\n") == 1
         assert cli_main(["plot", str(csv_path), *plot, "--y", "nope"]) == 2
         assert capsys.readouterr().err == f"biasamp plot: column 'nope' not in {csv_path}\n"
         assert not (tmp_path / "p.svg").exists()
@@ -596,8 +667,18 @@ class TestCLI:
 
     def test_validate_quick(self, capsys):
         assert cli_main(["validate", "quick"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out and "FAIL" not in out
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split("  ")[:2] for line in lines] == [
+            ["PASS", name] for name in cli.CLOSED_FORM_CHECKS]
+
+    @pytest.mark.parametrize("row", list(cli.CLOSED_FORM_CHECKS))
+    def test_validate_quick_fails_a_row_alone(self, monkeypatch, capsys, row):
+        _break_row(monkeypatch, row)
+        assert cli_main(["validate", "quick"]) == 1
+        out, err = capsys.readouterr()
+        assert [line.split("  ")[:2] for line in out.splitlines()] == [
+            ["FAIL" if name == row else "PASS", name] for name in cli.CLOSED_FORM_CHECKS]
+        assert "Traceback" not in out + err
 
     def test_validate_fig2_prints_each_check_and_a_summary(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "SIMULATION_CASES", cli.SIMULATION_CASES[:1])
