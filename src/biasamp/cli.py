@@ -36,9 +36,7 @@ def _cmd_sweep(args) -> int:
         return 2
 
     out_dir = Path(args.out_dir) if args.out_dir else default_out_dir()
-    csv_path = Path(config.out_csv) if config.out_csv else out_dir / "sweep.csv"
-    if not csv_path.is_absolute():
-        csv_path = out_dir / csv_path
+    csv_path = out_dir / (config.out_csv or "sweep.csv")
     # find out before the sweep, not after it, that its output has nowhere to go
     try:
         csv_path.parent.mkdir(parents=True, exist_ok=True)

@@ -84,8 +84,10 @@ class BiasAmpMetrics:
     odd: risk gap of the single model trained on both groups.
     edd: risk gap of the per-group models.
     add: odd / edd, or NaN where the separate gap is numerically zero.
-    Signed gaps (group 2 minus group 1) are kept alongside the absolute
-    values because absolute-value estimators are biased near zero.
+    Theory forms them of the expected risks and Monte Carlo of the mean
+    risks over its replicates, so both follow one rule.  Signed gaps (group
+    2 minus group 1) are kept alongside the absolute values: a mean's
+    signed gap is unbiased, and its absolute value is biased upward near zero.
     """
 
     odd: np.ndarray
@@ -101,14 +103,13 @@ class BiasAmpMetrics:
 
 
 def metrics(r1_joint, r2_joint, r1_sep, r2_sep) -> BiasAmpMetrics:
-    """Gap metrics from the four per-group risks (decompositions or totals).
+    """Gap metrics from the four per-group risks.
 
-    The risks are scalars or (P,) arrays, and the gaps (P,) arrays.  A row
-    with a risk that is not finite has NaN gaps.
+    The risks are numbers, scalars or (P,) arrays, and the gaps (P,) arrays.
+    A row with a risk that is not finite has NaN gaps.
     """
-    vals = np.broadcast_arrays(*(
-        np.array(r.total if isinstance(r, RiskDecomposition) else r, dtype=float, ndmin=1)
-        for r in (r1_joint, r2_joint, r1_sep, r2_sep)))
+    vals = np.broadcast_arrays(*(np.array(r, dtype=float, ndmin=1)
+                                 for r in (r1_joint, r2_joint, r1_sep, r2_sep)))
     r1j, r2j, r1s, r2s = np.where(np.isfinite(vals).all(axis=0), vals, np.nan)
     signed_odd, signed_edd = r2j - r1j, r2s - r1s
     odd, edd = np.abs(signed_odd), np.abs(signed_edd)
@@ -307,5 +308,5 @@ def theory_risks(spectrum: JointSpectrum, regime: ScalingRegime, family: str,
     res = np.maximum(res, np.maximum(res1, res2))
     iters = iters + iters1 + iters2
     return TheorySummary(r1_joint=r1j, r2_joint=r2j, r1_sep=r1s, r2_sep=r2s,
-                         gaps=metrics(r1j, r2j, r1s, r2s), residual=res,
-                         iters=iters)
+                         gaps=metrics(r1j.total, r2j.total, r1s.total, r2s.total),
+                         residual=res, iters=iters)

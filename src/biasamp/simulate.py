@@ -11,6 +11,8 @@ execution order and identical across reruns.  Monte Carlo runs per
 population, the grid points that share a spectrum, n and noise: each
 replicate samples one dataset for all of them and one projection per width,
 so the points' estimates use common random numbers and are correlated.
+A replicate yields each point's four risks only; a point's gaps are
+``risk.metrics`` of its mean risks, as theory's are of the expected ones.
 
 Only a process that draws loads ``numpy.random``: ``stream`` reaches it as
 ``np.random``, which numpy 2 imports on first use.  The workers and calls
@@ -319,7 +321,7 @@ class SummaryStat:
 
 @dataclass
 class MonteCarloReport:
-    """Replicate summaries of the four risks and the gap metrics.
+    """Replicate summaries of the four risks and of the gaps of their means (``_reports``).
 
     ``failure`` says why a point has no estimates (its summaries are then
     NaN with count 0): a draw or one of its fits failed in some replicate.
@@ -590,11 +592,28 @@ def monte_carlo(populations: Sequence[Population],
             for j, p in enumerate(populations)]
 
 
+def _summary(mean: float, influence: np.ndarray) -> SummaryStat:
+    """``mean`` with the spread of its influence values, one per replicate.
+
+    A mean that is not finite is NaN with count 0.
+    """
+    if not math.isfinite(mean):
+        return SummaryStat(math.nan, math.nan, 0)
+    std = float(np.std(influence, ddof=1)) if influence.size > 1 else math.nan
+    return SummaryStat(mean, std, int(influence.size))
+
+
 def _reports(population: Population, replicates: int, replies) -> list[MonteCarloReport]:
     """A population's reports from its replicates' results, taken in replicate order.
 
-    The results after a failed draw are not taken.  The gaps of every
-    (replicate, point) are formed by one ``metrics`` call.
+    The results after a failed draw are not taken.  A point's estimates use
+    the replicates whose four risks are finite.  Its gaps are ``metrics`` of
+    the four mean risks, as ``risk.theory_risks`` forms them of the expected
+    ones; no replicate's gap is formed.  Each std is that of the delta
+    method's influence values, so std / sqrt(count) is the standard error:
+    the signed gaps o = r2_joint - r1_joint and e = r2_sep - r1_sep for
+    both their own and the absolute gaps, and (a - add b) / edd for add,
+    with a = sgn(mean o) o and b = sgn(mean e) e.
     """
     points = len(population.points)
     risks = np.full((replicates, points, 4), np.nan)
@@ -608,18 +627,18 @@ def _reports(population: Population, replicates: int, replies) -> list[MonteCarl
             failure[i] = failure[i] or (f"replicate {rep} failed: singular system or "
                                         "non-finite weights")
     risks[:, [f is not None for f in failure]] = np.nan
-    flat = dict(zip(QUANTITIES, risks.reshape(-1, 4).T))
-    flat.update(metrics(**flat).columns())
-    values = np.stack([flat[k] for k in QUANTITIES], axis=-1).reshape(replicates, points, -1)
 
     reports = []
     for i in range(points):
-        quantities = {}
-        for j, key in enumerate(QUANTITIES):
-            finite = values[:, i, j][np.isfinite(values[:, i, j])]
-            quantities[key] = SummaryStat(
-                mean=float(np.mean(finite)) if finite.size else float("nan"),
-                std=float(np.std(finite, ddof=1)) if finite.size > 1 else float("nan"),
-                count=int(finite.size))
-        reports.append(MonteCarloReport(quantities, failure[i]))
+        r = risks[:, i][np.isfinite(risks[:, i]).all(axis=1)].T
+        mean = dict(zip(QUANTITIES, (float(np.mean(col)) if col.size else math.nan
+                                     for col in r)))
+        mean.update((k, float(v[0])) for k, v in metrics(*mean.values()).columns().items())
+        odd, edd = r[1] - r[0], r[3] - r[2]
+        a, b = np.sign(mean["odd_signed"]) * odd, np.sign(mean["edd_signed"]) * edd
+        # where edd is not above EDD_SINGULAR, add and so all its values are NaN
+        influence = dict(zip(QUANTITIES, r), odd=odd, edd=edd, odd_signed=odd, edd_signed=edd,
+                         add=(a - mean["add"] * b) / mean["edd"])
+        reports.append(MonteCarloReport(
+            {k: _summary(mean[k], influence[k]) for k in QUANTITIES}, failure[i]))
     return reports

@@ -209,7 +209,7 @@ class TestIsolatedFailures:
     def test_negative_term_marks_its_row(self):
         dec = risk.RiskDecomposition(bias=np.array([0.5, -1e-3, -1e-12]), variance=np.ones(3))
         assert np.isnan(dec.bias[1]) and dec.bias[0] == 0.5 and dec.bias[2] == 0.0
-        gaps = risk.metrics(dec, np.full(3, 2.0), np.ones(3), np.full(3, 3.0))
+        gaps = risk.metrics(dec.total, np.full(3, 2.0), np.ones(3), np.full(3, 3.0))
         assert np.isnan(gaps.odd[1]) and gaps.odd[0] == 0.5
 
 

@@ -304,13 +304,6 @@ class TestMetrics:
         m = risk.metrics(0.3, 1.1, 0.9, 0.2)
         assert m.add * m.edd == pytest.approx(m.odd, rel=1e-15)
 
-    def test_accepts_decompositions(self):
-        spec = make_isotropic(4, 1.0, 1.0, 1.0, 0.0)
-        reg = ScalingRegime.from_rates(0.5, 0.25, 0.5)
-        th = risk.theory_risks(spec, reg, risk.FAMILY_RP, (1.0, 1.0), 0.1)
-        assert th.gaps.odd == pytest.approx(
-            abs(th.r2_joint.total - th.r1_joint.total), abs=1e-15)
-
     def test_rejects_nonfinite(self):
         # a risk that is not finite gives its row NaN gaps and raises nothing
         for bad in (math.inf, math.nan):
@@ -377,7 +370,7 @@ class TestInvariants:
         # a negative term beyond the slack marks its row NaN and raises nothing
         dec = risk.RiskDecomposition(bias=-1e-3, variance=1.0)
         assert dec.bias.shape == (1,) and np.isnan(dec.bias[0]) and dec.variance[0] == 1.0
-        gaps = risk.metrics(1.0, dec, 1.0, 2.0)
+        gaps = risk.metrics(1.0, dec.total, 1.0, 2.0)
         assert all(np.isnan(v).tolist() == [True] for v in gaps.columns().values())
 
     def test_clamp_accepts_tiny_negative(self):

@@ -353,25 +353,39 @@ class TestMonteCarlo:
         for key in ("r1_joint", "r2_joint", "r1_sep", "r2_sep"):
             assert rep[key].mean < 1e-12
 
-    def test_gaps_are_the_metrics_of_each_replicates_risks(self):
-        # noiseless: at lam = 1e-10 both separate fits are near exact, so edd is
-        # below risk.EDD_SINGULAR and add is undefined in every replicate
+    def test_gaps_are_the_metrics_of_the_mean_risks(self):
+        # noiseless: at lam = 1e-10 both separate fits are near exact, so the
+        # mean edd is below risk.EDD_SINGULAR and add is undefined
         population = self.population(spectrum=make_isotropic(4, 1.0, 1.0, 1.0, 0.0),
                                      sigma_sqs=(0.0, 0.0), n=200,
                                      points=[(1e-10, None), (0.1, None)])
         reports = sim.monte_carlo([population], replicates=3)[0]
-        risks = [sim._simulate_replicate(population, rep)[1] for rep in range(3)]
+        risks = np.array([sim._simulate_replicate(population, rep)[1] for rep in range(3)])
         for i, report in enumerate(reports):
-            gaps = [metrics(*r[i]).columns() for r in risks]
-            for key in gaps[0]:
-                values = np.array([g[key][0] for g in gaps])
-                finite = values[np.isfinite(values)]
-                assert report[key].count == finite.size
-                if finite.size:
-                    assert report[key].mean == np.mean(finite)
-                if finite.size > 1:
-                    assert report[key].std == np.std(finite, ddof=1)
+            gaps = metrics(*(np.mean(risks[:, i, k]) for k in range(4))).columns()
+            for key, [value] in gaps.items():
+                assert report[key].mean == value or np.isnan([report[key].mean, value]).all()
+                assert report[key].count == (3 if np.isfinite(value) else 0)
         assert [report["add"].count for report in reports] == [0, 3]
+
+    def test_gap_stds_are_those_of_the_influence_values(self):
+        # point 0: both gaps positive on average; point 1: the joint gap negative
+        rng = np.random.default_rng(5)
+        risks = 1.0 + rng.random((6, 2, 4))
+        risks[:, 0, [1, 3]] += 0.5
+        risks[:, 1, [0, 3]] += [0.8, 0.3]
+        population = self.population(points=[(0.1, None), (0.2, None)])
+        reports = sim._reports(population, 6, [(None, r) for r in risks])
+        signs = [(1.0, 1.0), (-1.0, 1.0)]
+        for report, r, (odd_sign, edd_sign) in zip(reports, risks.transpose(1, 2, 0), signs):
+            gaps = metrics(*(np.mean(col) for col in r))
+            assert np.sign([gaps.signed_odd[0], gaps.signed_edd[0]]).tolist() == [
+                odd_sign, edd_sign]
+            a, b = odd_sign * (r[1] - r[0]), edd_sign * (r[3] - r[2])
+            assert report["add"].std == np.std((a - gaps.add[0] * b) / gaps.edd[0], ddof=1)
+            assert report["odd"].std == report["odd_signed"].std == np.std(r[1] - r[0], ddof=1)
+            assert report["edd"].std == report["edd_signed"].std == np.std(r[3] - r[2], ddof=1)
+            assert all(report[k].count == 6 for k in sim.QUANTITIES)
 
     @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
     def test_bad_penalty_rejected_at_config(self, lam):

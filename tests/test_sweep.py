@@ -551,6 +551,14 @@ class TestCLI:
         assert err.startswith(f"biasamp sweep: cannot write {out_dir / 'sweep.csv'}: ")
         assert err.count("\n") == 1
 
+    def test_relative_out_dir_holds_the_default_csv(self, tmp_path, monkeypatch):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(tiny_config(replicates=0).to_json())
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["sweep", str(cfg_path), "--out-dir", "out"]) == 0
+        assert (tmp_path / "out" / "sweep.csv").exists()
+        assert not (tmp_path / "out" / "out").exists()
+
     def test_sweep_write_that_fails_after_the_sweep_is_one_line_and_exit_1(self, tmp_path,
                                                                            capsys):
         cfg_path = tmp_path / "cfg.json"
