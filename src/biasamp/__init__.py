@@ -7,8 +7,7 @@ Monte-Carlo simulator, and a sweep harness that compares the two.
 
 from .spectra import (JointSpectrum, ScalingRegime, diatomic_core_size, dof,
                       make_diatomic, make_isotropic, make_power_law)
-from .fixed_point import (FixedPointError, RPJointConstants, RPSeparateConstants,
-                          UnregularizedRPConstants, solve_kappa, solve_mp,
+from .fixed_point import (FixedPointError, UnregularizedRPConstants, solve_kappa, solve_mp,
                           solve_rp_separate, solve_theta0)
 from .risk import (BiasAmpMetrics, RiskDecomposition, TheorySummary, metrics,
                    power_law_limits, rp_separate_risk_unregularized, theory_risks)

@@ -131,24 +131,31 @@ def _classical_separate_variance() -> tuple[bool, str]:
     ) + f"; worst relative deviation {worst:.1e}"
 
 
-def _zero_penalty_closed_form() -> tuple[bool, str]:
-    """The general solver at penalty 1e-8 against the zero-penalty closed form
-    of the separate random-projection risk, bias and variance apart.
+def _zero_penalty_cells() -> list:
+    """(spectrum, group s, cells (psi_s, gamma)) of the zero-penalty closed form.
 
     Three spectra at psi_s in {0.5, 1.5, 3} and gamma in {0.5, 1.25, 2},
     covering all three regimes, then one white isotropic cell at psi_s = 1,
     gamma = 2.  Spectrum choices keep the closed form's convergence scale
-    well above the penalty: the power-law decay is gentle (the zero-penalty
-    shift scales like d**-beta1) and the diatomic cells evaluate group 2,
-    whose spectrum is strictly positive (group 1's zero block caps the
-    reachable degrees of freedom below the regime targets).  The general
-    solver takes each spectrum's cells in one batch.
+    well above a penalty of 1e-8: the power-law decay is gentle (the
+    zero-penalty shift scales like d**-beta1) and the diatomic cells evaluate
+    group 2, whose spectrum is strictly positive (group 1's zero block caps
+    the reachable degrees of freedom below the regime targets).  A cell's
+    regime is ``ScalingRegime.from_rates(0.5, 0.5 psi_s / gamma, 0.5 psi_s)``.
     """
     grid = [(psi_s, gamma) for psi_s in (0.5, 1.5, 3.0) for gamma in (0.5, 1.25, 2.0)]
-    spectra = [(make_isotropic(64, 1.5, 1.0, 2.0, 1.0), 1, grid),
-               (make_diatomic(200, 0.9, 2.0, 2.0, 0.2, 1.0, 0.0), 2, grid),
-               (make_power_law(64, 1.5, 0.75, 1.0, 1.0), 1, grid),
-               (make_isotropic(8, 1.0, 1.0, 1.0, 0.0), 1, [(1.0, 2.0)])]
+    return [(make_isotropic(64, 1.5, 1.0, 2.0, 1.0), 1, grid),
+            (make_diatomic(200, 0.9, 2.0, 2.0, 0.2, 1.0, 0.0), 2, grid),
+            (make_power_law(64, 1.5, 0.75, 1.0, 1.0), 1, grid),
+            (make_isotropic(8, 1.0, 1.0, 1.0, 0.0), 1, [(1.0, 2.0)])]
+
+
+def _zero_penalty_closed_form() -> tuple[bool, str]:
+    """The general solver at penalty 1e-8 against the zero-penalty closed form
+    of the separate random-projection risk, bias and variance apart, on
+    ``_zero_penalty_cells``; it takes each spectrum's cells in one batch.
+    """
+    spectra = _zero_penalty_cells()
     regimes, deviations = set(), []
     for spec, s, cells in spectra:
         psi_s, gamma = np.array(cells).T

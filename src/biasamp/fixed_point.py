@@ -5,18 +5,18 @@ scalar constants defined as the unique positive solution of coupled
 fixed-point equations over normalized spectral traces.  The nonlinear ones
 are one system in the reciprocal effective shifts x_s of one or two groups,
 with M = I + sum_s x_s Sigma_s: the joint and separate random-projection
-constants (e_s, tau), the classical joint e_s and the classical effective
-shift kappa all follow from x in closed form.  It is written per row in
-the feature rate phi, the inverse width ratio 1/gamma and the penalty
-lam / gamma, so that classical ridge, the limit of random projection as
-1/gamma -> 0, is the ordinary row 1/gamma = 0, where tau = 1: a stage of
-either family only chooses its rows, and one batch may hold both.  It is
-solved by ``_solve_shifts``: one safeguarded Newton iteration with an
-analytic Jacobian (each entry is one more normalized trace), one start and
-one recovery of the constants.  Once those constants are known, the
-remaining unknowns (u_s, rho) solve one affine system, ``_affine``: the
-nonlinear stage linearized at its root, whose solution is the derivative of
-the constants under a source in the target spectrum.
+stages, the classical joint stage and the classical effective shift kappa
+= 1 / x are all this system.  It is written per row in the feature rate
+phi, the inverse width ratio 1/gamma and the penalty lam / gamma, so that
+classical ridge, the limit of random projection as 1/gamma -> 0, is the
+ordinary row 1/gamma = 0: a stage of either family only chooses its rows,
+and one batch may hold both.  It is solved by ``_solve_shifts``: one
+safeguarded Newton iteration with an analytic Jacobian (each entry is one
+more normalized trace) from one start.  The penalty enters there and
+nowhere else: x is the one constant that leaves the nonlinear stage.  The
+remaining unknowns (u_s, rho') solve one affine system in x, ``_affine``:
+the nonlinear stage linearized at its root, whose solution is the
+derivative of the constants under a source in the target spectrum.
 
 Every stage solves a batch of P systems at once.  Its per-row inputs (the
 rates of ``ScalingRegime``, the penalty, earlier constants) are scalars or
@@ -196,7 +196,7 @@ def _newton(fun, x0: np.ndarray, params: list) -> tuple[np.ndarray, np.ndarray, 
 # ---------------------------------------------------------------------------
 
 def _solve_shifts(sigma, p, w, phi, inv_gamma, lam):
-    """Reciprocal effective shifts x_s of G = 1 or 2 groups, and their constants.
+    """Reciprocal effective shifts x_s of G = 1 or 2 groups.
 
     ``sigma`` (G, atoms) holds the groups' atom values and ``p`` (G,) their
     shares; ``w`` (P, atoms) and phi, inv_gamma, lam (P, 1) are the rows'
@@ -214,22 +214,20 @@ def _solve_shifts(sigma, p, w, phi, inv_gamma, lam):
     Where 1/gamma > 0 and tau <= 0 or an e_s <= 0, F has spurious roots
     (e_s tau > 0 with both factors negative), so such points report an
     infinite residual and are never stepped to; where 1/gamma = 0, tau is 1
-    and F has no such roots.  After one more Newton step the products
-    e_s tau = lam x_s / p_s are exact, and the smaller constants are taken
-    from them: tau as the product over the larger e when it is below that e,
-    then each e_s below tau as its product over tau (where tau = 1, only the
-    second applies).  The subtractions alone would keep only a few digits of
-    a constant near zero.
-    Returns (x, e, tau, residual, iters): x and e (P, G), tau (P, 1), and per
-    row the residual max |F_s| and the Newton steps.
+    and F has no such roots.  The root found takes one more full Newton
+    step, which fixes the last digits of x that risks near a threshold
+    depend on.  The penalty enters here only: at the root
+    e_s tau = lam x_s / p_s, so the later stages are written in x alone
+    (``_affine``, and the risk assembler through ``_resolvent``).
+    Returns (x, residual, iters): x (P, G) and per row the residual
+    max |F_s| and the Newton steps.
     """
     sigma, p = np.asarray(sigma, dtype=float), np.asarray(p, dtype=float)
     groups = len(sigma)
     # atom values traced against M^-2: q, then T row by row
     by_m2 = np.concatenate([sigma, (sigma[:, None] * sigma).reshape(groups ** 2, -1)])
 
-    def constants(x, w, phi, inv_gamma):
-        """(e, tau) at x, with t and the weights times M^-2."""
+    def fun(x, w, phi, inv_gamma, lam):
         m = 1.0  # 1 + x1 Sigma1 + x2 Sigma2 in this order, with no BLAS call to vary it
         for term in x.T[:, :, None] * sigma[:, None]:
             m = m + term
@@ -237,13 +235,10 @@ def _solve_shifts(sigma, p, w, phi, inv_gamma, lam):
         wm = w * inv
         t = (wm[:, None, :] * sigma).sum(axis=-1)
         d = x * t  # its row sum is df = 1 - tr_bar(M^-1)
-        return 1.0 - phi * d / p, 1.0 - inv_gamma * d.sum(axis=1, keepdims=True), t, wm * inv
-
-    def fun(x, w, phi, inv_gamma, lam):
-        e, tau, t, wm2 = constants(x, w, phi, inv_gamma)
+        e, tau = 1.0 - phi * d / p, 1.0 - inv_gamma * d.sum(axis=1, keepdims=True)
         f = lam * x / p - e * tau
         res = np.where((inv_gamma == 0.0) | (np.minimum(e, tau) > 0), np.abs(f), np.inf)
-        traces = (wm2[:, None, :] * by_m2).sum(axis=-1)
+        traces = ((wm * inv)[:, None, :] * by_m2).sum(axis=-1)
         q, t_diag = traces[:, :groups], traces[:, groups::groups + 1]
         c, pe = phi * tau, inv_gamma * p * e
         jac = (q[:, None, :] * pe[:, :, None]
@@ -255,59 +250,62 @@ def _solve_shifts(sigma, p, w, phi, inv_gamma, lam):
     params = [w, phi, inv_gamma, lam]
     x, res, iters = _newton(fun, x0, params)
     f, _, jac = fun(x, *params)
-    x = x - _solve(jac, f)
-    e, tau = constants(x, w, phi, inv_gamma)[:2]
-    prod = lam * x / p
-    top = e.max(axis=1, keepdims=True)
-    at_top = np.take_along_axis(prod, e.argmax(axis=1)[:, None], axis=1)
-    tau = np.divide(at_top, top, out=tau, where=tau < top)
-    e = np.where(e < tau, prod / tau, e)
-    return x, e, tau, res, iters
+    return x - _solve(jac, f), res, iters
 
 
-def _affine(sigma, p, w, phi, inv_gamma, lam, e, tau, b) -> np.ndarray:
-    """The affine unknowns (u_s, rho') at the root (e, tau) of ``_solve_shifts``.
+def _resolvent(sigma, x):
+    """h = M^-1, g_s = x_s M^-1 and I - h per atom, with M = I + sum_s x_s Sigma_s.
+
+    ``sigma`` (G, atoms) and x (P, G) are laid out as in ``_solve_shifts``;
+    h and I - h come back (P, atoms) and g (P, G, atoms).  They are formed
+    from theta M = theta + a, with theta = 1 / x_1 and a = sum_s (x_s / x_1)
+    Sigma_s: I - h = a / (theta + a) keeps its digits where h is near 1, and
+    one group at x = inf (a zero shift) is exact, h = theta / (theta + Sigma)
+    and g = 1 / (theta + Sigma).  An atom with theta + a = 0 (a zero atom at
+    a zero shift) weighs nothing.
+    """
+    ratio = np.concatenate([np.ones_like(x[:, :1]), x[:, 1:] / x[:, :1]], axis=1)
+    theta = 1.0 / x[:, :1]
+    a = (ratio[:, :, None] * sigma).sum(axis=1)
+    n = theta + a
+    n[n == 0.0] = np.inf
+    return theta / n, ratio[:, :, None] / n[:, None], a / n
+
+
+def _affine(sigma, p, w, phi, inv_gamma, x, b) -> np.ndarray:
+    """The affine unknowns (u_s, rho') at the root x of ``_solve_shifts``.
 
     The groups and rows are laid out as there: ``sigma`` (G, atoms), ``p``
-    (G,), ``w`` (P, atoms), phi, inv_gamma, lam and tau (P, 1) and e (P, G),
-    with lam = lam_rp / gamma; ``b`` (atoms,) is the target spectrum.  With
-    L = sum_s p_s e_s Sigma_s and K = tau L + lam I (an atom with K = 0, a
-    zero atom at a zero penalty, weighs nothing), the unknowns solve
-        u_s = phi e_s^2 tau^2 tr_bar(Sigma_s (D + rho' I) K^-2),
-        rho' = (1/gamma) tr_bar((tau^2 rho' L^2 + lam^2 D) K^-2),
+    (G,), ``w`` (P, atoms), phi and inv_gamma (P, 1) and x (P, G); ``b``
+    (atoms,) is the target spectrum.  With h = M^-1 and g_s = x_s M^-1
+    (``_resolvent``), the unknowns solve
+        u_s = (phi / p_s^2) tr_bar(Sigma_s g_s^2 (D + rho' I)),
+        rho' = (1/gamma) tr_bar(rho' (I - h)^2 + D h^2),
         D = sum_k p_k u_k Sigma_k + b,
-    where rho' = rho / (gamma tau^2) stays well conditioned as the penalty
-    and tau vanish together.  At 1/gamma = 0 (classical ridge) the last
-    equation reads rho' = 0, and the u_s solve the classical system.  This
-    system is the nonlinear stage linearized at its root.  Write that stage
-    in its constants v = (e_s, tau), with equations
-    G_s(v) = 1/e_s - 1 - phi tau tr_bar(Sigma_s K^-1) and
-    G_tau(v) = 1/tau - 1 - (1/gamma) tr_bar(L K^-1), and let J = dG/dv.
-    Then the matrix is S^-1 (-diag(v^2) J) S with S = diag(1, ..., 1, -tau^2 / lam),
-    and the right-hand side is S^-1 diag(v^2) dG/d eps for the source
-    L -> L + eps b, so S (u, rho') = (u_s, -rho / (gamma lam)) is dv/d eps.
+    in which the penalty does not appear.  At 1/gamma = 0 (classical ridge)
+    the last equation reads rho' = 0, and the u_s solve the classical
+    system.  This system is the nonlinear stage linearized at its root: with
+    v = (e_s, tau) the stage's constants, K = tau L + lam I = lam M and the
+    source L -> L + eps b in L = sum_s p_s e_s Sigma_s, its solution is
+    (u_s, -tau^2 rho' / lam) = dv / d eps.
     Returns (u_s, rho') as (P, G + 1); a row whose matrix is singular is NaN.
     """
     sigma, p = np.asarray(sigma, dtype=float), np.asarray(p, dtype=float)
     groups = len(sigma)
-    ell = ((p * e)[:, :, None] * sigma).sum(axis=1)
-    kay = tau * ell + lam
-    inv_k2 = np.divide(1.0, kay ** 2, out=np.zeros_like(kay), where=kay > 0)
-    # atom values traced against K^-2: Sigma_s Sigma_k, b Sigma_s, Sigma_s, b
-    values = np.concatenate([(sigma[:, None] * sigma).reshape(groups ** 2, -1),
-                             sigma * b, sigma, b[None]])
-    traces = (w[:, None] * (values * inv_k2[:, None])).sum(axis=-1)
-    at = groups ** 2
-    t2 = traces[:, :at].reshape(-1, groups, groups)
-    tbs, ts, tb = traces[:, at:at + groups], traces[:, at + groups:-1], traces[:, -1:]
-    c, lg = phi * e ** 2 * tau ** 2, inv_gamma * lam ** 2
+    h, g, ih = _resolvent(sigma, x)
+    # per group s, traced against g_s^2: Sigma_s Sigma_k, Sigma_s b, Sigma_s;
+    # against h^2: Sigma_k, b; and (I - h)^2
+    by_g = sigma[:, None] * np.concatenate([sigma, b[None], np.ones_like(b)[None]])
+    tg = ((w[:, None] * g * g)[:, :, None] * by_g).sum(axis=-1)
+    th = ((w * h * h)[:, None] * np.concatenate([sigma, b[None]])).sum(axis=-1)
+    c = phi / p ** 2
     q = groups + 1
     mat, rhs = np.empty((len(w), q, q)), np.empty((len(w), q))
-    mat[:, :groups, :groups], rhs[:, :groups] = -c[:, :, None] * p * t2, c * tbs
-    mat[:, :groups, groups], mat[:, groups, :groups] = -c * ts, -lg * p * ts
-    mat[:, groups, groups:] = -(inv_gamma * tau ** 2) * (w * (ell * ell * inv_k2)).sum(
-        axis=-1, keepdims=True)
-    rhs[:, groups:] = lg * tb
+    mat[:, :groups, :groups] = -c[:, :, None] * p * tg[:, :, :groups]
+    mat[:, :groups, groups] = -c * tg[:, :, -1]
+    mat[:, groups, :groups] = -inv_gamma * p * th[:, :groups]
+    mat[:, groups, groups:] = -inv_gamma * (w * ih * ih).sum(axis=-1, keepdims=True)
+    rhs[:, :groups], rhs[:, groups:] = c * tg[:, :, groups], inv_gamma * th[:, groups:]
     mat.reshape(len(w), -1)[:, ::q + 1] += 1.0
     return _solve(mat, rhs)
 
@@ -316,24 +314,8 @@ def _affine(sigma, p, w, phi, inv_gamma, lam, e, tau, b) -> np.ndarray:
 # Random-projection model, single model trained on the group mixture.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RPJointConstants:
-    """Constants of the joint random-projection equivalent, (P,) arrays.
-
-    (e1, e2, tau) solve the nonlinear stage; (u1, u2, rho) solve its
-    linearization at that root (``_affine``) for a target spectrum.
-    """
-
-    e1: np.ndarray
-    e2: np.ndarray
-    tau: np.ndarray
-    u1: np.ndarray
-    u2: np.ndarray
-    rho: np.ndarray
-
-
 def solve_rp_joint_nonlinear(spectrum: JointSpectrum, regime: ScalingRegime, lam):
-    """Solve for (e1, e2, tau) of the joint random-projection system.
+    """Solve the joint random-projection system for the groups' reciprocal shifts.
 
     The defining equations are
         1/tau = 1 + tr_bar(L K^-1),   1/e_s = 1 + psi tau tr_bar(Sigma_s K^-1),
@@ -341,56 +323,38 @@ def solve_rp_joint_nonlinear(spectrum: JointSpectrum, regime: ScalingRegime, lam
     depend on (e1, e2, tau) only through the groups' reciprocal shifts
     x_s = gamma tau p_s e_s / lam, with K = lam M: they are ``_solve_shifts``
     with both groups, their shares p_s, phi, 1/gamma and lam / gamma.
-    Returns (e1, e2, tau, residual, iters), the residual being max |F_s|.
+    Returns (x1, x2, residual, iters), the residual being max |F_s|.
     """
     w, phi, gamma, lam = _batch(spectrum.weights, regime.phi, regime.gamma,
                                 _effective_lambda(lam))
-    _, e, tau, res, iters = _solve_shifts(np.stack([spectrum.sigma1, spectrum.sigma2]),
-                                          [regime.p1, regime.p2], w, phi, 1.0 / gamma,
-                                          lam / gamma)
-    return e[:, 0], e[:, 1], tau[:, 0], res, iters
+    x, res, iters = _solve_shifts(np.stack([spectrum.sigma1, spectrum.sigma2]),
+                                  [regime.p1, regime.p2], w, phi, 1.0 / gamma, lam / gamma)
+    return x[:, 0], x[:, 1], res, iters
 
 
 def solve_rp_joint_linear(spectrum: JointSpectrum, regime: ScalingRegime,
-                          lam, e1, e2, tau, b: np.ndarray) -> RPJointConstants:
-    """Solve the affine stage for (u1, u2, rho) given (e1, e2, tau) and target b.
+                          x1, x2, b: np.ndarray):
+    """Solve the affine stage for (u1, u2, rho') given the shifts (x1, x2) and target b.
 
-    Its equations, in ``_affine``, are affine in (u1, u2, rho), and their
+    Its equations, in ``_affine``, are affine in (u1, u2, rho'), and their
     matrix is the linearization of ``solve_rp_joint_nonlinear``'s equations
-    at its root (e1, e2, tau): ``_affine`` with both groups, their shares p_s,
-    phi, 1/gamma, lam / gamma, tau and target b.
+    at its root: ``_affine`` with both groups, their shares p_s, phi,
+    1/gamma and target b.  Returns (u1, u2, rho').
     """
     b = np.asarray(b, dtype=float)
     if b.shape != spectrum.sigma1.shape or np.any(b < 0):
         raise ValueError("target spectrum b must be nonnegative, one entry per atom")
-    w, phi, gamma, lam, e1, e2, tau = _batch(
-        spectrum.weights, regime.phi, regime.gamma, _effective_lambda(lam), e1, e2, tau)
-    u1, u2, rho_prime = _affine(np.stack([spectrum.sigma1, spectrum.sigma2]),
-                                [regime.p1, regime.p2], w, phi, 1.0 / gamma, lam / gamma,
-                                np.hstack([e1, e2]), tau, b).T
-    return RPJointConstants(e1[:, 0], e2[:, 0], tau[:, 0], u1, u2,
-                            (gamma * tau ** 2)[:, 0] * rho_prime)
+    w, phi, gamma, x1, x2 = _batch(spectrum.weights, regime.phi, regime.gamma, x1, x2)
+    return tuple(_affine(np.stack([spectrum.sigma1, spectrum.sigma2]), [regime.p1, regime.p2],
+                         w, phi, 1.0 / gamma, np.hstack([x1, x2]), b).T)
 
 
 # ---------------------------------------------------------------------------
 # Random-projection model, separate model per group.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RPSeparateConstants:
-    """Single-group constants of the separate random-projection equivalent, (P,) arrays."""
-
-    e: np.ndarray
-    tau: np.ndarray
-    u: np.ndarray
-    rho: np.ndarray
-    residual: np.ndarray
-    iters: np.ndarray
-
-
-def solve_rp_separate(spectrum: JointSpectrum, regime: ScalingRegime, s: int,
-                      lam_s) -> RPSeparateConstants:
-    """Constants for a random-projection model trained on group s alone.
+def solve_rp_separate(spectrum: JointSpectrum, regime: ScalingRegime, s: int, lam_s):
+    """Reciprocal shift of a random-projection model trained on group s alone.
 
     (e_s, tau_s) solve
         e = 1 / (1 + psi_s tau tr_bar(Sigma_s K^-1)),
@@ -398,18 +362,15 @@ def solve_rp_separate(spectrum: JointSpectrum, regime: ScalingRegime, s: int,
     with K = gamma tau e Sigma_s + lam I.  Both depend on (e, tau) only
     through the product e tau, so they are one equation in x = gamma e tau / lam,
     the reciprocal of the effective shift: ``_solve_shifts`` with group s
-    alone, p = 1, phi_s, 1/gamma and lam / gamma.  Then (u_s, rho_s) solve an
-    affine system whose matrix is that stage's linearization at its root:
+    alone, p = 1, phi_s, 1/gamma and lam / gamma.  Its affine stage is
     ``_affine`` with the same group and target b = Sigma_s.
+    Returns (x, residual, iters).
     """
     w, phi_s, gamma, lam = _batch(spectrum.weights, regime.phi_s(s), regime.gamma,
                                   _effective_lambda(lam_s))
-    sig = spectrum.sigma(s)
-    rates = [w, phi_s, 1.0 / gamma, lam / gamma]
-    _, e, tau, res, iters = _solve_shifts(sig[None], [1.0], *rates)
-    u, rho_prime = _affine(sig[None], [1.0], *rates, e, tau, sig).T
-    return RPSeparateConstants(e[:, 0], tau[:, 0], u, (gamma * tau ** 2)[:, 0] * rho_prime,
-                               res, iters)
+    x, res, iters = _solve_shifts(spectrum.sigma(s)[None], [1.0], w, phi_s, 1.0 / gamma,
+                                  lam / gamma)
+    return x[:, 0], res, iters
 
 
 # ---------------------------------------------------------------------------
@@ -422,27 +383,25 @@ def solve_classical_joint_nonlinear(spectrum: JointSpectrum, regime: ScalingRegi
     With the groups' reciprocal shifts x_s = p_s e_s / lam, K = lam M and
     e_s = 1 - phi x_s t_s / p_s: this is ``_solve_shifts`` with both groups,
     their shares p_s, phi and 1/gamma = 0, where tau is 1.
-    Returns (e1, e2, residual, iters).
+    Returns (x1, x2, residual, iters).
     """
     w, phi, inv_gamma, lam = _batch(spectrum.weights, regime.phi, 0.0, _effective_lambda(lam))
-    _, e, _, res, iters = _solve_shifts(np.stack([spectrum.sigma1, spectrum.sigma2]),
-                                        [regime.p1, regime.p2], w, phi, inv_gamma, lam)
-    return e[:, 0], e[:, 1], res, iters
+    x, res, iters = _solve_shifts(np.stack([spectrum.sigma1, spectrum.sigma2]),
+                                  [regime.p1, regime.p2], w, phi, inv_gamma, lam)
+    return x[:, 0], x[:, 1], res, iters
 
 
-def solve_classical_joint_linear(spectrum: JointSpectrum, regime: ScalingRegime,
-                                 lam, e1, e2, s: int):
-    """(u1, u2) targeting evaluation group s, given (e1, e2).
+def solve_classical_joint_linear(spectrum: JointSpectrum, regime: ScalingRegime, x1, x2, s: int):
+    """(u1, u2) targeting evaluation group s, given the shifts (x1, x2).
 
     They solve an affine system whose matrix is the linearization of
     ``solve_classical_joint_nonlinear``'s equations at its root: ``_affine``
-    with both groups, their shares p_s, phi, 1/gamma = 0, tau = 1 and target
+    with both groups, their shares p_s, phi, 1/gamma = 0 and target
     b = Sigma_s, where rho' is 0.
     """
-    w, phi, inv_gamma, lam, e1, e2, tau = _batch(spectrum.weights, regime.phi, 0.0,
-                                                 _effective_lambda(lam), e1, e2, 1.0)
+    w, phi, x1, x2 = _batch(spectrum.weights, regime.phi, x1, x2)
     u1, u2, _ = _affine(np.stack([spectrum.sigma1, spectrum.sigma2]), [regime.p1, regime.p2],
-                        w, phi, inv_gamma, lam, np.hstack([e1, e2]), tau, spectrum.sigma(s)).T
+                        w, phi, 0.0, np.hstack([x1, x2]), spectrum.sigma(s)).T
     return u1, u2
 
 
@@ -472,7 +431,7 @@ def solve_kappa(eigs: np.ndarray, weights: np.ndarray, phi_s, lam_s):
     iters = np.zeros(len(w), dtype=int)
     rows = np.flatnonzero((lam[:, 0] > 0) | (phi[:, 0] * w[:, eigs > 0].sum(axis=1) > 1.0))
     if rows.size:
-        x, _, _, res[rows], iters[rows] = _solve_shifts(
+        x, res[rows], iters[rows] = _solve_shifts(
             eigs[None], [1.0], w[rows], phi[rows], inv_gamma[rows], lam[rows])
         kappa[rows] = 1.0 / x[:, 0]
     return kappa, res, iters

@@ -4,10 +4,10 @@
 a model family and assembles its four risks (joint and separate model, each
 group) and their gap ``metrics``.  One assembler, ``_assemble``, serves all
 four risks of both families: one normalized-trace formula in a stage's
-constants (e_k, tau, u_k, rho) over one or two training groups, written in
-the penalty lam / gamma as the solvers are, so that classical ridge is its
-case tau = 1, rho = 0 (1/gamma = 0).  Its terms are nonnegative
-but for one signed cross term, so none of order 1/lam cancels.  With all
+reciprocal shifts x_k and affine unknowns (u_k, rho') over one or two
+training groups.  The penalty does not appear in it, and classical ridge is
+its case rho' = 0.  Its terms are nonnegative but for one signed cross
+term, so none of order 1/lam cancels.  With all
 population matrices sharing an eigenbasis, every trace collapses to a
 weighted sum over the spectrum's atoms (``JointSpectrum.tr``).
 ``rp_separate_risk_unregularized`` is the closed-form zero-penalty reference
@@ -122,45 +122,43 @@ def metrics(r1_joint, r2_joint, r1_sep, r2_sep) -> BiasAmpMetrics:
 # One risk formula for every model.
 # ---------------------------------------------------------------------------
 
-def _assemble(spectrum: JointSpectrum, s: int, shares: dict, e: dict,
-              u: dict, sigma_sqs: tuple, lam, tau, rho) -> RiskDecomposition:
+def _assemble(spectrum: JointSpectrum, s: int, shares: dict, x: dict, u: dict,
+              rho, sigma_sqs: tuple) -> RiskDecomposition:
     """Test risk of group s for a model trained on the groups of ``shares``.
 
     ``shares`` maps each training group k (both for the joint model, group s
-    alone for its separate model, with share 1) to p_k, and e and u map it
-    to its solved constants e_k and u_k; the affine stage behind u and rho
-    targets Sigma_s.  A random-projection model at width ratio gamma passes
-    its penalty and rho divided by gamma; classical ridge passes its penalty,
-    tau = 1 and rho = 0.  With o = 3 - s, L = sum_k p_k e_k Sigma_k,
-    K = tau L + lam I and D = sum_k p_k u_k Sigma_k + Sigma_s,
+    alone for its separate model, with share 1) to p_k, and x and u map it
+    to its solved constants x_k and u_k; the affine stage behind u and rho'
+    targets Sigma_s, and classical ridge has rho' = 0.  With o = 3 - s,
+    h = M^-1 and g_k = x_k M^-1 (``fixed_point._resolvent``) and
+    D = sum_k p_k u_k Sigma_k + Sigma_s,
         variance = sum_k sigma_k^2 p_k u_k,
-        bias = tr_bar(Theta_s (lam^2 D + rho L^2) K^-2)
-             + p_o tr_bar(Delta Sigma_o [p_o e_o^2 Sigma_o (tau^2 (p_s u_s + 1) Sigma_s + rho)
-                   + u_o (tau p_s e_s Sigma_s + lam)^2] K^-2)
-             + [s = 2] 2 p_1 tr_bar(Delta Sigma_1 {lam [tau e_1 (1 + p_2 u_2) Sigma_2
-                   - u_1 (tau p_2 e_2 Sigma_2 + lam)] - rho e_1 L} K^-2),
-    the weight shift's Delta terms for the joint model only.  Every term but
-    the signed group-2 cross term is nonnegative, so no term of order 1/lam
-    cancels.  An atom with K = 0 (a zero atom at a zero effective shift)
-    weighs nothing.
+        bias = tr_bar(Theta_s (D h^2 + rho' (I - h)^2))
+             + tr_bar(Delta Sigma_o [g_o^2 Sigma_o ((p_s u_s + 1) Sigma_s + rho')
+                   + p_o u_o (g_s Sigma_s + h)^2])
+             + [s = 2] 2 tr_bar(Delta Sigma_1 [g_1 ((1 + p_2 u_2) Sigma_2 h - rho' (I - h))
+                   - p_1 u_1 (g_2 Sigma_2 + h) h]),
+    the weight shift's Delta terms for the joint model only.  The penalty
+    does not appear.  Every term but the signed group-2 cross term is
+    nonnegative, so no term of order 1/lam cancels.
     """
-    c, sig, p = _col, spectrum.sigma, shares
-    ell = sum(c(p_k * e[k]) * sig(k) for k, p_k in p.items())
-    kay = c(tau) * ell + c(lam)
-    inv_k2 = np.divide(1.0, kay ** 2, out=np.zeros_like(kay), where=kay > 0)
-    dee = sum(c(p_k * u[k]) * sig(k) for k, p_k in p.items()) + sig(s)
-    variance = sum(sigma_sqs[k - 1] * p_k * u[k] for k, p_k in p.items())
-    bias = spectrum.tr(spectrum.theta_s(s) * (c(lam ** 2) * dee + c(rho) * ell ** 2) * inv_k2)
-    if len(p) == 2:
+    c, sig = _col, spectrum.sigma
+    h, g, ih = fp._resolvent(np.stack([sig(k) for k in shares]),
+                             np.column_stack([x[k] for k in shares]))
+    g = dict(zip(shares, np.moveaxis(g, 1, 0)))
+    pu = {k: p_k * u[k] for k, p_k in shares.items()}
+    dee = sum(c(pu[k]) * sig(k) for k in shares) + sig(s)
+    variance = sum(sigma_sqs[k - 1] * pu[k] for k in shares)
+    bias = spectrum.tr(spectrum.theta_s(s) * (dee * h * h + c(rho) * ih * ih))
+    if len(shares) == 2:
         o = 3 - s
-        bias = bias + p[o] * spectrum.tr(spectrum.delta * sig(o) * (
-            c(p[o] * e[o] ** 2) * sig(o) * (c(tau ** 2 * (p[s] * u[s] + 1.0)) * sig(s) + c(rho))
-            + c(u[o]) * (c(tau * p[s] * e[s]) * sig(s) + c(lam)) ** 2) * inv_k2)
+        bias = bias + spectrum.tr(spectrum.delta * sig(o) * (
+            g[o] ** 2 * sig(o) * (c(pu[s] + 1.0) * sig(s) + c(rho))
+            + c(pu[o]) * (g[s] * sig(s) + h) ** 2))
         if s == 2:
-            bias = bias + 2.0 * p[1] * spectrum.tr(spectrum.delta * sig(1) * (
-                c(lam) * (c(tau * e[1] * (1.0 + p[2] * u[2])) * sig(2)
-                          - c(u[1]) * (c(tau * p[2] * e[2]) * sig(2) + c(lam)))
-                - c(rho * e[1]) * ell) * inv_k2)
+            bias = bias + 2.0 * spectrum.tr(spectrum.delta * sig(1) * (
+                g[1] * (c(1.0 + pu[2]) * sig(2) * h - c(rho) * ih)
+                - c(pu[1]) * (g[2] * sig(2) + h) * h))
     return RiskDecomposition(bias=bias, variance=variance)
 
 
@@ -260,51 +258,47 @@ def theory_risks(spectrum: JointSpectrum, regime: ScalingRegime, family: str,
 
     One ridge penalty ``lam`` serves the joint model and both separate
     models.  It is floored once (``fixed_point.LAMBDA_FLOOR``), and the
-    floored value goes to every stage but ``solve_kappa``, which solves a
-    zero penalty exactly.  Every argument but the family may carry a batch
-    of P rows: a stacked spectrum, per-row rates, noise levels and
-    penalties; one point is P = 1.  A row whose solve fails has NaN risks
-    (``TheorySummary.failed``), and leaves the other rows as they would be
-    without it.
+    floored value goes to every nonlinear stage but ``solve_kappa``, which
+    solves a zero penalty exactly; the classical separate model's shift is
+    x = 1 / kappa, infinite at kappa = 0.  The affine stages and the
+    assembler take the shifts x alone.  Every argument but the family may
+    carry a batch of P rows: a stacked spectrum, per-row rates, noise levels
+    and penalties; one point is P = 1.  A row whose solve fails has NaN
+    risks (``TheorySummary.failed``), and leaves the other rows as they would
+    be without it.
     """
     floored = fp._effective_lambda(lam)
-    # per group s: the joint model's (u1, u2), tau, rho with its affine stage
-    # targeting Sigma_s, and the separate model's e, u, penalty, tau, rho;
-    # penalties and rho in the solvers' scale, divided by gamma
+    # the joint model's shifts and, per target group s, its (u1, u2, rho');
+    # per group s, the separate model's (x, residual, iters)
     if family == FAMILY_RP:
-        gamma = regime.gamma
-        lam_c = floored / gamma
-        e1, e2, tau, res, iters = fp.solve_rp_joint_nonlinear(spectrum, regime, floored)
-        joint = [fp.solve_rp_joint_linear(spectrum, regime, floored, e1, e2, tau,
-                                          spectrum.sigma(s)) for s in (1, 2)]
-        joint = [((c.u1, c.u2), tau, c.rho / gamma) for c in joint]
+        inv_gamma = 1.0 / regime.gamma
+        x1, x2, res, iters = fp.solve_rp_joint_nonlinear(spectrum, regime, floored)
+        joint = [fp.solve_rp_joint_linear(spectrum, regime, x1, x2, spectrum.sigma(s))
+                 for s in (1, 2)]
         seps = [fp.solve_rp_separate(spectrum, regime, s, floored) for s in (1, 2)]
-        separate = [(c.e, c.u, lam_c, c.tau, c.rho / gamma) for c in seps]
-        diagnostics = [(c.residual, c.iters) for c in seps]
     elif family == FAMILY_CLASSICAL:
-        lam_c = floored
-        e1, e2, res, iters = fp.solve_classical_joint_nonlinear(spectrum, regime, floored)
-        joint = [(fp.solve_classical_joint_linear(spectrum, regime, floored, e1, e2, s),
-                  1.0, 0.0) for s in (1, 2)]
-        separate, diagnostics = [], []
-        for s in (1, 2):
-            # The classical forms are homogeneous of degree 0 in (e, lam), so
-            # the separate model is (e, lam) = (1, kappa), a zero kappa included.
-            sig = spectrum.sigma(s)
-            kappa, *diag = fp.solve_kappa(sig, spectrum.weights, regime.phi_s(s), lam)
-            w, phi_s, k, ones = fp._batch(spectrum.weights, regime.phi_s(s), kappa, 1.0)
-            u = fp._affine(sig[None], [1.0], w, phi_s, 0.0, k, ones, ones, sig)[:, 0]
-            separate.append((1.0, u, kappa, 1.0, 0.0))
-            diagnostics.append(diag)
+        inv_gamma = 0.0
+        x1, x2, res, iters = fp.solve_classical_joint_nonlinear(spectrum, regime, floored)
+        joint = [(*fp.solve_classical_joint_linear(spectrum, regime, x1, x2, s), 0.0)
+                 for s in (1, 2)]
+        seps = [fp.solve_kappa(spectrum.sigma(s), spectrum.weights, regime.phi_s(s), lam)
+                for s in (1, 2)]
+        with np.errstate(divide="ignore"):  # kappa = 0 is x = inf
+            seps = [(1.0 / kappa, *diag) for kappa, *diag in seps]
     else:
         raise ValueError(f"unknown model family: {family!r}")
     both = {1: regime.p1, 2: regime.p2}
-    r1j, r2j = (_assemble(spectrum, s, both, {1: e1, 2: e2}, dict(zip((1, 2), u)),
-                          sigma_sqs, lam_c, tau, rho)
-                for s, (u, tau, rho) in zip((1, 2), joint))
-    r1s, r2s = (_assemble(spectrum, s, {s: 1.0}, {s: e}, {s: u}, sigma_sqs, lam_s, tau, rho)
-                for s, (e, u, lam_s, tau, rho) in zip((1, 2), separate))
-    (res1, iters1), (res2, iters2) = diagnostics
+    r1j, r2j = (_assemble(spectrum, s, both, {1: x1, 2: x2}, {1: u1, 2: u2}, rho, sigma_sqs)
+                for s, (u1, u2, rho) in zip((1, 2), joint))
+
+    def separate(s, x):
+        sig = spectrum.sigma(s)
+        w, phi_s, ig, xs = fp._batch(spectrum.weights, regime.phi_s(s), inv_gamma, x)
+        u, rho = fp._affine(sig[None], [1.0], w, phi_s, ig, xs, sig).T
+        return _assemble(spectrum, s, {s: 1.0}, {s: x}, {s: u}, rho, sigma_sqs)
+
+    (x1s, res1, iters1), (x2s, res2, iters2) = seps
+    r1s, r2s = separate(1, x1s), separate(2, x2s)
     res = np.maximum(res, np.maximum(res1, res2))
     iters = iters + iters1 + iters2
     return TheorySummary(r1_joint=r1j, r2_joint=r2j, r1_sep=r1s, r2_sep=r2s,

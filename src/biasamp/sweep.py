@@ -269,8 +269,11 @@ def _theory_rows(config: SweepConfig, grid: list[dict]) -> list[tuple[dict, list
     The whole grid is one batch: one spectrum stack over the points'
     dimensions and one ``theory_risks`` call, whose rows are solved
     independently, so a row that fails fails alone.  ``theory_risks``
-    floors the penalties once, so a zero penalty warns once, and its
-    classical separate models solve a zero penalty exactly.
+    floors the penalties once, so a zero penalty warns once.  Its joint
+    stage solves a zero penalty at ``LAMBDA_FLOOR`` in either family, and
+    only its classical separate models solve it exactly, so every row at
+    penalty 0 is flagged ``penalty-floored``: its risks are not the lam -> 0
+    limit, which diverges at an interpolation threshold.
     """
     n = config.n
     d = np.array([_size(p["phi"], n) for p in grid])
@@ -281,19 +284,22 @@ def _theory_rows(config: SweepConfig, grid: list[dict]) -> list[tuple[dict, list
         regime = ScalingRegime(p1=config.p1, phi=d / n, gamma=1.0)
     sigma2_sq = (config.sigma1_sq * np.array([p["c"] for p in grid])
                  if config.c_grid else config.sigma2_sq)
+    lam = np.array([p["lam"] for p in grid])
     th = risk.theory_risks(config.build_spectrum(d), regime, config.family,
-                           (config.sigma1_sq, sigma2_sq),
-                           np.array([p["lam"] for p in grid]))
+                           (config.sigma1_sq, sigma2_sq), lam)
     columns = {"r1_joint": th.r1_joint.total, "r2_joint": th.r2_joint.total,
                "r1_sep": th.r1_sep.total, "r2_sep": th.r2_sep.total, **th.gaps.columns()}
     columns = {f"theory_{k}": v.tolist() for k, v in columns.items()}
     out = []
-    for i, (failed, residual, iters) in enumerate(
-            zip(th.failed.tolist(), th.residual.tolist(), th.iters.tolist())):
+    for i, (failed, residual, iters, floored) in enumerate(
+            zip(th.failed.tolist(), th.residual.tolist(), th.iters.tolist(),
+                (lam == 0.0).tolist())):
         cells = {k: math.nan if failed else v[i] for k, v in columns.items()}
         cells.update(solver_residual=residual, solver_iters=iters)
         flags = (["solver-failure"] if failed else
                  ["add-undefined"] if math.isnan(cells["theory_add"]) else [])
+        if floored:
+            flags.append("penalty-floored")
         out.append((cells, flags))
     return out
 

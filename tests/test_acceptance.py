@@ -102,11 +102,9 @@ def test_criterion_4_shared_covariance_linear_stage():
         gamma = rng.uniform(0.3, 3.0)
         lam = 10 ** rng.uniform(-6, 0.5)
         reg = ScalingRegime.from_rates(0.5, phi, phi * gamma)
-        e1, e2, tau, _, _ = fp.solve_rp_joint_nonlinear(spec, reg, lam)
-        c = fp.solve_rp_joint_linear(spec, reg, lam, e1, e2, tau, sig)
-        [u1], [rho] = c.u1, c.rho
-        rho_prime = rho / (gamma * tau[0] ** 2)
-        theta = lam / (gamma * tau[0] * e1[0])
+        [x1], x2, _, _ = fp.solve_rp_joint_nonlinear(spec, reg, lam)
+        [u1], _, [rho_prime] = fp.solve_rp_joint_linear(spec, reg, x1, x2, sig)
+        theta = reg.p1 / x1  # the effective shift lam / (gamma tau e1)
         w = spec.weights
         i12, i22 = dof(sig, w, 1, 2, theta), dof(sig, w, 2, 2, theta)
         z = i22 * (gamma - i22) + theta ** 2 * i12 ** 2

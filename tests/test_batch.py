@@ -117,10 +117,10 @@ class TestBatchEqualsPointByPoint:
         regime = regime_of(config, dims, m)
         lam = config.lam
         joint = fp.solve_rp_joint_nonlinear(spectrum, regime, lam)
-        affine = fp.solve_rp_joint_linear(spectrum, regime, lam, *joint[:3], spectrum.sigma2)
+        affine = fp.solve_rp_joint_linear(spectrum, regime, *joint[:2], spectrum.sigma2)
         seps = [fp.solve_rp_separate(spectrum, regime, s, lam) for s in (1, 2)]
         classical = fp.solve_classical_joint_nonlinear(spectrum, regime, lam)
-        u = fp.solve_classical_joint_linear(spectrum, regime, lam, *classical[:2], 1)
+        u = fp.solve_classical_joint_linear(spectrum, regime, *classical[:2], 1)
         kappas = [fp.solve_kappa(spectrum.sigma(s), spectrum.weights, regime.phi_s(s), lam)
                   for s in (1, 2)]
         def row(values, i):
@@ -130,17 +130,14 @@ class TestBatchEqualsPointByPoint:
             reg = regime_of(config, dims[i], m[i])
             one = fp.solve_rp_joint_nonlinear(spec, reg, lam)
             assert row(joint, i) == row(one, 0)
-            one_affine = fp.solve_rp_joint_linear(spec, reg, lam, *one[:3], spec.sigma2)
-            for name in ("u1", "u2", "rho"):
-                assert getattr(affine, name)[i] == getattr(one_affine, name)[0]
-            for s, sep in zip((1, 2), seps):
-                one_sep = fp.solve_rp_separate(spec, reg, s, lam)
-                for name in ("e", "tau", "u", "rho", "residual", "iters"):
-                    assert getattr(sep, name)[i] == getattr(one_sep, name)[0]
+            one_affine = fp.solve_rp_joint_linear(spec, reg, *one[:2], spec.sigma2)
+            assert row(affine, i) == row(one_affine, 0)
+            for s, sep in zip((1, 2), seps):  # (x, residual, iters)
+                assert row(sep, i) == row(fp.solve_rp_separate(spec, reg, s, lam), 0)
             one_classical = fp.solve_classical_joint_nonlinear(spec, reg, lam)
             assert row(classical, i) == row(one_classical, 0)
             assert row(u, i) == row(fp.solve_classical_joint_linear(
-                spec, reg, lam, *one_classical[:2], 1), 0)
+                spec, reg, *one_classical[:2], 1), 0)
             for s, kappa in zip((1, 2), kappas):  # (kappa, residual, iters)
                 one_kappa = fp.solve_kappa(spec.sigma(s), spec.weights, reg.phi_s(s), lam)
                 assert row(kappa, i) == row(one_kappa, 0)
@@ -194,16 +191,16 @@ class TestIsolatedFailures:
                 assert row.values == ref.values
 
     def test_singular_affine_row_fails_alone(self):
-        # One atom with sigma1 = sigma2 = 1, p1 = 1/2, e1 = e2 = 1 and lam = 1:
-        # K = 2, and at phi = 4 the 2x2 system is exactly [[1, -1], [-1, 1]] / 2.
+        # One atom with sigma1 = sigma2 = 1, p1 = 1/2 and x1 = x2 = 1/2: M = 2,
+        # g_s = 1/4, and at phi = 4 the 2x2 system is exactly [[1, -1], [-1, 1]] / 2.
         spectrum = make_isotropic(4, 1.0, 1.0, 1.0, 0.0)
         phis = np.array([0.5, 4.0, 1.5])
         u1, u2 = fp.solve_classical_joint_linear(
-            spectrum, ScalingRegime(p1=0.5, phi=phis, gamma=1.0), 1.0, 1.0, 1.0, 1)
+            spectrum, ScalingRegime(p1=0.5, phi=phis, gamma=1.0), 0.5, 0.5, 1)
         assert np.isnan(u1[1]) and np.isnan(u2[1])
         for i in range(3):  # each point alone: P = 1, NaN at phi = 4
             one_u1, one_u2 = fp.solve_classical_joint_linear(
-                spectrum, ScalingRegime(p1=0.5, phi=phis[i], gamma=1.0), 1.0, 1.0, 1.0, 1)
+                spectrum, ScalingRegime(p1=0.5, phi=phis[i], gamma=1.0), 0.5, 0.5, 1)
             assert same(u1[i], one_u1[0]) and same(u2[i], one_u2[0])
 
     def test_negative_term_marks_its_row(self):
@@ -233,13 +230,12 @@ def rp_joint():
 
 
 def rp_joint_linear():
-    c = fp.solve_rp_joint_linear(SPEC, REG, LAM, *scalars(rp_joint()[0]), SPEC.sigma1)
-    return [c.e1, c.e2, c.tau, c.u1, c.u2, c.rho], []
+    return list(fp.solve_rp_joint_linear(SPEC, REG, *scalars(rp_joint()[0]), SPEC.sigma1)), []
 
 
 def rp_separate():
-    c = fp.solve_rp_separate(SPEC, REG, 2, LAM)
-    return [c.e, c.tau, c.u, c.rho], [c.residual, c.iters]
+    x, res, iters = fp.solve_rp_separate(SPEC, REG, 2, LAM)
+    return [x], [res, iters]
 
 
 def classical_joint():
@@ -248,8 +244,8 @@ def classical_joint():
 
 
 def classical_joint_linear():
-    return list(fp.solve_classical_joint_linear(SPEC, REG, LAM,
-                                                *scalars(classical_joint()[0]), 2)), []
+    return list(fp.solve_classical_joint_linear(SPEC, REG, *scalars(classical_joint()[0]),
+                                                2)), []
 
 
 def kappa():

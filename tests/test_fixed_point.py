@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,16 +28,74 @@ def uniform(n):
     return np.full(n, 1.0 / n)
 
 
+def shift_constants(sigma, p, w, phi, inv_gamma, lam, x):
+    """(e, tau) at a root x of ``fp._solve_shifts``, laid out as its arguments.
+
+    e_s = 1 - phi x_s t_s / p_s and tau = 1 - (1/gamma) sum_s x_s t_s, with
+    t_s = tr_bar(Sigma_s M^-1).  The subtractions alone keep only a few
+    digits of a constant near zero, so the smaller constants are taken from
+    the exact products e_s tau = lam x_s / p_s: tau as the product over the
+    larger e when it is below that e, then each e_s below tau as its product
+    over tau.  Returns e (P, G) and tau (P, 1).
+    """
+    p = np.asarray(p, dtype=float)
+    m = 1.0
+    for term in x.T[:, :, None] * sigma[:, None]:
+        m = m + term
+    d = x * ((w * (1.0 / m))[:, None, :] * sigma).sum(axis=-1)
+    e, tau = 1.0 - phi * d / p, 1.0 - inv_gamma * d.sum(axis=1, keepdims=True)
+    prod = lam * x / p
+    top = e.max(axis=1, keepdims=True)
+    at_top = np.take_along_axis(prod, e.argmax(axis=1)[:, None], axis=1)
+    tau = np.divide(at_top, top, out=tau, where=tau < top)
+    return np.where(e < tau, prod / tau, e), tau
+
+
+def stage_constants(spec, groups, p, phi, inv_gamma, lam, *x):
+    """(e_s per group, tau) as (P,) arrays at a stage's shifts x_s; lam is the
+    solver's penalty, lam / gamma for random projection."""
+    w, phi, inv_gamma, lam, *x = fp._batch(spec.weights, phi, inv_gamma, lam, *x)
+    e, tau = shift_constants(np.stack([spec.sigma(s) for s in groups]), p, w, phi,
+                             inv_gamma, lam, np.hstack(x))
+    return (*e.T, tau[:, 0])
+
+
+def rp_joint_constants(spec, reg, lam):
+    """(e1, e2, tau, residual, iters) of the joint random-projection stage."""
+    x1, x2, res, iters = fp.solve_rp_joint_nonlinear(spec, reg, lam)
+    return (*stage_constants(spec, (1, 2), (reg.p1, reg.p2), reg.phi, 1.0 / reg.gamma,
+                             lam / reg.gamma, x1, x2), res, iters)
+
+
 def rp_joint(spec, reg, lam, b):
-    """Nonlinear, then affine stage of the joint random-projection system."""
-    e1, e2, tau, _, _ = fp.solve_rp_joint_nonlinear(spec, reg, lam)
-    return fp.solve_rp_joint_linear(spec, reg, lam, e1, e2, tau, b)
+    """Nonlinear, then affine stage of the joint random-projection system,
+    with (e1, e2, tau) and rho = gamma tau^2 rho'."""
+    x1, x2, _, _ = fp.solve_rp_joint_nonlinear(spec, reg, lam)
+    u1, u2, rho_prime = fp.solve_rp_joint_linear(spec, reg, x1, x2, b)
+    e1, e2, tau = stage_constants(spec, (1, 2), (reg.p1, reg.p2), reg.phi, 1.0 / reg.gamma,
+                                  lam / reg.gamma, x1, x2)
+    return SimpleNamespace(e1=e1, e2=e2, tau=tau, u1=u1, u2=u2,
+                           rho=reg.gamma * tau ** 2 * rho_prime)
+
+
+def rp_separate(spec, reg, s, lam):
+    """Group s's separate random-projection stages as ``theory_risks`` runs
+    them, with (e, tau) and rho = gamma tau^2 rho'."""
+    x, res, iters = fp.solve_rp_separate(spec, reg, s, lam)
+    sig = spec.sigma(s)
+    w, phi_s, inv_gamma, xs = fp._batch(spec.weights, reg.phi_s(s), 1.0 / reg.gamma, x)
+    u, rho_prime = fp._affine(sig[None], [1.0], w, phi_s, inv_gamma, xs, sig).T
+    e, tau = stage_constants(spec, (s,), (1.0,), reg.phi_s(s), 1.0 / reg.gamma,
+                             lam / reg.gamma, x)
+    return SimpleNamespace(e=e, tau=tau, u=u, rho=reg.gamma * tau ** 2 * rho_prime,
+                           residual=res, iters=iters)
 
 
 def classical_joint(spec, reg, lam):
     """(e1, e2) and, per target group s, the affine solution (u1, u2)."""
-    e1, e2, _, _ = fp.solve_classical_joint_nonlinear(spec, reg, lam)
-    u = {s: fp.solve_classical_joint_linear(spec, reg, lam, e1, e2, s) for s in (1, 2)}
+    x1, x2, _, _ = fp.solve_classical_joint_nonlinear(spec, reg, lam)
+    e1, e2, _ = stage_constants(spec, (1, 2), (reg.p1, reg.p2), reg.phi, 0.0, lam, x1, x2)
+    u = {s: fp.solve_classical_joint_linear(spec, reg, x1, x2, s) for s in (1, 2)}
     return e1, e2, u
 
 
@@ -167,7 +226,7 @@ class TestRPJoint:
     def test_isotropic_near_interpolation_limits(self):
         spec = make_isotropic(6, 1.0, 1.0, 1.0, 0.0)
         reg = ScalingRegime.from_rates(0.5, 0.5, 1.0)  # gamma = 2
-        e1, e2, tau, _, _ = fp.solve_rp_joint_nonlinear(spec, reg, 1e-8)
+        e1, e2, tau, _, _ = rp_joint_constants(spec, reg, 1e-8)
         assert e1 == pytest.approx(0.5, abs=1e-4)
         assert e2 == pytest.approx(0.5, abs=1e-4)
         assert tau == pytest.approx(0.5, abs=1e-4)
@@ -175,7 +234,7 @@ class TestRPJoint:
     def test_large_penalty_drives_constants_to_one(self):
         spec = anisotropic_spectrum()
         reg = ScalingRegime.from_rates(0.4, 0.8, 1.6)
-        e1, e2, tau, _, _ = fp.solve_rp_joint_nonlinear(spec, reg, 1e9)
+        e1, e2, tau, _, _ = rp_joint_constants(spec, reg, 1e9)
         assert e1 == pytest.approx(1.0, abs=1e-6)
         assert e2 == pytest.approx(1.0, abs=1e-6)
         assert tau == pytest.approx(1.0, abs=1e-6)
@@ -215,9 +274,8 @@ class TestRPJoint:
     def test_zero_target_gives_zero_affine_solution(self):
         spec = anisotropic_spectrum()
         reg = ScalingRegime.from_rates(0.5, 0.5, 1.0)
-        e1, e2, tau, _, _ = fp.solve_rp_joint_nonlinear(spec, reg, 0.01)
-        c = fp.solve_rp_joint_linear(spec, reg, 0.01, e1, e2, tau, np.zeros(spec.d))
-        assert (c.u1, c.u2, c.rho) == (0.0, 0.0, 0.0)
+        x1, x2, _, _ = fp.solve_rp_joint_nonlinear(spec, reg, 0.01)
+        assert fp.solve_rp_joint_linear(spec, reg, x1, x2, np.zeros(spec.d)) == (0.0, 0.0, 0.0)
 
     def test_affine_stage_matches_picard_iteration(self):
         spec = anisotropic_spectrum(seed=21)
@@ -271,7 +329,7 @@ class TestRPSeparate:
         spec = make_isotropic(5, 1.0, 1.0, 1.0, 0.0)
         # psi_s = 0.5, gamma = 2 -> phi_s = 0.25
         reg = ScalingRegime.from_rates(0.5, 0.125, 0.25)
-        c = fp.solve_rp_separate(spec, reg, 1, 1e-8)
+        c = rp_separate(spec, reg, 1, 1e-8)
         assert c.e == pytest.approx(0.75, abs=1e-4)
         assert c.tau == pytest.approx(0.5, abs=1e-4)
 
@@ -279,7 +337,7 @@ class TestRPSeparate:
         spec = anisotropic_spectrum()
         reg = ScalingRegime.from_rates(0.5, 0.5, 0.75)
         lam = 1e8
-        c = fp.solve_rp_separate(spec, reg, 2, lam)
+        c = rp_separate(spec, reg, 2, lam)
         assert c.e == pytest.approx(1.0, abs=1e-6)
         assert c.tau == pytest.approx(1.0, abs=1e-6)
         assert abs(c.u) < 1e-6
@@ -305,7 +363,7 @@ class TestRPSeparate:
              ScalingRegime.from_counts(400, 400, 2263, 0.9), 2, 1e-6, 4 * eps),
         ]
         for spec, reg, s, lam, bound in cases:
-            c = fp.solve_rp_separate(spec, reg, s, lam)
+            c = rp_separate(spec, reg, s, lam)
             sig = spec.sigma(s)
             psi_s, gamma = reg.psi_s(s), reg.gamma
             k = gamma * c.tau * c.e * sig + lam
@@ -330,7 +388,7 @@ class TestRPSeparate:
         p1 = 0.999
         reg = ScalingRegime.from_rates(p1, phi_1 * p1, psi_1 * p1)
         joint = rp_joint(spec, reg, lam, spec.sigma1)
-        sep = fp.solve_rp_separate(spec, reg, 1, lam)
+        sep = rp_separate(spec, reg, 1, lam)
         assert joint.e1 == pytest.approx(sep.e, rel=0.01)
         assert joint.tau == pytest.approx(sep.tau, rel=0.01)
         assert joint.u1 == pytest.approx(sep.u, rel=0.01)
@@ -436,7 +494,7 @@ class TestAffineIsLinearization:
     @pytest.mark.parametrize("s", [1, 2])
     def test_rp_separate(self, spec, p1, phi, psi, lam, s):
         reg = ScalingRegime.from_rates(p1, phi, psi)
-        c = fp.solve_rp_separate(spec, reg, s, lam)
+        c = rp_separate(spec, reg, s, lam)
         g = stage_equations([spec.sigma(s)], [1.0], spec.weights, reg.psi_s(s), reg.gamma,
                             lam, spec.sigma(s), True)
         self.check(g, np.array([c.e[0], c.tau[0]]), np.array([c.u[0], -c.rho[0] / lam]))
@@ -501,7 +559,7 @@ class TestSolverBehaviour:
         spec = anisotropic_spectrum(seed=29)
         reg = ScalingRegime.from_rates(0.4, 0.7, 1.1)
         lam = 1e-4
-        [e1], [e2], [tau], _, _ = fp.solve_rp_joint_nonlinear(spec, reg, lam)
+        [e1], [e2], [tau], _, _ = rp_joint_constants(spec, reg, lam)
         s1, s2 = spec.sigma1, spec.sigma2
         p1, p2, psi, gamma = reg.p1, reg.p2, reg.psi, reg.gamma
         x = np.ones(3)
@@ -519,7 +577,7 @@ class TestSolverBehaviour:
         lam = 1e-6
         spec = make_isotropic(100, 2.0, 1.0, 2.0, 1.0)
         reg = ScalingRegime(p1=0.5, phi=0.01, gamma=1.0)
-        [e1], [e2], [tau], [res], [iters] = fp.solve_rp_joint_nonlinear(spec, reg, lam)
+        [e1], [e2], [tau], [res], [iters] = rp_joint_constants(spec, reg, lam)
         assert res < 1e-12 and iters <= 50
         x = np.array([e1, e2, tau])
         np.testing.assert_allclose(x, polished(rp_joint_defect(spec, reg, lam), x),
@@ -532,7 +590,7 @@ class TestSolverBehaviour:
         # 17 steps (149 in the unknowns (e1, e2, tau) from (1, 1, 1)).
         spec = make_diatomic(400, 0.5, 2.0, 2.0, 0.2, 1.0, 0.0)
         reg = ScalingRegime(p1=0.9, phi=1.0, gamma=0.5)
-        e1, e2, tau, res, _ = fp.solve_rp_joint_nonlinear(spec, reg, 1e-6)
+        e1, e2, tau, res, _ = rp_joint_constants(spec, reg, 1e-6)
         assert res < 1e-12
         assert 0 < e1 <= 1 and 0 < e2 <= 1 and 0 < tau <= 1
 
@@ -588,18 +646,18 @@ class TestSolverBehaviour:
             return newton(fun, x0, args)
 
         monkeypatch.setattr(fp, "_newton", spy)
-        x, e, tau, res, iters = fp._solve_shifts(sigma, p, w, phi, inv_gamma, lam)
-        y = fp._affine(sigma, p, w, phi, inv_gamma, lam, e, tau, b)
+        x, res, iters = fp._solve_shifts(sigma, p, w, phi, inv_gamma, lam)
+        y = fp._affine(sigma, p, w, phi, inv_gamma, x, b)
+        _, tau = shift_constants(sigma, p, w, phi, inv_gamma, lam, x)
         classical = inv_gamma[:, 0] == 0.0
         assert (res < fp._TOL).all()
         assert (tau[classical] == 1.0).all() and (tau[~classical] < 1.0).all()
         assert (y[classical, -1] == 0.0).all() and (y[~classical, -1] > 0.0).all()
         for i in range(rows):
             one = fp._solve_shifts(sigma, p, w[[i]], phi[[i]], inv_gamma[[i]], lam[[i]])
-            for batched, alone in zip((x, e, tau, res, iters), one):
+            for batched, alone in zip((x, res, iters), one):
                 assert (batched[i] == alone[0]).all()
-            alone = fp._affine(sigma, p, w[[i]], phi[[i]], inv_gamma[[i]], lam[[i]],
-                               e[[i]], tau[[i]], b)
+            alone = fp._affine(sigma, p, w[[i]], phi[[i]], inv_gamma[[i]], x[[i]], b)
             assert (y[i] == alone[0]).all()
         # The domain test is per row.  Far out, at phi = 10 and 1/gamma = 2,
         # some e_s < 0 and tau < 0 in every row, which walls those rows off;
@@ -612,8 +670,8 @@ class TestSolverBehaviour:
         monkeypatch.setattr(fp, "_MAX_ITER", 3)
         spec = anisotropic_spectrum()
         reg = ScalingRegime.from_rates(0.5, 1.0, 1.0)
-        [e1], [e2], [tau], [res], [iters] = fp.solve_rp_joint_nonlinear(spec, reg, 1e-6)
-        assert math.isnan(e1) and math.isnan(e2) and math.isnan(tau)
+        [x1], [x2], [res], [iters] = fp.solve_rp_joint_nonlinear(spec, reg, 1e-6)
+        assert math.isnan(x1) and math.isnan(x2)
         assert fp._TOL <= res < math.inf  # the best residual reached
         assert iters == 3
 

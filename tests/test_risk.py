@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from biasamp import cli
 from biasamp import fixed_point as fp
 from biasamp import risk
 from biasamp.spectra import (JointSpectrum, ScalingRegime, make_diatomic,
@@ -91,11 +92,18 @@ class TestPresetCells:
         ("phase_diagram", 10.0, 5.87802, "r1_joint", 5.1124839467996146),
         ("phase_diagram", 1.4251, 8.37678, "r2_joint", 3.6492358729447732),
         ("isotropic_sweep", 2.0, 5.65685, "r1_joint", 1.4424656885296285),
+        ("isotropic_sweep", 1.0, 0.5, "r2_sep", 531.8341517441253),
+        ("phase_diagram", 1.0, 10.0, "r1_joint", 3463.6575605908524),
     ])
     def test_matches_high_precision_reference(self, name, phi, psi, cell, reference):
-        # References solved and assembled in 60-digit arithmetic.  On these
-        # cells a risk form that cancels terms of order 1/lam is off by up to
-        # 5.7e-9 relative.
+        # References solved and assembled in 60-digit arithmetic (the last
+        # two in 50 digits, from the float root polished with e, tau > 0).
+        # On the first six cells a risk form that cancels terms of order
+        # 1/lam is off by up to 5.7e-9 relative.  The last two sit at
+        # thresholds: the separate model's phi_s = 1 and the joint model's
+        # d = n.  There a risk assembled from the constants (e, tau)
+        # recovered from the root, rather than from the shifts x, is off by
+        # 6.8e-11 and 4.5e-14.
         grid, rows = theory_sweep(name)
         value = rows[grid.index((phi, psi))].values[f"theory_{cell}"]
         assert value == pytest.approx(reference, rel=1e-12)
@@ -172,6 +180,28 @@ class TestRPSeparateRisk:
         closed = risk.rp_separate_risk_unregularized(spec, reg, 1.0, 1)
         general = separate(spec, reg, risk.FAMILY_RP, 1e-8, 1)
         assert general.total == pytest.approx(closed.total, rel=1e-3)
+
+    def test_penalty_free_stages_reproduce_the_zero_penalty_closed_form(self):
+        # At lam = 0 the one-group root x = gamma e tau / lam is kappa's root
+        # at phi = max(phi_s, 1/gamma): x = 1 / kappa, infinite where kappa = 0.
+        # The affine stage and the assembler take x alone, so at that x they
+        # are the zero-penalty risk itself, on every cell of the closed-form
+        # check, the x = inf cells (bias 0, variance phi_s / (1 - phi_s))
+        # included.
+        for spec, s, cells in cli._zero_penalty_cells():
+            sig = spec.sigma(s)
+            for psi_s, gamma in cells:
+                reg = ScalingRegime.from_rates(0.5, 0.5 * psi_s / gamma, 0.5 * psi_s)
+                [kappa], _, _ = fp.solve_kappa(sig, spec.weights, max(reg.phi_s(s), 1 / gamma),
+                                               0.0)
+                x = np.array([math.inf if kappa == 0.0 else 1.0 / kappa])
+                w, phi_s, inv_gamma, xs = fp._batch(spec.weights, reg.phi_s(s), 1 / gamma, x)
+                u, rho = fp._affine(sig[None], [1.0], w, phi_s, inv_gamma, xs, sig).T
+                dec = risk._assemble(spec, s, {s: 1.0}, {s: x}, {s: u}, rho, (1.0, 1.0))
+                closed = risk.rp_separate_risk_unregularized(spec, reg, 1.0, s)
+                for part in ("bias", "variance"):
+                    assert getattr(dec, part) == pytest.approx(getattr(closed, part),
+                                                               rel=1e-12), (psi_s, gamma, part)
 
 
 class TestClassicalJointRisk:

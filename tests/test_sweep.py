@@ -210,8 +210,7 @@ class TestRunSweep:
             if cfg is rp:
                 reg = ScalingRegime.from_counts(row["n"], row["d"], row["m"], cfg.p1)
                 *_, res, iters = fp.solve_rp_joint_nonlinear(spec, reg, lam)
-                seps = [(c.residual, c.iters)
-                        for c in (fp.solve_rp_separate(spec, reg, s, lam) for s in (1, 2))]
+                seps = [fp.solve_rp_separate(spec, reg, s, lam)[1:] for s in (1, 2)]
             else:  # the separate stage of classical ridge is the effective shift
                 reg = ScalingRegime(p1=cfg.p1, phi=row["d"] / row["n"], gamma=1.0)
                 *_, res, iters = fp.solve_classical_joint_nonlinear(spec, reg, lam)
@@ -239,7 +238,7 @@ class TestRunSweep:
             res = run_sweep(cfg)
         assert sum("floored" in rec.message for rec in caplog.records) == 1
         assert [r.values["lambda"] for r in res.rows] == [0.0] * 3
-        assert not any(r.flags for r in res.rows)
+        assert [r.flags for r in res.rows] == [["penalty-floored"]] * 3
 
     def test_zero_penalty_classical_sweep_matches_theory_risks(self):
         # The sweep hands the raw penalty to theory_risks, whose classical
@@ -258,7 +257,8 @@ class TestRunSweep:
                    "r1_sep": th.r1_sep.total, "r2_sep": th.r2_sep.total,
                    **th.gaps.columns()}
         assert th.failed.tolist() == [True, False]
-        assert [r.flags for r in rows] == [["solver-failure"], []]
+        assert [r.flags for r in rows] == [["solver-failure", "penalty-floored"],
+                                           ["penalty-floored"]]
         for i, row in enumerate(rows):
             for k, v in columns.items():
                 cell = row.values[f"theory_{k}"]
